@@ -2,7 +2,7 @@
 
 Subcommands mirror the library pipelines: run-qib / run-qdib iterate one
 source to convergence and emit the iteration trace; gamma-sweep and
-beta-sweep fan out runs over parameter lists; advantage prints the analytic
+beta-sweep run once per entry of a parameter list; advantage prints the analytic
 separation table; classify and suffstats run the experiment pipelines;
 validate checks a state or channel file.
 
@@ -46,30 +46,15 @@ def _maybe_emit_state(args: argparse.Namespace, state) -> None:
         )
 
 
-def _cmd_run_qib(args: argparse.Namespace) -> int:
-    obj, seed = _load_config(args, cfg.RUN_QIB_SCHEMA)
+def _cmd_run(args: argparse.Namespace) -> int:
+    """run-qib and run-qdib: the subparser supplies schema, runner and alpha."""
+    obj, seed = _load_config(args, args.schema)
     state = cfg.resolve_state(obj["state"], seed)
-    run_cfg = cfg.objective_config(obj, seed)
+    run_cfg = cfg.objective_config(obj, seed, alpha_override=args.alpha_override)
     initial = cfg.resolve_initial_channel(
         obj.get("initial_channel"), run_cfg.dim_t, state.size_x, run_cfg.classical
     )
-    _, trace = engine.run_qib(state, run_cfg, initial=initial)
-    _maybe_emit_state(args, state)
-    if args.format == "json":
-        _emit(serialization.dump_json(serialization.trace_to_records(trace)), args.out)
-    else:
-        _emit(serialization.trace_to_csv(trace), args.out)
-    return 0
-
-
-def _cmd_run_qdib(args: argparse.Namespace) -> int:
-    obj, seed = _load_config(args, cfg.RUN_QDIB_SCHEMA)
-    state = cfg.resolve_state(obj["state"], seed)
-    run_cfg = cfg.objective_config(obj, seed, alpha_override=0.0)
-    initial = cfg.resolve_initial_channel(
-        obj.get("initial_channel"), run_cfg.dim_t, state.size_x, run_cfg.classical
-    )
-    _, trace = qdib.run_qdib(state, run_cfg, initial=initial)
+    _, trace = args.runner(state, run_cfg, initial=initial)
     _maybe_emit_state(args, state)
     if args.format == "json":
         _emit(serialization.dump_json(serialization.trace_to_records(trace)), args.out)
@@ -82,7 +67,7 @@ def _cmd_gamma_sweep(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.GAMMA_SWEEP_SCHEMA)
     state = cfg.resolve_state(obj["state"], seed)
     run_cfg = cfg.objective_config(obj, seed)
-    results, _ = gamma_sweep(state, run_cfg, obj["gamma_list"], jobs=args.jobs)
+    results, _ = gamma_sweep(state, run_cfg, obj["gamma_list"])
     _maybe_emit_state(args, state)
     if args.format == "json":
         payload = {
@@ -111,7 +96,6 @@ def _cmd_beta_sweep(args: argparse.Namespace) -> int:
         run_cfg,
         obj["beta_list"],
         kappa_samples=obj.get("kappa_samples", 200),
-        jobs=args.jobs,
     )
     _maybe_emit_state(args, state)
     if args.format == "json":
@@ -274,30 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, jobs: bool = False, emit_state: bool = True):
+    def add_common(p: argparse.ArgumentParser, emit_state: bool = True):
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
         if emit_state:
             p.add_argument("--emit-state", default=None, help="also write the resolved state JSON")
 
     p = sub.add_parser("run-qib", help="iterate the soft bottleneck to convergence")
     add_common(p)
-    p.set_defaults(func=_cmd_run_qib)
+    p.set_defaults(
+        func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib, alpha_override=None
+    )
 
     p = sub.add_parser("run-qdib", help="iterate the deterministic bottleneck")
     add_common(p)
-    p.set_defaults(func=_cmd_run_qdib)
+    p.set_defaults(
+        func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib, alpha_override=0.0
+    )
 
     p = sub.add_parser("gamma-sweep", help="one run per step size from a shared start")
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(func=_cmd_gamma_sweep)
 
     p = sub.add_parser("beta-sweep", help="converged metrics per trade-off weight")
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(func=_cmd_beta_sweep)
 
     p = sub.add_parser("advantage", help="analytic quantum vs classical table")

@@ -20,6 +20,7 @@ arrays, and each iteration costs a handful of stacked eigendecompositions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ STATUS_MONOTONICITY_VIOLATED = "monotonicity_violated"
 
 MONOTONICITY_TOL = 1e-9
 RATIO_DENOM_TOL = 1e-12
+SUPPORT_EVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,15 @@ def _advance(analysis: _Analysis, gamma: float, classical: bool) -> np.ndarray:
     new = np.einsum("xij,xj,xkj->xik", ve, shifted, np.conj(ve), optimize=True)
     new /= shifted.sum(axis=1)[:, None, None]
     if classical:
-        diag = np.clip(np.einsum("xii->xi", new).real, 0.0, None)
-        diag /= diag.sum(axis=1)[:, None]
-        new = linalg.diag_embed(diag, dtype=new.dtype)
+        new = _rediagonalize(new)
     return linalg.hermitize(new)
+
+
+def _rediagonalize(mats: np.ndarray) -> np.ndarray:
+    """Keep only the clipped, renormalized diagonals: the classical restriction."""
+    diag = np.clip(np.einsum("xii->xi", mats).real, 0.0, None)
+    diag /= diag.sum(axis=1)[:, None]
+    return linalg.diag_embed(diag, dtype=mats.dtype)
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
@@ -234,17 +241,13 @@ def gamma_ratio(
     _, mats2 = _ctx_and_mats(state, channel2)
     a = _Analysis(ctx, mats, alpha, beta)
     b = _Analysis(ctx, mats2, alpha, beta)
-    den = _avg_divergence(ctx.px, a, b)
-    if den <= RATIO_DENOM_TOL:
+    ratio = _ratio_or_nan(ctx.px, a, b)
+    if np.isnan(ratio):
         raise NumericalError(
-            f"gamma ratio undefined: channel divergence {den:.3e} vanishes "
-            "(channels are numerically identical)"
+            f"gamma ratio undefined: channel divergence vanishes (at most "
+            f"{RATIO_DENOM_TOL:.0e}; channels are numerically identical)"
         )
-    num = float(
-        ctx.px
-        @ np.einsum("xij,xji->x", a.mats, a.f_family - b.f_family, optimize=True).real
-    )
-    return num / den
+    return ratio
 
 
 def j_function(
@@ -316,12 +319,30 @@ def run_qib(
             "effective gamma must be positive; alpha=0 requires an explicit gamma "
             "(or use the deterministic-variant runner)"
         )
+    return _iterate(
+        state, config, initial, "run-qib",
+        lambda cur: _advance(cur, gamma, config.classical), deterministic=False,
+    )
+
+
+def _iterate(
+    state: CQState,
+    config: ObjectiveConfig,
+    initial: CQChannel | None,
+    init_label: str,
+    step: Callable[[_Analysis], np.ndarray],
+    deterministic: bool,
+) -> tuple[CQChannel, IterationTrace]:
+    """The loop both runners share; ``step`` maps an analyzed iterate to the
+    next conditional stack.  A missing ``initial`` is drawn from the seed
+    under ``init_label``.  ``deterministic`` rows carry support_T and a nan
+    step-size ratio, since gamma has no role in the projector step."""
     if initial is None:
         initial = random_channel(
             config.dim_t,
             state.size_x,
             classical=config.classical,
-            seed=rng.derive_rng(config.seed, "run-qib", "init"),
+            seed=rng.derive_rng(config.seed, init_label, "init"),
         )
     elif initial.size_x != state.size_x:
         raise InvariantError(
@@ -334,28 +355,29 @@ def run_qib(
     trace = IterationTrace()
     converged = False
     for n in range(1, config.max_iters + 1):
-        nxt = _Analysis(ctx, _advance(cur, gamma, config.classical), alpha, beta)
-        trace.records.append(_record(ctx, n, cur, nxt))
+        nxt = _Analysis(ctx, step(cur), alpha, beta)
+        trace.records.append(_record(ctx, n, cur, nxt, deterministic))
         if nxt.f_alpha > cur.f_alpha + MONOTONICITY_TOL:
             trace.violations.append(n)
-        cur = nxt
-        if abs(trace.records[-1].f_alpha - cur.f_alpha) <= config.tol:
+        prev_f, cur = cur.f_alpha, nxt
+        if abs(prev_f - cur.f_alpha) <= config.tol:
             converged = True
             break
     # Final row: one prospective step from the returned iterate.
-    tail = _Analysis(ctx, _advance(cur, gamma, config.classical), alpha, beta)
-    trace.records.append(_record(ctx, len(trace.records) + 1, cur, tail))
+    tail = _Analysis(ctx, step(cur), alpha, beta)
+    trace.records.append(_record(ctx, len(trace.records) + 1, cur, tail, deterministic))
     if trace.violations:
         trace.status = STATUS_MONOTONICITY_VIOLATED
     elif converged:
         trace.status = STATUS_CONVERGED
     else:
         trace.status = STATUS_MAX_ITERS
-    final = CQChannel(cur.mats, config.classical)
-    return final, trace
+    return CQChannel(cur.mats, config.classical), trace
 
 
-def _record(ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis) -> TraceRecord:
+def _record(
+    ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool
+) -> TraceRecord:
     return TraceRecord(
         iteration=n,
         f_alpha=cur.f_alpha,
@@ -363,8 +385,11 @@ def _record(ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis) -> TraceReco
         i_tx=cur.i_tx,
         i_ty=cur.i_ty,
         step_divergence=_avg_divergence(ctx.px, cur, nxt),
-        gamma_ratio=_ratio_or_nan(ctx.px, nxt, cur),
+        gamma_ratio=float("nan") if deterministic else _ratio_or_nan(ctx.px, nxt, cur),
         fixed_point_residual=_residual(ctx.px, cur.mats, nxt.mats),
+        support_t=(
+            int(np.sum(cur.sigma_t_evals > SUPPORT_EVAL_TOL)) if deterministic else None
+        ),
     )
 
 

@@ -8,7 +8,6 @@ contraction bound, whose inverse marks the triviality threshold in beta.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .. import engine, rng
@@ -21,13 +20,11 @@ def gamma_sweep(
     state: CQState,
     config: ObjectiveConfig,
     gamma_list: list[float],
-    jobs: int = 1,
 ) -> tuple[list[tuple[float, IterationTrace]], CQChannel]:
     """Run the solver once per gamma from a single seeded initial channel.
 
     Returns the (gamma, trace) pairs in input order plus the shared initial
-    channel.  Runs are independent, so they may fan out over ``jobs``
-    threads without changing any result.
+    channel.
     """
     if not gamma_list:
         raise InvariantError("gamma_list must not be empty")
@@ -40,16 +37,10 @@ def gamma_sweep(
         seed=rng.derive_rng(config.seed, "gamma-sweep", "init"),
     )
 
-    def one(gamma: float) -> tuple[float, IterationTrace]:
-        cfg = replace(config, gamma=gamma)
-        _, trace = engine.run_qib(state, cfg, initial=initial)
-        return gamma, trace
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, gamma_list))
-    else:
-        results = [one(g) for g in gamma_list]
+    results = []
+    for gamma in gamma_list:
+        _, trace = engine.run_qib(state, replace(config, gamma=gamma), initial=initial)
+        results.append((gamma, trace))
     return results, initial
 
 
@@ -58,7 +49,6 @@ def beta_sweep(
     config: ObjectiveConfig,
     beta_list: list[float],
     kappa_samples: int = 200,
-    jobs: int = 1,
 ) -> list[dict[str, float]]:
     """Converged metrics per beta plus the kappa lower bound of the source.
 
@@ -75,24 +65,17 @@ def beta_sweep(
         state, samples=kappa_samples, seed=rng.derive_seed(config.seed, "kappa")
     )
 
-    def one(item: tuple[int, float]) -> dict[str, float]:
-        i, beta = item
+    rows = []
+    for i, beta in enumerate(beta_list):
         cfg = replace(config, beta=beta, seed=rng.derive_seed(config.seed, "beta-sweep", i))
         _, trace = engine.run_qib(state, cfg)
         final = trace.records[-1]
-        return {
+        rows.append({
             "beta": beta,
             "f": final.f_alpha,
             "H_T": final.h_t,
             "I_TX": final.i_tx,
             "I_TY": final.i_ty,
             "kappa_lower_bound": kappa,
-        }
-
-    items = list(enumerate(beta_list))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, items))
-    else:
-        rows = [one(it) for it in items]
+        })
     return rows

@@ -1,5 +1,5 @@
-"""Dense Hermitian matrix calculus: spectral decompositions, supported
-logarithms, exponentials, tensor products and partial traces.
+"""Dense Hermitian matrix calculus: Hermitian projection, spectral
+decompositions, density checks and random densities.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -9,8 +9,6 @@ nats.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .exceptions import InvariantError, NumericalError
@@ -19,19 +17,6 @@ HERMITICITY_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
 LOG_FLOOR = 1e-12
-EXP_OVERFLOW = 700.0
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix (or stack of them).
-
-    ``eigenvalues`` are real and ascending along the last axis;
-    ``eigenvectors`` holds orthonormal eigenvectors as columns, so
-    ``H = V @ diag(w) @ V.conj().T`` per stack element.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -61,18 +46,11 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    res = hermiticity_residual(m)
-    if res > tol:
-        raise InvariantError(
-            f"matrix is not Hermitian: residual {res:.3e} exceeds tolerance {tol:.1e}"
-        )
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix (stacked OK).
 
-
-def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix (stacked OK).
-
-    Eigenvalues ascend; eigenvectors are orthonormal columns.  Raises
+    Eigenvalues ascend; eigenvectors are orthonormal columns, so
+    ``H = V diag(w) V^H`` per stack element.  Raises
     NumericalError with the hermiticity residual if LAPACK fails to
     converge, which in practice means the input was far from Hermitian.
     """
@@ -84,76 +62,13 @@ def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
             f"eigensolver failed on shape {h.shape}: {exc}; "
             f"hermiticity residual {hermiticity_residual(h):.3e}"
         ) from exc
-    return SpectralDecomposition(w, v)
+    return w, v
 
 
 def _apply_spectral(fn, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Assemble V f(w) V^H for stacked eigensystems."""
     fw = fn(w)
     return np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v), optimize=True)
-
-
-def matrix_log_supported(rho: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Matrix logarithm with eigenvalues clamped below at ``floor``.
-
-    Keeps log well defined on rank-deficient density operators: eigenvalues
-    under the floor contribute log(floor) rather than -inf.  The result is
-    Hermitian by construction.
-    """
-    if floor <= 0:
-        raise InvariantError(f"log floor must be positive, got {floor}")
-    w, v = eig_hermitian(rho)
-    return _apply_spectral(lambda x: np.log(np.maximum(x, floor)), w, v)
-
-
-def matrix_exp(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via its eigensystem.
-
-    Raises NumericalError if any eigenvalue exceeds 700 (exp would
-    overflow float64); callers shift the exponent first when normalizing.
-    """
-    w, v = eig_hermitian(h)
-    wmax = float(np.max(w)) if w.size else 0.0
-    if wmax > EXP_OVERFLOW:
-        raise NumericalError(
-            f"matrix_exp overflow: max eigenvalue {wmax:.6g} exceeds {EXP_OVERFLOW:g}; "
-            "shift the exponent before exponentiating"
-        )
-    return _apply_spectral(np.exp, w, v)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor's system leading."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    ``dims = (d1, d2)`` with the first factor leading (total dimension
-    d1*d2); ``keep`` selects which factor survives.  Stacked inputs keep
-    their leading axes.
-    """
-    m = np.asarray(m)
-    d1, d2 = dims
-    if d1 <= 0 or d2 <= 0:
-        raise InvariantError(f"factor dimensions must be positive, got {dims}")
-    if m.shape[-1] != d1 * d2 or m.shape[-2] != d1 * d2:
-        raise InvariantError(
-            f"operator of shape {m.shape} does not factor as ({d1}*{d2}, {d1}*{d2})"
-        )
-    r = m.reshape(m.shape[:-2] + (d1, d2, d1, d2))
-    if keep == "first":
-        return np.einsum("...ijkj->...ik", r)
-    if keep == "second":
-        return np.einsum("...ijil->...jl", r)
-    raise InvariantError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    w, _ = eig_hermitian(h)
-    return float(np.sum(np.abs(w)))
 
 
 def check_density(
@@ -169,15 +84,16 @@ def check_density(
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvariantError(f"{label}: expected a square matrix, got shape {m.shape}")
+    # Every comparison is phrased so that a NaN residual fails it.
     res = hermiticity_residual(m)
-    if res > HERMITICITY_TOL:
+    if not res <= HERMITICITY_TOL:
         raise InvariantError(f"{label}: not Hermitian (residual {res:.3e})")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise InvariantError(f"{label}: trace {tr.real:.12g} deviates from 1 beyond {trace_tol:.1e}")
     w = np.linalg.eigvalsh(hermitize(m))
     wmin = float(w[0])
-    if wmin < -eig_tol:
+    if not wmin >= -eig_tol:
         raise InvariantError(f"{label}: negative eigenvalue {wmin:.3e} below -{eig_tol:.1e}")
 
 

@@ -4,6 +4,12 @@ A source is a classical random variable X correlated with a quantum system Y
 through conditional densities rho_{Y|x}; a compression channel assigns each x
 a density sigma_{T|x} on the bottleneck system T.  Joint operators over (T, Y)
 put the T factor first in the tensor order.
+
+The evaluators here are the deliberately slow reference oracle for
+``engine._Analysis``: each quantity is computed on its own, straight from
+its definition, so that the solver's fused per-iteration analysis can be
+checked against an independent path.  They duplicate the engine's
+arithmetic on purpose and should not be merged into it.
 """
 
 from __future__ import annotations
@@ -62,10 +68,13 @@ class CQState:
         return self.rho_y_given_x.shape[1]
 
     def validate(self) -> None:
-        if np.any(self.px < -1e-12):
-            raise InvariantError(f"px has a negative entry: min {self.px.min():.3e}")
+        # Phrased so that NaN entries fail the checks.
+        if not np.all(self.px >= -1e-12):
+            raise InvariantError(
+                f"px has a negative or non-finite entry: min {self.px.min():.3e}"
+            )
         s = float(self.px.sum())
-        if abs(s - 1.0) > 1e-9:
+        if not abs(s - 1.0) <= 1e-9:
             raise InvariantError(f"px sums to {s:.12g}, expected 1 within 1e-9")
         for x in range(self.size_x):
             linalg.check_density(self.rho_y_given_x[x], label=f"rho_y_given_x[{x}]")

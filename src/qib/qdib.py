@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, linalg, model, rng
-from .engine import IterationTrace, TraceRecord, _Analysis, _StateCtx
+from . import engine, linalg
+from .engine import IterationTrace
 from .exceptions import InvariantError, NumericalError
 from .model import CQChannel, CQState, ObjectiveConfig
 
 OVERLAP_TOL = 1e-14
 PROJECTOR_REL_TOL = 1e-9
-SUPPORT_EVAL_TOL = 1e-9
 
 
 def score_operator(state: CQState, channel: CQChannel, beta: float) -> np.ndarray:
@@ -48,56 +47,48 @@ def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
     """One deterministic update: conditionals are compressed onto the
     minimal eigenspace of F_0 and renormalized.
 
-    Raises NumericalError naming x if an overlap Tr[sigma_{T|x} P(x)]
-    vanishes (below 1e-14); the runner has a principled fallback for that
-    case, the bare op does not.
+    Raises NumericalError naming the first x whose overlap
+    Tr[sigma_{T|x} P(x)] is 1e-14 or less.  The runner takes the same step
+    but puts P/rank(P) at such x instead (see ``_projected_step``); the bare
+    op refuses to choose.
     """
     fam = engine.f_operator(state, channel, alpha=0.0, beta=beta)
-    mats = channel.sigma_t_given_x
+    out, vanished = _projected_step(fam, channel.sigma_t_given_x, channel.classical)
+    if vanished:
+        raise NumericalError(
+            f"deterministic update undefined at x={vanished[0]}: projector overlap "
+            f"is at most {OVERLAP_TOL:.0e} (conditional has no mass on the "
+            "minimal eigenspace)"
+        )
+    return CQChannel(out, channel.classical)
+
+
+def _projected_step(
+    fam: np.ndarray, mats: np.ndarray, classical: bool
+) -> tuple[np.ndarray, list[int]]:
+    """Compress each conditional onto the minimal eigenspace P(x) of F_0(x)
+    and renormalize by the overlap Tr[sigma_{T|x} P(x)].
+
+    Where that overlap is 1e-14 or less the new conditional is P/rank(P),
+    the exact alpha -> 0 limit of the gamma = alpha update, which descends
+    with no overlap condition.  Returns the new stack and those x in order;
+    the runner keeps the fallback, ``qdib_update`` raises on it.
+    """
     out = np.empty_like(mats)
-    for x in range(state.size_x):
+    vanished = []
+    for x in range(mats.shape[0]):
         proj = min_eigenspace_projector(fam[x])
         comp = proj @ mats[x] @ proj
         overlap = float(np.trace(comp).real)
         if overlap <= OVERLAP_TOL:
-            raise NumericalError(
-                f"deterministic update undefined at x={x}: projector overlap "
-                f"{overlap:.3e} vanishes (conditional has no mass on the "
-                "minimal eigenspace)"
-            )
-        out[x] = comp / overlap
-    out = linalg.hermitize(out)
-    if channel.classical:
-        out = _rediagonalize(out)
-    return CQChannel(out, channel.classical)
-
-
-def _rediagonalize(mats: np.ndarray) -> np.ndarray:
-    diag = np.clip(np.einsum("xii->xi", mats).real, 0.0, None)
-    diag /= diag.sum(axis=1)[:, None]
-    return linalg.diag_embed(diag, dtype=mats.dtype)
-
-
-def _projected_step(
-    ctx: _StateCtx, analysis: _Analysis, classical: bool
-) -> np.ndarray:
-    """Runner step: qdib_update, with vanishing-overlap x reassigned to the
-    normalized projector P/rank(P) (the exact alpha -> 0 limit of the
-    gamma = alpha update, which is monotone with no overlap condition)."""
-    mats = analysis.mats
-    out = np.empty_like(mats)
-    for x in range(mats.shape[0]):
-        proj = min_eigenspace_projector(analysis.f_family[x])
-        comp = proj @ mats[x] @ proj
-        overlap = float(np.trace(comp).real)
-        if overlap <= OVERLAP_TOL:
+            vanished.append(x)
             out[x] = proj / float(np.trace(proj).real)
         else:
             out[x] = comp / overlap
     out = linalg.hermitize(out)
     if classical:
-        out = _rediagonalize(out)
-    return out
+        out = engine._rediagonalize(out)
+    return out, vanished
 
 
 def run_qdib(
@@ -107,63 +98,18 @@ def run_qdib(
 ) -> tuple[CQChannel, IterationTrace]:
     """Deterministic-bottleneck runner; alpha is pinned to 0.
 
-    Same trace semantics as the soft solver, with support_T (count of
-    sigma_T eigenvalues above 1e-9) per row and no step-size ratio (gamma
-    has no role here, the column is nan).
+    Same loop and trace semantics as the soft solver, with support_T (count
+    of sigma_T eigenvalues above 1e-9) per row and no step-size ratio (gamma
+    has no role here, the column is nan).  Vanishing overlaps take the
+    P/rank(P) fallback of ``_projected_step``.
     """
     config.validate()
     if config.alpha != 0.0:
         raise InvariantError(
             f"deterministic runner requires alpha=0, got alpha={config.alpha}"
         )
-    if initial is None:
-        initial = engine.random_channel(
-            config.dim_t,
-            state.size_x,
-            classical=config.classical,
-            seed=rng.derive_rng(config.seed, "run-qdib", "init"),
-        )
-    elif initial.size_x != state.size_x:
-        raise InvariantError(
-            f"initial channel has sizeX {initial.size_x}, state has {state.size_x}"
-        )
-
-    beta = config.beta
-    ctx = _StateCtx(state)
-    cur = _Analysis(ctx, initial.sigma_t_given_x, 0.0, beta)
-    trace = IterationTrace()
-    converged = False
-    for n in range(1, config.max_iters + 1):
-        nxt = _Analysis(ctx, _projected_step(ctx, cur, config.classical), 0.0, beta)
-        trace.records.append(_record(ctx, n, cur, nxt))
-        if nxt.f_alpha > cur.f_alpha + engine.MONOTONICITY_TOL:
-            trace.violations.append(n)
-        prev_f = cur.f_alpha
-        cur = nxt
-        if abs(prev_f - cur.f_alpha) <= config.tol:
-            converged = True
-            break
-    tail = _Analysis(ctx, _projected_step(ctx, cur, config.classical), 0.0, beta)
-    trace.records.append(_record(ctx, len(trace.records) + 1, cur, tail))
-    if trace.violations:
-        trace.status = engine.STATUS_MONOTONICITY_VIOLATED
-    elif converged:
-        trace.status = engine.STATUS_CONVERGED
-    else:
-        trace.status = engine.STATUS_MAX_ITERS
-    return CQChannel(cur.mats, config.classical), trace
-
-
-def _record(ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis) -> TraceRecord:
-    support = int(np.sum(cur.sigma_t_evals > SUPPORT_EVAL_TOL))
-    return TraceRecord(
-        iteration=n,
-        f_alpha=cur.f_alpha,
-        h_t=cur.h_t,
-        i_tx=cur.i_tx,
-        i_ty=cur.i_ty,
-        step_divergence=engine._avg_divergence(ctx.px, cur, nxt),
-        gamma_ratio=float("nan"),
-        fixed_point_residual=engine._residual(ctx.px, cur.mats, nxt.mats),
-        support_t=support,
+    return engine._iterate(
+        state, config, initial, "run-qdib",
+        lambda cur: _projected_step(cur.f_family, cur.mats, config.classical)[0],
+        deterministic=True,
     )

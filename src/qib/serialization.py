@@ -65,6 +65,11 @@ def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
         raise InvariantError(
             f"{where}: re/im shapes {re.shape}/{im.shape} do not match dim {dim}"
         )
+    for part, values in (("re", re), ("im", im)):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise InvariantError(f"{where}/{part}/{i}/{j}: non-finite entry {values[i, j]}")
     return re + 1j * im
 
 
@@ -139,12 +144,45 @@ def obj_to_channel(obj: Any, validate: bool = True) -> CQChannel:
     return channel
 
 
+_NON_FINITE = object()
+
+
 def load_json(path: str) -> Any:
+    """Parse a JSON file, rejecting the NaN/Infinity literals that Python's
+    json accepts but JSON does not, with the pointer of the first one."""
+    literals: list[str] = []
+
+    def non_finite(literal: str) -> object:
+        literals.append(literal)
+        return _NON_FINITE
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise InvariantError(f"{path}: invalid JSON ({exc})") from exc
+    if literals:
+        pointer = _pointer_to(obj, _NON_FINITE)
+        at = f" at {pointer}" if pointer else ""
+        raise InvariantError(f"{path}: non-finite number {literals[0]}{at}")
+    return obj
+
+
+def _pointer_to(obj: Any, target: object, prefix: str = "") -> str | None:
+    """JSON pointer of the first ``target`` in ``obj``, or None."""
+    if obj is target:
+        return prefix
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return None
+    for key, child in children:
+        found = _pointer_to(child, target, f"{prefix}/{key}")
+        if found is not None:
+            return found
+    return None
 
 
 def load_state(path: str, validate: bool = True) -> CQState:

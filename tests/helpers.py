@@ -2,9 +2,12 @@
 
 import numpy as np
 
-from qib.linalg import random_density
+from qib.exceptions import InvariantError, NumericalError
+from qib.linalg import LOG_FLOOR, _apply_spectral, eig_hermitian, random_density
 from qib.model import CQChannel, CQState
 from qib.rng import derive_rng
+
+EXP_OVERFLOW = 700.0
 
 
 def random_cq_state(seed, size_x=None, dim_y=None, classical=False, tag="state"):
@@ -62,3 +65,53 @@ def shannon(p):
     p = np.asarray(p, dtype=np.float64)
     p = p[p > 0]
     return float(-np.sum(p * np.log(p)))
+
+
+def matrix_log_supported(rho, floor=LOG_FLOOR):
+    """Matrix logarithm with eigenvalues clamped below at ``floor``.
+
+    Keeps log well defined on rank-deficient density operators: eigenvalues
+    under the floor contribute log(floor) rather than -inf.
+    """
+    if floor <= 0:
+        raise InvariantError(f"log floor must be positive, got {floor}")
+    w, v = eig_hermitian(rho)
+    return _apply_spectral(lambda x: np.log(np.maximum(x, floor)), w, v)
+
+
+def matrix_exp(h):
+    """Matrix exponential of a Hermitian matrix via its eigensystem.
+
+    Raises NumericalError if any eigenvalue exceeds 700 (exp would
+    overflow float64).
+    """
+    w, v = eig_hermitian(h)
+    wmax = float(np.max(w)) if w.size else 0.0
+    if wmax > EXP_OVERFLOW:
+        raise NumericalError(
+            f"matrix_exp overflow: max eigenvalue {wmax:.6g} exceeds {EXP_OVERFLOW:g}"
+        )
+    return _apply_spectral(np.exp, w, v)
+
+
+def partial_trace(m, dims, keep="first"):
+    """Trace out one factor of an operator on a bipartite space.
+
+    ``dims = (d1, d2)`` with the first factor leading (total dimension
+    d1*d2); ``keep`` selects which factor survives.  Stacked inputs keep
+    their leading axes.
+    """
+    m = np.asarray(m)
+    d1, d2 = dims
+    if d1 <= 0 or d2 <= 0:
+        raise InvariantError(f"factor dimensions must be positive, got {dims}")
+    if m.shape[-1] != d1 * d2 or m.shape[-2] != d1 * d2:
+        raise InvariantError(
+            f"operator of shape {m.shape} does not factor as ({d1}*{d2}, {d1}*{d2})"
+        )
+    r = m.reshape(m.shape[:-2] + (d1, d2, d1, d2))
+    if keep == "first":
+        return np.einsum("...ijkj->...ik", r)
+    if keep == "second":
+        return np.einsum("...ijil->...jl", r)
+    raise InvariantError(f"keep must be 'first' or 'second', got {keep!r}")

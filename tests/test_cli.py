@@ -188,27 +188,6 @@ def test_gamma_sweep_concatenates_chunks(tmp_path, capsys):
     assert len(f_values) == 1
 
 
-def test_gamma_sweep_jobs_flag_is_pure_speed(tmp_path):
-    obj = {
-        "alpha": 1.0,
-        "beta": 2.0,
-        "dimT": 2,
-        "seed": 2,
-        "max_iters": 60,
-        "state": {"generator": "random-qubit-ensemble", "sizeX": 3},
-        "gamma_list": [0.5, 1.0, 1.5],
-    }
-    path = _write_json(tmp_path / "sweep.json", obj)
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert cli.main(["gamma-sweep", "--config", path, "--out", str(a)]) == 0
-    assert (
-        cli.main(["gamma-sweep", "--config", path, "--jobs", "3", "--out", str(b)])
-        == 0
-    )
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_beta_sweep_csv_and_json(tmp_path, capsys):
     path = _write_json(
         tmp_path / "beta.json",
@@ -357,3 +336,30 @@ def test_validate_rejects_invalid_density(tmp_path, capsys):
     path = _write_json(tmp_path / "nondensity.json", obj)
     assert cli.main(["validate", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _nan_state_text(where):
+    """A valid two-symbol qubit source file with one entry replaced by NaN."""
+    obj = ser.state_to_obj(random_cq_state(6, size_x=2, dim_y=2, tag="nan"))
+    if where == "px":
+        obj["px"][1] = float("nan")
+    else:
+        obj["rhoY"][0]["re"][0][1] = float("nan")
+    return json.dumps(obj)  # Python's json writes the bare NaN literal
+
+
+@pytest.mark.parametrize("where, pointer", [("px", "/px/1"), ("rhoY", "/rhoY/0/re/0/1")])
+def test_non_finite_state_file_exits_1(tmp_path, capsys, where, pointer):
+    # Regression: NaN used to pass `validate` and reach LAPACK in `run-qib`,
+    # which then failed with exit code 2.
+    spath = tmp_path / "state.json"
+    spath.write_text(_nan_state_text(where))
+    assert cli.main(["validate", str(spath)]) == 1
+    assert pointer in capsys.readouterr().err
+    config = _write_json(
+        tmp_path / "run.json",
+        {"alpha": 1.0, "beta": 2.0, "dimT": 2, "max_iters": 5, "state": {"path": str(spath)}},
+    )
+    assert cli.main(["run-qib", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and pointer in err

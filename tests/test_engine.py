@@ -9,7 +9,7 @@ from qib.exceptions import InvariantError, NumericalError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
-from helpers import random_cq_state, random_channel_for
+from helpers import matrix_exp, matrix_log_supported, random_cq_state, random_channel_for
 
 
 @given(
@@ -52,8 +52,8 @@ def test_update_matches_exponentiated_f_at_unit_step():
     fam = engine.f_operator(state, chan, 1.0, 1.5)
     new = engine.update(state, chan, 1.0, 1.0, 1.5)
     for x in range(state.size_x):
-        lg = linalg.matrix_log_supported(chan.sigma_t_given_x[x])
-        e = linalg.matrix_exp(linalg.hermitize(lg - fam[x]))
+        lg = matrix_log_supported(chan.sigma_t_given_x[x])
+        e = matrix_exp(linalg.hermitize(lg - fam[x]))
         ref = e / np.trace(e).real
         assert np.max(np.abs(new.sigma_t_given_x[x] - ref)) < 1e-10
 
@@ -214,6 +214,22 @@ def test_small_gamma_runs_flag_violations_but_satisfy_conditional_bound():
                 assert fs[k + 1] - fs[k] <= 1e-9
         flagged += bool(trace.violations)
     assert flagged > 0
+
+
+def test_trace_gamma_ratio_matches_public_gamma_ratio_bitwise():
+    # Each row's ratio is the step from its iterate to the next one; the
+    # public op recomputes it from the two channels.  The final row's step
+    # leaves the returned channel.
+    state = random_cq_state(27)
+    alpha, beta = 1.0, 3.0
+    cfg = ObjectiveConfig(alpha=alpha, beta=beta, gamma=0.6, dim_t=3, seed=27, max_iters=6)
+    initial = random_channel_for(state, 3, 27)
+    _, trace = engine.run_qib(state, cfg, initial=initial)
+    iterates = [initial]
+    for _ in trace.records:
+        iterates.append(engine.update(state, iterates[-1], cfg.gamma, alpha, beta))
+    for row, cur, nxt in zip(trace.records, iterates, iterates[1:]):
+        assert row.gamma_ratio == engine.gamma_ratio(state, nxt, cur, alpha, beta)
 
 
 def test_fixed_point_residual_small_at_convergence():

@@ -1,4 +1,5 @@
-"""Hermitian calculus: decompositions, logs, exponentials, partial traces."""
+"""Hermitian calculus: decompositions, density checks, random densities;
+plus the log/exp/partial-trace oracles kept in the test helpers."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from qib import linalg
 from qib.exceptions import InvariantError, NumericalError
 from qib.rng import derive_rng
 
-from helpers import charpoly_eigenvalues, random_hermitian
+from helpers import (
+    charpoly_eigenvalues,
+    matrix_exp,
+    matrix_log_supported,
+    partial_trace,
+    random_hermitian,
+)
 
 
 @given(st.integers(0, 200), st.integers(2, 5))
@@ -47,14 +54,14 @@ def test_eig_hermitian_stacked_matches_loop():
 def test_matrix_log_exp_roundtrip():
     gen = derive_rng(0, "roundtrip")
     h = random_hermitian(4, gen)
-    assert np.max(np.abs(linalg.matrix_log_supported(linalg.matrix_exp(h)) - h)) < 1e-9
+    assert np.max(np.abs(matrix_log_supported(matrix_exp(h)) - h)) < 1e-9
     rho = linalg.random_density(4, gen)
-    back = linalg.matrix_exp(linalg.matrix_log_supported(rho))
+    back = matrix_exp(matrix_log_supported(rho))
     assert np.max(np.abs(back - rho)) < 1e-9
 
 
 def test_matrix_log_floors_null_directions():
-    log = linalg.matrix_log_supported(np.diag([1.0, 0.0]).astype(complex))
+    log = matrix_log_supported(np.diag([1.0, 0.0]).astype(complex))
     w = np.sort(np.linalg.eigvalsh(log))
     assert abs(w[1]) < 1e-12
     assert abs(w[0] - np.log(1e-12)) < 1e-9
@@ -62,14 +69,7 @@ def test_matrix_log_floors_null_directions():
 
 def test_matrix_exp_overflow_guard():
     with pytest.raises(NumericalError):
-        linalg.matrix_exp(np.diag([800.0, 0.0]).astype(complex))
-
-
-def test_tensor_is_kron():
-    gen = derive_rng(1, "kron")
-    a = random_hermitian(2, gen)
-    b = random_hermitian(3, gen)
-    assert np.array_equal(linalg.tensor(a, b), np.kron(a, b))
+        matrix_exp(np.diag([800.0, 0.0]).astype(complex))
 
 
 @pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (2, 2)])
@@ -78,8 +78,8 @@ def test_partial_trace_of_product(da, db):
     a = linalg.random_density(da, gen)
     b = linalg.random_density(db, gen)
     m = np.kron(a, b)
-    assert np.max(np.abs(linalg.partial_trace(m, (da, db), keep="first") - a)) < 1e-12
-    assert np.max(np.abs(linalg.partial_trace(m, (da, db), keep="second") - b)) < 1e-12
+    assert np.max(np.abs(partial_trace(m, (da, db), keep="first") - a)) < 1e-12
+    assert np.max(np.abs(partial_trace(m, (da, db), keep="second") - b)) < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_is_linear():
@@ -87,17 +87,11 @@ def test_partial_trace_preserves_trace_and_is_linear():
     m1 = random_hermitian(6, gen)
     m2 = random_hermitian(6, gen)
     for keep in ("first", "second"):
-        t1 = linalg.partial_trace(m1, (2, 3), keep=keep)
+        t1 = partial_trace(m1, (2, 3), keep=keep)
         assert abs(np.trace(t1) - np.trace(m1)) < 1e-12
-        combo = linalg.partial_trace(2.0 * m1 - 0.5 * m2, (2, 3), keep=keep)
-        ref = 2.0 * t1 - 0.5 * linalg.partial_trace(m2, (2, 3), keep=keep)
+        combo = partial_trace(2.0 * m1 - 0.5 * m2, (2, 3), keep=keep)
+        ref = 2.0 * t1 - 0.5 * partial_trace(m2, (2, 3), keep=keep)
         assert np.max(np.abs(combo - ref)) < 1e-12
-
-
-def test_trace_norm_is_sum_of_singular_values():
-    gen = derive_rng(4, "tnorm")
-    h = random_hermitian(4, gen)
-    assert abs(linalg.trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
 
 
 def test_check_density_rejects_bad_matrices():
@@ -111,6 +105,11 @@ def test_check_density_rejects_bad_matrices():
     skew[0, 1] = 0.3
     with pytest.raises(InvariantError):
         linalg.check_density(skew)
+    for bad in (np.nan, np.inf):
+        poisoned = good.copy()
+        poisoned[1, 1] = bad
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            linalg.check_density(poisoned)
 
 
 def test_random_unitary_is_unitary_and_seeded():

@@ -9,7 +9,7 @@ from qib.exceptions import InvariantError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
-from helpers import random_cq_state, random_channel_for, shannon
+from helpers import partial_trace, random_cq_state, random_channel_for, shannon
 
 
 def test_state_construction_validates_shapes():
@@ -28,6 +28,10 @@ def test_state_validate_rejects_bad_distributions():
         CQState(np.array([0.3, 0.4]), rho).validate()
     with pytest.raises(InvariantError, match="negative"):
         CQState(np.array([1.2, -0.2]), rho).validate()
+    with pytest.raises(InvariantError, match="non-finite"):
+        CQState(np.array([np.nan, 1.0]), rho).validate()
+    with pytest.raises(InvariantError, match="sums"):
+        CQState(np.array([np.inf, 0.0]), rho).validate()
     bad = np.stack([np.eye(2, dtype=complex)] * 2)
     with pytest.raises(InvariantError, match=r"rho_y_given_x\[0\]"):
         CQState(np.array([0.5, 0.5]), bad).validate()
@@ -88,8 +92,8 @@ def test_marginals_are_partial_traces_of_joint():
     chan = random_channel_for(state, 3, 11)
     joint = model.sigma_yt(chan, state)
     dims = (chan.dim_t, state.dim_y)
-    st_marg = linalg.partial_trace(joint, dims, keep="first")
-    ry_marg = linalg.partial_trace(joint, dims, keep="second")
+    st_marg = partial_trace(joint, dims, keep="first")
+    ry_marg = partial_trace(joint, dims, keep="second")
     assert np.max(np.abs(st_marg - model.sigma_t(chan, state))) < 1e-12
     assert np.max(np.abs(ry_marg - model.rho_y(state))) < 1e-12
     assert abs(np.trace(joint).real - 1.0) < 1e-12

@@ -1,5 +1,7 @@
 """Deterministic bottleneck: projectors, the hard update, the runner."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,33 @@ def test_qdib_update_raises_on_vanishing_overlap():
     state, chan, beta = _orthogonal_flip_instance()
     with pytest.raises(NumericalError, match="x=0"):
         qdib.qdib_update(state, chan, beta)
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_qdib_update_equals_one_runner_step(classical):
+    for seed in range(6):
+        state = random_cq_state(seed, classical=classical, tag="qdib-diff")
+        chan = random_channel_for(state, 3, seed, classical=classical, tag="qdib-diff")
+        cfg = ObjectiveConfig(
+            alpha=0.0, beta=5.0, dim_t=3, classical=classical, seed=seed, max_iters=1
+        )
+        stepped, trace = qdib.run_qdib(state, cfg, initial=chan)
+        assert len(trace) == 2  # one update, then the prospective row
+        new = qdib.qdib_update(state, chan, cfg.beta)
+        assert np.array_equal(new.sigma_t_given_x, stepped.sigma_t_given_x)
+
+
+def test_runner_fallback_set_holds_the_x_qdib_update_names():
+    state, chan, beta = _orthogonal_flip_instance()
+    with pytest.raises(NumericalError, match=r"x=(\d+)") as err:
+        qdib.qdib_update(state, chan, beta)
+    named = int(re.search(r"x=(\d+)", str(err.value)).group(1))
+    analysis = engine._Analysis(engine._StateCtx(state), chan.sigma_t_given_x, 0.0, beta)
+    out, vanished = qdib._projected_step(analysis.f_family, analysis.mats, chan.classical)
+    assert named in vanished
+    for x in vanished:
+        proj = qdib.min_eigenspace_projector(analysis.f_family[x])
+        assert np.max(np.abs(out[x] - proj / np.trace(proj).real)) < 1e-12
 
 
 def test_run_qdib_survives_vanishing_overlap_without_ascent():

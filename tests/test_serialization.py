@@ -205,6 +205,32 @@ def test_load_json_error_naming_path(tmp_path):
         ser.load_json(str(bad))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"px": [0.5, NaN]}', "NaN at /px/1"),
+        ('{"a": {"b": [1, -Infinity]}}', "-Infinity at /a/b/1"),
+        ("Infinity", "Infinity"),
+    ],
+)
+def test_load_json_rejects_non_finite_literals(tmp_path, text, message):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    with pytest.raises(InvariantError, match=f": non-finite number {message}$"):
+        ser.load_json(str(path))
+
+
+def test_obj_to_matrix_rejects_non_finite_entries():
+    obj = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    ser.obj_to_matrix(obj)
+    obj["im"][1][0] = float("inf")
+    with pytest.raises(InvariantError, match="spot/im/1/0: non-finite"):
+        ser.obj_to_matrix(obj, where="spot")
+    obj["re"][0][1] = float("nan")
+    with pytest.raises(InvariantError, match="spot/re/0/1: non-finite"):
+        ser.obj_to_matrix(obj, where="spot")
+
+
 def test_load_state_and_channel_files(tmp_path):
     state = random_cq_state(3, tag="ser")
     chan = random_channel_for(state, 2, 3, tag="ser")
