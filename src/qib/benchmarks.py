@@ -133,11 +133,11 @@ def brute_force_classical_opt(
     for assignment in product(range(dim_t), repeat=nx):
         g = np.asarray(assignment)
         q = np.bincount(g, weights=px, minlength=dim_t)
-        h_q = model.entropy_from_eigenvalues(q)
+        h_q = linalg.entropy(q)
         if diagonal:
             joint = np.zeros((dim_t, weighted.shape[1]))
             np.add.at(joint, g, weighted)
-            h_joint = model.entropy_from_eigenvalues(joint.ravel())
+            h_joint = linalg.entropy(joint.ravel())
             avg_cond = h_joint - h_q
         else:
             avg_cond = 0.0

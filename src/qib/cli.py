@@ -18,11 +18,12 @@ import sys
 from . import benchmarks, config as cfg, engine, qdib, serialization
 from .exceptions import InvariantError, NumericalError
 from .experiments import beta_sweep, classify_pipeline, gamma_sweep, suffstats_pipeline
-from .experiments.ensembles import SuffStatsSpec
-from .rng import derive_seed
 
 BETA_SWEEP_COLUMNS = ("beta", "f", "H_T", "I_TX", "I_TY", "kappa_lower_bound")
 ADVANTAGE_COLUMNS = ("d", "n", "alpha", "beta", "quantum", "classical", "gap", "achieved_quantum")
+REGION_COLUMNS = ("x1", "x2", "pred_quantum", "pred_classical", "pred_linear")
+FDIB_COLUMNS = ("iter", "f_dib_qdib", "f_dib_baseline")
+ITY_COLUMNS = ("iter", "I_TY", "I_X1Y_baseline", "I_XY")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -77,13 +78,9 @@ def _cmd_gamma_sweep(args: argparse.Namespace) -> int:
         }
         _emit(serialization.dump_json(payload), args.out)
     else:
-        chunks = []
-        for i, (g, trace) in enumerate(results):
-            text = serialization.trace_to_csv(trace, gamma=g)
-            if i:
-                text = text.split("\n", 1)[1]
-            chunks.append(text)
-        _emit("".join(chunks), args.out)
+        texts = [serialization.trace_to_csv(t, gamma=g) for g, t in results]
+        # One header line: later runs drop theirs.
+        _emit(texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:]), args.out)
     return 0
 
 
@@ -91,22 +88,13 @@ def _cmd_beta_sweep(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.BETA_SWEEP_SCHEMA)
     state = cfg.resolve_state(obj["state"], seed)
     run_cfg = cfg.objective_config(obj, seed)
-    rows = beta_sweep(
-        state,
-        run_cfg,
-        obj["beta_list"],
-        kappa_samples=obj.get("kappa_samples", 200),
-    )
+    rows = beta_sweep(state, run_cfg, obj["beta_list"], **cfg.params(obj, ("kappa_samples",)))
     _maybe_emit_state(args, state)
     if args.format == "json":
         _emit(serialization.dump_json(rows), args.out)
     else:
-        lines = [",".join(BETA_SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(
-                ",".join(serialization.fmt_float(row[c]) for c in BETA_SWEEP_COLUMNS)
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        table = [[float(row[c]) for c in BETA_SWEEP_COLUMNS] for row in rows]
+        _emit(serialization.csv_text(BETA_SWEEP_COLUMNS, table), args.out)
     return 0
 
 
@@ -135,27 +123,12 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
         benchmarks.advantage_gap(d, n, args.alpha, args.beta)
         for d, n in zip(ds, ns)
     ]
+    table = [[getattr(r, c) for c in ADVANTAGE_COLUMNS] for r in reports]
     if args.format == "json":
-        payload = [{c: getattr(r, c) for c in ADVANTAGE_COLUMNS} for r in reports]
+        payload = [dict(zip(ADVANTAGE_COLUMNS, row)) for row in table]
         _emit(serialization.dump_json(payload), args.out)
     else:
-        lines = [",".join(ADVANTAGE_COLUMNS)]
-        for r in reports:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.d),
-                        str(r.n),
-                        serialization.fmt_float(r.alpha),
-                        serialization.fmt_float(r.beta),
-                        serialization.fmt_float(r.quantum),
-                        serialization.fmt_float(r.classical),
-                        serialization.fmt_float(r.gap),
-                        serialization.fmt_float(r.achieved_quantum),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(serialization.csv_text(ADVANTAGE_COLUMNS, table), args.out)
     return 0
 
 
@@ -164,27 +137,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     grid_step = args.grid_step if args.regions_out else None
     report = classify_pipeline(
         seed=seed,
-        alpha=obj.get("alpha", 1.0),
-        beta=obj.get("beta", 15.0),
-        gamma=obj.get("gamma"),
-        dim_t=obj.get("dimT", 2),
-        ridge=obj.get("ridge", 1e-3),
-        n_samples=obj.get("n_samples", 400),
-        train_fraction=obj.get("train_fraction", 0.5),
-        tol=obj.get("tol", 1e-8),
-        max_iters=obj.get("max_iters", 500),
         grid_step=grid_step,
+        **cfg.params(obj, ("alpha", "beta", "gamma", "dimT", "ridge", "n_samples",
+                           "train_fraction", "tol", "max_iters")),
     )
     metrics = dict(report.metrics)
     metrics["seed"] = seed
     _emit(serialization.dump_json(metrics), args.out)
     if args.regions_out:
-        lines = ["x1,x2,pred_quantum,pred_classical,pred_linear"]
-        for x1, x2, pq, pc, pl in report.region_rows:
-            lines.append(
-                f"{serialization.fmt_float(x1)},{serialization.fmt_float(x2)},{pq},{pc},{pl}"
-            )
-        serialization.write_text_atomic(args.regions_out, "\n".join(lines) + "\n")
+        serialization.write_text_atomic(
+            args.regions_out, serialization.csv_text(REGION_COLUMNS, report.region_rows)
+        )
     return 0
 
 
@@ -192,36 +155,19 @@ def _cmd_suffstats(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.SUFFSTATS_SCHEMA)
     if args.out is None:
         raise InvariantError("suffstats writes multiple files; --out DIRECTORY is required")
-    spec = SuffStatsSpec(
-        size_x1=obj.get("sizeX1", 5),
-        size_x2=obj.get("sizeX2", 20),
-        nu=obj.get("nu", 20.0),
-        permutation_seed=derive_seed(seed, "perm"),
-        noise_seed=derive_seed(seed, "noise"),
-    )
     report = suffstats_pipeline(
-        spec,
-        beta=obj.get("beta", 20.0),
-        dim_t=obj.get("dimT"),
+        cfg.suffstats_spec(obj, seed),
         seed=seed,
-        tol=obj.get("tol", 1e-8),
-        max_iters=obj.get("max_iters", 200),
+        **cfg.params(obj, ("beta", "dimT", "tol", "max_iters")),
     )
     _maybe_emit_state(args, report.instance.state)
     out = args.out.rstrip("/")
-    fdib_lines = ["iter,f_dib_qdib,f_dib_baseline"]
-    for it, f_q, f_b in report.fdib_rows:
-        fdib_lines.append(
-            f"{it},{serialization.fmt_float(f_q)},{serialization.fmt_float(f_b)}"
-        )
-    serialization.write_text_atomic(f"{out}/fdib.csv", "\n".join(fdib_lines) + "\n")
-    ity_lines = ["iter,I_TY,I_X1Y_baseline,I_XY"]
-    for it, i_ty, i_x1y, i_xy in report.ity_rows:
-        ity_lines.append(
-            f"{it},{serialization.fmt_float(i_ty)},"
-            f"{serialization.fmt_float(i_x1y)},{serialization.fmt_float(i_xy)}"
-        )
-    serialization.write_text_atomic(f"{out}/ity.csv", "\n".join(ity_lines) + "\n")
+    serialization.write_text_atomic(
+        f"{out}/fdib.csv", serialization.csv_text(FDIB_COLUMNS, report.fdib_rows)
+    )
+    serialization.write_text_atomic(
+        f"{out}/ity.csv", serialization.csv_text(ITY_COLUMNS, report.ity_rows)
+    )
     metrics = dict(report.metrics)
     metrics["seed"] = seed
     metrics["status"] = report.trace.status

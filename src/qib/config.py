@@ -203,14 +203,7 @@ def resolve_state(spec: Any, seed: int) -> CQState:
         if kind == "copy-state":
             return copy_state(spec["d"], spec.get("k", 1))
         if kind == "suffstats-ensemble":
-            gen_spec = SuffStatsSpec(
-                size_x1=spec.get("sizeX1", 5),
-                size_x2=spec.get("sizeX2", 20),
-                nu=spec.get("nu", 20.0),
-                permutation_seed=derive_seed(seed, "state-gen", "perm"),
-                noise_seed=derive_seed(seed, "state-gen", "noise"),
-            )
-            return gen_suffstats_ensemble(gen_spec).state
+            return gen_suffstats_ensemble(suffstats_spec(spec, seed, "state-gen")).state
         raise InvariantError(f"unknown state generator {kind!r}")
     if isinstance(spec, dict):
         state = serialization.obj_to_state(spec)
@@ -243,16 +236,31 @@ def resolve_initial_channel(
     return channel
 
 
+# Config keys whose keyword argument is spelled differently.
+_PARAM_NAMES = {"dimT": "dim_t", "sizeX1": "size_x1", "sizeX2": "size_x2"}
+
+
+def params(obj: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
+    """Keyword arguments for those of ``keys`` that ``obj`` sets; the
+    callee's signature supplies the default of every other one."""
+    return {_PARAM_NAMES.get(k, k): obj[k] for k in keys if k in obj}
+
+
+def suffstats_spec(obj: dict[str, Any], *seed_parts: int | str) -> SuffStatsSpec:
+    """Ensemble spec from the sizeX1/sizeX2/nu keys; the relabeling and
+    noise streams derive from ``seed_parts`` plus "perm" and "noise"."""
+    return SuffStatsSpec(
+        **params(obj, ("sizeX1", "sizeX2", "nu")),
+        permutation_seed=derive_seed(*seed_parts, "perm"),
+        noise_seed=derive_seed(*seed_parts, "noise"),
+    )
+
+
 def objective_config(obj: dict[str, Any], seed: int, alpha_override: float | None = None) -> ObjectiveConfig:
     """Build the solver config from common run keys (post seed override)."""
-    alpha = alpha_override if alpha_override is not None else obj.get("alpha", 1.0)
     return ObjectiveConfig(
-        alpha=alpha,
+        alpha=alpha_override if alpha_override is not None else obj["alpha"],
         beta=obj.get("beta", 1.0),
-        dim_t=obj["dimT"],
-        gamma=obj.get("gamma"),
-        classical=obj.get("classical", False),
-        tol=obj.get("tol", 1e-8),
-        max_iters=obj.get("max_iters", 500),
         seed=seed,
+        **params(obj, ("dimT", "gamma", "classical", "tol", "max_iters")),
     )

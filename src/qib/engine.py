@@ -78,12 +78,8 @@ class _StateCtx:
         self.px = state.px
         self.rhos = state.rho_y_given_x
         self.dim_y = state.dim_y
-        ry = model.rho_y(state)
-        wy, vy = linalg.eig_hermitian(ry)
-        self.h_y = model.entropy_from_eigenvalues(wy)
-        self.log_rho_y = linalg._apply_spectral(
-            lambda x: np.log(np.maximum(x, linalg.LOG_FLOOR)), wy, vy
-        )
+        wy, _, self.log_rho_y = linalg.floored_log(model.rho_y(state))
+        self.h_y = linalg.entropy(wy)
 
 
 class _Analysis:
@@ -96,39 +92,23 @@ class _Analysis:
     )
 
     def __init__(self, ctx: _StateCtx, mats: np.ndarray, alpha: float, beta: float):
-        floor = linalg.LOG_FLOOR
         px, rhos = ctx.px, ctx.rhos
         dt = mats.shape[-1]
         dy = ctx.dim_y
 
         self.mats = mats
-        evals, evecs = np.linalg.eigh(mats)
-        self.evals = evals
-        self.log_mats = np.einsum(
-            "xij,xj,xkj->xik", evecs, np.log(np.maximum(evals, floor)),
-            np.conj(evecs), optimize=True,
-        )
-        pos = np.clip(evals, 0.0, None)
-        self.h_each = -np.sum(
-            np.where(pos > 0, pos * np.log(np.where(pos > 0, pos, 1.0)), 0.0), axis=-1
-        )
+        self.evals, _, self.log_mats = linalg.floored_log(mats)
+        self.h_each = linalg.entropy(self.evals)
         self.h_t_given_x = float(px @ self.h_each)
 
         self.sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
-        wt, vt = linalg.eig_hermitian(self.sigma_t)
-        self.sigma_t_evals = wt
-        self.h_t = model.entropy_from_eigenvalues(wt)
-        self.log_sigma_t = linalg._apply_spectral(
-            lambda v: np.log(np.maximum(v, floor)), wt, vt
-        )
+        self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(self.sigma_t)
+        self.h_t = linalg.entropy(self.sigma_t_evals)
 
         joint4 = np.einsum("x,xik,xjl->ijkl", px, mats, rhos, optimize=True)
         joint = linalg.hermitize(joint4.reshape(dt * dy, dt * dy))
-        wj, vj = linalg.eig_hermitian(joint)
-        h_joint = model.entropy_from_eigenvalues(wj)
-        log_joint = linalg._apply_spectral(
-            lambda v: np.log(np.maximum(v, floor)), wj, vj
-        )
+        wj, _, log_joint = linalg.floored_log(joint)
+        h_joint = linalg.entropy(wj)
 
         self.i_tx = self.h_t - self.h_t_given_x
         self.i_ty = self.h_t + ctx.h_y - h_joint
@@ -191,12 +171,14 @@ def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(px @ np.sum(np.abs(w), axis=-1))
 
 
-def _ctx_and_mats(state: CQState, channel: CQChannel) -> tuple[_StateCtx, np.ndarray]:
-    if state.size_x != channel.size_x:
-        raise InvariantError(
-            f"state has sizeX {state.size_x} but channel has {channel.size_x}"
-        )
-    return _StateCtx(state), channel.sigma_t_given_x
+def _analyses(
+    state: CQState, alpha: float, beta: float, *channels: CQChannel
+) -> tuple[_StateCtx, list[_Analysis]]:
+    """One source context and an analysis of each channel against it."""
+    for channel in channels:
+        model._check_pair(state, channel)
+    ctx = _StateCtx(state)
+    return ctx, [_Analysis(ctx, c.sigma_t_given_x, alpha, beta) for c in channels]
 
 
 def f_operator(
@@ -207,8 +189,8 @@ def f_operator(
     The average Tr[sigma_{T|x} F(x)] under P_X reproduces the objective
     exactly; that identity is the backbone correctness check.
     """
-    ctx, mats = _ctx_and_mats(state, channel)
-    return _Analysis(ctx, mats, alpha, beta).f_family
+    _, (analysis,) = _analyses(state, alpha, beta, channel)
+    return analysis.f_family
 
 
 def update(
@@ -217,8 +199,7 @@ def update(
     """One accelerated update; preserves the classical restriction."""
     if not (gamma > 0):
         raise InvariantError(f"gamma must be > 0, got {gamma}")
-    ctx, mats = _ctx_and_mats(state, channel)
-    analysis = _Analysis(ctx, mats, alpha, beta)
+    _, (analysis,) = _analyses(state, alpha, beta, channel)
     return CQChannel(_advance(analysis, gamma, channel.classical), channel.classical)
 
 
@@ -237,10 +218,7 @@ def gamma_ratio(
     which never exceeds alpha.  Raises NumericalError for near-identical
     channels where the denominator vanishes and the ratio is undefined.
     """
-    ctx, mats = _ctx_and_mats(state, channel)
-    _, mats2 = _ctx_and_mats(state, channel2)
-    a = _Analysis(ctx, mats, alpha, beta)
-    b = _Analysis(ctx, mats2, alpha, beta)
+    ctx, (a, b) = _analyses(state, alpha, beta, channel, channel2)
     ratio = _ratio_or_nan(ctx.px, a, b)
     if np.isnan(ratio):
         raise NumericalError(
@@ -263,10 +241,7 @@ def j_function(
     Coincides with the objective on the diagonal and is minimized in its
     first argument by one update step from the second.
     """
-    ctx, mats = _ctx_and_mats(state, channel)
-    _, mats2 = _ctx_and_mats(state, channel2)
-    a = _Analysis(ctx, mats, alpha, beta)
-    b = _Analysis(ctx, mats2, alpha, beta)
+    ctx, (a, b) = _analyses(state, alpha, beta, channel, channel2)
     div = _avg_divergence(ctx.px, a, b)
     cross = float(
         ctx.px @ np.einsum("xij,xji->x", a.mats, b.f_family, optimize=True).real

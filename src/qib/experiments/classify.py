@@ -258,12 +258,14 @@ def classify_pipeline(
     unseen_total = 0
     accs = {}
     preds = {}
+    fits = {}
     for name in ("quantum", "classical"):
         channel = results[name][0]
         f_tr, _ = _features(channel, cells, ds.x1_cell[tr], ds.x2_cell[tr])
         f_te, n_unseen = _features(channel, cells, ds.x1_cell[te], ds.x2_cell[te])
         unseen_total = max(unseen_total, n_unseen)
         coef, bias = train_classifier(hs_gram(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
+        fits[name] = (f_tr, coef, bias)
         pred = predict(hs_gram(f_te, f_tr), coef, bias)
         preds[name] = pred
         accs[name] = float(np.mean(pred == ds.y[te]))
@@ -285,15 +287,10 @@ def classify_pipeline(
         cell1 = np.floor(gx1).astype(np.int64)
         cell2 = np.floor(gx2).astype(np.int64)
         grid_preds = {}
-        for name in ("quantum", "classical"):
-            channel = results[name][0]
-            f_tr, _ = _features(channel, cells, ds.x1_cell[tr], ds.x2_cell[tr])
+        for name, (f_tr, coef, bias) in fits.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                f_gr, _ = _features(channel, cells, cell1, cell2)
-            coef, bias = train_classifier(
-                hs_gram(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge
-            )
+                f_gr, _ = _features(results[name][0], cells, cell1, cell2)
             grid_preds[name] = predict(hs_gram(f_gr, f_tr), coef, bias)
         grid_coords = np.column_stack([gx1, gx2])
         grid_preds["linear"] = predict(grid_coords @ coords[tr].T, coef_l, bias_l)

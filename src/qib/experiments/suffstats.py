@@ -57,7 +57,7 @@ def baseline_discard_x2(
         avg_cond += q_t * model.von_neumann_entropy(rbar)
     i_x1y = h_y - avg_cond
     q = np.array([state.px[t_of == t].sum() for t in range(size_x1)])
-    h_t = model.entropy_from_eigenvalues(q)
+    h_t = float(linalg.entropy(q))
     return {"f_dib": h_t - beta * i_x1y, "i_x1y": i_x1y, "h_t": h_t}
 
 

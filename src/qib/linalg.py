@@ -1,5 +1,6 @@
 """Dense Hermitian matrix calculus: Hermitian projection, spectral
-decompositions, density checks and random densities.
+decompositions, the floored logarithm, entropy of a spectrum, density
+checks and random densities.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -65,10 +66,20 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _apply_spectral(fn, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Assemble V f(w) V^H for stacked eigensystems."""
-    fw = fn(w)
-    return np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v), optimize=True)
+def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystem ``(w, v)`` of a Hermitian matrix (stacked OK) and its log
+    ``V log(max(w, LOG_FLOOR)) V^H``, the one place the floor is applied:
+    null directions of a singular density get log(LOG_FLOOR), not -inf."""
+    w, v = eig_hermitian(h)
+    log_w = np.log(np.maximum(w, LOG_FLOOR))
+    return w, v, np.einsum("...ij,...j,...kj->...ik", v, log_w, np.conj(v), optimize=True)
+
+
+def entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy in nats over the last axis of eigenvalue vectors, with
+    eigenvalues clipped at zero and 0 log 0 = 0."""
+    w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
+    return -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
 
 
 def check_density(

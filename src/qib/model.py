@@ -202,27 +202,19 @@ def sigma_yt(channel: CQChannel, state: CQState) -> np.ndarray:
     return linalg.hermitize(four.reshape(dt * dy, dt * dy))
 
 
-def entropy_from_eigenvalues(w: np.ndarray) -> float:
-    """Shannon entropy in nats of an eigenvalue vector, treating 0 log 0 = 0."""
-    w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
-    pos = w[w > 0]
-    return float(-np.sum(pos * np.log(pos)))
-
-
 def von_neumann_entropy(rho_mat: np.ndarray) -> float:
     """Entropy -Tr[rho log rho] in nats; eigenvalues clipped at zero."""
     w, _ = linalg.eig_hermitian(np.asarray(rho_mat))
-    return entropy_from_eigenvalues(w)
+    return float(linalg.entropy(w))
 
 
-def relative_entropy(
-    rho_mat: np.ndarray, sigma_mat: np.ndarray, floor: float = linalg.LOG_FLOOR
-) -> float:
+def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
     """Umegaki relative entropy D(rho || sigma) in nats.
 
-    Requires support(rho) within support(sigma) up to the floor: if rho
-    puts more than 1e-9 mass on sigma's null space (eigenvalues < floor),
-    returns +inf with a warning instead of a finite garbage value.
+    Requires support(rho) within support(sigma) up to the log floor: if rho
+    puts more than 1e-9 mass on sigma's null space (eigenvalues below
+    ``linalg.LOG_FLOOR``), returns +inf with a warning instead of a finite
+    garbage value.
     """
     rho_mat = np.asarray(rho_mat)
     sigma_mat = np.asarray(sigma_mat)
@@ -230,9 +222,9 @@ def relative_entropy(
         raise InvariantError(
             f"shape mismatch in relative entropy: {rho_mat.shape} vs {sigma_mat.shape}"
         )
-    wr, vr = linalg.eig_hermitian(rho_mat)
-    ws, vs = linalg.eig_hermitian(sigma_mat)
-    null = ws < floor
+    wr, _ = linalg.eig_hermitian(rho_mat)
+    ws, vs, log_sigma = linalg.floored_log(sigma_mat)
+    null = ws < linalg.LOG_FLOOR
     if np.any(null):
         overlap = np.einsum(
             "ij,jk,ik->", np.conj(vs[:, null]).T, rho_mat, vs[:, null], optimize=True
@@ -245,8 +237,7 @@ def relative_entropy(
                 stacklevel=2,
             )
             return float("inf")
-    log_sigma = linalg._apply_spectral(lambda x: np.log(np.maximum(x, floor)), ws, vs)
-    tr_rho_log_rho = -entropy_from_eigenvalues(wr)
+    tr_rho_log_rho = -float(linalg.entropy(wr))
     tr_rho_log_sigma = float(np.einsum("ij,ji->", rho_mat, log_sigma).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 
@@ -254,9 +245,7 @@ def relative_entropy(
 def cond_entropy_t_given_x(state: CQState, channel: CQChannel) -> float:
     """H(T|X) = sum_x P(x) H(sigma_{T|x})."""
     _check_pair(state, channel)
-    w = np.linalg.eigvalsh(channel.sigma_t_given_x)
-    w = np.clip(w, 0.0, None)
-    ent = -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+    ent = linalg.entropy(np.linalg.eigvalsh(channel.sigma_t_given_x))
     return float(np.dot(state.px, ent))
 
 
@@ -289,9 +278,7 @@ def objective_f_alpha(
 def holevo_information(state: CQState) -> float:
     """I(X:Y) of the source itself: H(rho_Y) - sum_x P(x) H(rho_{Y|x})."""
     avg = von_neumann_entropy(rho_y(state))
-    w = np.linalg.eigvalsh(state.rho_y_given_x)
-    w = np.clip(w, 0.0, None)
-    ent = -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+    ent = linalg.entropy(np.linalg.eigvalsh(state.rho_y_given_x))
     return avg - float(np.dot(state.px, ent))
 
 

@@ -31,16 +31,18 @@ def score_operator(state: CQState, channel: CQChannel, beta: float) -> np.ndarra
 
 
 def min_eigenspace_projector(h: np.ndarray, rel_tol: float = PROJECTOR_REL_TOL) -> np.ndarray:
-    """Orthogonal projector onto the minimal eigenspace of a Hermitian matrix.
+    """Orthogonal projector onto the minimal eigenspace of a Hermitian
+    matrix (stacked OK).
 
     Eigenvalues within rel_tol * (spread) of the minimum count as tied and
     are kept, so a multiple of the identity yields the full identity.
     """
-    h = np.asarray(h)
     w, v = linalg.eig_hermitian(h)
-    window = w[0] + rel_tol * (w[-1] - w[0])
-    sel = v[:, w <= window]
-    return linalg.hermitize(sel @ np.conj(sel.T))
+    window = w[..., :1] + rel_tol * (w[..., -1:] - w[..., :1])
+    keep = w <= window  # a prefix of the columns, since w ascends
+    k = int(keep.sum(axis=-1).max())
+    sel = v[..., :k] * keep[..., None, :k]
+    return linalg.hermitize(sel @ np.conj(np.swapaxes(sel, -1, -2)))
 
 
 def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
@@ -74,21 +76,16 @@ def _projected_step(
     with no overlap condition.  Returns the new stack and those x in order;
     the runner keeps the fallback, ``qdib_update`` raises on it.
     """
-    out = np.empty_like(mats)
-    vanished = []
-    for x in range(mats.shape[0]):
-        proj = min_eigenspace_projector(fam[x])
-        comp = proj @ mats[x] @ proj
-        overlap = float(np.trace(comp).real)
-        if overlap <= OVERLAP_TOL:
-            vanished.append(x)
-            out[x] = proj / float(np.trace(proj).real)
-        else:
-            out[x] = comp / overlap
+    proj = min_eigenspace_projector(fam)
+    out = proj @ mats @ proj
+    overlap = np.trace(out, axis1=1, axis2=2).real
+    gone = overlap <= OVERLAP_TOL
+    out[gone] = proj[gone]
+    out /= np.where(gone, np.trace(proj, axis1=1, axis2=2).real, overlap)[:, None, None]
     out = linalg.hermitize(out)
     if classical:
         out = engine._rediagonalize(out)
-    return out, vanished
+    return out, np.flatnonzero(gone).tolist()
 
 
 def run_qdib(

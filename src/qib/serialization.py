@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -20,20 +21,39 @@ from .engine import IterationTrace
 from .exceptions import InvariantError
 from .model import CQChannel, CQState
 
-TRACE_COLUMNS = (
-    "iter",
-    "f_alpha",
-    "H_T",
-    "I_TX",
-    "I_TY",
-    "step_divergence",
-    "gamma_ratio",
-    "fixed_point_residual",
+# Output column -> TraceRecord attribute, shared by the CSV and JSON forms.
+_TRACE_FIELDS = (
+    ("iter", "iteration"),
+    ("f_alpha", "f_alpha"),
+    ("H_T", "h_t"),
+    ("I_TX", "i_tx"),
+    ("I_TY", "i_ty"),
+    ("step_divergence", "step_divergence"),
+    ("gamma_ratio", "gamma_ratio"),
+    ("fixed_point_residual", "fixed_point_residual"),
 )
+_SUPPORT_FIELD = ("support_T", "support_t")
+TRACE_COLUMNS = tuple(col for col, _ in _TRACE_FIELDS)
 
 
 def fmt_float(x: float) -> str:
     return "%.17g" % float(x)
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return fmt_float(value)
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Header line plus one line per row: ints verbatim, floats through
+    ``fmt_float``, None as an empty cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def matrix_to_obj(m: np.ndarray) -> dict[str, Any]:
@@ -53,9 +73,7 @@ def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     missing = {"dim", "re", "im"} - obj.keys()
     if missing:
         raise InvariantError(f"{where}: missing keys {sorted(missing)}")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InvariantError(f"{where}/dim: expected a positive integer, got {dim!r}")
+    dim = _positive_int(obj["dim"], f"{where}/dim")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
@@ -73,6 +91,25 @@ def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
+def _positive_int(value: Any, where: str) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise InvariantError(f"{where}: expected a positive integer, got {value!r}")
+    return value
+
+
+def _obj_to_stack(mats: Any, where: str) -> np.ndarray:
+    """Stack a nonempty list of wire matrices that share one dimension."""
+    if not isinstance(mats, list) or not mats:
+        raise InvariantError(f"{where}: expected a nonempty list of matrices")
+    stack = [obj_to_matrix(m, where=f"{where}/{x}") for x, m in enumerate(mats)]
+    for x, m in enumerate(stack):
+        if m.shape != stack[0].shape:
+            raise InvariantError(
+                f"{where}/{x}/dim: {m.shape[0]} differs from {where}/0/dim {stack[0].shape[0]}"
+            )
+    return np.stack(stack)
+
+
 def state_to_obj(state: CQState) -> dict[str, Any]:
     return {
         "px": state.px.tolist(),
@@ -87,17 +124,20 @@ def obj_to_state(obj: Any, validate: bool = True) -> CQState:
     missing = {"px", "dimY", "rhoY"} - obj.keys()
     if missing:
         raise InvariantError(f"state: missing keys {sorted(missing)}")
-    px = np.asarray(obj["px"], dtype=np.float64)
-    dim_y = obj["dimY"]
+    px = obj["px"]
+    if not isinstance(px, list) or not px:
+        raise InvariantError("state/px: expected a nonempty list of numbers")
+    for x, p in enumerate(px):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InvariantError(f"state/px/{x}: expected a number, got {p!r}")
+    dim_y = _positive_int(obj["dimY"], "state/dimY")
     mats = obj["rhoY"]
-    if not isinstance(mats, list) or len(mats) != px.shape[0]:
+    if not isinstance(mats, list) or len(mats) != len(px):
         raise InvariantError(
-            f"state/rhoY: expected {px.shape[0]} matrices, got "
+            f"state/rhoY: expected {len(px)} matrices, got "
             f"{len(mats) if isinstance(mats, list) else type(mats).__name__}"
         )
-    stack = np.stack(
-        [obj_to_matrix(m, where=f"state/rhoY/{x}") for x, m in enumerate(mats)]
-    )
+    stack = _obj_to_stack(mats, "state/rhoY")
     if stack.shape[1] != dim_y:
         raise InvariantError(
             f"state/dimY: declared {dim_y} but matrices have dimension {stack.shape[1]}"
@@ -124,16 +164,11 @@ def obj_to_channel(obj: Any, validate: bool = True) -> CQChannel:
     missing = {"dimT", "classical", "sigmaT"} - obj.keys()
     if missing:
         raise InvariantError(f"channel: missing keys {sorted(missing)}")
-    dim_t = obj["dimT"]
+    dim_t = _positive_int(obj["dimT"], "channel/dimT")
     classical = obj["classical"]
     if not isinstance(classical, bool):
         raise InvariantError(f"channel/classical: expected a boolean, got {classical!r}")
-    mats = obj["sigmaT"]
-    if not isinstance(mats, list) or not mats:
-        raise InvariantError("channel/sigmaT: expected a nonempty list of matrices")
-    stack = np.stack(
-        [obj_to_matrix(m, where=f"channel/sigmaT/{x}") for x, m in enumerate(mats)]
-    )
+    stack = _obj_to_stack(obj["sigmaT"], "channel/sigmaT")
     if stack.shape[1] != dim_t:
         raise InvariantError(
             f"channel/dimT: declared {dim_t} but matrices have dimension {stack.shape[1]}"
@@ -219,51 +254,27 @@ def trace_to_csv(trace: IterationTrace, gamma: float | None = None) -> str:
     every row for sweep concatenation.
     """
     with_support = any(r.support_t is not None for r in trace.records)
-    cols = list(TRACE_COLUMNS) + (["support_T"] if with_support else [])
-    if gamma is not None:
-        cols = ["gamma"] + cols
-    lines = [",".join(cols)]
-    for r in trace.records:
-        row = [
-            str(r.iteration),
-            fmt_float(r.f_alpha),
-            fmt_float(r.h_t),
-            fmt_float(r.i_tx),
-            fmt_float(r.i_ty),
-            fmt_float(r.step_divergence),
-            fmt_float(r.gamma_ratio),
-            fmt_float(r.fixed_point_residual),
-        ]
-        if with_support:
-            row.append(str(r.support_t if r.support_t is not None else ""))
-        if gamma is not None:
-            row = [fmt_float(gamma)] + row
-        lines.append(",".join(row))
+    fields = _TRACE_FIELDS + ((_SUPPORT_FIELD,) if with_support else ())
+    columns, lead = [col for col, _ in fields], []
     status = f"# status={trace.status}"
     if gamma is not None:
+        columns, lead = ["gamma"] + columns, [float(gamma)]
         status += f" gamma={fmt_float(gamma)}"
+    rows = ([*lead, *(getattr(r, attr) for _, attr in fields)] for r in trace.records)
     if trace.violations:
         status += " violations=" + "|".join(str(v) for v in trace.violations)
-    lines.append(status)
-    return "\n".join(lines) + "\n"
+    return csv_text(columns, rows) + status + "\n"
 
 
 def trace_to_records(trace: IterationTrace) -> dict[str, Any]:
     """JSON form of a trace: status, violations, row dicts."""
     rows = []
     for r in trace.records:
-        row = {
-            "iter": r.iteration,
-            "f_alpha": r.f_alpha,
-            "H_T": r.h_t,
-            "I_TX": r.i_tx,
-            "I_TY": r.i_ty,
-            "step_divergence": r.step_divergence,
-            "gamma_ratio": None if np.isnan(r.gamma_ratio) else r.gamma_ratio,
-            "fixed_point_residual": r.fixed_point_residual,
-        }
+        row = {col: getattr(r, attr) for col, attr in _TRACE_FIELDS}
+        if np.isnan(r.gamma_ratio):
+            row["gamma_ratio"] = None
         if r.support_t is not None:
-            row["support_T"] = r.support_t
+            row[_SUPPORT_FIELD[0]] = r.support_t
         rows.append(row)
     return {
         "status": trace.status,

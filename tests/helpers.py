@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from qib import engine, qdib
 from qib.exceptions import InvariantError, NumericalError
-from qib.linalg import LOG_FLOOR, _apply_spectral, eig_hermitian, random_density
+from qib.linalg import LOG_FLOOR, eig_hermitian, hermitize, random_density
 from qib.model import CQChannel, CQState
 from qib.rng import derive_rng
 
@@ -67,6 +68,11 @@ def shannon(p):
     return float(-np.sum(p * np.log(p)))
 
 
+def _spectral(fn, w, v):
+    """V f(w) V^H, written out here so the oracles share no code with qib."""
+    return (v * fn(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
 def matrix_log_supported(rho, floor=LOG_FLOOR):
     """Matrix logarithm with eigenvalues clamped below at ``floor``.
 
@@ -76,7 +82,7 @@ def matrix_log_supported(rho, floor=LOG_FLOOR):
     if floor <= 0:
         raise InvariantError(f"log floor must be positive, got {floor}")
     w, v = eig_hermitian(rho)
-    return _apply_spectral(lambda x: np.log(np.maximum(x, floor)), w, v)
+    return _spectral(lambda x: np.log(np.maximum(x, floor)), w, v)
 
 
 def matrix_exp(h):
@@ -91,7 +97,7 @@ def matrix_exp(h):
         raise NumericalError(
             f"matrix_exp overflow: max eigenvalue {wmax:.6g} exceeds {EXP_OVERFLOW:g}"
         )
-    return _apply_spectral(np.exp, w, v)
+    return _spectral(np.exp, w, v)
 
 
 def partial_trace(m, dims, keep="first"):
@@ -115,3 +121,23 @@ def partial_trace(m, dims, keep="first"):
     if keep == "second":
         return np.einsum("...ijil->...jl", r)
     raise InvariantError(f"keep must be 'first' or 'second', got {keep!r}")
+
+
+def projected_step_loop(fam, mats, classical):
+    """The deterministic step one x at a time: the reference for the stacked
+    ``qdib._projected_step``, with the same P/rank(P) fallback."""
+    out = np.empty_like(mats)
+    vanished = []
+    for x in range(mats.shape[0]):
+        proj = qdib.min_eigenspace_projector(fam[x])
+        comp = proj @ mats[x] @ proj
+        overlap = float(np.trace(comp).real)
+        if overlap <= qdib.OVERLAP_TOL:
+            vanished.append(x)
+            out[x] = proj / float(np.trace(proj).real)
+        else:
+            out[x] = comp / overlap
+    out = hermitize(out)
+    if classical:
+        out = engine._rediagonalize(out)
+    return out, vanished

@@ -198,13 +198,15 @@ def test_beta_sweep_csv_and_json(tmp_path, capsys):
             "max_iters": 80,
             "kappa_samples": 40,
             "state": {"generator": "random-qubit-ensemble", "sizeX": 3},
-            "beta_list": [0.1, 2.0, 6.0],
+            "beta_list": [0.1, 2, 6.0],
         },
     )
     assert cli.main(["beta-sweep", "--config", path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == ",".join(cli.BETA_SWEEP_COLUMNS)
     assert len(lines) == 4
+    # A JSON integer in a float column still goes through fmt_float.
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0.10000000000000001", "2", "6"]
     assert cli.main(["beta-sweep", "--config", path, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["beta"] for r in rows] == [0.1, 2.0, 6.0]
@@ -328,32 +330,55 @@ def test_validate_rejects_other_files(tmp_path, capsys):
 
 
 def test_validate_rejects_invalid_density(tmp_path, capsys):
-    obj = {
+    nondensity = {
         "px": [1.0],
         "dimY": 1,
         "rhoY": [{"dim": 1, "re": [[2.0]], "im": [[0.0]]}],
     }
-    path = _write_json(tmp_path / "nondensity.json", obj)
-    assert cli.main(["validate", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    mixed_dims = ser.channel_to_obj(random_channel_for(random_cq_state(0), 2, 0))
+    mixed_dims["sigmaT"][1] = ser.matrix_to_obj(np.eye(3) / 3)
+    for name, obj, pointer in (
+        ("nondensity", nondensity, "rho_y_given_x[0]"),
+        ("mixed-dims", mixed_dims, "channel/sigmaT/1/dim"),
+    ):
+        path = _write_json(tmp_path / f"{name}.json", obj)
+        assert cli.main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and pointer in err
 
 
-def _nan_state_text(where):
-    """A valid two-symbol qubit source file with one entry replaced by NaN."""
+def _bad_state_text(where):
+    """A valid two-symbol qubit source file with one entry broken."""
     obj = ser.state_to_obj(random_cq_state(6, size_x=2, dim_y=2, tag="nan"))
     if where == "px":
         obj["px"][1] = float("nan")
-    else:
+    elif where == "rhoY":
         obj["rhoY"][0]["re"][0][1] = float("nan")
+    elif where == "px-string":
+        obj["px"][0] = "a"
+    elif where == "empty":
+        obj["px"], obj["rhoY"] = [], []
+    elif where == "dimY-string":
+        obj["dimY"] = str(obj["dimY"])
     return json.dumps(obj)  # Python's json writes the bare NaN literal
 
 
-@pytest.mark.parametrize("where, pointer", [("px", "/px/1"), ("rhoY", "/rhoY/0/re/0/1")])
+@pytest.mark.parametrize(
+    "where, pointer",
+    [
+        ("px", "/px/1"),
+        ("rhoY", "/rhoY/0/re/0/1"),
+        ("px-string", "state/px/0"),
+        ("empty", "state/px"),
+        ("dimY-string", "state/dimY"),
+    ],
+)
 def test_non_finite_state_file_exits_1(tmp_path, capsys, where, pointer):
     # Regression: NaN used to pass `validate` and reach LAPACK in `run-qib`,
-    # which then failed with exit code 2.
+    # which then failed with exit code 2; the malformed entries escaped as
+    # tracebacks or numpy errors.
     spath = tmp_path / "state.json"
-    spath.write_text(_nan_state_text(where))
+    spath.write_text(_bad_state_text(where))
     assert cli.main(["validate", str(spath)]) == 1
     assert pointer in capsys.readouterr().err
     config = _write_json(

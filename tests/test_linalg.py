@@ -61,10 +61,11 @@ def test_matrix_log_exp_roundtrip():
 
 
 def test_matrix_log_floors_null_directions():
-    log = matrix_log_supported(np.diag([1.0, 0.0]).astype(complex))
-    w = np.sort(np.linalg.eigvalsh(log))
-    assert abs(w[1]) < 1e-12
-    assert abs(w[0] - np.log(1e-12)) < 1e-9
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    for log in (matrix_log_supported(rho), linalg.floored_log(rho)[2]):
+        w = np.sort(np.linalg.eigvalsh(log))
+        assert abs(w[1]) < 1e-12
+        assert abs(w[0] - np.log(1e-12)) < 1e-9
 
 
 def test_matrix_exp_overflow_guard():

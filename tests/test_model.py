@@ -56,8 +56,15 @@ def test_classical_channel_flag_enforced_by_validate():
 
 
 def test_entropy_values():
-    assert model.entropy_from_eigenvalues(np.array([1.0, 0.0])) == 0.0
-    assert abs(model.entropy_from_eigenvalues(np.full(4, 0.25)) - np.log(4)) < 1e-12
+    assert linalg.entropy(np.array([1.0, 0.0])) == 0.0
+    assert abs(linalg.entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
+    # Batched over the last axis; zeros and round-off below zero count as 0 log 0.
+    stack = np.array(
+        [[0.5, 0.5, 0.0, 0.0], [-1e-17, 0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]]
+    )
+    rows = [np.log(2), -(0.2 * np.log(0.2) + 0.3 * np.log(0.3) + 0.5 * np.log(0.5)), np.log(4)]
+    assert np.max(np.abs(linalg.entropy(stack) - rows)) < 1e-15
+    assert [linalg.entropy(row) for row in stack] == list(linalg.entropy(stack))
     assert model.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
     mixed = np.eye(3, dtype=complex) / 3
     assert abs(model.von_neumann_entropy(mixed) - np.log(3)) < 1e-12

@@ -4,13 +4,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qib import engine, model, qdib
 from qib.exceptions import InvariantError, NumericalError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
-from helpers import random_cq_state, random_channel_for, random_hermitian
+from helpers import (
+    projected_step_loop,
+    random_channel_for,
+    random_cq_state,
+    random_hermitian,
+)
 
 
 def test_score_operator_is_negated_f0():
@@ -36,6 +42,27 @@ def test_min_eigenspace_projector_handles_degeneracy():
     assert abs(np.trace(p).real - 2.0) < 1e-12
     full = qdib.min_eigenspace_projector(2.5 * np.eye(3, dtype=complex))
     assert np.max(np.abs(full - np.eye(3))) < 1e-12
+
+
+_TIED = {
+    "diag001": np.diag([0.0, 0.0, 1.0]),
+    "scalar": 2.5 * np.eye(3),
+    "zero": np.zeros((3, 3)),
+}
+
+
+@given(
+    st.integers(0, 10**6), st.lists(st.sampled_from(["random", *_TIED]), min_size=1, max_size=6)
+)
+def test_stacked_projector_equals_per_matrix_call(seed, kinds):
+    # Exactly tied minima must get the same tie window in a stack as alone.
+    gen = derive_rng(seed, "proj-stack")
+    h = np.stack(
+        [random_hermitian(3, gen) if k == "random" else _TIED[k] for k in kinds]
+    ).astype(complex)
+    stacked = qdib.min_eigenspace_projector(h)
+    for x in range(h.shape[0]):
+        assert np.max(np.abs(stacked[x] - qdib.min_eigenspace_projector(h[x]))) <= 1e-12
 
 
 def test_projector_consistency_min_f0_equals_max_score():
@@ -107,6 +134,19 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
     for x in vanished:
         proj = qdib.min_eigenspace_projector(analysis.f_family[x])
         assert np.max(np.abs(out[x] - proj / np.trace(proj).real)) < 1e-12
+
+
+@given(st.integers(0, 10**6), st.booleans())
+def test_projected_step_equals_per_x_loop(seed, classical):
+    state = random_cq_state(seed, classical=classical, tag="proj-loop")
+    chan = random_channel_for(state, 3, seed, classical=classical, tag="proj-loop")
+    # The flip instance covers the vanishing-overlap fallback.
+    for st_, ch, beta in ((state, chan, 5.0), _orthogonal_flip_instance()):
+        a = engine._Analysis(engine._StateCtx(st_), ch.sigma_t_given_x, 0.0, beta)
+        out, vanished = qdib._projected_step(a.f_family, a.mats, ch.classical)
+        ref, ref_vanished = projected_step_loop(a.f_family, a.mats, ch.classical)
+        assert vanished == ref_vanished
+        assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 def test_run_qdib_survives_vanishing_overlap_without_ascent():
