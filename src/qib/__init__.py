@@ -4,90 +4,8 @@ The package covers the soft solver with tunable step size, its
 deterministic projector limit, closed-form quantum-vs-classical benchmarks,
 and the experiment pipelines (random qubit ensembles, kernel
 classification, sufficient-statistics recovery), plus a CLI driving all of
-it from JSON configs.
+it from JSON configs.  The package itself re-exports nothing; use the
+submodules (``qib.engine``, ``qib.model``, ...).
 """
 
-from .benchmarks import (
-    AdvantageReport,
-    advantage_gap,
-    brute_force_classical_opt,
-    classical_bound,
-    copy_state,
-    fourier_feature_channel,
-    quantum_bound,
-)
-from .engine import (
-    IterationTrace,
-    TraceRecord,
-    estimate_kappa,
-    f_operator,
-    fixed_point_residual,
-    gamma_ratio,
-    j_function,
-    random_channel,
-    run_qib,
-    update,
-)
-from .exceptions import ConfigError, InvariantError, NumericalError
-from .model import (
-    CQChannel,
-    CQState,
-    ObjectiveConfig,
-    channel_divergence,
-    cond_entropy_t_given_x,
-    holevo_information,
-    maximally_mixed_channel,
-    mutual_info_tx,
-    mutual_info_ty,
-    objective_f_alpha,
-    relative_entropy,
-    rho_y,
-    sigma_t,
-    sigma_yt,
-    von_neumann_entropy,
-)
-from .qdib import min_eigenspace_projector, qdib_update, run_qdib, score_operator
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdvantageReport",
-    "CQChannel",
-    "CQState",
-    "ConfigError",
-    "InvariantError",
-    "IterationTrace",
-    "NumericalError",
-    "ObjectiveConfig",
-    "TraceRecord",
-    "advantage_gap",
-    "brute_force_classical_opt",
-    "channel_divergence",
-    "classical_bound",
-    "cond_entropy_t_given_x",
-    "copy_state",
-    "estimate_kappa",
-    "f_operator",
-    "fixed_point_residual",
-    "fourier_feature_channel",
-    "gamma_ratio",
-    "holevo_information",
-    "j_function",
-    "maximally_mixed_channel",
-    "min_eigenspace_projector",
-    "mutual_info_tx",
-    "mutual_info_ty",
-    "objective_f_alpha",
-    "qdib_update",
-    "quantum_bound",
-    "random_channel",
-    "relative_entropy",
-    "rho_y",
-    "run_qdib",
-    "run_qib",
-    "score_operator",
-    "sigma_t",
-    "sigma_yt",
-    "update",
-    "von_neumann_entropy",
-]

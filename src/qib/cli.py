@@ -17,7 +17,9 @@ import sys
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
 from .exceptions import InvariantError, NumericalError
-from .experiments import beta_sweep, classify_pipeline, gamma_sweep, suffstats_pipeline
+from .experiments.classify import classify_pipeline
+from .experiments.suffstats import suffstats_pipeline
+from .experiments.sweeps import beta_sweep, gamma_sweep
 
 BETA_SWEEP_COLUMNS = ("beta", "f", "H_T", "I_TX", "I_TY", "kappa_lower_bound")
 ADVANTAGE_COLUMNS = ("d", "n", "alpha", "beta", "quantum", "classical", "gap", "achieved_quantum")
@@ -180,13 +182,13 @@ def _cmd_suffstats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     obj = serialization.load_json(args.file)
     if isinstance(obj, dict) and "rhoY" in obj:
-        state = serialization.obj_to_state(obj, validate=True)
+        state = serialization.obj_to_state(obj)
         sys.stdout.write(
             f"ok: state with sizeX={state.size_x}, dimY={state.dim_y}\n"
         )
         return 0
     if isinstance(obj, dict) and "sigmaT" in obj:
-        channel = serialization.obj_to_channel(obj, validate=True)
+        channel = serialization.obj_to_channel(obj)
         kind = "classical" if channel.classical else "quantum"
         sys.stdout.write(
             f"ok: {kind} channel with sizeX={channel.size_x}, dimT={channel.dim_t}\n"

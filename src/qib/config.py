@@ -15,8 +15,7 @@ import jsonschema
 
 from . import serialization
 from .exceptions import ConfigError, InvariantError
-from .experiments import gen_random_qubit_ensemble, gen_suffstats_ensemble
-from .experiments.ensembles import SuffStatsSpec
+from .experiments.ensembles import SuffStatsSpec, gen_random_qubit_ensemble, gen_suffstats_ensemble
 from .benchmarks import copy_state
 from .model import CQChannel, CQState, ObjectiveConfig, maximally_mixed_channel
 from .rng import derive_seed

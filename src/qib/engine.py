@@ -144,7 +144,7 @@ def _rediagonalize(mats: np.ndarray) -> np.ndarray:
     """Keep only the clipped, renormalized diagonals: the classical restriction."""
     diag = np.clip(np.einsum("xii->xi", mats).real, 0.0, None)
     diag /= diag.sum(axis=1)[:, None]
-    return linalg.diag_embed(diag, dtype=mats.dtype)
+    return linalg.diag_embed(diag)
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:

@@ -1,42 +1,2 @@
 """Experiment pipelines: random qubit ensembles, the kernel classification
 task, the sufficient-statistics recovery task, and parameter sweeps."""
-
-from .classify import (
-    LabeledDataset,
-    classify_pipeline,
-    empirical_cq_state,
-    gen_classifier_dataset,
-    hs_gram,
-    hs_kernel,
-    train_classifier,
-)
-from .ensembles import (
-    QubitEnsembleSpec,
-    SuffStatsInstance,
-    SuffStatsSpec,
-    gen_random_qubit_ensemble,
-    gen_suffstats_ensemble,
-    rho_qubit,
-)
-from .suffstats import baseline_discard_x2, suffstats_pipeline
-from .sweeps import beta_sweep, gamma_sweep
-
-__all__ = [
-    "LabeledDataset",
-    "QubitEnsembleSpec",
-    "SuffStatsInstance",
-    "SuffStatsSpec",
-    "baseline_discard_x2",
-    "beta_sweep",
-    "classify_pipeline",
-    "empirical_cq_state",
-    "gamma_sweep",
-    "gen_classifier_dataset",
-    "gen_random_qubit_ensemble",
-    "gen_suffstats_ensemble",
-    "hs_gram",
-    "hs_kernel",
-    "rho_qubit",
-    "suffstats_pipeline",
-    "train_classifier",
-]

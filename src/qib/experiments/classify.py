@@ -114,7 +114,6 @@ def empirical_cq_state(
     x1_cells: np.ndarray,
     x2_cells: np.ndarray,
     labels: np.ndarray,
-    num_labels: int = NUM_LABELS,
 ) -> tuple[CQState, np.ndarray]:
     """Empirical cell/label source from observed samples.
 
@@ -130,14 +129,14 @@ def empirical_cq_state(
         raise InvariantError("cell and label arrays must be 1-d and equal length")
     if labels.size == 0:
         raise InvariantError("empirical state needs at least one sample")
-    if labels.min() < 0 or labels.max() >= num_labels:
+    if labels.min() < 0 or labels.max() >= NUM_LABELS:
         raise InvariantError(
-            f"labels must lie in [0, {num_labels}), got range "
+            f"labels must lie in [0, {NUM_LABELS}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     keys = _cell_keys(x1_cells, x2_cells)
     unique_keys, idx = np.unique(keys, return_inverse=True)
-    counts = np.zeros((unique_keys.size, num_labels))
+    counts = np.zeros((unique_keys.size, NUM_LABELS))
     np.add.at(counts, (idx, labels), 1.0)
     totals = counts.sum(axis=1)
     px = totals / labels.size
@@ -145,12 +144,6 @@ def empirical_cq_state(
     rho = diag_embed(cond)
     cells = np.column_stack([unique_keys // 1000, unique_keys % 1000])
     return CQState(px, rho), cells
-
-
-def hs_kernel(channel: CQChannel, i: int, j: int) -> float:
-    """Hilbert-Schmidt kernel Tr[sigma_{T|i} sigma_{T|j}] between cells."""
-    mats = channel.sigma_t_given_x
-    return float(np.einsum("ij,ji->", mats[i], mats[j]).real)
 
 
 def hs_gram(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:

@@ -37,22 +37,16 @@ def _stack_qubits(thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.stack([rho_qubit(t, l) for t, l in zip(thetas, lams)])
 
 
-@dataclass(frozen=True)
-class QubitEnsembleSpec:
-    """Explicit parameter lists for a uniform-prior qubit ensemble."""
-
-    thetas: np.ndarray
-    lams: np.ndarray
-
-    def to_state(self) -> CQState:
-        thetas = np.atleast_1d(np.asarray(self.thetas, dtype=np.float64))
-        lams = np.atleast_1d(np.asarray(self.lams, dtype=np.float64))
-        if thetas.shape != lams.shape:
-            raise InvariantError(
-                f"theta and bias arrays differ in shape: {thetas.shape} vs {lams.shape}"
-            )
-        n = thetas.shape[0]
-        return CQState(np.full(n, 1.0 / n), _stack_qubits(thetas, lams))
+def qubit_ensemble(thetas: np.ndarray, lams: np.ndarray) -> CQState:
+    """Uniform prior over the qubits rho(thetas[x], lams[x])."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    if thetas.shape != lams.shape:
+        raise InvariantError(
+            f"theta and bias arrays differ in shape: {thetas.shape} vs {lams.shape}"
+        )
+    n = thetas.shape[0]
+    return CQState(np.full(n, 1.0 / n), _stack_qubits(thetas, lams))
 
 
 def gen_random_qubit_ensemble(size_x: int, seed: int) -> CQState:
@@ -66,7 +60,7 @@ def gen_random_qubit_ensemble(size_x: int, seed: int) -> CQState:
     gen = rng.derive_rng(seed, "qubit-ensemble")
     thetas = gen.uniform(0.0, np.pi, size_x)
     lams = gen.uniform(0.0, 0.5, size_x)
-    return QubitEnsembleSpec(thetas, lams).to_state()
+    return qubit_ensemble(thetas, lams)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import engine, linalg, model, qdib, rng
+from .. import benchmarks, engine, model, qdib, rng
 from ..exceptions import InvariantError
 from ..model import CQState, ObjectiveConfig
 from .ensembles import SuffStatsInstance, SuffStatsSpec, gen_suffstats_ensemble
@@ -39,25 +39,9 @@ def baseline_discard_x2(
             f"state/permutation sized {state.size_x}/{perm.shape} do not match "
             f"size_x1 * size_x2 = {size}"
         )
-    # structured index of recorded cell j is inv[j]; T(j) = inv[j] // size_x2
-    inv = np.argsort(perm)
-    t_of = inv // size_x2
-
-    h_y = model.von_neumann_entropy(model.rho_y(state))
-    avg_cond = 0.0
-    for t in range(size_x1):
-        members = t_of == t
-        q_t = float(state.px[members].sum())
-        if q_t <= 0:
-            continue
-        rbar = linalg.hermitize(
-            np.einsum("x,xij->ij", state.px[members], state.rho_y_given_x[members])
-            / q_t
-        )
-        avg_cond += q_t * model.von_neumann_entropy(rbar)
-    i_x1y = h_y - avg_cond
-    q = np.array([state.px[t_of == t].sum() for t in range(size_x1)])
-    h_t = float(linalg.entropy(q))
+    # recorded cell j is structured cell argsort(perm)[j]; T(j) is its x1
+    t_of = np.argsort(perm) // size_x2
+    h_t, i_x1y = (float(v[0]) for v in benchmarks.assignment_terms(state, t_of[None], size_x1))
     return {"f_dib": h_t - beta * i_x1y, "i_x1y": i_x1y, "h_t": h_t}
 
 

@@ -31,11 +31,11 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
 
 
-def diag_embed(diags: np.ndarray, dtype=np.complex128) -> np.ndarray:
+def diag_embed(diags: np.ndarray) -> np.ndarray:
     """Stack of diagonal matrices out[x] = diag(diags[x])."""
     diags = np.asarray(diags)
     n, k = diags.shape
-    out = np.zeros((n, k, k), dtype=dtype)
+    out = np.zeros((n, k, k), dtype=np.complex128)
     out.reshape(n, -1)[:, :: k + 1] = diags
     return out
 
@@ -82,13 +82,9 @@ def entropy(w: np.ndarray) -> np.ndarray:
     return -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
 
 
-def check_density(
-    m: np.ndarray,
-    eig_tol: float = DENSITY_EIG_TOL,
-    trace_tol: float = DENSITY_TRACE_TOL,
-    label: str = "matrix",
-) -> None:
-    """Validate a density operator: Hermitian, PSD up to -eig_tol, unit trace.
+def check_density(m: np.ndarray, label: str = "matrix") -> None:
+    """Validate a density operator: Hermitian, PSD up to -DENSITY_EIG_TOL,
+    unit trace within DENSITY_TRACE_TOL.
 
     Raises InvariantError naming the violated property and ``label``.
     """
@@ -100,12 +96,16 @@ def check_density(
     if not res <= HERMITICITY_TOL:
         raise InvariantError(f"{label}: not Hermitian (residual {res:.3e})")
     tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= trace_tol:
-        raise InvariantError(f"{label}: trace {tr.real:.12g} deviates from 1 beyond {trace_tol:.1e}")
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+        raise InvariantError(
+            f"{label}: trace {tr.real:.12g} deviates from 1 beyond {DENSITY_TRACE_TOL:.1e}"
+        )
     w = np.linalg.eigvalsh(hermitize(m))
     wmin = float(w[0])
-    if not wmin >= -eig_tol:
-        raise InvariantError(f"{label}: negative eigenvalue {wmin:.3e} below -{eig_tol:.1e}")
+    if not wmin >= -DENSITY_EIG_TOL:
+        raise InvariantError(
+            f"{label}: negative eigenvalue {wmin:.3e} below -{DENSITY_EIG_TOL:.1e}"
+        )
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,15 +30,15 @@ def score_operator(state: CQState, channel: CQChannel, beta: float) -> np.ndarra
     return -engine.f_operator(state, channel, alpha=0.0, beta=beta)
 
 
-def min_eigenspace_projector(h: np.ndarray, rel_tol: float = PROJECTOR_REL_TOL) -> np.ndarray:
+def min_eigenspace_projector(h: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the minimal eigenspace of a Hermitian
     matrix (stacked OK).
 
-    Eigenvalues within rel_tol * (spread) of the minimum count as tied and
+    Eigenvalues within PROJECTOR_REL_TOL * (spread) of the minimum count as tied and
     are kept, so a multiple of the identity yields the full identity.
     """
     w, v = linalg.eig_hermitian(h)
-    window = w[..., :1] + rel_tol * (w[..., -1:] - w[..., :1])
+    window = w[..., :1] + PROJECTOR_REL_TOL * (w[..., -1:] - w[..., :1])
     keep = w <= window  # a prefix of the columns, since w ascends
     k = int(keep.sum(axis=-1).max())
     sel = v[..., :k] * keep[..., None, :k]

@@ -118,7 +118,7 @@ def state_to_obj(state: CQState) -> dict[str, Any]:
     }
 
 
-def obj_to_state(obj: Any, validate: bool = True) -> CQState:
+def obj_to_state(obj: Any) -> CQState:
     if not isinstance(obj, dict):
         raise InvariantError(f"state: expected an object, got {type(obj).__name__}")
     missing = {"px", "dimY", "rhoY"} - obj.keys()
@@ -143,8 +143,7 @@ def obj_to_state(obj: Any, validate: bool = True) -> CQState:
             f"state/dimY: declared {dim_y} but matrices have dimension {stack.shape[1]}"
         )
     state = CQState(px, stack)
-    if validate:
-        state.validate()
+    state.validate()
     return state
 
 
@@ -158,7 +157,7 @@ def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
     }
 
 
-def obj_to_channel(obj: Any, validate: bool = True) -> CQChannel:
+def obj_to_channel(obj: Any) -> CQChannel:
     if not isinstance(obj, dict):
         raise InvariantError(f"channel: expected an object, got {type(obj).__name__}")
     missing = {"dimT", "classical", "sigmaT"} - obj.keys()
@@ -174,8 +173,7 @@ def obj_to_channel(obj: Any, validate: bool = True) -> CQChannel:
             f"channel/dimT: declared {dim_t} but matrices have dimension {stack.shape[1]}"
         )
     channel = CQChannel(stack, classical=classical)
-    if validate:
-        channel.validate()
+    channel.validate()
     return channel
 
 
@@ -220,12 +218,12 @@ def _pointer_to(obj: Any, target: object, prefix: str = "") -> str | None:
     return None
 
 
-def load_state(path: str, validate: bool = True) -> CQState:
-    return obj_to_state(load_json(path), validate=validate)
+def load_state(path: str) -> CQState:
+    return obj_to_state(load_json(path))
 
 
-def load_channel(path: str, validate: bool = True) -> CQChannel:
-    return obj_to_channel(load_json(path), validate=validate)
+def load_channel(path: str) -> CQChannel:
+    return obj_to_channel(load_json(path))
 
 
 def dump_json(obj: Any) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qib import benchmarks, model
+from qib import benchmarks, linalg, model
 from qib.benchmarks import (
     advantage_gap,
     brute_force_classical_opt,
@@ -17,7 +17,10 @@ from qib.benchmarks import (
 )
 from qib.exceptions import InvariantError
 from qib.linalg import random_unitary
+from qib.model import CQChannel
 from qib.rng import derive_rng
+
+from helpers import random_cq_state
 
 
 def test_quantum_bound_value():
@@ -134,9 +137,18 @@ def test_brute_force_beta_one_is_flat_at_zero():
     assert abs(classical_bound(4, 2, 1.0)) == 0.0
 
 
-def test_brute_force_tie_break_is_lexicographic():
+@pytest.mark.parametrize("block", [1, 2, None], ids=["block1", "block2", "default"])
+def test_brute_force_tie_break_is_lexicographic(block, monkeypatch):
+    # Small blocks spread the tied optima over many blocks, so the strict
+    # comparison across blocks is what keeps the first one.
+    if block is not None:
+        monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", block)
     _, assignment = brute_force_classical_opt(copy_state(3), 2, 1.0, 2.0)
     assert assignment == (0, 0, 1)
+    found = brute_force_classical_opt(copy_state(4), 3, 1.0, 2.0)
+    monkeypatch.undo()
+    assert found == brute_force_classical_opt(copy_state(4), 3, 1.0, 2.0)
+    assert found[1] == (0, 0, 1, 2)
 
 
 def test_brute_force_ignores_redundant_x2():
@@ -153,8 +165,9 @@ def test_brute_force_value_independent_of_alpha():
 
 
 def test_brute_force_dense_path_agrees_under_rotation():
-    # A global unitary on Y changes no entropy, but it defeats the diagonal
-    # fast path, so this pins the dense branch to the fast one.
+    # A global unitary on Y changes no entropy, so the optimum cannot move;
+    # which of the tied maps wins may change at rounding level, so only the
+    # value is compared.
     base = copy_state(4)
     u = random_unitary(4, derive_rng(7, "rot"))
     rotated = np.einsum("ij,xjk,lk->xil", u, base.rho_y_given_x, np.conj(u))
@@ -162,6 +175,26 @@ def test_brute_force_dense_path_agrees_under_rotation():
     fast, _ = brute_force_classical_opt(base, 2, 1.0, 2.0)
     dense, _ = brute_force_classical_opt(spun, 2, 1.0, 2.0)
     assert abs(fast - dense) < 1e-9
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    classical=st.booleans(),
+    dim_t=st.integers(min_value=1, max_value=4),
+)
+def test_assignment_terms_match_model_oracle(seed, classical, dim_t):
+    state = random_cq_state(seed, classical=classical)
+    gen = derive_rng(seed, "maps")
+    # The last row sends every x to t = 0 and leaves every other t empty.
+    maps = np.vstack([
+        gen.integers(0, dim_t, (6, state.size_x)),
+        np.zeros((1, state.size_x), dtype=int),
+    ])
+    h_t, i_ty = benchmarks.assignment_terms(state, maps, dim_t)
+    for n, row in enumerate(maps):
+        channel = CQChannel(linalg.diag_embed(np.eye(dim_t)[row]), classical=True)
+        assert abs(h_t[n] - model.von_neumann_entropy(model.sigma_t(channel, state))) < 1e-12
+        assert abs(i_ty[n] - model.mutual_info_ty(state, channel)) < 1e-12
 
 
 def test_brute_force_guards():

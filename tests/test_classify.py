@@ -11,7 +11,6 @@ from qib.experiments.classify import (
     empirical_cq_state,
     gen_classifier_dataset,
     hs_gram,
-    hs_kernel,
     predict,
     train_classifier,
 )
@@ -85,20 +84,14 @@ def test_empirical_state_guards():
         empirical_cq_state(np.array([0]), np.array([0]), np.array([7]))
 
 
-def test_hs_kernel_and_gram():
+def test_hs_gram_hand_values():
     mats = np.stack(
         [np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), np.diag([0.0, 1.0])]
     ).astype(complex)
-    chan = model.CQChannel(mats, classical=True)
-    assert abs(hs_kernel(chan, 0, 0) - 1.0) < 1e-15
-    assert abs(hs_kernel(chan, 0, 2)) < 1e-15
-    assert abs(hs_kernel(chan, 0, 1) - 0.5) < 1e-15
     g = hs_gram(mats, mats)
+    expected = np.array([[1.0, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 1.0]])
     assert g.shape == (3, 3)
-    assert np.max(np.abs(g - g.T)) < 1e-15
-    for i in range(3):
-        for j in range(3):
-            assert abs(g[i, j] - hs_kernel(chan, i, j)) < 1e-15
+    assert np.max(np.abs(g - expected)) < 1e-15
 
 
 def test_train_classifier_separable_case():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from qib.exceptions import InvariantError
 from qib.experiments import ensembles
 from qib.experiments.ensembles import (
-    QubitEnsembleSpec,
     SuffStatsSpec,
     gen_random_qubit_ensemble,
     gen_suffstats_ensemble,
+    qubit_ensemble,
     rho_qubit,
 )
 
@@ -42,12 +42,12 @@ def test_rho_qubit_special_angles():
 
 
 def test_qubit_spec_to_state():
-    state = QubitEnsembleSpec(np.array([0.0, 1.0]), np.array([0.1, 0.3])).to_state()
+    state = qubit_ensemble(np.array([0.0, 1.0]), np.array([0.1, 0.3]))
     state.validate()
     assert state.size_x == 2
     assert np.max(np.abs(state.px - 0.5)) < 1e-15
     with pytest.raises(InvariantError, match="shape"):
-        QubitEnsembleSpec(np.zeros(3), np.zeros(2)).to_state()
+        qubit_ensemble(np.zeros(3), np.zeros(2))
 
 
 def test_random_qubit_ensemble_reproducible():

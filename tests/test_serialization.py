@@ -10,7 +10,6 @@ import pytest
 from qib import serialization as ser
 from qib.engine import IterationTrace, TraceRecord
 from qib.exceptions import InvariantError
-from qib.model import CQChannel
 
 from helpers import random_cq_state, random_channel_for
 
@@ -73,21 +72,6 @@ def test_channel_error_paths():
         ser.obj_to_channel(
             {"dimT": 1, "classical": False, "sigmaT": [{"dim": 1, "re": [[1.0]]}]}
         )
-
-
-def test_obj_to_state_can_skip_validation():
-    obj = {
-        "px": [0.5, 0.5],
-        "dimY": 1,
-        "rhoY": [
-            {"dim": 1, "re": [[2.0]], "im": [[0.0]]},
-            {"dim": 1, "re": [[1.0]], "im": [[0.0]]},
-        ],
-    }
-    state = ser.obj_to_state(obj, validate=False)
-    assert state.rho_y_given_x[0][0, 0] == 2.0
-    with pytest.raises(InvariantError):
-        ser.obj_to_state(obj)
 
 
 def test_fmt_float_roundtrips_exactly():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qib import engine, model
+from qib import model
 from qib.exceptions import InvariantError
 from qib.experiments.sweeps import beta_sweep, gamma_sweep
 from qib.model import ObjectiveConfig
