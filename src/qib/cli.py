@@ -35,7 +35,7 @@ def _emit(text: str, out: str | None) -> None:
         serialization.write_text_atomic(out, text)
 
 
-def _load_config(args: argparse.Namespace, schema: dict) -> tuple[dict, int]:
+def _load_config(args: argparse.Namespace, schema: cfg.Schema) -> tuple[dict, int]:
     obj = serialization.load_json(args.config)
     cfg.validate_config(obj, schema)
     seed = args.seed if args.seed is not None else obj.get("seed", 0)

@@ -1,17 +1,23 @@
-"""Config file schemas and resolution.
+"""Config key rules and resolution.
 
-Each subcommand validates its config against a closed schema (unknown keys
-rejected) and reports failures with the JSON pointer of the offending
-element.  The ``state`` key accepts a file path, an inline source object,
-or a generator spec; ``initial_channel`` accepts "random",
-"maximally-mixed", a path, or an inline channel.
+Each subcommand's config is checked against a table that gives every key a
+rule: a description and a predicate, such as "an integer >= 1" or "a number
+> 0".  ``validate_config`` rejects unknown keys, missing keys and bad values
+with the JSON pointer of the offending key.  Integers exclude booleans and
+integral floats such as 2.0; numbers exclude booleans.
+
+The ``state`` key takes a ``{"path": ...}`` object, a generator spec (whose
+keys go through the same rules) or an inline source; ``initial_channel``
+takes "random", "maximally-mixed", a path object or an inline channel.
+Inline sources and channels are checked by ``serialization.obj_to_state`` /
+``obj_to_channel`` at resolve time, as state and channel files are.
 """
 
 from __future__ import annotations
 
+import reprlib
+from collections.abc import Callable
 from typing import Any
-
-import jsonschema
 
 from . import serialization
 from .exceptions import ConfigError, InvariantError
@@ -20,173 +26,144 @@ from .benchmarks import copy_state
 from .model import CQChannel, CQState, ObjectiveConfig, maximally_mixed_channel
 from .rng import derive_seed
 
-_MATRIX = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "re", "im"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "re": {"type": "array"},
-        "im": {"type": "array"},
-    },
+# A rule checks one value and raises ConfigError with the value's pointer.
+Rule = Callable[[Any, str], None]
+# The keys an object must have, and the rule of every key it may have.
+Schema = tuple[tuple[str, ...], dict[str, Rule]]
+
+
+def _rule(description: str, ok: Callable[[Any], bool]) -> Rule:
+    def check(value: Any, pointer: str) -> None:
+        if not ok(value):
+            raise ConfigError(pointer, f"expected {description}, got {reprlib.repr(value)}")
+
+    return check
+
+
+def _integer(minimum: int) -> Rule:
+    return _rule(f"an integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
+
+
+def _number(description: str, ok: Callable[[Any], bool]) -> Rule:
+    return _rule(description, lambda v: type(v) is not bool and isinstance(v, (int, float)) and ok(v))
+
+
+def _nonempty_list(item: Rule) -> Rule:
+    def check(value: Any, pointer: str) -> None:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(pointer, f"expected a nonempty list, got {reprlib.repr(value)}")
+        for i, v in enumerate(value):
+            item(v, f"{pointer}/{i}")
+
+    return check
+
+
+_COUNT = _integer(1)
+_NONNEGATIVE = _number("a number >= 0", lambda v: v >= 0)
+_POSITIVE = _number("a number > 0", lambda v: v > 0)
+_SEED = _rule("an integer", lambda v: type(v) is int)
+_BOOLEAN = _rule("a boolean", lambda v: type(v) is bool)
+_PATH: Schema = (("path",), {"path": _rule("a nonempty string", lambda v: type(v) is str and v != "")})
+
+_GENERATORS: dict[str, Schema] = {
+    "random-qubit-ensemble": (("sizeX",), {"sizeX": _COUNT}),
+    "copy-state": (("d",), {"d": _integer(2), "k": _COUNT}),
+    "suffstats-ensemble": ((), {"sizeX1": _integer(2), "sizeX2": _COUNT, "nu": _POSITIVE}),
 }
-
-_STATE_INLINE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["px", "dimY", "rhoY"],
-    "properties": {
-        "px": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "dimY": {"type": "integer", "minimum": 1},
-        "rhoY": {"type": "array", "items": _MATRIX, "minItems": 1},
-    },
-}
-
-_STATE_PATH = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["path"],
-    "properties": {"path": {"type": "string", "minLength": 1}},
-}
-
-_STATE_GENERATOR = {
-    "type": "object",
-    "oneOf": [
-        {
-            "additionalProperties": False,
-            "required": ["generator", "sizeX"],
-            "properties": {
-                "generator": {"const": "random-qubit-ensemble"},
-                "sizeX": {"type": "integer", "minimum": 1},
-            },
-        },
-        {
-            "additionalProperties": False,
-            "required": ["generator", "d"],
-            "properties": {
-                "generator": {"const": "copy-state"},
-                "d": {"type": "integer", "minimum": 2},
-                "k": {"type": "integer", "minimum": 1},
-            },
-        },
-        {
-            "additionalProperties": False,
-            "required": ["generator"],
-            "properties": {
-                "generator": {"const": "suffstats-ensemble"},
-                "sizeX1": {"type": "integer", "minimum": 2},
-                "sizeX2": {"type": "integer", "minimum": 1},
-                "nu": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    ],
-}
-
-_STATE = {"oneOf": [_STATE_PATH, _STATE_INLINE, _STATE_GENERATOR]}
-
-_CHANNEL_INLINE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dimT", "classical", "sigmaT"],
-    "properties": {
-        "dimT": {"type": "integer", "minimum": 1},
-        "classical": {"type": "boolean"},
-        "sigmaT": {"type": "array", "items": _MATRIX, "minItems": 1},
-    },
-}
-
-_INITIAL = {
-    "oneOf": [
-        {"enum": ["random", "maximally-mixed"]},
-        _STATE_PATH,
-        _CHANNEL_INLINE,
-    ]
-}
-
-_COMMON_RUN = {
-    "alpha": {"type": "number", "minimum": 0},
-    "beta": {"type": "number", "minimum": 0},
-    "gamma": {"type": "number", "exclusiveMinimum": 0},
-    "dimT": {"type": "integer", "minimum": 1},
-    "classical": {"type": "boolean"},
-    "tol": {"type": "number", "exclusiveMinimum": 0},
-    "max_iters": {"type": "integer", "minimum": 1},
-    "seed": {"type": "integer"},
-    "state": _STATE,
-    "initial_channel": _INITIAL,
-}
-
-
-def _schema(required: list[str], props: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": required,
-        "properties": props,
-    }
-
-
-RUN_QIB_SCHEMA = _schema(["alpha", "beta", "dimT", "state"], dict(_COMMON_RUN))
-
-_QDIB_PROPS = {k: v for k, v in _COMMON_RUN.items() if k not in ("alpha", "gamma")}
-RUN_QDIB_SCHEMA = _schema(["beta", "dimT", "state"], _QDIB_PROPS)
-
-_GAMMA_PROPS = {k: v for k, v in _COMMON_RUN.items() if k != "gamma"}
-_GAMMA_PROPS["gamma_list"] = {
-    "type": "array",
-    "items": {"type": "number", "exclusiveMinimum": 0},
-    "minItems": 1,
-}
-GAMMA_SWEEP_SCHEMA = _schema(["alpha", "beta", "dimT", "state", "gamma_list"], _GAMMA_PROPS)
-
-_BETA_PROPS = {k: v for k, v in _COMMON_RUN.items() if k != "beta"}
-_BETA_PROPS["beta_list"] = {
-    "type": "array",
-    "items": {"type": "number", "minimum": 0},
-    "minItems": 1,
-}
-_BETA_PROPS["kappa_samples"] = {"type": "integer", "minimum": 0}
-BETA_SWEEP_SCHEMA = _schema(["alpha", "dimT", "state", "beta_list"], _BETA_PROPS)
-
-CLASSIFY_SCHEMA = _schema(
-    [],
-    {
-        "alpha": {"type": "number", "minimum": 0},
-        "beta": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-        "dimT": {"type": "integer", "minimum": 1},
-        "ridge": {"type": "number", "exclusiveMinimum": 0},
-        "n_samples": {"type": "integer", "minimum": 10},
-        "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
+_GENERATOR = _rule(
+    "one of " + ", ".join(map(repr, _GENERATORS)), lambda v: type(v) is str and v in _GENERATORS
 )
 
-SUFFSTATS_SCHEMA = _schema(
-    [],
+
+def _check_object(obj: Any, required: tuple[str, ...], rules: dict[str, Rule], pointer: str) -> None:
+    """``obj`` must be an object that has every key of ``required``, no key
+    without a rule, and values that pass their key's rule."""
+    if not isinstance(obj, dict):
+        raise ConfigError(pointer, f"expected an object, got {type(obj).__name__}")
+    for key, value in obj.items():
+        if key not in rules:
+            raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
+        rules[key](value, f"{pointer}/{key}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(pointer, f"missing required keys {missing}")
+
+
+def _check_state(spec: Any, pointer: str) -> None:
+    if isinstance(spec, dict) and "path" in spec:
+        _check_object(spec, *_PATH, pointer)
+    elif isinstance(spec, dict) and "generator" in spec:
+        _GENERATOR(spec["generator"], f"{pointer}/generator")
+        required, rules = _GENERATORS[spec["generator"]]
+        _check_object(spec, ("generator", *required), {"generator": _GENERATOR, **rules}, pointer)
+    elif not isinstance(spec, dict):
+        raise ConfigError(
+            pointer,
+            f"expected a path object, a generator spec or an inline state, got {reprlib.repr(spec)}",
+        )
+
+
+def _check_initial_channel(spec: Any, pointer: str) -> None:
+    if isinstance(spec, dict) and "path" in spec:
+        _check_object(spec, *_PATH, pointer)
+    elif not isinstance(spec, dict) and spec not in ("random", "maximally-mixed"):
+        raise ConfigError(
+            pointer,
+            'expected "random", "maximally-mixed", a path object or an inline channel, '
+            f"got {reprlib.repr(spec)}",
+        )
+
+
+_RUN_RULES = {
+    "alpha": _NONNEGATIVE,
+    "beta": _NONNEGATIVE,
+    "gamma": _POSITIVE,
+    "dimT": _COUNT,
+    "classical": _BOOLEAN,
+    "tol": _POSITIVE,
+    "max_iters": _COUNT,
+    "seed": _SEED,
+    "state": _check_state,
+    "initial_channel": _check_initial_channel,
+}
+
+
+def _run_rules(drop: tuple[str, ...] = (), **extra: Rule) -> dict[str, Rule]:
+    return {**{k: v for k, v in _RUN_RULES.items() if k not in drop}, **extra}
+
+
+RUN_QIB_SCHEMA: Schema = (("alpha", "beta", "dimT", "state"), _run_rules())
+RUN_QDIB_SCHEMA: Schema = (("beta", "dimT", "state"), _run_rules(("alpha", "gamma")))
+GAMMA_SWEEP_SCHEMA: Schema = (
+    ("alpha", "beta", "dimT", "state", "gamma_list"),
+    _run_rules(("gamma",), gamma_list=_nonempty_list(_POSITIVE)),
+)
+BETA_SWEEP_SCHEMA: Schema = (
+    ("alpha", "dimT", "state", "beta_list"),
+    _run_rules(("beta",), beta_list=_nonempty_list(_NONNEGATIVE), kappa_samples=_integer(0)),
+)
+CLASSIFY_SCHEMA: Schema = (
+    (),
     {
-        "beta": {"type": "number", "minimum": 0},
-        "nu": {"type": "number", "exclusiveMinimum": 0},
-        "sizeX1": {"type": "integer", "minimum": 2},
-        "sizeX2": {"type": "integer", "minimum": 1},
-        "dimT": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        **{k: _RUN_RULES[k] for k in ("alpha", "beta", "gamma", "dimT", "tol", "max_iters", "seed")},
+        "ridge": _POSITIVE,
+        "n_samples": _integer(10),
+        "train_fraction": _number("a number in (0, 1)", lambda v: 0 < v < 1),
+    },
+)
+SUFFSTATS_SCHEMA: Schema = (
+    (),
+    {
+        **{k: _RUN_RULES[k] for k in ("beta", "dimT", "tol", "max_iters", "seed")},
+        **_GENERATORS["suffstats-ensemble"][1],
     },
 )
 
 
-def validate_config(obj: Any, schema: dict[str, Any]) -> None:
-    """Schema-check a config object; raise ConfigError with a JSON pointer."""
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(pointer if pointer != "/" else "", err.message)
+def validate_config(obj: Any, schema: Schema) -> None:
+    """Check a config object against a subcommand's schema; raise
+    ConfigError with the JSON pointer of the first offending key."""
+    _check_object(obj, *schema, "")
 
 
 def resolve_state(spec: Any, seed: int) -> CQState:
@@ -205,8 +182,7 @@ def resolve_state(spec: Any, seed: int) -> CQState:
             return gen_suffstats_ensemble(suffstats_spec(spec, seed, "state-gen")).state
         raise InvariantError(f"unknown state generator {kind!r}")
     if isinstance(spec, dict):
-        state = serialization.obj_to_state(spec)
-        return state
+        return serialization.obj_to_state(spec)
     raise InvariantError(f"state spec must be an object, got {type(spec).__name__}")
 
 

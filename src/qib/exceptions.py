@@ -13,7 +13,7 @@ class InvariantError(ValueError):
 
 
 class ConfigError(InvariantError):
-    """A config file failed schema validation.
+    """A config file failed validation against its key rules.
 
     ``pointer`` holds the JSON pointer of the offending element.
     """

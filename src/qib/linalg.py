@@ -83,29 +83,35 @@ def entropy(w: np.ndarray) -> np.ndarray:
 
 
 def check_density(m: np.ndarray, label: str = "matrix") -> None:
-    """Validate a density operator: Hermitian, PSD up to -DENSITY_EIG_TOL,
-    unit trace within DENSITY_TRACE_TOL.
+    """Validate a density operator, or a ``(..., d, d)`` stack of them:
+    Hermitian, unit trace within DENSITY_TRACE_TOL, PSD up to
+    -DENSITY_EIG_TOL.
 
-    Raises InvariantError naming the violated property and ``label``.
+    Raises InvariantError naming the first failing matrix (``label``, or
+    ``label[x]`` in a stack) and the first of these properties it violates.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvariantError(f"{label}: expected a square matrix, got shape {m.shape}")
+    flat = m.reshape((-1,) + m.shape[-2:])
+    res = np.max(np.abs(flat - np.conj(np.swapaxes(flat, -1, -2))), axis=(1, 2), initial=0.0)
+    tr = np.trace(flat, axis1=1, axis2=2)
     # Every comparison is phrased so that a NaN residual fails it.
-    res = hermiticity_residual(m)
-    if not res <= HERMITICITY_TOL:
-        raise InvariantError(f"{label}: not Hermitian (residual {res:.3e})")
-    tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+    ok = (res <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
+    wmin = np.full(len(flat), np.nan)
+    wmin[ok] = np.linalg.eigvalsh(hermitize(flat[ok]))[:, 0]
+    bad = np.flatnonzero(~(wmin >= -DENSITY_EIG_TOL))
+    if not bad.size:
+        return
+    i = bad[0]
+    label += "".join(f"[{k}]" for k in np.unravel_index(i, m.shape[:-2]))
+    if not res[i] <= HERMITICITY_TOL:
+        raise InvariantError(f"{label}: not Hermitian (residual {res[i]:.3e})")
+    if not ok[i]:
         raise InvariantError(
-            f"{label}: trace {tr.real:.12g} deviates from 1 beyond {DENSITY_TRACE_TOL:.1e}"
+            f"{label}: trace {tr[i].real:.12g} deviates from 1 beyond {DENSITY_TRACE_TOL:.1e}"
         )
-    w = np.linalg.eigvalsh(hermitize(m))
-    wmin = float(w[0])
-    if not wmin >= -DENSITY_EIG_TOL:
-        raise InvariantError(
-            f"{label}: negative eigenvalue {wmin:.3e} below -{DENSITY_EIG_TOL:.1e}"
-        )
+    raise InvariantError(f"{label}: negative eigenvalue {wmin[i]:.3e} below -{DENSITY_EIG_TOL:.1e}")
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -76,8 +76,7 @@ class CQState:
         s = float(self.px.sum())
         if not abs(s - 1.0) <= 1e-9:
             raise InvariantError(f"px sums to {s:.12g}, expected 1 within 1e-9")
-        for x in range(self.size_x):
-            linalg.check_density(self.rho_y_given_x[x], label=f"rho_y_given_x[{x}]")
+        linalg.check_density(self.rho_y_given_x, label="rho_y_given_x")
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class CQChannel:
         return self.sigma_t_given_x.shape[1]
 
     def validate(self) -> None:
-        for x in range(self.size_x):
-            linalg.check_density(self.sigma_t_given_x[x], label=f"sigma_t_given_x[{x}]")
+        linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")
         if self.classical:
             off = offdiagonal_magnitude(self.sigma_t_given_x)
             if off > CLASSICAL_OFFDIAG_TOL:

@@ -1,10 +1,11 @@
 """Wire formats and deterministic file output.
 
 Matrices travel as {"dim", "re", "im"} with row-major real/imaginary parts;
-a source file wraps {"px", "dimY", "rhoY"} and a channel file {"dimT",
-"classical", "sigmaT"}.  CSV floats use %.17g so values round-trip exactly
-and repeated runs are byte-identical; writes go through a temp file and
-os.replace so readers never observe partial output.
+a source wraps {"px", "dimY", "rhoY"} and a channel {"dimT", "classical",
+"sigmaT"}, and any other key is rejected with its pointer.  CSV floats use
+%.17g so values round-trip exactly and repeated runs are byte-identical;
+writes go through a temp file and os.replace so readers never observe
+partial output.
 """
 
 from __future__ import annotations
@@ -68,11 +69,7 @@ def matrix_to_obj(m: np.ndarray) -> dict[str, Any]:
 
 
 def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise InvariantError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = {"dim", "re", "im"} - obj.keys()
-    if missing:
-        raise InvariantError(f"{where}: missing keys {sorted(missing)}")
+    _check_keys(obj, ("dim", "re", "im"), where)
     dim = _positive_int(obj["dim"], f"{where}/dim")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
@@ -91,22 +88,34 @@ def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
+def _check_keys(obj: Any, keys: tuple[str, ...], where: str) -> None:
+    """``obj`` must be an object with exactly ``keys``; a stray key is named
+    by its pointer."""
+    if not isinstance(obj, dict):
+        raise InvariantError(f"{where}: expected an object, got {type(obj).__name__}")
+    missing = set(keys) - obj.keys()
+    if missing:
+        raise InvariantError(f"{where}: missing keys {sorted(missing)}")
+    for key in obj:
+        if key not in keys:
+            raise InvariantError(f"{where}/{key}: unknown key")
+
+
 def _positive_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or value < 1:
+    # ``type(value) is int`` excludes bool, which json reads from true/false.
+    if type(value) is not int or value < 1:
         raise InvariantError(f"{where}: expected a positive integer, got {value!r}")
     return value
 
 
-def _obj_to_stack(mats: Any, where: str) -> np.ndarray:
-    """Stack a nonempty list of wire matrices that share one dimension."""
+def _obj_to_stack(mats: Any, where: str, dim: int, dim_where: str) -> np.ndarray:
+    """Stack a nonempty list of wire matrices of the declared dimension."""
     if not isinstance(mats, list) or not mats:
         raise InvariantError(f"{where}: expected a nonempty list of matrices")
     stack = [obj_to_matrix(m, where=f"{where}/{x}") for x, m in enumerate(mats)]
     for x, m in enumerate(stack):
-        if m.shape != stack[0].shape:
-            raise InvariantError(
-                f"{where}/{x}/dim: {m.shape[0]} differs from {where}/0/dim {stack[0].shape[0]}"
-            )
+        if m.shape[0] != dim:
+            raise InvariantError(f"{where}/{x}/dim: {m.shape[0]} differs from {dim_where} {dim}")
     return np.stack(stack)
 
 
@@ -119,11 +128,7 @@ def state_to_obj(state: CQState) -> dict[str, Any]:
 
 
 def obj_to_state(obj: Any) -> CQState:
-    if not isinstance(obj, dict):
-        raise InvariantError(f"state: expected an object, got {type(obj).__name__}")
-    missing = {"px", "dimY", "rhoY"} - obj.keys()
-    if missing:
-        raise InvariantError(f"state: missing keys {sorted(missing)}")
+    _check_keys(obj, ("px", "dimY", "rhoY"), "state")
     px = obj["px"]
     if not isinstance(px, list) or not px:
         raise InvariantError("state/px: expected a nonempty list of numbers")
@@ -131,17 +136,9 @@ def obj_to_state(obj: Any) -> CQState:
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise InvariantError(f"state/px/{x}: expected a number, got {p!r}")
     dim_y = _positive_int(obj["dimY"], "state/dimY")
-    mats = obj["rhoY"]
-    if not isinstance(mats, list) or len(mats) != len(px):
-        raise InvariantError(
-            f"state/rhoY: expected {len(px)} matrices, got "
-            f"{len(mats) if isinstance(mats, list) else type(mats).__name__}"
-        )
-    stack = _obj_to_stack(mats, "state/rhoY")
-    if stack.shape[1] != dim_y:
-        raise InvariantError(
-            f"state/dimY: declared {dim_y} but matrices have dimension {stack.shape[1]}"
-        )
+    stack = _obj_to_stack(obj["rhoY"], "state/rhoY", dim_y, "state/dimY")
+    if len(stack) != len(px):
+        raise InvariantError(f"state/rhoY: expected {len(px)} matrices, got {len(stack)}")
     state = CQState(px, stack)
     state.validate()
     return state
@@ -158,20 +155,12 @@ def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
 
 
 def obj_to_channel(obj: Any) -> CQChannel:
-    if not isinstance(obj, dict):
-        raise InvariantError(f"channel: expected an object, got {type(obj).__name__}")
-    missing = {"dimT", "classical", "sigmaT"} - obj.keys()
-    if missing:
-        raise InvariantError(f"channel: missing keys {sorted(missing)}")
+    _check_keys(obj, ("dimT", "classical", "sigmaT"), "channel")
     dim_t = _positive_int(obj["dimT"], "channel/dimT")
     classical = obj["classical"]
     if not isinstance(classical, bool):
         raise InvariantError(f"channel/classical: expected a boolean, got {classical!r}")
-    stack = _obj_to_stack(obj["sigmaT"], "channel/sigmaT")
-    if stack.shape[1] != dim_t:
-        raise InvariantError(
-            f"channel/dimT: declared {dim_t} but matrices have dimension {stack.shape[1]}"
-        )
+    stack = _obj_to_stack(obj["sigmaT"], "channel/sigmaT", dim_t, "channel/dimT")
     channel = CQChannel(stack, classical=classical)
     channel.validate()
     return channel

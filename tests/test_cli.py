@@ -1,6 +1,9 @@
 """Command surface: exit codes, output layout, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -388,3 +391,88 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, where, pointer):
     assert cli.main(["run-qib", "--config", config]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and pointer in err
+
+
+_RUN = {"alpha": 1.0, "beta": 2.0, "dimT": 2, "max_iters": 5}
+_QUBITS = {"generator": "random-qubit-ensemble", "sizeX": 3}
+
+
+@pytest.mark.parametrize(
+    "command, config, pointer",
+    [
+        # Integral floats: JSON Schema counted 2.0 as an integer, and each of
+        # these escaped as an uncaught TypeError.
+        ("run-qib", dict(_RUN, dimT=2.0, state=_QUBITS), "/dimT"),
+        ("run-qib", dict(_RUN, max_iters=5.0, state=_QUBITS), "/max_iters"),
+        ("run-qib", dict(_RUN, state=dict(_QUBITS, sizeX=3.0)), "/state/sizeX"),
+        ("run-qib", dict(_RUN, state={"generator": "copy-state", "d": 3.0}), "/state/d"),
+        ("classify", {"n_samples": 50.0}, "/n_samples"),
+        ("suffstats", {"sizeX1": 3.0}, "/sizeX1"),
+        # Nested specs used to fail as a whole at /state.
+        ("run-qib", dict(_RUN, state=dict(_QUBITS, sizeX=0)), "/state/sizeX"),
+        ("run-qib", dict(_RUN, state={"generator": "mystery"}), "/state/generator"),
+        ("run-qib", dict(_RUN, state={"path": "s.json", "k": 1}), "/state/k"),
+        ("run-qib", dict(_RUN, state=_QUBITS, initial_channel="zeros"), "/initial_channel"),
+        ("run-qib", dict(_RUN, state=_QUBITS, seed=True), "/seed"),
+    ],
+)
+def test_malformed_config_names_the_key(tmp_path, capsys, command, config, pointer):
+    path = _write_json(tmp_path / "bad.json", config)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {pointer}:")
+
+
+def _inline_state_config():
+    state = ser.state_to_obj(random_cq_state(3, size_x=2, dim_y=2, tag="inline"))
+    return dict(_RUN, state=state)
+
+
+@pytest.mark.parametrize(
+    "where, pointer",
+    [
+        ("px", "state/px/1"),
+        ("matrix-key", "state/rhoY/0/extra"),
+        ("state-key", "state/extra"),
+        ("channel-key", "channel/sigmaT/1/extra"),
+    ],
+)
+def test_malformed_inline_source_names_the_entry(tmp_path, capsys, where, pointer):
+    # An inline state used to fail as a whole, printing every matrix.
+    config = _inline_state_config()
+    if where == "px":
+        config["state"]["px"][1] = "a"
+    elif where == "matrix-key":
+        config["state"]["rhoY"][0]["extra"] = 1
+    elif where == "state-key":
+        config["state"]["extra"] = 1
+    else:
+        chan = random_channel_for(random_cq_state(3, size_x=2, dim_y=2, tag="inline"), 2, 0)
+        config["initial_channel"] = ser.channel_to_obj(chan)
+        config["initial_channel"]["sigmaT"][1]["extra"] = 1
+    path = _write_json(tmp_path / "bad.json", config)
+    assert cli.main(["run-qib", "--config", path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"error: {pointer}:") and len(lines[0]) < 200
+
+
+def test_state_file_rejects_unknown_keys(tmp_path, capsys):
+    obj = ser.state_to_obj(random_cq_state(4, size_x=2, dim_y=2, tag="closed"))
+    obj["rhoY"][1]["extra"] = 0
+    spath = _write_json(tmp_path / "state.json", obj)
+    assert cli.main(["validate", spath]) == 1
+    assert capsys.readouterr().err.startswith("error: state/rhoY/1/extra: unknown key")
+    config = _write_json(tmp_path / "run.json", dict(_RUN, state={"path": spath}))
+    assert cli.main(["run-qib", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("error: state/rhoY/1/extra: unknown key")
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, qib.cli; print('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -45,6 +45,36 @@ def test_schema_errors_carry_json_pointers():
         cfg.validate_config(_minimal_run_qib(bogus=1), cfg.RUN_QIB_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "extra, pointer",
+    [
+        ({"alpha": True}, "/alpha"),
+        ({"dimT": True}, "/dimT"),
+        ({"dimT": 2.0}, "/dimT"),
+        ({"classical": 1}, "/classical"),
+        ({"state": {"generator": "copy-state", "d": 1}}, "/state/d"),
+        ({"state": {"generator": "copy-state", "d": 3, "sizeX": 2}}, "/state/sizeX"),
+        ({"state": {"generator": "copy-state"}}, "/state"),
+        ({"state": "state.json"}, "/state"),
+        ({"initial_channel": {"path": ""}}, "/initial_channel/path"),
+        ({"initial_channel": None}, "/initial_channel"),
+    ],
+)
+def test_rules_name_the_offending_key(extra, pointer):
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate_config(_minimal_run_qib(**extra), cfg.RUN_QIB_SCHEMA)
+    assert exc.value.pointer == pointer
+
+
+def test_inline_sources_pass_validation_and_fail_at_resolve():
+    # Inline states and channels are checked once, by serialization.
+    bad = ser.state_to_obj(random_cq_state(0, tag="cfg"))
+    bad["px"][0] = "a"
+    cfg.validate_config(_minimal_run_qib(state=bad), cfg.RUN_QIB_SCHEMA)
+    with pytest.raises(InvariantError, match="state/px/0"):
+        cfg.resolve_state(bad, seed=0)
+
+
 def test_qdib_schema_has_no_step_knobs():
     qdib_obj = {
         "beta": 5.0,

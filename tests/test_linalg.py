@@ -111,6 +111,20 @@ def test_check_density_rejects_bad_matrices():
         poisoned[1, 1] = bad
         with pytest.raises(InvariantError, match="not Hermitian"):
             linalg.check_density(poisoned)
+    # A stack names its first failing matrix, with the same checks in order.
+    stack = np.stack([good] * 4)
+    linalg.check_density(stack, label="s")
+    for bad, message in (
+        (skew, "not Hermitian"),
+        (2.0 * good, "trace"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (poisoned, "not Hermitian"),
+    ):
+        broken = stack.copy()
+        broken[2] = bad
+        broken[3] = 2.0 * good
+        with pytest.raises(InvariantError, match=rf"^s\[2\]: {message}"):
+            linalg.check_density(broken, label="s")
 
 
 def test_random_unitary_is_unitary_and_seeded():

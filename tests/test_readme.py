@@ -15,6 +15,7 @@ def test_readme_library_example_runs(capsys):
     namespace = {"__name__": "readme"}
     exec(compile(block.group(1), str(README), "exec"), namespace)
     trace = namespace["trace"]
+    assert trace.status == "converged"
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"{trace.status} {trace.final_f}"
     assert len(lines) == 1 + len(trace.records)
