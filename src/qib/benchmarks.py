@@ -21,8 +21,9 @@ from .exceptions import InvariantError
 from .model import CQChannel, CQState
 
 BRUTE_FORCE_LIMIT = 10**7
-# Maps scored per batched call in brute_force_classical_opt.
-BRUTE_FORCE_BLOCK = 1 << 14
+# Complex matrix entries of the (T, Y) blocks that one batched call of
+# brute_force_classical_opt holds: dim_t * dimY^2 per map scored.
+BRUTE_FORCE_BLOCK = 1 << 19
 
 
 def quantum_bound(n: int, beta: float) -> float:
@@ -123,8 +124,8 @@ def brute_force_classical_opt(
 ) -> tuple[float, tuple[int, ...]]:
     """Exact minimum of the objective over deterministic maps X -> T.
 
-    Enumerates all dim_t^{sizeX} assignments in lexicographic blocks of
-    ``BRUTE_FORCE_BLOCK`` (point-mass channels have H(T|X) = 0, so alpha
+    Enumerates all dim_t^{sizeX} assignments in lexicographic blocks that
+    fit ``BRUTE_FORCE_BLOCK`` (point-mass channels have H(T|X) = 0, so alpha
     only matters through the reported value, not the argmin).  Ties break
     toward the lexicographically first map.  Raises when the enumeration
     exceeds 10^7 assignments; sample random maps or use the iterative
@@ -141,10 +142,11 @@ def brute_force_classical_opt(
         )
     # Row i of a block is the base-dim_t digits of map index start + i.
     place = dim_t ** np.arange(nx - 1, -1, -1)
+    block = max(1, BRUTE_FORCE_BLOCK // (dim_t * state.dim_y**2))
     best_f = np.inf
     best_map: tuple[int, ...] = ()
-    for start in range(0, total, BRUTE_FORCE_BLOCK):
-        index = np.arange(start, min(start + BRUTE_FORCE_BLOCK, total))
+    for start in range(0, total, block):
+        index = np.arange(start, min(start + block, total))
         maps = index[:, None] // place % dim_t
         h_t, i_ty = assignment_terms(state, maps, dim_t)
         f = h_t - beta * i_ty

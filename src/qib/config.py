@@ -197,7 +197,7 @@ def resolve_initial_channel(
     if isinstance(spec, dict) and "path" in spec:
         channel = serialization.load_channel(spec["path"])
     else:
-        channel = serialization.obj_to_channel(spec)
+        channel = serialization.obj_to_channel(spec, "initial_channel")
     if channel.dim_t != dim_t:
         raise InvariantError(
             f"initial channel dimT {channel.dim_t} does not match config dimT {dim_t}"

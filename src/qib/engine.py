@@ -16,6 +16,8 @@ stays below gamma.
 
 Internals are batched over x: conditionals are stacked (sizeX, dimT, dimT)
 arrays, and each iteration costs a handful of stacked eigendecompositions.
+A classical channel iterates as its (sizeX, dimT) table instead, where only
+the dimY x dimY blocks of the joint are decomposed.
 """
 
 from __future__ import annotations
@@ -77,89 +79,94 @@ class _StateCtx:
     def __init__(self, state: CQState):
         self.px = state.px
         self.rhos = state.rho_y_given_x
-        self.dim_y = state.dim_y
         wy, _, self.log_rho_y = linalg.floored_log(model.rho_y(state))
         self.h_y = linalg.entropy(wy)
 
 
 class _Analysis:
-    """Everything the loop needs about one channel iterate."""
+    """Everything the loop needs about one channel iterate: a dense stack, or
+    the (sizeX, dimT) table q[x, t] of a classical channel, in which form
+    ``log_mats`` and ``f_family`` come too."""
 
     __slots__ = (
-        "mats", "evals", "log_mats", "h_each", "h_t_given_x", "sigma_t",
-        "sigma_t_evals", "log_sigma_t", "h_t", "i_tx", "i_ty", "f_alpha",
-        "f_family",
+        "mats", "log_mats", "h_each", "h_t_given_x", "sigma_t_evals", "log_sigma_t",
+        "h_t", "i_tx", "i_ty", "f_alpha", "f_family",
     )
 
     def __init__(self, ctx: _StateCtx, mats: np.ndarray, alpha: float, beta: float):
         px, rhos = ctx.px, ctx.rhos
-        dt = mats.shape[-1]
-        dy = ctx.dim_y
-
+        table = mats.ndim == 2
         self.mats = mats
-        self.evals, _, self.log_mats = linalg.floored_log(mats)
-        self.h_each = linalg.entropy(self.evals)
+        if table:
+            # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
+            evals, self.log_mats = mats, linalg.log_floor(mats)
+            self.sigma_t_evals = px @ mats
+            self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
+            joint = np.einsum("x,xt,xij->tij", px, mats, rhos, optimize=True)
+        else:
+            dt, dy = mats.shape[-1], rhos.shape[-1]
+            evals, _, self.log_mats = linalg.floored_log(mats)
+            sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
+            self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(sigma_t)
+            joint4 = np.einsum("x,xik,xjl->ijkl", px, mats, rhos, optimize=True)
+            joint = joint4.reshape(dt * dy, dt * dy)
+        wj, _, log_joint = linalg.floored_log(linalg.hermitize(joint))
+        self.h_each = linalg.entropy(evals)
         self.h_t_given_x = float(px @ self.h_each)
-
-        self.sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
-        self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(self.sigma_t)
         self.h_t = linalg.entropy(self.sigma_t_evals)
 
-        joint4 = np.einsum("x,xik,xjl->ijkl", px, mats, rhos, optimize=True)
-        joint = linalg.hermitize(joint4.reshape(dt * dy, dt * dy))
-        wj, _, log_joint = linalg.floored_log(joint)
-        h_joint = linalg.entropy(wj)
-
         self.i_tx = self.h_t - self.h_t_given_x
-        self.i_ty = self.h_t + ctx.h_y - h_joint
+        self.i_ty = self.h_t + ctx.h_y - linalg.entropy(wj.ravel())
         self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
 
-        # log(sigma_T (x) rho_Y) assembled additively so the product-state
-        # cancellation against log_joint is exact in float arithmetic.
-        log_prod = np.kron(self.log_sigma_t, np.eye(dy)) + np.kron(
-            np.eye(dt), ctx.log_rho_y
-        )
-        b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
-        beta_term = np.einsum("ijkl,xlj->xik", b4, rhos, optimize=True)
-        fam = -self.log_sigma_t[None, :, :] + alpha * self.log_mats + beta * beta_term
-        self.f_family = linalg.hermitize(fam)
+        if table:
+            # Tr rho_x (log s_t I + log rho_Y - log J_t)
+            beta_term = self.log_sigma_t + np.einsum(
+                "xij,tji->xt", rhos, ctx.log_rho_y - log_joint, optimize=True
+            ).real
+        else:
+            # log(sigma_T (x) rho_Y) assembled additively so the product-state
+            # cancellation against log_joint is exact in float arithmetic.
+            log_prod = np.kron(self.log_sigma_t, np.eye(dy)) + np.kron(
+                np.eye(dt), ctx.log_rho_y
+            )
+            b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
+            beta_term = np.einsum("ijkl,xlj->xik", b4, rhos, optimize=True)
+        fam = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
+        self.f_family = fam if table else linalg.hermitize(fam)
 
 
-def _advance(analysis: _Analysis, gamma: float, classical: bool) -> np.ndarray:
-    """One multiplicative update from a fully analyzed iterate."""
+def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr[a_x b_x] for each x, of two stacks or two tables."""
+    if a.ndim == 2:
+        return np.sum(a * b, axis=1)
+    return np.einsum("xij,xji->x", a, b, optimize=True).real
+
+
+def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
+    """One multiplicative update from a fully analyzed iterate; on a table it
+    is a row softmax, the soft-clustering update."""
     expon = analysis.log_mats - analysis.f_family / gamma
     if not np.all(np.isfinite(expon)):
-        bad = int(np.argwhere(~np.isfinite(expon).all(axis=(1, 2)))[0, 0])
-        raise NumericalError(f"update exponent is not finite at x={bad}")
+        finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
+        raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")
+    if expon.ndim == 2:
+        shifted = np.exp(expon - expon.max(axis=1)[:, None])
+        return shifted / shifted.sum(axis=1)[:, None]
     we, ve = np.linalg.eigh(linalg.hermitize(expon))
     shifted = np.exp(we - we[:, -1][:, None])
     new = np.einsum("xij,xj,xkj->xik", ve, shifted, np.conj(ve), optimize=True)
     new /= shifted.sum(axis=1)[:, None, None]
-    if classical:
-        new = _rediagonalize(new)
     return linalg.hermitize(new)
-
-
-def _rediagonalize(mats: np.ndarray) -> np.ndarray:
-    """Keep only the clipped, renormalized diagonals: the classical restriction."""
-    diag = np.clip(np.einsum("xii->xi", mats).real, 0.0, None)
-    diag /= diag.sum(axis=1)[:, None]
-    return linalg.diag_embed(diag)
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
     """sum_x P(x) D(cur_x || other_x) using the floored log of ``other``."""
-    cross = np.einsum("xij,xji->x", cur.mats, other.log_mats, optimize=True).real
-    return float(px @ (-cur.h_each - cross))
+    return float(px @ (-cur.h_each - _tr(cur.mats, other.log_mats)))
 
 
 def _ratio_or_nan(px: np.ndarray, new: _Analysis, old: _Analysis) -> float:
-    num = float(
-        px
-        @ np.einsum(
-            "xij,xji->x", new.mats, new.f_family - old.f_family, optimize=True
-        ).real
-    )
+    num = float(px @ _tr(new.mats, new.f_family - old.f_family))
     den = _avg_divergence(px, new, old)
     if den <= RATIO_DENOM_TOL:
         return float("nan")
@@ -167,18 +174,27 @@ def _ratio_or_nan(px: np.ndarray, new: _Analysis, old: _Analysis) -> float:
 
 
 def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm)."""
+    if a.ndim == 2:
+        return float(px @ np.sum(np.abs(b - a), axis=1))
     w = np.linalg.eigvalsh(linalg.hermitize(b - a))
     return float(px @ np.sum(np.abs(w), axis=-1))
+
+
+def _form(channel: CQChannel, table: bool) -> np.ndarray:
+    return channel.table() if table else channel.sigma_t_given_x
 
 
 def _analyses(
     state: CQState, alpha: float, beta: float, *channels: CQChannel
 ) -> tuple[_StateCtx, list[_Analysis]]:
-    """One source context and an analysis of each channel against it."""
+    """One source context and an analysis of each channel against it, on
+    tables when every channel is classical."""
     for channel in channels:
         model._check_pair(state, channel)
     ctx = _StateCtx(state)
-    return ctx, [_Analysis(ctx, c.sigma_t_given_x, alpha, beta) for c in channels]
+    table = all(c.classical for c in channels)
+    return ctx, [_Analysis(ctx, _form(c, table), alpha, beta) for c in channels]
 
 
 def f_operator(
@@ -190,7 +206,8 @@ def f_operator(
     exactly; that identity is the backbone correctness check.
     """
     _, (analysis,) = _analyses(state, alpha, beta, channel)
-    return analysis.f_family
+    fam = analysis.f_family
+    return linalg.diag_embed(fam) if fam.ndim == 2 else fam
 
 
 def update(
@@ -200,7 +217,7 @@ def update(
     if not (gamma > 0):
         raise InvariantError(f"gamma must be > 0, got {gamma}")
     _, (analysis,) = _analyses(state, alpha, beta, channel)
-    return CQChannel(_advance(analysis, gamma, channel.classical), channel.classical)
+    return CQChannel(_advance(analysis, gamma), channel.classical)
 
 
 def gamma_ratio(
@@ -242,11 +259,7 @@ def j_function(
     first argument by one update step from the second.
     """
     ctx, (a, b) = _analyses(state, alpha, beta, channel, channel2)
-    div = _avg_divergence(ctx.px, a, b)
-    cross = float(
-        ctx.px @ np.einsum("xij,xji->x", a.mats, b.f_family, optimize=True).real
-    )
-    return gamma * div + cross
+    return gamma * _avg_divergence(ctx.px, a, b) + float(ctx.px @ _tr(a.mats, b.f_family))
 
 
 def fixed_point_residual(
@@ -254,7 +267,8 @@ def fixed_point_residual(
 ) -> float:
     """Average trace-norm displacement of one update step."""
     nxt = update(state, channel, gamma, alpha, beta)
-    return _residual(state.px, channel.sigma_t_given_x, nxt.sigma_t_given_x)
+    table = channel.classical
+    return _residual(state.px, _form(channel, table), _form(nxt, table))
 
 
 def random_channel(
@@ -296,7 +310,7 @@ def run_qib(
         )
     return _iterate(
         state, config, initial, "run-qib",
-        lambda cur: _advance(cur, gamma, config.classical), deterministic=False,
+        lambda cur: _advance(cur, gamma), deterministic=False,
     )
 
 
@@ -309,9 +323,10 @@ def _iterate(
     deterministic: bool,
 ) -> tuple[CQChannel, IterationTrace]:
     """The loop both runners share; ``step`` maps an analyzed iterate to the
-    next conditional stack.  A missing ``initial`` is drawn from the seed
-    under ``init_label``.  ``deterministic`` rows carry support_T and a nan
-    step-size ratio, since gamma has no role in the projector step."""
+    next conditional stack, or table on a classical run.  A missing
+    ``initial`` is drawn from the seed under ``init_label``.
+    ``deterministic`` rows carry support_T and a nan step-size ratio, since
+    gamma has no role in the projector step."""
     if initial is None:
         initial = random_channel(
             config.dim_t,
@@ -326,7 +341,7 @@ def _iterate(
 
     alpha, beta = config.alpha, config.beta
     ctx = _StateCtx(state)
-    cur = _Analysis(ctx, initial.sigma_t_given_x, alpha, beta)
+    cur = _Analysis(ctx, _form(initial, config.classical), alpha, beta)
     trace = IterationTrace()
     converged = False
     for n in range(1, config.max_iters + 1):

@@ -66,13 +66,17 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def log_floor(w: np.ndarray) -> np.ndarray:
+    """log(max(w, LOG_FLOOR)) elementwise, the one place the floor is applied:
+    null directions of a singular density get log(LOG_FLOOR), not -inf."""
+    return np.log(np.maximum(w, LOG_FLOOR))
+
+
 def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystem ``(w, v)`` of a Hermitian matrix (stacked OK) and its log
-    ``V log(max(w, LOG_FLOOR)) V^H``, the one place the floor is applied:
-    null directions of a singular density get log(LOG_FLOOR), not -inf."""
+    ``V log_floor(w) V^H``."""
     w, v = eig_hermitian(h)
-    log_w = np.log(np.maximum(w, LOG_FLOOR))
-    return w, v, np.einsum("...ij,...j,...kj->...ik", v, log_w, np.conj(v), optimize=True)
+    return w, v, np.einsum("...ij,...j,...kj->...ik", v, log_floor(w), np.conj(v), optimize=True)
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
@@ -94,7 +98,9 @@ def check_density(m: np.ndarray, label: str = "matrix") -> None:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvariantError(f"{label}: expected a square matrix, got shape {m.shape}")
     flat = m.reshape((-1,) + m.shape[-2:])
-    res = np.max(np.abs(flat - np.conj(np.swapaxes(flat, -1, -2))), axis=(1, 2), initial=0.0)
+    # inf - inf on an infinite diagonal entry is a NaN residual, not a warning.
+    with np.errstate(invalid="ignore"):
+        res = np.max(np.abs(flat - np.conj(np.swapaxes(flat, -1, -2))), axis=(1, 2), initial=0.0)
     tr = np.trace(flat, axis1=1, axis2=2)
     # Every comparison is phrased so that a NaN residual fails it.
     ok = (res <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)

@@ -83,9 +83,10 @@ class CQState:
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
-    ``sigma_t_given_x`` has shape (sizeX, dimT, dimT).  With ``classical``
-    set, every conditional must be diagonal in the computational basis
-    (off-diagonal magnitude below 1e-12); updates preserve the flag.
+    ``sigma_t_given_x`` has shape (sizeX, dimT, dimT); a (sizeX, dimT) table
+    is taken as the diagonals.  With ``classical`` set, every conditional
+    must be diagonal within 1e-12, and the solvers iterate its ``table()``;
+    updates preserve the flag.
     """
 
     sigma_t_given_x: np.ndarray
@@ -93,6 +94,8 @@ class CQChannel:
 
     def __post_init__(self):
         sig = np.asarray(self.sigma_t_given_x, dtype=np.complex128)
+        if sig.ndim == 2:
+            sig = linalg.diag_embed(sig)
         if sig.ndim != 3 or sig.shape[1] != sig.shape[2]:
             raise InvariantError(
                 f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}"
@@ -107,25 +110,19 @@ class CQChannel:
     def dim_t(self) -> int:
         return self.sigma_t_given_x.shape[1]
 
+    def table(self) -> np.ndarray:
+        """The (sizeX, dimT) table q[x, t] of the conditionals' diagonals."""
+        return np.diagonal(self.sigma_t_given_x, axis1=1, axis2=2).real
+
     def validate(self) -> None:
         linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")
         if self.classical:
-            off = offdiagonal_magnitude(self.sigma_t_given_x)
+            off = np.abs(self.sigma_t_given_x - linalg.diag_embed(self.table())).max(initial=0.0)
             if off > CLASSICAL_OFFDIAG_TOL:
                 raise InvariantError(
                     f"classical channel has off-diagonal magnitude {off:.3e} "
                     f"above {CLASSICAL_OFFDIAG_TOL:.1e}"
                 )
-
-
-def offdiagonal_magnitude(mats: np.ndarray) -> float:
-    """Largest absolute off-diagonal entry across a stack of matrices."""
-    mats = np.asarray(mats)
-    d = mats.shape[-1]
-    mask = ~np.eye(d, dtype=bool)
-    if mats.size == 0:
-        return 0.0
-    return float(np.max(np.abs(mats[..., mask]))) if d > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,4 @@ def maximally_mixed_channel(dim_t: int, size_x: int, classical: bool = False) ->
     """Channel sending every x to I/dimT (a fixed point on product sources)."""
     if dim_t < 1 or size_x < 1:
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
-    mats = np.broadcast_to(
-        np.eye(dim_t, dtype=np.complex128) / dim_t, (size_x, dim_t, dim_t)
-    )
-    return CQChannel(mats.copy(), classical=classical)
+    return CQChannel(np.full((size_x, dim_t), 1.0 / dim_t), classical=classical)

@@ -54,8 +54,8 @@ def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
     but puts P/rank(P) at such x instead (see ``_projected_step``); the bare
     op refuses to choose.
     """
-    fam = engine.f_operator(state, channel, alpha=0.0, beta=beta)
-    out, vanished = _projected_step(fam, channel.sigma_t_given_x, channel.classical)
+    _, (analysis,) = engine._analyses(state, 0.0, beta, channel)
+    out, vanished = _projected_step(analysis.f_family, analysis.mats)
     if vanished:
         raise NumericalError(
             f"deterministic update undefined at x={vanished[0]}: projector overlap "
@@ -65,27 +65,31 @@ def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
     return CQChannel(out, channel.classical)
 
 
-def _projected_step(
-    fam: np.ndarray, mats: np.ndarray, classical: bool
-) -> tuple[np.ndarray, list[int]]:
+def _projected_step(fam: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Compress each conditional onto the minimal eigenspace P(x) of F_0(x)
-    and renormalize by the overlap Tr[sigma_{T|x} P(x)].
+    and renormalize by the overlap Tr[sigma_{T|x} P(x)].  On a table q[x, t]
+    P(x) is the indicator of the row's tied minima of F_0, and the step is
+    the hard assignment of the deterministic IB.
 
     Where that overlap is 1e-14 or less the new conditional is P/rank(P),
     the exact alpha -> 0 limit of the gamma = alpha update, which descends
     with no overlap condition.  Returns the new stack and those x in order;
     the runner keeps the fallback, ``qdib_update`` raises on it.
     """
-    proj = min_eigenspace_projector(fam)
-    out = proj @ mats @ proj
-    overlap = np.trace(out, axis1=1, axis2=2).real
+    if fam.ndim == 2:
+        lo, hi = fam.min(axis=1)[:, None], fam.max(axis=1)[:, None]
+        proj = (fam <= lo + PROJECTOR_REL_TOL * (hi - lo)).astype(np.float64)
+        out = proj * mats
+        overlap, rank = out.sum(axis=1), proj.sum(axis=1)
+    else:
+        proj = min_eigenspace_projector(fam)
+        out = proj @ mats @ proj
+        overlap = np.trace(out, axis1=1, axis2=2).real
+        rank = np.trace(proj, axis1=1, axis2=2).real
     gone = overlap <= OVERLAP_TOL
     out[gone] = proj[gone]
-    out /= np.where(gone, np.trace(proj, axis1=1, axis2=2).real, overlap)[:, None, None]
-    out = linalg.hermitize(out)
-    if classical:
-        out = engine._rediagonalize(out)
-    return out, np.flatnonzero(gone).tolist()
+    out /= np.where(gone, rank, overlap).reshape((-1,) + (1,) * (out.ndim - 1))
+    return (out if out.ndim == 2 else linalg.hermitize(out)), np.flatnonzero(gone).tolist()
 
 
 def run_qdib(
@@ -107,6 +111,6 @@ def run_qdib(
         )
     return engine._iterate(
         state, config, initial, "run-qdib",
-        lambda cur: _projected_step(cur.f_family, cur.mats, config.classical)[0],
+        lambda cur: _projected_step(cur.f_family, cur.mats)[0],
         deterministic=True,
     )

@@ -154,13 +154,13 @@ def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
     }
 
 
-def obj_to_channel(obj: Any) -> CQChannel:
-    _check_keys(obj, ("dimT", "classical", "sigmaT"), "channel")
-    dim_t = _positive_int(obj["dimT"], "channel/dimT")
+def obj_to_channel(obj: Any, where: str = "channel") -> CQChannel:
+    _check_keys(obj, ("dimT", "classical", "sigmaT"), where)
+    dim_t = _positive_int(obj["dimT"], f"{where}/dimT")
     classical = obj["classical"]
     if not isinstance(classical, bool):
-        raise InvariantError(f"channel/classical: expected a boolean, got {classical!r}")
-    stack = _obj_to_stack(obj["sigmaT"], "channel/sigmaT", dim_t, "channel/dimT")
+        raise InvariantError(f"{where}/classical: expected a boolean, got {classical!r}")
+    stack = _obj_to_stack(obj["sigmaT"], f"{where}/sigmaT", dim_t, f"{where}/dimT")
     channel = CQChannel(stack, classical=classical)
     channel.validate()
     return channel

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qib import engine, qdib
+from qib import qdib
 from qib.exceptions import InvariantError, NumericalError
 from qib.linalg import LOG_FLOOR, eig_hermitian, hermitize, random_density
 from qib.model import CQChannel, CQState
@@ -29,6 +29,20 @@ def random_channel_for(state, dim_t, seed, classical=False, tag="chan"):
         [random_density(dim_t, gen, classical=classical) for _ in range(state.size_x)]
     )
     return CQChannel(mats, classical=classical)
+
+
+def sparse_table_instance(seed, classical_rho):
+    """Source and classical channel table with zeros in P_X and in q[x, t]
+    (every row keeps its largest entry) and dimT > dimY."""
+    gen = derive_rng(seed, "sparse-table")
+    size_x, dim_y = int(gen.integers(2, 6)), int(gen.integers(2, 4))
+    dim_t = dim_y + int(gen.integers(1, 3))
+    px = gen.dirichlet(np.ones(size_x))
+    px[gen.integers(size_x)] = 0.0
+    rhos = np.stack([random_density(dim_y, gen, classical=classical_rho) for _ in range(size_x)])
+    q = gen.dirichlet(np.ones(dim_t), size=size_x)
+    q[(gen.random(q.shape) < 0.3) & (q < q.max(axis=1)[:, None])] = 0.0
+    return CQState(px / px.sum(), rhos), q / q.sum(axis=1)[:, None]
 
 
 def random_hermitian(dim, gen, scale=1.0):
@@ -123,7 +137,7 @@ def partial_trace(m, dims, keep="first"):
     raise InvariantError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def projected_step_loop(fam, mats, classical):
+def projected_step_loop(fam, mats):
     """The deterministic step one x at a time: the reference for the stacked
     ``qdib._projected_step``, with the same P/rank(P) fallback."""
     out = np.empty_like(mats)
@@ -137,7 +151,4 @@ def projected_step_loop(fam, mats, classical):
             out[x] = proj / float(np.trace(proj).real)
         else:
             out[x] = comp / overlap
-    out = hermitize(out)
-    if classical:
-        out = engine._rediagonalize(out)
-    return out, vanished
+    return hermitize(out), vanished

@@ -140,15 +140,39 @@ def test_brute_force_beta_one_is_flat_at_zero():
 @pytest.mark.parametrize("block", [1, 2, None], ids=["block1", "block2", "default"])
 def test_brute_force_tie_break_is_lexicographic(block, monkeypatch):
     # Small blocks spread the tied optima over many blocks, so the strict
-    # comparison across blocks is what keeps the first one.
-    if block is not None:
-        monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", block)
-    _, assignment = brute_force_classical_opt(copy_state(3), 2, 1.0, 2.0)
-    assert assignment == (0, 0, 1)
-    found = brute_force_classical_opt(copy_state(4), 3, 1.0, 2.0)
+    # comparison across blocks is what keeps the first one.  A block of
+    # ``block`` maps on copy_state(d) with n outputs holds block * n * d^2
+    # matrix entries.
+    def search(d, n):
+        if block is not None:
+            monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", block * n * d**2)
+        return brute_force_classical_opt(copy_state(d), n, 1.0, 2.0)
+
+    assert search(3, 2)[1] == (0, 0, 1)
+    found = search(4, 3)
     monkeypatch.undo()
     assert found == brute_force_classical_opt(copy_state(4), 3, 1.0, 2.0)
     assert found[1] == (0, 0, 1, 2)
+
+
+@pytest.mark.parametrize("budget", [50, 1000, None])
+def test_brute_force_blocks_stay_within_budget(budget, monkeypatch):
+    # copy_state(6) with n = 3: 729 maps of 3 * 6^2 = 108 entries each.  A
+    # budget below one map still scores one map per block.
+    if budget is not None:
+        monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", budget)
+    budget, score, scored = benchmarks.BRUTE_FORCE_BLOCK, benchmarks.assignment_terms, []
+
+    def spy(state, maps, dim_t):
+        scored.append(maps)
+        return score(state, maps, dim_t)
+
+    monkeypatch.setattr(benchmarks, "assignment_terms", spy)
+    found = brute_force_classical_opt(copy_state(6), 3, 1.0, 2.0)
+    assert max(len(m) * 108 for m in scored) <= max(budget, 108)
+    assert np.array_equal(np.vstack(scored), np.array(list(np.ndindex(*[3] * 6))))
+    monkeypatch.undo()
+    assert found == brute_force_classical_opt(copy_state(6), 3, 1.0, 2.0)
 
 
 def test_brute_force_ignores_redundant_x2():

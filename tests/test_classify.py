@@ -4,7 +4,7 @@ ridge pieces, and the end-to-end pipeline at a reduced sample size."""
 import numpy as np
 import pytest
 
-from qib import model
+from qib import linalg, model
 from qib.exceptions import InvariantError
 from qib.experiments import classify
 from qib.experiments.classify import (
@@ -72,7 +72,8 @@ def test_empirical_state_hand_example():
     assert np.max(np.abs(state.px - np.array([2.0 / 3.0, 1.0 / 3.0]))) < 1e-15
     assert np.max(np.abs(state.rho_y_given_x[0] - np.diag([0.5, 0.5, 0.0]))) < 1e-15
     assert np.max(np.abs(state.rho_y_given_x[1] - np.diag([1.0, 0.0, 0.0]))) < 1e-15
-    assert model.offdiagonal_magnitude(state.rho_y_given_x) == 0.0
+    diags = np.diagonal(state.rho_y_given_x, axis1=1, axis2=2)
+    assert np.array_equal(state.rho_y_given_x, linalg.diag_embed(diags))
 
 
 def test_empirical_state_guards():

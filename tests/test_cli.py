@@ -435,7 +435,7 @@ def _inline_state_config():
         ("px", "state/px/1"),
         ("matrix-key", "state/rhoY/0/extra"),
         ("state-key", "state/extra"),
-        ("channel-key", "channel/sigmaT/1/extra"),
+        ("channel-key", "initial_channel/sigmaT/1/extra"),
     ],
 )
 def test_malformed_inline_source_names_the_entry(tmp_path, capsys, where, pointer):

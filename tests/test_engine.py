@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qib import engine, linalg, model
+from qib import engine, linalg, model, qdib
 from qib.exceptions import InvariantError, NumericalError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
-from helpers import matrix_exp, matrix_log_supported, random_cq_state, random_channel_for
+from helpers import (
+    matrix_exp,
+    matrix_log_supported,
+    random_channel_for,
+    random_cq_state,
+    sparse_table_instance,
+)
 
 
 @given(
@@ -83,6 +89,59 @@ def test_classical_update_matches_soft_clustering_formula(alpha):
     new = engine.update(state, chan, alpha, alpha, beta)
     got = np.einsum("xii->xi", new.sigma_t_given_x).real
     assert np.max(np.abs(got - ref)) < 1e-10
+
+
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.5, 2.0, 20.0]),
+)
+def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta):
+    # A diagonal channel has a diagonal F for any source, so the table
+    # analysis must reproduce the dense one on the diagonal embedding.
+    state, q = sparse_table_instance(seed, classical_rho)
+    table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
+    dense = engine.f_operator(state, CQChannel(q), alpha, beta)
+    assert np.max(np.abs(table - dense)) < 1e-10
+    ctx = engine._StateCtx(state)
+    a = engine._Analysis(ctx, q, alpha, beta)
+    b = engine._Analysis(ctx, linalg.diag_embed(q), alpha, beta)
+    for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
+        assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+
+
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([(1.0, None), (0.5, None), (1.0, 0.6), (0.0, None)]),
+    st.sampled_from([2.0, 20.0]),
+)
+def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
+    # The same table iterated as a classical channel and, densely, as a
+    # quantum channel started from its diagonal embedding; alpha = 0 takes
+    # the deterministic runner.
+    state, q = sparse_table_instance(seed, classical_rho)
+    (alpha, gamma), runs = step, []
+    runner = qdib.run_qdib if alpha == 0.0 else engine.run_qib
+    for classical in (True, False):
+        cfg = ObjectiveConfig(
+            alpha=alpha, beta=beta, gamma=gamma, dim_t=q.shape[1], classical=classical,
+            tol=1e-10, max_iters=8,
+        )
+        runs.append(runner(state, cfg, initial=CQChannel(q, classical=classical)))
+    (chan, trace), (dense_chan, dense_trace) = runs
+    assert (trace.status, trace.violations) == (dense_trace.status, dense_trace.violations)
+    assert len(trace) == len(dense_trace)
+    for a, b in zip(trace.records, dense_trace.records):
+        assert a.support_t == b.support_t
+        for name in ("f_alpha", "h_t", "i_tx", "i_ty", "step_divergence", "fixed_point_residual"):
+            assert abs(getattr(a, name) - getattr(b, name)) < 1e-10
+        if np.isnan(a.gamma_ratio) or np.isnan(b.gamma_ratio):
+            assert np.isnan(a.gamma_ratio) and np.isnan(b.gamma_ratio)
+        else:
+            assert abs(a.gamma_ratio - b.gamma_ratio) * b.step_divergence < 1e-10
+    assert np.max(np.abs(chan.sigma_t_given_x - dense_chan.sigma_t_given_x)) < 1e-10
 
 
 def test_gamma_ratio_constant_channels():
@@ -189,7 +248,7 @@ def test_run_qib_classical_keeps_iterates_diagonal():
     )
     chan, _ = engine.run_qib(state, cfg)
     assert chan.classical
-    assert model.offdiagonal_magnitude(chan.sigma_t_given_x) < 1e-12
+    chan.validate()  # includes the 1e-12 off-diagonal check
 
 
 def test_run_qib_rejects_zero_gamma_at_alpha_zero():

@@ -179,9 +179,3 @@ def test_objective_config_validation(kwargs, msg):
     with pytest.raises(InvariantError, match=msg):
         ObjectiveConfig(**kwargs).validate()
 
-
-def test_offdiagonal_magnitude():
-    mats = np.zeros((2, 3, 3), dtype=complex)
-    mats[1, 0, 2] = 0.25j
-    assert model.offdiagonal_magnitude(mats) == 0.25
-    assert model.offdiagonal_magnitude(np.zeros((2, 1, 1))) == 0.0

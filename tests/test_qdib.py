@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qib import engine, model, qdib
+from qib import engine, linalg, model, qdib
 from qib.exceptions import InvariantError, NumericalError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
@@ -16,6 +16,7 @@ from helpers import (
     random_channel_for,
     random_cq_state,
     random_hermitian,
+    sparse_table_instance,
 )
 
 
@@ -128,25 +129,51 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
     with pytest.raises(NumericalError, match=r"x=(\d+)") as err:
         qdib.qdib_update(state, chan, beta)
     named = int(re.search(r"x=(\d+)", str(err.value)).group(1))
-    analysis = engine._Analysis(engine._StateCtx(state), chan.sigma_t_given_x, 0.0, beta)
-    out, vanished = qdib._projected_step(analysis.f_family, analysis.mats, chan.classical)
+    _, (analysis,) = engine._analyses(state, 0.0, beta, chan)
+    out, vanished = qdib._projected_step(analysis.f_family, analysis.mats)
     assert named in vanished
+    fam, out = engine.f_operator(state, chan, 0.0, beta), linalg.diag_embed(out)
     for x in vanished:
-        proj = qdib.min_eigenspace_projector(analysis.f_family[x])
+        proj = qdib.min_eigenspace_projector(fam[x])
         assert np.max(np.abs(out[x] - proj / np.trace(proj).real)) < 1e-12
+
+
+def _dense(a):
+    return linalg.diag_embed(a) if a.ndim == 2 else a
 
 
 @given(st.integers(0, 10**6), st.booleans())
 def test_projected_step_equals_per_x_loop(seed, classical):
+    # A classical channel steps on its table; the loop runs on the dense
+    # embedding.  The flip instance covers the vanishing-overlap fallback.
     state = random_cq_state(seed, classical=classical, tag="proj-loop")
     chan = random_channel_for(state, 3, seed, classical=classical, tag="proj-loop")
-    # The flip instance covers the vanishing-overlap fallback.
-    for st_, ch, beta in ((state, chan, 5.0), _orthogonal_flip_instance()):
-        a = engine._Analysis(engine._StateCtx(st_), ch.sigma_t_given_x, 0.0, beta)
-        out, vanished = qdib._projected_step(a.f_family, a.mats, ch.classical)
-        ref, ref_vanished = projected_step_loop(a.f_family, a.mats, ch.classical)
+    flip_state, flip, flip_beta = _orthogonal_flip_instance()
+    flip = CQChannel(flip.sigma_t_given_x, classical)
+    for st_, ch, beta in ((state, chan, 5.0), (flip_state, flip, flip_beta)):
+        _, (a,) = engine._analyses(st_, 0.0, beta, ch)
+        assert (a.mats.ndim == 2) == classical
+        out, vanished = qdib._projected_step(a.f_family, a.mats)
+        ref, ref_vanished = projected_step_loop(_dense(a.f_family), _dense(a.mats))
         assert vanished == ref_vanished
-        assert np.max(np.abs(out - ref)) <= 1e-12
+        assert np.max(np.abs(_dense(out) - ref)) <= 1e-12
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([1.0, 5.0, 45.0]))
+def test_table_projected_step_matches_dense_loop(seed, classical_rho, beta):
+    # Zeros in q leave some rows with no mass on their tied minima (the
+    # P/rank(P) fallback); the second family puts t = 0 just inside each
+    # row's tie window.
+    state, q = sparse_table_instance(seed, classical_rho)
+    a = engine._Analysis(engine._StateCtx(state), q, 0.0, beta)
+    near = a.f_family.copy()
+    rest = near[:, 1:]
+    near[:, 0] = rest.min(axis=1) + 1e-12 * (rest.max(axis=1) - rest.min(axis=1))
+    for fam in (a.f_family, near):
+        out, vanished = qdib._projected_step(fam, a.mats)
+        ref, ref_vanished = projected_step_loop(linalg.diag_embed(fam), linalg.diag_embed(q))
+        assert vanished == ref_vanished
+        assert np.max(np.abs(linalg.diag_embed(out) - ref)) <= 1e-12
 
 
 def test_run_qdib_survives_vanishing_overlap_without_ascent():
@@ -199,7 +226,7 @@ def test_run_qdib_classical_iterates_stay_diagonal():
     )
     chan, _ = qdib.run_qdib(state, cfg)
     assert chan.classical
-    assert model.offdiagonal_magnitude(chan.sigma_t_given_x) < 1e-12
+    chan.validate()  # includes the 1e-12 off-diagonal check
     # deterministic assignments: each conditional is a point mass
     diags = np.einsum("xii->xi", chan.sigma_t_given_x).real
     assert np.max(np.abs(np.sort(diags, axis=1)[:, -1] - 1.0)) < 1e-9
