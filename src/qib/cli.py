@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
-from .exceptions import InvariantError, NumericalError
+from .exceptions import ConfigError, InvariantError, NumericalError
 from .experiments.classify import classify_pipeline
 from .experiments.suffstats import suffstats_pipeline
 from .experiments.sweeps import beta_sweep, gamma_sweep
@@ -182,21 +182,19 @@ def _cmd_suffstats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     obj = serialization.load_json(args.file)
     if isinstance(obj, dict) and "rhoY" in obj:
-        state = serialization.obj_to_state(obj)
+        state = serialization.obj_to_state(obj, f"{args.file}#")
         sys.stdout.write(
             f"ok: state with sizeX={state.size_x}, dimY={state.dim_y}\n"
         )
         return 0
     if isinstance(obj, dict) and "sigmaT" in obj:
-        channel = serialization.obj_to_channel(obj)
+        channel = serialization.obj_to_channel(obj, f"{args.file}#")
         kind = "classical" if channel.classical else "quantum"
         sys.stdout.write(
             f"ok: {kind} channel with sizeX={channel.size_x}, dimT={channel.dim_t}\n"
         )
         return 0
-    raise InvariantError(
-        f"{args.file}: neither a state file (rhoY) nor a channel file (sigmaT)"
-    )
+    raise ConfigError(f"{args.file}#", "neither a state file (rhoY) nor a channel file (sigmaT)")
 
 
 def build_parser() -> argparse.ArgumentParser:

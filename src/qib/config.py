@@ -1,68 +1,36 @@
 """Config key rules and resolution.
 
 Each subcommand's config is checked against a table that gives every key a
-rule: a description and a predicate, such as "an integer >= 1" or "a number
-> 0".  ``validate_config`` rejects unknown keys, missing keys and bad values
-with the JSON pointer of the offending key.  Integers exclude booleans and
-integral floats such as 2.0; numbers exclude booleans.
+rule from ``serialization``'s kit, such as "an integer >= 1" or "a finite
+number > 0".  ``validate_config`` rejects unknown keys, missing keys and bad
+values with the JSON pointer of the offending key.  Seeds are integers of
+any size.
 
 The ``state`` key takes a ``{"path": ...}`` object, a generator spec (whose
 keys go through the same rules) or an inline source; ``initial_channel``
 takes "random", "maximally-mixed", a path object or an inline channel.
-Inline sources and channels are checked by ``serialization.obj_to_state`` /
-``obj_to_channel`` at resolve time, as state and channel files are.
+Inline sources and channels are checked at resolve time by the file readers,
+with their config pointer (``/state/rhoY/0/extra``) instead of ``<path>#``.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable
 from typing import Any
 
 from . import serialization
 from .exceptions import ConfigError, InvariantError
+from .serialization import (
+    _BOOLEAN, _COUNT, Rule, Schema, _check_object, _integer, _nonempty_list, _number, _rule,
+)
 from .experiments.ensembles import SuffStatsSpec, gen_random_qubit_ensemble, gen_suffstats_ensemble
 from .benchmarks import copy_state
 from .model import CQChannel, CQState, ObjectiveConfig, maximally_mixed_channel
 from .rng import derive_seed
 
-# A rule checks one value and raises ConfigError with the value's pointer.
-Rule = Callable[[Any, str], None]
-# The keys an object must have, and the rule of every key it may have.
-Schema = tuple[tuple[str, ...], dict[str, Rule]]
-
-
-def _rule(description: str, ok: Callable[[Any], bool]) -> Rule:
-    def check(value: Any, pointer: str) -> None:
-        if not ok(value):
-            raise ConfigError(pointer, f"expected {description}, got {reprlib.repr(value)}")
-
-    return check
-
-
-def _integer(minimum: int) -> Rule:
-    return _rule(f"an integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
-
-
-def _number(description: str, ok: Callable[[Any], bool]) -> Rule:
-    return _rule(description, lambda v: type(v) is not bool and isinstance(v, (int, float)) and ok(v))
-
-
-def _nonempty_list(item: Rule) -> Rule:
-    def check(value: Any, pointer: str) -> None:
-        if not isinstance(value, list) or not value:
-            raise ConfigError(pointer, f"expected a nonempty list, got {reprlib.repr(value)}")
-        for i, v in enumerate(value):
-            item(v, f"{pointer}/{i}")
-
-    return check
-
-
-_COUNT = _integer(1)
-_NONNEGATIVE = _number("a number >= 0", lambda v: v >= 0)
-_POSITIVE = _number("a number > 0", lambda v: v > 0)
+_NONNEGATIVE = _number("a finite number >= 0", lambda v: v >= 0)
+_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
 _SEED = _rule("an integer", lambda v: type(v) is int)
-_BOOLEAN = _rule("a boolean", lambda v: type(v) is bool)
 _PATH: Schema = (("path",), {"path": _rule("a nonempty string", lambda v: type(v) is str and v != "")})
 
 _GENERATORS: dict[str, Schema] = {
@@ -73,20 +41,6 @@ _GENERATORS: dict[str, Schema] = {
 _GENERATOR = _rule(
     "one of " + ", ".join(map(repr, _GENERATORS)), lambda v: type(v) is str and v in _GENERATORS
 )
-
-
-def _check_object(obj: Any, required: tuple[str, ...], rules: dict[str, Rule], pointer: str) -> None:
-    """``obj`` must be an object that has every key of ``required``, no key
-    without a rule, and values that pass their key's rule."""
-    if not isinstance(obj, dict):
-        raise ConfigError(pointer, f"expected an object, got {type(obj).__name__}")
-    for key, value in obj.items():
-        if key not in rules:
-            raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
-        rules[key](value, f"{pointer}/{key}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ConfigError(pointer, f"missing required keys {missing}")
 
 
 def _check_state(spec: Any, pointer: str) -> None:
@@ -148,7 +102,7 @@ CLASSIFY_SCHEMA: Schema = (
         **{k: _RUN_RULES[k] for k in ("alpha", "beta", "gamma", "dimT", "tol", "max_iters", "seed")},
         "ridge": _POSITIVE,
         "n_samples": _integer(10),
-        "train_fraction": _number("a number in (0, 1)", lambda v: 0 < v < 1),
+        "train_fraction": _number("a finite number in (0, 1)", lambda v: 0 < v < 1),
     },
 )
 SUFFSTATS_SCHEMA: Schema = (
@@ -167,48 +121,39 @@ def validate_config(obj: Any, schema: Schema) -> None:
 
 
 def resolve_state(spec: Any, seed: int) -> CQState:
-    """Materialize the ``state`` config key; generators derive from ``seed``."""
-    if isinstance(spec, dict) and "path" in spec:
+    """Materialize the ``state`` config key; generators derive from ``seed``.
+    Every resolved state is validated once: by its reader, or here."""
+    if not isinstance(spec, dict):
+        raise InvariantError(f"state spec must be an object, got {type(spec).__name__}")
+    if "path" in spec:
         return serialization.load_state(spec["path"])
-    if isinstance(spec, dict) and "generator" in spec:
-        kind = spec["generator"]
-        if kind == "random-qubit-ensemble":
-            return gen_random_qubit_ensemble(
-                spec["sizeX"], seed=derive_seed(seed, "state-gen")
-            )
-        if kind == "copy-state":
-            return copy_state(spec["d"], spec.get("k", 1))
-        if kind == "suffstats-ensemble":
-            return gen_suffstats_ensemble(suffstats_spec(spec, seed, "state-gen")).state
+    if "generator" not in spec:
+        return serialization.obj_to_state(spec, "/state")
+    kind = spec["generator"]
+    if kind == "random-qubit-ensemble":
+        state = gen_random_qubit_ensemble(spec["sizeX"], seed=derive_seed(seed, "state-gen"))
+    elif kind == "copy-state":
+        state = copy_state(spec["d"], spec.get("k", 1))
+    elif kind == "suffstats-ensemble":
+        state = gen_suffstats_ensemble(suffstats_spec(spec, seed, "state-gen")).state
+    else:
         raise InvariantError(f"unknown state generator {kind!r}")
-    if isinstance(spec, dict):
-        return serialization.obj_to_state(spec)
-    raise InvariantError(f"state spec must be an object, got {type(spec).__name__}")
+    state.validate()
+    return state
 
 
 def resolve_initial_channel(
     spec: Any, dim_t: int, size_x: int, classical: bool
 ) -> CQChannel | None:
-    """Materialize ``initial_channel``; None means the runner draws randomly."""
+    """Materialize ``initial_channel``; None means the runner draws randomly.
+    The runner checks that the channel fits the state and the config."""
     if spec is None or spec == "random":
         return None
     if spec == "maximally-mixed":
         return maximally_mixed_channel(dim_t, size_x, classical=classical)
     if isinstance(spec, dict) and "path" in spec:
-        channel = serialization.load_channel(spec["path"])
-    else:
-        channel = serialization.obj_to_channel(spec, "initial_channel")
-    if channel.dim_t != dim_t:
-        raise InvariantError(
-            f"initial channel dimT {channel.dim_t} does not match config dimT {dim_t}"
-        )
-    if channel.size_x != size_x:
-        raise InvariantError(
-            f"initial channel sizeX {channel.size_x} does not match state sizeX {size_x}"
-        )
-    if classical and not channel.classical:
-        raise InvariantError("config requests a classical run but the initial channel is not classical")
-    return channel
+        return serialization.load_channel(spec["path"])
+    return serialization.obj_to_channel(spec, "/initial_channel")
 
 
 # Config keys whose keyword argument is spelled differently.

@@ -324,7 +324,8 @@ def _iterate(
 ) -> tuple[CQChannel, IterationTrace]:
     """The loop both runners share; ``step`` maps an analyzed iterate to the
     next conditional stack, or table on a classical run.  A missing
-    ``initial`` is drawn from the seed under ``init_label``.
+    ``initial`` is drawn from the seed under ``init_label``; a given one
+    must fit the state's sizeX and the config's dimT and classical flag.
     ``deterministic`` rows carry support_T and a nan step-size ratio, since
     gamma has no role in the projector step."""
     if initial is None:
@@ -338,6 +339,10 @@ def _iterate(
         raise InvariantError(
             f"initial channel has sizeX {initial.size_x}, state has {state.size_x}"
         )
+    elif initial.dim_t != config.dim_t:
+        raise InvariantError(f"initial channel has dimT {initial.dim_t}, config has {config.dim_t}")
+    elif config.classical and not initial.classical:
+        raise InvariantError("config requests a classical run but the initial channel is not classical")
 
     alpha, beta = config.alpha, config.beta
     ctx = _StateCtx(state)

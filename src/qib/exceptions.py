@@ -13,9 +13,10 @@ class InvariantError(ValueError):
 
 
 class ConfigError(InvariantError):
-    """A config file failed validation against its key rules.
+    """A config, inline source or state/channel file failed its key rules.
 
-    ``pointer`` holds the JSON pointer of the offending element.
+    ``pointer`` holds the JSON pointer of the offending element, after
+    ``<path>#`` in a file.
     """
 
     def __init__(self, pointer: str, message: str):

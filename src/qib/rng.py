@@ -27,7 +27,10 @@ def derive_seed(*parts: int | str) -> int:
         if isinstance(part, str):
             data = part.encode("utf-8")
         else:
-            data = int(part).to_bytes(16, "little", signed=True)
+            # 16 bytes, or as many as a larger integer needs.
+            n = int(part)
+            size = max(16, ((n if n >= 0 else ~n).bit_length() + 8) // 8)
+            data = n.to_bytes(size, "little", signed=True)
         for i in range(0, len(data), 8):
             chunk = int.from_bytes(data[i : i + 8], "little")
             acc = _mix(acc ^ chunk)

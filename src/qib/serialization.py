@@ -1,25 +1,30 @@
-"""Wire formats and deterministic file output.
+"""Wire formats, the one kit of JSON key rules, and deterministic output.
 
 Matrices travel as {"dim", "re", "im"} with row-major real/imaginary parts;
 a source wraps {"px", "dimY", "rhoY"} and a channel {"dimT", "classical",
-"sigmaT"}, and any other key is rejected with its pointer.  CSV floats use
-%.17g so values round-trip exactly and repeated runs are byte-identical;
-writes go through a temp file and os.replace so readers never observe
-partial output.
+"sigmaT"}.  Configs, inline sources and files share the key rules: a bad key
+or value raises ConfigError with its JSON pointer, after ``<path>#`` in a
+file.  Numbers exclude booleans, NaN, the infinities and literals that
+overflow a float64 (1e400); integers also exclude integral floats (2.0).
+CSV floats use %.17g so values round-trip exactly and repeated runs are
+byte-identical; writes go through a temp file and os.replace so readers
+never observe partial output.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
+import sys
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 import numpy as np
 
 from .engine import IterationTrace
-from .exceptions import InvariantError
+from .exceptions import ConfigError, InvariantError
 from .model import CQChannel, CQState
 
 # Output column -> TraceRecord attribute, shared by the CSV and JSON forms.
@@ -68,55 +73,105 @@ def matrix_to_obj(m: np.ndarray) -> dict[str, Any]:
     }
 
 
-def obj_to_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
-    _check_keys(obj, ("dim", "re", "im"), where)
-    dim = _positive_int(obj["dim"], f"{where}/dim")
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvariantError(f"{where}: non-numeric entries ({exc})") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise InvariantError(
-            f"{where}: re/im shapes {re.shape}/{im.shape} do not match dim {dim}"
-        )
-    for part, values in (("re", re), ("im", im)):
+# A rule checks one value and raises ConfigError with the value's pointer.
+Rule = Callable[[Any, str], None]
+# The keys an object must have, and the rule of every key it may have.
+Schema = tuple[tuple[str, ...], dict[str, Rule]]
+
+
+def _rule(description: str, ok: Callable[[Any], bool]) -> Rule:
+    def check(value: Any, pointer: str) -> None:
+        if not ok(value):
+            raise ConfigError(pointer, f"expected {description}, got {reprlib.repr(value)}")
+
+    return check
+
+
+def _number(description: str, ok: Callable[[Any], bool] = lambda v: True) -> Rule:
+    # abs(v) <= max float is false for NaN, the infinities and huge integers.
+    return _rule(
+        description,
+        lambda v: type(v) is not bool and isinstance(v, (int, float))
+        and abs(v) <= sys.float_info.max and ok(v),
+    )
+
+
+def _integer(minimum: int) -> Rule:
+    return _number(f"an integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
+
+
+def _nonempty_list(item: Rule) -> Rule:
+    def check(value: Any, pointer: str) -> None:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(pointer, f"expected a nonempty list, got {reprlib.repr(value)}")
+        for i, v in enumerate(value):
+            item(v, f"{pointer}/{i}")
+
+    return check
+
+
+def _check_object(obj: Any, required: tuple[str, ...], rules: dict[str, Rule], pointer: str) -> None:
+    """``obj`` must be an object that has every key of ``required``, no key
+    without a rule, and values that pass their key's rule."""
+    if not isinstance(obj, dict):
+        raise ConfigError(pointer, f"expected an object, got {type(obj).__name__}")
+    for key, value in obj.items():
+        if key not in rules:
+            raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
+        rules[key](value, f"{pointer}/{key}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(pointer, f"missing required keys {missing}")
+
+
+_COUNT = _integer(1)
+_BOOLEAN = _rule("a boolean", lambda v: type(v) is bool)
+_IN_CODE = _rule("", lambda v: True)  # the reader checks these values as code
+_MATRICES = _nonempty_list(_IN_CODE)
+_MATRIX: Schema = (("dim", "re", "im"), {"dim": _COUNT, "re": _IN_CODE, "im": _IN_CODE})
+_STATE: Schema = (
+    ("px", "dimY", "rhoY"),
+    {"px": _nonempty_list(_number("a finite number")), "dimY": _COUNT, "rhoY": _MATRICES},
+)
+_CHANNEL: Schema = (
+    ("dimT", "classical", "sigmaT"),
+    {"dimT": _COUNT, "classical": _BOOLEAN, "sigmaT": _MATRICES},
+)
+
+
+def obj_to_matrix(obj: Any, pointer: str = "") -> np.ndarray:
+    _check_object(obj, *_MATRIX, pointer)
+    dim, parts = obj["dim"], []
+    for part in ("re", "im"):
+        try:
+            values = np.asarray(obj[part], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or values.shape != (dim, dim):
+            raise ConfigError(f"{pointer}/{part}", f"expected a {dim}x{dim} array of finite numbers")
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]
-            raise InvariantError(f"{where}/{part}/{i}/{j}: non-finite entry {values[i, j]}")
-    return re + 1j * im
+            raise ConfigError(f"{pointer}/{part}/{i}/{j}", f"expected a finite number, got {values[i, j]}")
+        parts.append(values)
+    return parts[0] + 1j * parts[1]
 
 
-def _check_keys(obj: Any, keys: tuple[str, ...], where: str) -> None:
-    """``obj`` must be an object with exactly ``keys``; a stray key is named
-    by its pointer."""
-    if not isinstance(obj, dict):
-        raise InvariantError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = set(keys) - obj.keys()
-    if missing:
-        raise InvariantError(f"{where}: missing keys {sorted(missing)}")
-    for key in obj:
-        if key not in keys:
-            raise InvariantError(f"{where}/{key}: unknown key")
-
-
-def _positive_int(value: Any, where: str) -> int:
-    # ``type(value) is int`` excludes bool, which json reads from true/false.
-    if type(value) is not int or value < 1:
-        raise InvariantError(f"{where}: expected a positive integer, got {value!r}")
-    return value
-
-
-def _obj_to_stack(mats: Any, where: str, dim: int, dim_where: str) -> np.ndarray:
-    """Stack a nonempty list of wire matrices of the declared dimension."""
-    if not isinstance(mats, list) or not mats:
-        raise InvariantError(f"{where}: expected a nonempty list of matrices")
-    stack = [obj_to_matrix(m, where=f"{where}/{x}") for x, m in enumerate(mats)]
+def _obj_to_stack(mats: list, pointer: str, dim: int, dim_key: str) -> np.ndarray:
+    """Stack wire matrices that must all have dimension ``dim``."""
+    stack = [obj_to_matrix(m, f"{pointer}/{x}") for x, m in enumerate(mats)]
     for x, m in enumerate(stack):
         if m.shape[0] != dim:
-            raise InvariantError(f"{where}/{x}/dim: {m.shape[0]} differs from {dim_where} {dim}")
+            raise ConfigError(f"{pointer}/{x}/dim", f"{m.shape[0]} differs from {dim_key} {dim}")
     return np.stack(stack)
+
+
+def _validated(value: CQState | CQChannel, pointer: str) -> Any:
+    try:
+        value.validate()
+    except InvariantError as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+    return value
 
 
 def state_to_obj(state: CQState) -> dict[str, Any]:
@@ -127,21 +182,12 @@ def state_to_obj(state: CQState) -> dict[str, Any]:
     }
 
 
-def obj_to_state(obj: Any) -> CQState:
-    _check_keys(obj, ("px", "dimY", "rhoY"), "state")
-    px = obj["px"]
-    if not isinstance(px, list) or not px:
-        raise InvariantError("state/px: expected a nonempty list of numbers")
-    for x, p in enumerate(px):
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise InvariantError(f"state/px/{x}: expected a number, got {p!r}")
-    dim_y = _positive_int(obj["dimY"], "state/dimY")
-    stack = _obj_to_stack(obj["rhoY"], "state/rhoY", dim_y, "state/dimY")
-    if len(stack) != len(px):
-        raise InvariantError(f"state/rhoY: expected {len(px)} matrices, got {len(stack)}")
-    state = CQState(px, stack)
-    state.validate()
-    return state
+def obj_to_state(obj: Any, pointer: str = "") -> CQState:
+    _check_object(obj, *_STATE, pointer)
+    stack = _obj_to_stack(obj["rhoY"], f"{pointer}/rhoY", obj["dimY"], "dimY")
+    if len(stack) != len(obj["px"]):
+        raise ConfigError(f"{pointer}/rhoY", f"expected {len(obj['px'])} matrices, got {len(stack)}")
+    return _validated(CQState(obj["px"], stack), pointer)
 
 
 def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
@@ -154,65 +200,26 @@ def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
     }
 
 
-def obj_to_channel(obj: Any, where: str = "channel") -> CQChannel:
-    _check_keys(obj, ("dimT", "classical", "sigmaT"), where)
-    dim_t = _positive_int(obj["dimT"], f"{where}/dimT")
-    classical = obj["classical"]
-    if not isinstance(classical, bool):
-        raise InvariantError(f"{where}/classical: expected a boolean, got {classical!r}")
-    stack = _obj_to_stack(obj["sigmaT"], f"{where}/sigmaT", dim_t, f"{where}/dimT")
-    channel = CQChannel(stack, classical=classical)
-    channel.validate()
-    return channel
-
-
-_NON_FINITE = object()
+def obj_to_channel(obj: Any, pointer: str = "") -> CQChannel:
+    _check_object(obj, *_CHANNEL, pointer)
+    stack = _obj_to_stack(obj["sigmaT"], f"{pointer}/sigmaT", obj["dimT"], "dimT")
+    return _validated(CQChannel(stack, classical=obj["classical"]), pointer)
 
 
 def load_json(path: str) -> Any:
-    """Parse a JSON file, rejecting the NaN/Infinity literals that Python's
-    json accepts but JSON does not, with the pointer of the first one."""
-    literals: list[str] = []
-
-    def non_finite(literal: str) -> object:
-        literals.append(literal)
-        return _NON_FINITE
-
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, parse_constant=non_finite)
-        except json.JSONDecodeError as exc:
-            raise InvariantError(f"{path}: invalid JSON ({exc})") from exc
-    if literals:
-        pointer = _pointer_to(obj, _NON_FINITE)
-        at = f" at {pointer}" if pointer else ""
-        raise InvariantError(f"{path}: non-finite number {literals[0]}{at}")
-    return obj
-
-
-def _pointer_to(obj: Any, target: object, prefix: str = "") -> str | None:
-    """JSON pointer of the first ``target`` in ``obj``, or None."""
-    if obj is target:
-        return prefix
-    if isinstance(obj, dict):
-        children = obj.items()
-    elif isinstance(obj, list):
-        children = enumerate(obj)
-    else:
-        return None
-    for key, child in children:
-        found = _pointer_to(child, target, f"{prefix}/{key}")
-        if found is not None:
-            return found
-    return None
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}#", f"invalid JSON ({exc})") from exc
 
 
 def load_state(path: str) -> CQState:
-    return obj_to_state(load_json(path))
+    return obj_to_state(load_json(path), f"{path}#")
 
 
 def load_channel(path: str) -> CQChannel:
-    return obj_to_channel(load_json(path))
+    return obj_to_channel(load_json(path), f"{path}#")
 
 
 def dump_json(obj: Any) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -340,14 +341,23 @@ def test_validate_rejects_invalid_density(tmp_path, capsys):
     }
     mixed_dims = ser.channel_to_obj(random_channel_for(random_cq_state(0), 2, 0))
     mixed_dims["sigmaT"][1] = ser.matrix_to_obj(np.eye(3) / 3)
-    for name, obj, pointer in (
-        ("nondensity", nondensity, "rho_y_given_x[0]"),
-        ("mixed-dims", mixed_dims, "channel/sigmaT/1/dim"),
+    for name, obj, pointer, message in (
+        ("nondensity", nondensity, "", "rho_y_given_x[0]"),
+        ("mixed-dims", mixed_dims, "/sigmaT/1/dim", "3 differs from dimT 2"),
     ):
         path = _write_json(tmp_path / f"{name}.json", obj)
         assert cli.main(["validate", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and pointer in err
+        at, text = _config_error(capsys)
+        assert at == f"{path}#{pointer}" and message in text
+
+
+def _config_error(capsys):
+    """(pointer, message) of the one ``error: config error at`` line on stderr."""
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config error at "), err
+    pointer, message = lines[0][len("error: config error at "):].split(": ", 1)
+    return pointer, message
 
 
 def _bad_state_text(where):
@@ -371,9 +381,9 @@ def _bad_state_text(where):
     [
         ("px", "/px/1"),
         ("rhoY", "/rhoY/0/re/0/1"),
-        ("px-string", "state/px/0"),
-        ("empty", "state/px"),
-        ("dimY-string", "state/dimY"),
+        ("px-string", "/px/0"),
+        ("empty", "/px"),
+        ("dimY-string", "/dimY"),
     ],
 )
 def test_non_finite_state_file_exits_1(tmp_path, capsys, where, pointer):
@@ -383,14 +393,13 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, where, pointer):
     spath = tmp_path / "state.json"
     spath.write_text(_bad_state_text(where))
     assert cli.main(["validate", str(spath)]) == 1
-    assert pointer in capsys.readouterr().err
+    assert _config_error(capsys)[0] == f"{spath}#{pointer}"
     config = _write_json(
         tmp_path / "run.json",
         {"alpha": 1.0, "beta": 2.0, "dimT": 2, "max_iters": 5, "state": {"path": str(spath)}},
     )
     assert cli.main(["run-qib", "--config", config]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and pointer in err
+    assert _config_error(capsys)[0] == f"{spath}#{pointer}"
 
 
 _RUN = {"alpha": 1.0, "beta": 2.0, "dimT": 2, "max_iters": 5}
@@ -454,18 +463,131 @@ def test_malformed_inline_source_names_the_entry(tmp_path, capsys, where, pointe
     path = _write_json(tmp_path / "bad.json", config)
     assert cli.main(["run-qib", "--config", path]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines[0].startswith(f"error: {pointer}:") and len(lines[0]) < 200
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0].startswith(f"error: config error at /{pointer}:")
 
 
 def test_state_file_rejects_unknown_keys(tmp_path, capsys):
     obj = ser.state_to_obj(random_cq_state(4, size_x=2, dim_y=2, tag="closed"))
     obj["rhoY"][1]["extra"] = 0
     spath = _write_json(tmp_path / "state.json", obj)
+    expected = f"error: config error at {spath}#/rhoY/1/extra: unknown key 'extra'\n"
     assert cli.main(["validate", spath]) == 1
-    assert capsys.readouterr().err.startswith("error: state/rhoY/1/extra: unknown key")
+    assert capsys.readouterr().err == expected
     config = _write_json(tmp_path / "run.json", dict(_RUN, state={"path": spath}))
     assert cli.main(["run-qib", "--config", config]) == 1
-    assert capsys.readouterr().err.startswith("error: state/rhoY/1/extra: unknown key")
+    assert capsys.readouterr().err == expected
+
+
+def test_path_state_errors_name_the_file(tmp_path, capsys):
+    obj = ser.state_to_obj(random_cq_state(4, size_x=2, dim_y=2, tag="closed"))
+    del obj["rhoY"]
+    spath = _write_json(tmp_path / "f.json", obj)
+    config = _write_json(tmp_path / "run.json", dict(_RUN, state={"path": spath}))
+    assert cli.main(["run-qib", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config error at {spath}#: missing required keys ['rhoY']\n"
+    )
+
+
+@pytest.mark.parametrize("seed", [str(2**127), str(-(2**127) - 1)])
+def test_seeds_of_any_size_run(qib_config, tmp_path, seed):
+    assert cli.main(["run-qib", "--config", qib_config, "--seed", seed, "--out", str(tmp_path / "a")]) == 0
+    obj = dict(_read_json(qib_config), seed=int(seed))
+    config = _write_json(tmp_path / "seeded.json", obj)
+    assert cli.main(["run-qib", "--config", config, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+_NUMBER_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
+_INLINE_STATE = ser.state_to_obj(random_cq_state(3, size_x=2, dim_y=2, tag="inline"))
+_INLINE_CHANNEL = ser.channel_to_obj(
+    random_channel_for(random_cq_state(3, size_x=2, dim_y=2, tag="inline"), 2, 0)
+)
+_SUFFSTATS = {"sizeX1": 2, "sizeX2": 2, "nu": 25.0}
+_STEPS = {"tol": 1e-6, "max_iters": 3, "seed": 1}
+# (subcommand, valid config, the part of it whose numbers are replaced)
+_LEAF_CASES = {
+    "run-qib": ("run-qib", dict(_RUN, **_STEPS, gamma=0.5, state=_QUBITS), ""),
+    "gamma-sweep": (
+        "gamma-sweep",
+        dict(_RUN, **_STEPS, gamma_list=[0.5, 1.0],
+             state=dict(_SUFFSTATS, generator="suffstats-ensemble")),
+        "",
+    ),
+    "beta-sweep": (
+        "beta-sweep",
+        {"alpha": 1.0, "dimT": 2, **_STEPS, "beta_list": [0.0, 2.0], "kappa_samples": 3,
+         "state": {"generator": "copy-state", "d": 2, "k": 1}},
+        "",
+    ),
+    "classify": (
+        "classify",
+        {"alpha": 1.0, "beta": 2.0, "gamma": 1.0, "dimT": 2, **_STEPS, "ridge": 0.1,
+         "n_samples": 40, "train_fraction": 0.5},
+        "",
+    ),
+    "suffstats": ("suffstats", {"beta": 2.0, "dimT": 2, **_STEPS, **_SUFFSTATS}, ""),
+    "inline-state": ("run-qib", dict(_RUN, state=_INLINE_STATE), "/state"),
+    "inline-channel": (
+        "run-qib", dict(_RUN, state=_INLINE_STATE, initial_channel=_INLINE_CHANNEL),
+        "/initial_channel",
+    ),
+}
+
+
+def _numeric_leaves(obj, pointer=""):
+    """JSON pointers of every number in ``obj``."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for k, v in items for p in _numeric_leaves(v, f"{pointer}/{k}")]
+    return [pointer] if type(obj) in (int, float) else []
+
+
+def _with_literal(obj, pointer, literal):
+    """JSON text of ``obj`` with the number at ``pointer`` written as ``literal``."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = pointer.split("/")[1:]
+    node = obj
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = "@leaf@"
+    return json.dumps(obj).replace('"@leaf@"', literal)
+
+
+def _leaf_pointers(leaf, prefix=""):
+    """A leaf's pointer, and for a matrix entry also its re/im array's."""
+    return {prefix + leaf, prefix + re.sub(r"/(re|im)/\d+/\d+$", r"/\1", leaf)}
+
+
+@pytest.mark.parametrize("case", list(_LEAF_CASES))
+def test_every_numeric_leaf_rejects_non_finite_literals(tmp_path, capsys, case):
+    # Each of these used to pass the rules and fail later without a pointer,
+    # or escape as a TypeError/OverflowError traceback.
+    command, config, part = _LEAF_CASES[case]
+    argv = [command, "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+    _write_json(tmp_path / "run.json", config)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    leaves = [p for p in _numeric_leaves(config) if p.startswith(part + "/")]
+    assert leaves
+    for leaf in leaves:
+        for literal in _NUMBER_LITERALS:
+            if leaf == "/seed" and literal[0] == "1":
+                continue  # a seed is any integer: test_seeds_of_any_size_run
+            (tmp_path / "run.json").write_text(_with_literal(config, leaf, literal))
+            assert cli.main(argv) == 1, (leaf, literal)
+            assert _config_error(capsys)[0] in _leaf_pointers(leaf), (leaf, literal)
+
+
+@pytest.mark.parametrize("obj", [_INLINE_STATE, _INLINE_CHANNEL], ids=["state", "channel"])
+def test_validate_names_every_non_finite_leaf_of_a_file(tmp_path, capsys, obj):
+    path = tmp_path / "source.json"
+    for leaf in _numeric_leaves(obj):
+        for literal in _NUMBER_LITERALS:
+            path.write_text(_with_literal(obj, leaf, literal))
+            assert cli.main(["validate", str(path)]) == 1, (leaf, literal)
+            assert _config_error(capsys)[0] in _leaf_pointers(leaf, f"{path}#"), (leaf, literal)
 
 
 def test_cli_import_leaves_jsonschema_unloaded():

@@ -71,7 +71,7 @@ def test_inline_sources_pass_validation_and_fail_at_resolve():
     bad = ser.state_to_obj(random_cq_state(0, tag="cfg"))
     bad["px"][0] = "a"
     cfg.validate_config(_minimal_run_qib(state=bad), cfg.RUN_QIB_SCHEMA)
-    with pytest.raises(InvariantError, match="state/px/0"):
+    with pytest.raises(ConfigError, match="^config error at /state/px/0: expected a finite number, got 'a'$"):
         cfg.resolve_state(bad, seed=0)
 
 
@@ -170,6 +170,14 @@ def test_resolve_state_rejects_unknown_specs():
         cfg.resolve_state([1, 2], seed=0)
 
 
+def test_resolve_state_validates_generated_states(monkeypatch):
+    bad = random_cq_state(0, size_x=3, dim_y=2, tag="cfg")
+    bad = type(bad)(bad.px, 2 * bad.rho_y_given_x)  # trace 2: not a density
+    monkeypatch.setattr(cfg, "gen_random_qubit_ensemble", lambda size_x, seed: bad)
+    with pytest.raises(InvariantError, match="rho_y_given_x"):
+        cfg.resolve_state({"generator": "random-qubit-ensemble", "sizeX": 3}, seed=0)
+
+
 def test_resolve_initial_channel():
     assert cfg.resolve_initial_channel(None, 2, 3, False) is None
     assert cfg.resolve_initial_channel("random", 2, 3, False) is None
@@ -181,12 +189,10 @@ def test_resolve_initial_channel():
     obj = ser.channel_to_obj(chan)
     resolved = cfg.resolve_initial_channel(obj, 2, 3, False)
     assert np.array_equal(resolved.sigma_t_given_x, chan.sigma_t_given_x)
-    with pytest.raises(InvariantError, match="dimT"):
-        cfg.resolve_initial_channel(obj, 3, 3, False)
-    with pytest.raises(InvariantError, match="sizeX"):
-        cfg.resolve_initial_channel(obj, 2, 4, False)
-    with pytest.raises(InvariantError, match="classical"):
-        cfg.resolve_initial_channel(obj, 2, 3, True)
+    # Whether the channel fits the run is the runner's check (test_engine).
+    obj["sigmaT"][1]["extra"] = 1
+    with pytest.raises(ConfigError, match="^config error at /initial_channel/sigmaT/1/extra: unknown key 'extra'$"):
+        cfg.resolve_initial_channel(obj, 2, 3, False)
 
 
 def test_objective_config_defaults_and_override():
@@ -198,3 +204,24 @@ def test_objective_config_defaults_and_override():
     assert run_cfg.gamma is None and run_cfg.effective_gamma == 1.0
     forced = cfg.objective_config(obj, seed=3, alpha_override=0.0)
     assert forced.alpha == 0.0
+
+
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        ((0,), 18069667033389005347),
+        ((7, "state-gen"), 10915733006935538448),
+        ((2**127 - 1,), 5583974419481827181),
+        ((-(2**127),), 6225924040072476732),
+        ((-1, "x"), 6358632505331790369),
+        ((123456789, "classify-run"), 8060026465750215864),
+    ],
+)
+def test_derive_seed_streams_are_pinned(parts, expected):
+    # Integers that fit 16 signed bytes keep the streams they always had.
+    assert derive_seed(*parts) == expected
+
+
+def test_derive_seed_accepts_integers_of_any_size():
+    seeds = {derive_seed(n) for n in (2**127, -(2**127) - 1, 10**400, -(10**400))}
+    assert len(seeds) == 4

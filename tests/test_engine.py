@@ -331,3 +331,18 @@ def test_state_channel_size_mismatch_raises():
     chan = engine.random_channel(2, 4, seed=28)
     with pytest.raises(InvariantError, match="sizeX"):
         engine.f_operator(state, chan, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("runner, alpha", [(engine.run_qib, 1.0), (qdib.run_qdib, 0.0)])
+def test_runners_reject_an_initial_channel_that_does_not_fit(runner, alpha):
+    # Checked in the shared loop, so library calls get the checks the CLI had.
+    state = random_cq_state(29, size_x=3, dim_y=2)
+    quantum = random_channel_for(state, 2, 29)
+    config = ObjectiveConfig(alpha=alpha, beta=2.0, dim_t=3, max_iters=3)
+    with pytest.raises(InvariantError, match="^initial channel has dimT 2, config has 3$"):
+        runner(state, config, initial=quantum)
+    with pytest.raises(InvariantError, match="^initial channel has sizeX 2, state has 3$"):
+        runner(state, config, initial=engine.random_channel(3, 2))
+    classical = ObjectiveConfig(alpha=alpha, beta=2.0, dim_t=2, classical=True, max_iters=3)
+    with pytest.raises(InvariantError, match="classical run but the initial channel is not classical"):
+        runner(state, classical, initial=quantum)

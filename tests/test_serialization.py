@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from qib import serialization as ser
 from qib.engine import IterationTrace, TraceRecord
-from qib.exceptions import InvariantError
+from qib.exceptions import ConfigError, InvariantError
 
 from helpers import random_cq_state, random_channel_for
 
@@ -23,13 +24,13 @@ def test_matrix_roundtrip_preserves_complex_entries():
 def test_matrix_obj_errors():
     with pytest.raises(InvariantError, match="square"):
         ser.matrix_to_obj(np.zeros((2, 3)))
-    with pytest.raises(InvariantError, match="missing keys"):
+    with pytest.raises(ConfigError, match=r"^config error at /: missing required keys \['im'\]$"):
         ser.obj_to_matrix({"dim": 2, "re": [[0, 0], [0, 0]]})
-    with pytest.raises(InvariantError, match="spot/dim"):
-        ser.obj_to_matrix({"dim": 0, "re": [], "im": []}, where="spot")
-    with pytest.raises(InvariantError, match="do not match"):
+    with pytest.raises(ConfigError, match="^config error at /spot/dim: expected an integer >= 1, got 0$"):
+        ser.obj_to_matrix({"dim": 0, "re": [], "im": []}, "/spot")
+    with pytest.raises(ConfigError, match="^config error at /re: expected a 2x2 array of finite numbers$"):
         ser.obj_to_matrix({"dim": 2, "re": [[0.0]], "im": [[0.0]]})
-    with pytest.raises(InvariantError, match="non-numeric"):
+    with pytest.raises(ConfigError, match="^config error at /re: expected a 1x1 array"):
         ser.obj_to_matrix({"dim": 1, "re": [["x"]], "im": [[0.0]]})
 
 
@@ -50,27 +51,31 @@ def test_channel_roundtrip_and_flags():
 
 
 def test_state_error_paths_are_indexed():
-    state = random_cq_state(2, tag="ser")
+    state = random_cq_state(2, size_x=3, dim_y=2, tag="ser")
     obj = ser.state_to_obj(state)
     obj["rhoY"][1]["re"] = [[0.0]]
-    with pytest.raises(InvariantError, match=r"state/rhoY/1"):
-        ser.obj_to_state(obj)
-    with pytest.raises(InvariantError, match="missing keys"):
+    with pytest.raises(ConfigError, match="^config error at /state/rhoY/1/re: expected a 2x2 array"):
+        ser.obj_to_state(obj, "/state")
+    with pytest.raises(ConfigError, match=r"^config error at /: missing required keys \['dimY', 'rhoY'\]$"):
         ser.obj_to_state({"px": [1.0]})
-    with pytest.raises(InvariantError, match="dimY"):
-        bad = ser.state_to_obj(state)
-        bad["dimY"] = bad["dimY"] + 1
+    bad = ser.state_to_obj(state)
+    bad["dimY"] = bad["dimY"] + 1
+    with pytest.raises(ConfigError, match="^config error at /rhoY/0/dim: 2 differs from dimY 3$"):
+        ser.obj_to_state(bad)
+    bad = ser.state_to_obj(state)
+    bad["px"].append(0.0)
+    with pytest.raises(ConfigError, match="^config error at /rhoY: expected 4 matrices, got 3$"):
         ser.obj_to_state(bad)
 
 
 def test_channel_error_paths():
-    with pytest.raises(InvariantError, match="classical"):
+    with pytest.raises(ConfigError, match="^config error at /classical: expected a boolean, got 1$"):
         ser.obj_to_channel({"dimT": 1, "classical": 1, "sigmaT": []})
-    with pytest.raises(InvariantError, match="nonempty"):
+    with pytest.raises(ConfigError, match="^config error at /sigmaT: expected a nonempty list"):
         ser.obj_to_channel({"dimT": 1, "classical": False, "sigmaT": []})
-    with pytest.raises(InvariantError, match=r"channel/sigmaT/0"):
+    with pytest.raises(ConfigError, match=r"^config error at /c/sigmaT/0: missing required keys \['im'\]$"):
         ser.obj_to_channel(
-            {"dimT": 1, "classical": False, "sigmaT": [{"dim": 1, "re": [[1.0]]}]}
+            {"dimT": 1, "classical": False, "sigmaT": [{"dim": 1, "re": [[1.0]]}]}, "/c"
         )
 
 
@@ -184,35 +189,48 @@ def test_write_text_atomic_never_exposes_partial_content(tmp_path):
 
 def test_load_json_error_naming_path(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(InvariantError, match="invalid JSON"):
-        ser.load_json(str(bad))
+    # Not UTF-8, and over Python's 4,300-digit limit: both used to escape as
+    # tracebacks.
+    for content in (b"{not json", b'{"px": [\xff]}', b'{"px": [' + b"1" * 5000 + b"]}"):
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"^config error at {re.escape(str(bad))}#: invalid JSON"):
+            ser.load_json(str(bad))
+
+
+_ONE_BY_ONE = '{"dim": 1, "re": [[-Infinity]], "im": [[0]]}'
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "reader, text, pointer",
     [
-        ('{"px": [0.5, NaN]}', "NaN at /px/1"),
-        ('{"a": {"b": [1, -Infinity]}}', "-Infinity at /a/b/1"),
-        ("Infinity", "Infinity"),
+        (ser.load_state, '{"px": [0.5, NaN], "dimY": 1, "rhoY": []}', "/px/1"),
+        (ser.load_channel, f'{{"dimT": 1, "classical": false, "sigmaT": [{_ONE_BY_ONE}]}}',
+         "/sigmaT/0/re/0/0"),
+        (ser.load_state, "Infinity", ""),
     ],
+    ids=["NaN", "-Infinity", "Infinity"],
 )
-def test_load_json_rejects_non_finite_literals(tmp_path, text, message):
+def test_readers_reject_non_finite_literals(tmp_path, reader, text, pointer):
+    # json reads NaN and Infinity; the readers' number rules reject them.
     path = tmp_path / "nan.json"
     path.write_text(text)
-    with pytest.raises(InvariantError, match=f": non-finite number {message}$"):
-        ser.load_json(str(path))
+    with pytest.raises(ConfigError) as exc:
+        reader(str(path))
+    assert exc.value.pointer == f"{path}#{pointer}"
 
 
 def test_obj_to_matrix_rejects_non_finite_entries():
     obj = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     ser.obj_to_matrix(obj)
     obj["im"][1][0] = float("inf")
-    with pytest.raises(InvariantError, match="spot/im/1/0: non-finite"):
-        ser.obj_to_matrix(obj, where="spot")
+    with pytest.raises(ConfigError, match="^config error at /spot/im/1/0: expected a finite number, got inf$"):
+        ser.obj_to_matrix(obj, "/spot")
     obj["re"][0][1] = float("nan")
-    with pytest.raises(InvariantError, match="spot/re/0/1: non-finite"):
-        ser.obj_to_matrix(obj, where="spot")
+    with pytest.raises(ConfigError, match="^config error at /spot/re/0/1: expected a finite number, got nan$"):
+        ser.obj_to_matrix(obj, "/spot")
+    obj["re"][0][1] = 10**400  # overflows float64
+    with pytest.raises(ConfigError, match="^config error at /spot/re: expected a 2x2 array of finite numbers$"):
+        ser.obj_to_matrix(obj, "/spot")
 
 
 def test_load_state_and_channel_files(tmp_path):
