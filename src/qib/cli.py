@@ -266,8 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, or a directory where a file belongs
+        # os.replace names its target second, after the temporary file.
+        reason = "missing file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {reason}: {exc.filename2 or exc.filename or exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,22 +21,23 @@ from typing import Any
 from . import serialization
 from .exceptions import ConfigError, InvariantError
 from .serialization import (
-    _BOOLEAN, _COUNT, Rule, Schema, _check_object, _integer, _nonempty_list, _number, _rule,
+    _BOOLEAN, _COUNT, MAX_SIZE, Rule, Schema, _check_object, _integer, _nonempty_list, _number, _rule,
 )
 from .experiments.ensembles import SuffStatsSpec, gen_random_qubit_ensemble, gen_suffstats_ensemble
 from .benchmarks import copy_state
 from .model import CQChannel, CQState, ObjectiveConfig, maximally_mixed_channel
 from .rng import derive_seed
 
+_SIZE = _integer(1, MAX_SIZE)
 _NONNEGATIVE = _number("a finite number >= 0", lambda v: v >= 0)
 _POSITIVE = _number("a finite number > 0", lambda v: v > 0)
 _SEED = _rule("an integer", lambda v: type(v) is int)
 _PATH: Schema = (("path",), {"path": _rule("a nonempty string", lambda v: type(v) is str and v != "")})
 
 _GENERATORS: dict[str, Schema] = {
-    "random-qubit-ensemble": (("sizeX",), {"sizeX": _COUNT}),
-    "copy-state": (("d",), {"d": _integer(2), "k": _COUNT}),
-    "suffstats-ensemble": ((), {"sizeX1": _integer(2), "sizeX2": _COUNT, "nu": _POSITIVE}),
+    "random-qubit-ensemble": (("sizeX",), {"sizeX": _SIZE}),
+    "copy-state": (("d",), {"d": _integer(2, MAX_SIZE), "k": _SIZE}),
+    "suffstats-ensemble": ((), {"sizeX1": _integer(2, MAX_SIZE), "sizeX2": _SIZE, "nu": _POSITIVE}),
 }
 _GENERATOR = _rule(
     "one of " + ", ".join(map(repr, _GENERATORS)), lambda v: type(v) is str and v in _GENERATORS
@@ -72,7 +73,7 @@ _RUN_RULES = {
     "alpha": _NONNEGATIVE,
     "beta": _NONNEGATIVE,
     "gamma": _POSITIVE,
-    "dimT": _COUNT,
+    "dimT": _SIZE,
     "classical": _BOOLEAN,
     "tol": _POSITIVE,
     "max_iters": _COUNT,
@@ -101,7 +102,7 @@ CLASSIFY_SCHEMA: Schema = (
     {
         **{k: _RUN_RULES[k] for k in ("alpha", "beta", "gamma", "dimT", "tol", "max_iters", "seed")},
         "ridge": _POSITIVE,
-        "n_samples": _integer(10),
+        "n_samples": _integer(10, MAX_SIZE),
         "train_fraction": _number("a finite number in (0, 1)", lambda v: 0 < v < 1),
     },
 )

@@ -102,13 +102,13 @@ class _Analysis:
             evals, self.log_mats = mats, linalg.log_floor(mats)
             self.sigma_t_evals = px @ mats
             self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
-            joint = np.einsum("x,xt,xij->tij", px, mats, rhos, optimize=True)
+            joint = linalg.einsum("x,xt,xij->tij", px, mats, rhos)
         else:
             dt, dy = mats.shape[-1], rhos.shape[-1]
             evals, _, self.log_mats = linalg.floored_log(mats)
             sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
             self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(sigma_t)
-            joint4 = np.einsum("x,xik,xjl->ijkl", px, mats, rhos, optimize=True)
+            joint4 = linalg.einsum("x,xik,xjl->ijkl", px, mats, rhos)
             joint = joint4.reshape(dt * dy, dt * dy)
         wj, _, log_joint = linalg.floored_log(linalg.hermitize(joint))
         self.h_each = linalg.entropy(evals)
@@ -121,8 +121,8 @@ class _Analysis:
 
         if table:
             # Tr rho_x (log s_t I + log rho_Y - log J_t)
-            beta_term = self.log_sigma_t + np.einsum(
-                "xij,tji->xt", rhos, ctx.log_rho_y - log_joint, optimize=True
+            beta_term = self.log_sigma_t + linalg.einsum(
+                "xij,tji->xt", rhos, ctx.log_rho_y - log_joint
             ).real
         else:
             # log(sigma_T (x) rho_Y) assembled additively so the product-state
@@ -131,7 +131,7 @@ class _Analysis:
                 np.eye(dt), ctx.log_rho_y
             )
             b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
-            beta_term = np.einsum("ijkl,xlj->xik", b4, rhos, optimize=True)
+            beta_term = linalg.einsum("ijkl,xlj->xik", b4, rhos)
         fam = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
         self.f_family = fam if table else linalg.hermitize(fam)
 
@@ -140,7 +140,7 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr[a_x b_x] for each x, of two stacks or two tables."""
     if a.ndim == 2:
         return np.sum(a * b, axis=1)
-    return np.einsum("xij,xji->x", a, b, optimize=True).real
+    return linalg.einsum("xij,xji->x", a, b).real
 
 
 def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
@@ -153,9 +153,9 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
     if expon.ndim == 2:
         shifted = np.exp(expon - expon.max(axis=1)[:, None])
         return shifted / shifted.sum(axis=1)[:, None]
-    we, ve = np.linalg.eigh(linalg.hermitize(expon))
+    we, ve = linalg.eig_hermitian(linalg.hermitize(expon))
     shifted = np.exp(we - we[:, -1][:, None])
-    new = np.einsum("xij,xj,xkj->xik", ve, shifted, np.conj(ve), optimize=True)
+    new = linalg.einsum("xij,xj,xkj->xik", ve, shifted, np.conj(ve))
     new /= shifted.sum(axis=1)[:, None, None]
     return linalg.hermitize(new)
 
@@ -177,7 +177,7 @@ def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm)."""
     if a.ndim == 2:
         return float(px @ np.sum(np.abs(b - a), axis=1))
-    w = np.linalg.eigvalsh(linalg.hermitize(b - a))
+    w = linalg.eig_hermitian(linalg.hermitize(b - a), vectors=False)
     return float(px @ np.sum(np.abs(w), axis=-1))
 
 
@@ -282,10 +282,17 @@ def random_channel(
     if dim_t < 1 or size_x < 1:
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
     gen = seed if isinstance(seed, np.random.Generator) else rng.derive_rng(seed, "channel")
-    mats = np.stack(
-        [linalg.random_density(dim_t, gen, classical=classical) for _ in range(size_x)]
-    )
-    return CQChannel(mats, classical=classical)
+    if classical:
+        mats = np.stack([linalg.random_density(dim_t, gen, classical=True) for _ in range(size_x)])
+        return CQChannel(mats, classical=True)
+    # random_density's draws in its stream order, assembled in one batch.
+    p = np.empty((size_x, dim_t))
+    z = np.empty((size_x, dim_t, dim_t), dtype=np.complex128)
+    for x in range(size_x):
+        p[x] = gen.dirichlet(np.ones(dim_t))
+        z[x] = gen.standard_normal((dim_t, dim_t)) + 1j * gen.standard_normal((dim_t, dim_t))
+    u = linalg.haar_unitary(z)
+    return CQChannel((u * p[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2)))
 
 
 def run_qib(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import rng
+from .. import linalg, rng
 from ..exceptions import InvariantError
 from ..model import CQState
 
@@ -34,7 +34,16 @@ def rho_qubit(theta: float, lam: float) -> np.ndarray:
 
 
 def _stack_qubits(thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    return np.stack([rho_qubit(t, l) for t, l in zip(thetas, lams)])
+    """``rho_qubit`` of each (theta, lam) pair, built in one batched product."""
+    bad = lams[~((0.0 <= lams) & (lams <= 1.0))]
+    if bad.size:
+        rho_qubit(0.0, bad[0])  # raises rho_qubit's error for the first bad bias
+    # math's cos and sin, as in rho_qubit: numpy's may differ in the last bit.
+    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
+    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    u = cos * np.eye(2, dtype=np.complex128) + 1j * sin * _PAULI_X
+    spectra = linalg.diag_embed(np.stack([1.0 - lams, lams], axis=1))
+    return u @ spectra @ np.conj(np.swapaxes(u, -1, -2))
 
 
 def qubit_ensemble(thetas: np.ndarray, lams: np.ndarray) -> CQState:

@@ -10,6 +10,8 @@ nats.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exceptions import InvariantError, NumericalError
@@ -47,23 +49,60 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(w, v)`` of a Hermitian matrix (stacked OK).
+def _eig2(h: np.ndarray, vectors: bool):
+    """Closed form for a finite (..., 2, 2) stack.  With H - mean I = radius
+    [[cos t, e^{-i phi} sin t], ...], the top eigenvector is (cos t/2,
+    e^{i phi} sin t/2) up to phase: the larger half-angle factor comes from a
+    square root, the other from sin t = 2 cos(t/2) sin(t/2); neither cancels."""
+    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+    radius = np.hypot(half, np.abs(b))
+    w = np.stack([mean - radius, mean + radius], axis=-1)
+    if not vectors:
+        return w
+    safe = np.where(radius > 0, radius, 1.0)  # radius 0 keeps the standard basis
+    big = np.sqrt(0.5 + 0.5 * np.where(radius > 0, np.abs(half) / safe, 1.0))
+    small = b / (2.0 * safe * big)
+    x, y = np.where(half >= 0, big, np.conj(small)), np.where(half >= 0, small, big)
+    return w, np.stack([np.stack([-np.conj(y), x], -1), np.stack([np.conj(x), y], -1)], -2)
+
+
+def eig_hermitian(h: np.ndarray, vectors: bool = True):
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix (stacked OK), or
+    ``w`` alone when not ``vectors``.
 
     Eigenvalues ascend; eigenvectors are orthonormal columns, so
-    ``H = V diag(w) V^H`` per stack element.  Raises
-    NumericalError with the hermiticity residual if LAPACK fails to
-    converge, which in practice means the input was far from Hermitian.
+    ``H = V diag(w) V^H`` per stack element.  2 x 2 matrices are solved in
+    closed form, larger ones by LAPACK; both read the lower triangle.  Raises
+    NumericalError on non-finite input, and with the hermiticity residual if
+    LAPACK fails to converge (in practice, on input far from Hermitian).
     """
     h = np.asarray(h)
+    if not np.all(np.isfinite(h)):
+        raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
+    if h.shape[-2:] == (2, 2):
+        return _eig2(h, vectors)
     try:
-        w, v = np.linalg.eigh(h)
+        return tuple(np.linalg.eigh(h)) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed on shape {h.shape}: {exc}; "
             f"hermiticity residual {hermiticity_residual(h):.3e}"
         ) from exc
-    return w, v
+
+
+@functools.lru_cache(maxsize=128)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
+    # The planner reads only shapes: zero-stride views stand in for operands.
+    views = (np.broadcast_to(0.0, shape) for shape in shapes)
+    return tuple(np.einsum_path(subscripts, *views, optimize="greedy")[0])
+
+
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with the greedy contraction path
+    planned once per subscripts and operand shapes, then reused."""
+    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def log_floor(w: np.ndarray) -> np.ndarray:
@@ -76,7 +115,7 @@ def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystem ``(w, v)`` of a Hermitian matrix (stacked OK) and its log
     ``V log_floor(w) V^H``."""
     w, v = eig_hermitian(h)
-    return w, v, np.einsum("...ij,...j,...kj->...ik", v, log_floor(w), np.conj(v), optimize=True)
+    return w, v, einsum("...ij,...j,...kj->...ik", v, log_floor(w), np.conj(v))
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
@@ -120,13 +159,17 @@ def check_density(m: np.ndarray, label: str = "matrix") -> None:
     raise InvariantError(f"{label}: negative eigenvalue {wmin[i]:.3e} below -{DENSITY_EIG_TOL:.1e}")
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitary from a complex Gaussian matrix (stacked OK)."""
     q, r = np.linalg.qr(z)
     # Fix the phase ambiguity so the distribution is exactly Haar.
-    ph = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * ph
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    return haar_unitary(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
 def random_density(dim: int, rng: np.random.Generator, classical: bool = False) -> np.ndarray:

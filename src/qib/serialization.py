@@ -96,8 +96,14 @@ def _number(description: str, ok: Callable[[Any], bool] = lambda v: True) -> Rul
     )
 
 
-def _integer(minimum: int) -> Rule:
-    return _number(f"an integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
+# Largest value of a config's size keys (dimensions, counts of symbols or
+# samples); numpy fails on far larger ones only after the rules have passed.
+MAX_SIZE = 10**6
+
+
+def _integer(minimum: int, maximum: float = float("inf")) -> Rule:
+    bounds = f">= {minimum}" if maximum == float("inf") else f"in [{minimum}, {maximum}]"
+    return _number(f"an integer {bounds}", lambda v: type(v) is int and minimum <= v <= maximum)
 
 
 def _nonempty_list(item: Rule) -> Rule:

@@ -11,6 +11,12 @@ from qib.rng import derive_rng
 EXP_OVERFLOW = 700.0
 
 
+def random_densities(dim, count, gen, classical=False):
+    """``count`` draws of ``random_density`` one after another: the per-x
+    reference for the batched draws of ``engine.random_channel``."""
+    return np.stack([random_density(dim, gen, classical=classical) for _ in range(count)])
+
+
 def random_cq_state(seed, size_x=None, dim_y=None, classical=False, tag="state"):
     """Seeded random source; sizes drawn when not pinned."""
     gen = derive_rng(seed, tag)
@@ -19,15 +25,11 @@ def random_cq_state(seed, size_x=None, dim_y=None, classical=False, tag="state")
     if dim_y is None:
         dim_y = int(gen.integers(2, 4))
     px = gen.dirichlet(np.ones(size_x))
-    rhos = np.stack([random_density(dim_y, gen, classical=classical) for _ in range(size_x)])
-    return CQState(px, rhos)
+    return CQState(px, random_densities(dim_y, size_x, gen, classical))
 
 
 def random_channel_for(state, dim_t, seed, classical=False, tag="chan"):
-    gen = derive_rng(seed, tag)
-    mats = np.stack(
-        [random_density(dim_t, gen, classical=classical) for _ in range(state.size_x)]
-    )
+    mats = random_densities(dim_t, state.size_x, derive_rng(seed, tag), classical)
     return CQChannel(mats, classical=classical)
 
 
@@ -39,7 +41,7 @@ def sparse_table_instance(seed, classical_rho):
     dim_t = dim_y + int(gen.integers(1, 3))
     px = gen.dirichlet(np.ones(size_x))
     px[gen.integers(size_x)] = 0.0
-    rhos = np.stack([random_density(dim_y, gen, classical=classical_rho) for _ in range(size_x)])
+    rhos = random_densities(dim_y, size_x, gen, classical_rho)
     q = gen.dirichlet(np.ones(dim_t), size=size_x)
     q[(gen.random(q.shape) < 0.3) & (q < q.max(axis=1)[:, None])] = 0.0
     return CQState(px / px.sum(), rhos), q / q.sum(axis=1)[:, None]

@@ -1,5 +1,6 @@
 """Command surface: exit codes, output layout, determinism."""
 
+import errno
 import json
 import os
 import re
@@ -109,6 +110,17 @@ def test_run_qib_initial_channel_mismatch_exits_1(qib_config, tmp_path, capsys):
 def test_run_qib_missing_config_exits_1(tmp_path, capsys):
     assert cli.main(["run-qib", "--config", str(tmp_path / "nope.json")]) == 1
     assert "missing file" in capsys.readouterr().err
+
+
+def test_directory_as_an_input_path_exits_1(tmp_path, capsys):
+    # Regression: IsADirectoryError escaped cli.main as a traceback.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config = _write_json(tmp_path / "run.json", dict(_RUN, state={"path": str(folder)}))
+    for argv in (["run-qib", "--config", str(folder)], ["run-qib", "--config", config],
+                 ["validate", str(folder)]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.EISDIR)}: {folder}\n"
 
 
 def test_run_qib_schema_violation_exits_1(tmp_path, capsys):
@@ -423,6 +435,16 @@ _QUBITS = {"generator": "random-qubit-ensemble", "sizeX": 3}
         ("run-qib", dict(_RUN, state={"path": "s.json", "k": 1}), "/state/k"),
         ("run-qib", dict(_RUN, state=_QUBITS, initial_channel="zeros"), "/initial_channel"),
         ("run-qib", dict(_RUN, state=_QUBITS, seed=True), "/seed"),
+        # Sizes beyond MAX_SIZE escaped as numpy's "Maximum allowed dimension
+        # exceeded" traceback, or tried to allocate.
+        ("run-qib", dict(_RUN, dimT=10**20, state=_QUBITS), "/dimT"),
+        ("run-qib", dict(_RUN, dimT=ser.MAX_SIZE + 1, state=_QUBITS), "/dimT"),
+        ("run-qib", dict(_RUN, state=dict(_QUBITS, sizeX=10**20)), "/state/sizeX"),
+        ("run-qib", dict(_RUN, state={"generator": "copy-state", "d": 10**20}), "/state/d"),
+        ("run-qib", dict(_RUN, state={"generator": "copy-state", "d": 2, "k": 10**20}), "/state/k"),
+        ("classify", {"n_samples": 10**20}, "/n_samples"),
+        ("suffstats", {"sizeX1": 10**20}, "/sizeX1"),
+        ("suffstats", {"sizeX2": 10**20}, "/sizeX2"),
     ],
 )
 def test_malformed_config_names_the_key(tmp_path, capsys, command, config, pointer):

@@ -1,5 +1,7 @@
 """Solver core: the F-operator identity, the accelerated update, descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from helpers import (
     matrix_log_supported,
     random_channel_for,
     random_cq_state,
+    random_densities,
     sparse_table_instance,
 )
 
@@ -324,6 +327,31 @@ def test_random_channel_rejects_bad_sizes():
         engine.random_channel(0, 3)
     with pytest.raises(InvariantError):
         engine.random_channel(2, 0)
+
+
+@pytest.mark.parametrize("dim_t", [2, 3, 16])
+@pytest.mark.parametrize("classical", [False, True])
+def test_random_channel_equals_per_x_draws(dim_t, classical):
+    # The quantum branch draws per x but builds its stack in one batch.
+    batched = engine.random_channel(dim_t, 9, classical=classical, seed=derive_rng(4, "draws"))
+    looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
+    assert batched.classical == classical
+    assert np.array_equal(batched.sigma_t_given_x, looped)
+
+
+@pytest.mark.parametrize("dim_t, classical", [(2, False), (3, False), (3, True)])
+def test_second_run_plans_no_einsum_path(monkeypatch, dim_t, classical):
+    calls = []
+    plan = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path", lambda *a, **k: calls.append(a[0]) or plan(*a, **k))
+    linalg._einsum_path.cache_clear()
+    state = random_cq_state(30, size_x=4, dim_y=2)
+    cfg = ObjectiveConfig(alpha=1.0, beta=5.0, dim_t=dim_t, classical=classical, max_iters=3)
+    engine.run_qib(state, cfg)
+    assert calls
+    planned = len(calls)
+    engine.run_qib(state, dataclasses.replace(cfg, seed=1))
+    assert len(calls) == planned
 
 
 def test_state_channel_size_mismatch_raises():

@@ -73,6 +73,29 @@ def test_suffstats_spec_validation():
     SuffStatsSpec(nu=np.inf).validate()
 
 
+@given(
+    st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 1.0)), min_size=1, max_size=20
+    )
+)
+def test_stack_qubits_equals_stacked_rho_qubit(pairs):
+    thetas, lams = (np.array(column) for column in zip(*pairs))
+    looped = np.stack([rho_qubit(t, l) for t, l in zip(thetas, lams)])
+    assert np.array_equal(ensembles._stack_qubits(thetas, lams), looped)
+
+
+@pytest.mark.parametrize("bad", [-0.01, 1.2, np.nan])
+@pytest.mark.parametrize("x", [0, 3, 5])
+def test_stack_qubits_rejects_a_bias_outside_unit_interval_at_any_x(x, bad):
+    thetas, lams = np.linspace(0.0, 3.0, 6), np.linspace(0.0, 1.0, 6)
+    lams[x] = bad
+    with pytest.raises(InvariantError) as expected:
+        rho_qubit(thetas[x], lams[x])
+    with pytest.raises(InvariantError) as raised:
+        ensembles._stack_qubits(thetas, lams)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_suffstats_instance_layout():
     spec = SuffStatsSpec(size_x1=3, size_x2=4, nu=25.0)
     inst = gen_suffstats_ensemble(spec)

@@ -43,12 +43,72 @@ def test_eigenvalues_match_characteristic_polynomial(seed):
 
 def test_eig_hermitian_stacked_matches_loop():
     gen = derive_rng(3, "stack")
-    hs = np.stack([random_hermitian(3, gen) for _ in range(5)])
-    w, v = linalg.eig_hermitian(hs)
-    assert w.shape == (5, 3)
-    for i in range(5):
-        wi, _ = linalg.eig_hermitian(hs[i])
-        assert np.max(np.abs(w[i] - wi)) < 1e-12
+    for dim in (2, 3):
+        hs = np.stack([random_hermitian(dim, gen) for _ in range(5)])
+        w, v = linalg.eig_hermitian(hs)
+        assert w.shape == (5, dim)
+        for i in range(5):
+            wi, _ = linalg.eig_hermitian(hs[i])
+            assert np.max(np.abs(w[i] - wi)) < 1e-12
+
+
+def _qubit_operator(kind, gen, exponent):
+    """One Hermitian 2 x 2 matrix of a kind the closed form must get right."""
+    a, c = gen.uniform(-1.0, 1.0, 2)
+    if kind == "diagonal, a < c":
+        return np.diag([min(a, c), max(a, c)]).astype(complex)
+    if kind == "diagonal, a > c":
+        return np.diag([max(a, c), min(a, c)]).astype(complex)
+    if kind == "identity multiple":
+        return a * np.eye(2, dtype=complex)
+    if kind == "pure state":
+        psi = gen.normal(size=2) + 1j * gen.normal(size=2)
+        return np.outer(psi, np.conj(psi)) / np.vdot(psi, psi).real
+    if kind == "tiny off-diagonal":
+        b = 10.0 ** -exponent * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi))
+        return np.array([[a, np.conj(b)], [b, c]])
+    if kind == "huge entries":
+        return 10.0 ** (exponent / 2) * random_hermitian(2, gen)
+    # Near the log floor: eigenvalues LOG_FLOOR * (1 +- u) and the rest of a unit trace.
+    low = linalg.LOG_FLOOR * (1.0 + a)
+    return (u := linalg.random_unitary(2, gen)) @ np.diag([low, 1.0 - low]) @ np.conj(u.T)
+
+
+@given(
+    st.sampled_from([
+        "diagonal, a < c", "diagonal, a > c", "identity multiple", "pure state",
+        "tiny off-diagonal", "huge entries", "near the floor",
+    ]),
+    st.sampled_from([(), (1,), (4,), (2, 3)]),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_eig_hermitian_2x2_closed_form_matches_lapack(kind, lead, exponent, seed):
+    gen = np.random.default_rng(seed)
+    h = np.stack([_qubit_operator(kind, gen, exponent) for _ in range(int(np.prod(lead)))])
+    h = h.reshape(lead + (2, 2))
+    # Only the lower triangle is read, as by LAPACK's UPLO='L'.
+    given_h = h.copy()
+    given_h[..., 0, 1] = gen.normal(size=lead)
+    w, v = linalg.eig_hermitian(given_h)
+    assert np.array_equal(linalg.eig_hermitian(given_h, vectors=False), w)
+    scale = 8.0 * np.finfo(float).eps * np.linalg.norm(h, axis=(-2, -1))[..., None]
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.all(np.abs(w - np.linalg.eigvalsh(given_h)) <= scale)
+    rebuilt = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    assert np.all(np.abs(rebuilt - h) <= scale[..., None])
+    gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+    assert np.max(np.abs(gram - np.eye(2)), initial=0.0) <= 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_hermitian_rejects_non_finite_input(dim, bad):
+    h = np.stack([np.eye(dim, dtype=complex)] * 3)
+    h[1, -1, 0] = bad
+    for vectors in (True, False):
+        with pytest.raises(NumericalError, match="not finite"):
+            linalg.eig_hermitian(h, vectors)
 
 
 def test_matrix_log_exp_roundtrip():
