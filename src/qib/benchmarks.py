@@ -71,9 +71,8 @@ def copy_state(d: int, k: int = 1) -> CQState:
         raise InvariantError(f"copy state needs d >= 2, k >= 1, got d={d}, k={k}")
     size = d * k
     rho = np.zeros((size, d, d), dtype=np.complex128)
-    for x in range(size):
-        x1 = x // k
-        rho[x, x1, x1] = 1.0
+    x1 = np.arange(size) // k
+    rho[np.arange(size), x1, x1] = 1.0
     return CQState(np.full(size, 1.0 / size), rho)
 
 
@@ -90,14 +89,9 @@ def fourier_feature_channel(d: int, n: int, size_x2: int = 1) -> CQChannel:
         )
     if size_x2 < 1:
         raise InvariantError(f"size_x2 must be >= 1, got {size_x2}")
-    t = np.arange(n)
-    mats = np.empty((d * size_x2, n, n), dtype=np.complex128)
-    for x1 in range(d):
-        psi = np.exp(2j * np.pi * x1 * t / d) / np.sqrt(n)
-        proj = np.outer(psi, np.conj(psi))
-        for x2 in range(size_x2):
-            mats[x1 * size_x2 + x2] = proj
-    return CQChannel(mats, classical=False)
+    psi = np.exp(2j * np.pi * np.arange(d)[:, None] * np.arange(n) / d) / np.sqrt(n)
+    proj = psi[:, :, None] * np.conj(psi[:, None, :])
+    return CQChannel(np.repeat(proj, size_x2, axis=0), classical=False)
 
 
 def assignment_terms(

@@ -208,29 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if emit_state:
             p.add_argument("--emit-state", default=None, help="also write the resolved state JSON")
 
-    p = sub.add_parser("run-qib", help="iterate the soft bottleneck to convergence")
-    add_common(p)
-    p.set_defaults(
-        func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib, alpha_override=None
+    runs = (
+        ("run-qib", "iterate the soft bottleneck to convergence", dict(
+            func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib, alpha_override=None)),
+        ("run-qdib", "iterate the deterministic bottleneck", dict(
+            func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib, alpha_override=0.0)),
+        ("gamma-sweep", "one run per step size from a shared start", dict(func=_cmd_gamma_sweep)),
+        ("beta-sweep", "converged metrics per trade-off weight", dict(func=_cmd_beta_sweep)),
     )
-
-    p = sub.add_parser("run-qdib", help="iterate the deterministic bottleneck")
-    add_common(p)
-    p.set_defaults(
-        func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib, alpha_override=0.0
-    )
-
-    p = sub.add_parser("gamma-sweep", help="one run per step size from a shared start")
-    add_common(p)
-    p.set_defaults(func=_cmd_gamma_sweep)
-
-    p = sub.add_parser("beta-sweep", help="converged metrics per trade-off weight")
-    add_common(p)
-    p.set_defaults(func=_cmd_beta_sweep)
+    for name, text, defaults in runs:
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("advantage", help="analytic quantum vs classical table")
     p.add_argument("--d", required=True, help="source sizes, comma separated")

@@ -12,6 +12,8 @@ the comparison arms.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ from .. import engine, rng
 from ..exceptions import InvariantError
 from ..linalg import diag_embed
 from ..model import CQChannel, CQState, ObjectiveConfig
+from ..serialization import MAX_SIZE
 
 NUM_LABELS = 3
 SIZE_X1 = 3
@@ -179,8 +182,6 @@ def predict(cross_gram: np.ndarray, coef: np.ndarray, bias: np.ndarray) -> np.nd
 @dataclass(frozen=True)
 class ClassifyReport:
     metrics: dict[str, float]
-    dataset: LabeledDataset
-    cells: np.ndarray
     quantum_channel: CQChannel
     classical_channel: CQChannel
     quantum_trace: engine.IterationTrace
@@ -190,27 +191,32 @@ class ClassifyReport:
 
 
 def _features(
-    channel: CQChannel, cells: np.ndarray, x1c: np.ndarray, x2c: np.ndarray
+    channel: CQChannel, cells: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Per-sample feature operators; unseen cells fall back to I/dimT."""
+    """Feature operators of the floored (x1, x2) cells of ``points`` (m, 2),
+    and how many points fall in cells unseen in training: those get I/dimT."""
     cell_keys = _cell_keys(cells[:, 0], cells[:, 1])
-    keys = _cell_keys(x1c, x2c)
-    pos = np.searchsorted(cell_keys, keys)
-    pos_clipped = np.minimum(pos, cell_keys.size - 1)
-    seen = cell_keys[pos_clipped] == keys
+    floored = np.floor(points).astype(np.int64)
+    keys = _cell_keys(floored[:, 0], floored[:, 1])
+    pos = np.minimum(np.searchsorted(cell_keys, keys), cell_keys.size - 1)
+    seen = cell_keys[pos] == keys
     dt = channel.dim_t
     feats = np.empty((keys.size, dt, dt), dtype=np.complex128)
-    feats[seen] = channel.sigma_t_given_x[pos_clipped[seen]]
+    feats[seen] = channel.sigma_t_given_x[pos[seen]]
     feats[~seen] = np.eye(dt, dtype=np.complex128) / dt
-    n_unseen = int(np.sum(~seen))
-    if n_unseen:
-        warnings.warn(
-            f"{n_unseen} sample(s) hit cells unseen in training; "
-            "using the maximally mixed feature",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return feats, n_unseen
+    return feats, int(np.sum(~seen))
+
+
+def _grid_points(grid_step: float) -> np.ndarray:
+    """(m, 2) decision-region grid over the coordinate box, x2 running fastest."""
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise InvariantError(f"grid_step must be a finite number > 0, got {grid_step}")
+    extents = (SIZE_X1 + WIDE_NOISE, SIZE_X2 + WIDE_NOISE)
+    # np.arange's length per axis; an axis past MAX_SIZE alone decides.
+    if math.prod(math.ceil(min(e / grid_step, MAX_SIZE + 1)) for e in extents) > MAX_SIZE:
+        raise InvariantError(f"grid_step {grid_step} gives more than {MAX_SIZE} grid points")
+    axes = np.meshgrid(*(np.arange(0.0, e, grid_step) for e in extents), indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
 
 
 def classify_pipeline(
@@ -232,11 +238,12 @@ def classify_pipeline(
     The quantum and classical (diagonal-restricted) runs share every
     hyperparameter and the same run seed; the linear reference uses the raw
     continuous coordinates with the same ridge solver.  With ``grid_step``
-    set, decision-region rows over the coordinate box are included.
+    set, decision-region rows over the coordinate box are included.  Test
+    samples in cells unseen in training raise one RuntimeWarning.
     """
+    grid = None if grid_step is None else _grid_points(grid_step)
     ds = gen_classifier_dataset(seed, n_samples, train_fraction)
-    tr = ds.train_mask
-    te = ~tr
+    tr, te = ds.train_mask, ~ds.train_mask
     state, cells = empirical_cq_state(ds.x1_cell[tr], ds.x2_cell[tr], ds.y[tr])
 
     run_seed = rng.derive_seed(seed, "classify-run")
@@ -248,72 +255,50 @@ def classify_pipeline(
         )
         results[name] = engine.run_qib(state, config)
 
-    unseen_total = 0
-    accs = {}
-    preds = {}
-    fits = {}
-    for name in ("quantum", "classical"):
-        channel = results[name][0]
-        f_tr, _ = _features(channel, cells, ds.x1_cell[tr], ds.x2_cell[tr])
-        f_te, n_unseen = _features(channel, cells, ds.x1_cell[te], ds.x2_cell[te])
-        unseen_total = max(unseen_total, n_unseen)
-        coef, bias = train_classifier(hs_gram(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
-        fits[name] = (f_tr, coef, bias)
-        pred = predict(hs_gram(f_te, f_tr), coef, bias)
-        preds[name] = pred
-        accs[name] = float(np.mean(pred == ds.y[te]))
-
+    # Each arm maps (x1, x2) points to (features, unseen-cell count) and pairs
+    # features through its kernel.
+    arms = {
+        name: (functools.partial(_features, channel, cells), hs_gram)
+        for name, (channel, _) in results.items()
+    }
+    arms["linear"] = (lambda points: (points, 0), lambda a, b: a @ b.T)
     coords = np.column_stack([ds.x1_cont, ds.x2_cont])
-    g_lin = coords[tr] @ coords[tr].T
-    coef_l, bias_l = train_classifier(g_lin, ds.y[tr], NUM_LABELS, ridge)
-    pred_l = predict(coords[te] @ coords[tr].T, coef_l, bias_l)
-    preds["linear"] = pred_l
-    accs["linear"] = float(np.mean(pred_l == ds.y[te]))
+    queries = {"test": coords[te]} if grid is None else {"test": coords[te], "grid": grid}
+    preds, unseen = {}, {}
+    for name, (featurize, kernel) in arms.items():
+        f_tr, _ = featurize(coords[tr])
+        coef, bias = train_classifier(kernel(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
+        for key, points in queries.items():
+            feats, unseen[key, name] = featurize(points)
+            preds[key, name] = predict(kernel(feats, f_tr), coef, bias)
 
-    region_rows = None
-    if grid_step is not None:
-        if grid_step <= 0:
-            raise InvariantError(f"grid_step must be positive, got {grid_step}")
-        g1 = np.arange(0.0, SIZE_X1 + WIDE_NOISE, grid_step)
-        g2 = np.arange(0.0, SIZE_X2 + WIDE_NOISE, grid_step)
-        gx1, gx2 = [a.ravel() for a in np.meshgrid(g1, g2, indexing="ij")]
-        cell1 = np.floor(gx1).astype(np.int64)
-        cell2 = np.floor(gx2).astype(np.int64)
-        grid_preds = {}
-        for name, (f_tr, coef, bias) in fits.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                f_gr, _ = _features(results[name][0], cells, cell1, cell2)
-            grid_preds[name] = predict(hs_gram(f_gr, f_tr), coef, bias)
-        grid_coords = np.column_stack([gx1, gx2])
-        grid_preds["linear"] = predict(grid_coords @ coords[tr].T, coef_l, bias_l)
-        region_rows = [
-            (
-                float(gx1[i]),
-                float(gx2[i]),
-                int(grid_preds["quantum"][i]),
-                int(grid_preds["classical"][i]),
-                int(grid_preds["linear"][i]),
-            )
-            for i in range(gx1.size)
-        ]
-
+    n_unseen = unseen["test", "quantum"]
+    if n_unseen:
+        warnings.warn(
+            f"{n_unseen} test sample(s) hit cells unseen in training; "
+            "using the maximally mixed feature",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    acc = {name: float(np.mean(preds["test", name] == ds.y[te])) for name in arms}
+    region_rows = None if grid is None else [
+        (x1, x2, int(q), int(c), int(lin))
+        for (x1, x2), q, c, lin in zip(grid.tolist(), *(preds["grid", name] for name in arms))
+    ]
     metrics = {
         "f_quantum": results["quantum"][1].final_f,
         "f_classical": results["classical"][1].final_f,
-        "acc_quantum": accs["quantum"],
-        "acc_classical": accs["classical"],
-        "acc_linear_ref": accs["linear"],
-        "unseen_test_cells": float(unseen_total),
+        "acc_quantum": acc["quantum"],
+        "acc_classical": acc["classical"],
+        "acc_linear_ref": acc["linear"],
+        "unseen_test_cells": float(n_unseen),
     }
     return ClassifyReport(
         metrics=metrics,
-        dataset=ds,
-        cells=cells,
         quantum_channel=results["quantum"][0],
         classical_channel=results["classical"][0],
         quantum_trace=results["quantum"][1],
         classical_trace=results["classical"][1],
-        test_predictions={"y": ds.y[te], **preds},
+        test_predictions={"y": ds.y[te], **{name: preds["test", name] for name in arms}},
         region_rows=region_rows,
     )

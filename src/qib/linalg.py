@@ -144,7 +144,7 @@ def check_density(m: np.ndarray, label: str = "matrix") -> None:
     # Every comparison is phrased so that a NaN residual fails it.
     ok = (res <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
     wmin = np.full(len(flat), np.nan)
-    wmin[ok] = np.linalg.eigvalsh(hermitize(flat[ok]))[:, 0]
+    wmin[ok] = eig_hermitian(hermitize(flat[ok]), vectors=False)[:, 0]
     bad = np.flatnonzero(~(wmin >= -DENSITY_EIG_TOL))
     if not bad.size:
         return

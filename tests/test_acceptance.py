@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qib import benchmarks, config as qconfig, engine, linalg, model, qdib, serialization
 from qib.cli import main as cli_main
@@ -233,7 +234,8 @@ def test_qubit_features_beat_classical_bits_on_labeled_data():
     start = time.perf_counter()
     acc_q, acc_c = [], []
     for seed in range(10):
-        report = classify_pipeline(seed=seed)
+        with pytest.warns(RuntimeWarning, match="unseen in training"):
+            report = classify_pipeline(seed=seed)
         m = report.metrics
         assert m["f_quantum"] < m["f_classical"]
         acc_q.append(m["acc_quantum"])
@@ -298,7 +300,8 @@ def test_cli_outputs_are_byte_identical_across_invocations(tmp_path):
             "classify", "--config", str(cls_cfg), "--out", str(out),
             "--regions-out", str(regions), "--grid-step", "1.0",
         ]
-        assert cli_main(argv) == 0
+        with pytest.warns(RuntimeWarning, match="unseen in training"):
+            assert cli_main(argv) == 0
         region_payloads.append((out.read_bytes(), regions.read_bytes()))
     assert region_payloads[0] == region_payloads[1]
 

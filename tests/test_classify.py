@@ -116,10 +116,8 @@ def test_features_fall_back_on_unseen_cells():
     mats = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     chan = model.CQChannel(mats, classical=True)
     cells = np.array([[0, 0], [1, 2]])
-    with pytest.warns(RuntimeWarning, match="unseen"):
-        feats, n_unseen = classify._features(
-            chan, cells, np.array([0, 5, 1]), np.array([0, 5, 2])
-        )
+    points = np.array([[0.0, 0.9], [5.2, 5.0], [1.99, 2.5]])
+    feats, n_unseen = classify._features(chan, cells, points)
     assert n_unseen == 1
     assert np.max(np.abs(feats[0] - mats[0])) < 1e-15
     assert np.max(np.abs(feats[2] - mats[1])) < 1e-15
@@ -127,7 +125,8 @@ def test_features_fall_back_on_unseen_cells():
 
 
 def test_pipeline_small_instance():
-    rep = classify.classify_pipeline(seed=0, n_samples=120, max_iters=200)
+    with pytest.warns(RuntimeWarning, match="unseen in training"):
+        rep = classify.classify_pipeline(seed=0, n_samples=120, max_iters=200)
     m = rep.metrics
     for key in (
         "f_quantum",
@@ -150,15 +149,15 @@ def test_pipeline_small_instance():
 
 
 def test_pipeline_deterministic():
-    a = classify.classify_pipeline(seed=5, n_samples=100, max_iters=150)
-    b = classify.classify_pipeline(seed=5, n_samples=100, max_iters=150)
+    with pytest.warns(RuntimeWarning, match="unseen in training"):
+        a = classify.classify_pipeline(seed=5, n_samples=100, max_iters=150)
+        b = classify.classify_pipeline(seed=5, n_samples=100, max_iters=150)
     assert a.metrics == b.metrics
 
 
 def test_pipeline_region_grid():
-    rep = classify.classify_pipeline(
-        seed=1, n_samples=100, max_iters=150, grid_step=1.0
-    )
+    with pytest.warns(RuntimeWarning, match="unseen in training"):
+        rep = classify.classify_pipeline(seed=1, n_samples=100, max_iters=150, grid_step=1.0)
     rows = rep.region_rows
     n1 = np.arange(0.0, classify.SIZE_X1 + classify.WIDE_NOISE, 1.0).size
     n2 = np.arange(0.0, classify.SIZE_X2 + classify.WIDE_NOISE, 1.0).size

@@ -1,5 +1,6 @@
 """Command surface: exit codes, output layout, determinism."""
 
+import contextlib
 import errno
 import json
 import os
@@ -265,19 +266,10 @@ def test_classify_command(tmp_path, capsys):
     )
     metrics_path = tmp_path / "metrics.json"
     regions_path = tmp_path / "regions.csv"
-    code = cli.main(
-        [
-            "classify",
-            "--config",
-            path,
-            "--out",
-            str(metrics_path),
-            "--regions-out",
-            str(regions_path),
-            "--grid-step",
-            "1.0",
-        ]
-    )
+    argv = ["classify", "--config", path, "--out", str(metrics_path),
+            "--regions-out", str(regions_path), "--grid-step", "1.0"]
+    with pytest.warns(RuntimeWarning, match="unseen in training"):
+        code = cli.main(argv)
     capsys.readouterr()
     assert code == 0
     metrics = json.loads(metrics_path.read_text())
@@ -292,6 +284,32 @@ def test_classify_schema_rejects_small_n(tmp_path, capsys):
     path = _write_json(tmp_path / "bad.json", {"n_samples": 5})
     assert cli.main(["classify", "--config", path]) == 1
     assert "/n_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-6"])
+def test_classify_rejects_a_bad_grid_step_before_solving(tmp_path, capsys, monkeypatch, step):
+    # nan and 1e-6 used to escape, after both solves, as a ValueError and a
+    # MemoryError traceback.
+    monkeypatch.setattr(cli.engine, "run_qib", lambda *a, **k: pytest.fail("solved first"))
+    path = _write_json(tmp_path / "classify.json", {"n_samples": 40})
+    argv = ["classify", "--config", path, "--regions-out", str(tmp_path / "r.csv"),
+            "--grid-step", step]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: grid_step"), err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("classify", {}), ("suffstats", {"sizeX1": 3, "sizeX2": 4, "nu": 25.0})],
+    ids=["classify", "suffstats"],
+)
+def test_experiments_take_no_format_flag(tmp_path, capsys, command, config):
+    path = _write_json(tmp_path / "config.json", config)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"),
+                     "--format", "csv"]) == 1
+    assert "--format" in capsys.readouterr().err
 
 
 def test_suffstats_requires_out_directory(tmp_path, capsys):
@@ -589,7 +607,9 @@ def test_every_numeric_leaf_rejects_non_finite_literals(tmp_path, capsys, case):
     command, config, part = _LEAF_CASES[case]
     argv = [command, "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
     _write_json(tmp_path / "run.json", config)
-    assert cli.main(argv) == 0
+    unseen = pytest.warns(RuntimeWarning, match="unseen in training")
+    with unseen if case == "classify" else contextlib.nullcontext():
+        assert cli.main(argv) == 0
     capsys.readouterr()
     leaves = [p for p in _numeric_leaves(config) if p.startswith(part + "/")]
     assert leaves
