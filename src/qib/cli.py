@@ -17,7 +17,7 @@ import sys
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
 from .exceptions import ConfigError, InvariantError, NumericalError
-from .experiments.classify import classify_pipeline
+from .experiments.classify import check_grid_step, classify_pipeline
 from .experiments.suffstats import suffstats_pipeline
 from .experiments.sweeps import beta_sweep, gamma_sweep
 
@@ -136,10 +136,10 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.CLASSIFY_SCHEMA)
-    grid_step = args.grid_step if args.regions_out else None
+    check_grid_step(args.grid_step)
     report = classify_pipeline(
         seed=seed,
-        grid_step=grid_step,
+        grid_step=args.grid_step if args.regions_out else None,
         **cfg.params(obj, ("alpha", "beta", "gamma", "dimT", "ridge", "n_samples",
                            "train_fraction", "tol", "max_iters")),
     )

@@ -278,14 +278,14 @@ def random_channel(
     seed: int | np.random.Generator = 0,
 ) -> CQChannel:
     """Random full-rank channel: per x a flat-Dirichlet spectrum in a Haar
-    basis (or on the diagonal when classical)."""
+    basis.  A classical channel is the (sizeX, dimT) table of the spectra
+    alone, drawn in one call: the same numbers as one draw per x."""
     if dim_t < 1 or size_x < 1:
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
     gen = seed if isinstance(seed, np.random.Generator) else rng.derive_rng(seed, "channel")
     if classical:
-        mats = np.stack([linalg.random_density(dim_t, gen, classical=True) for _ in range(size_x)])
-        return CQChannel(mats, classical=True)
-    # random_density's draws in its stream order, assembled in one batch.
+        return CQChannel(gen.dirichlet(np.ones(dim_t), size=size_x), classical=True)
+    # Per x a spectrum, then a Gaussian matrix for its basis, in stream order.
     p = np.empty((size_x, dim_t))
     z = np.empty((size_x, dim_t, dim_t), dtype=np.complex128)
     for x in range(size_x):

@@ -29,6 +29,7 @@ NUM_LABELS = 3
 SIZE_X1 = 3
 SIZE_X2 = 10
 WIDE_NOISE = 1.2
+EXTENTS = (SIZE_X1 + WIDE_NOISE, SIZE_X2 + WIDE_NOISE)
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,19 @@ def _features(
     return feats, int(np.sum(~seen))
 
 
-def _grid_points(grid_step: float) -> np.ndarray:
-    """(m, 2) decision-region grid over the coordinate box, x2 running fastest."""
+def check_grid_step(grid_step: float) -> None:
+    """Reject a grid step that is not finite and > 0 or gives over MAX_SIZE points."""
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise InvariantError(f"grid_step must be a finite number > 0, got {grid_step}")
-    extents = (SIZE_X1 + WIDE_NOISE, SIZE_X2 + WIDE_NOISE)
     # np.arange's length per axis; an axis past MAX_SIZE alone decides.
-    if math.prod(math.ceil(min(e / grid_step, MAX_SIZE + 1)) for e in extents) > MAX_SIZE:
+    if math.prod(math.ceil(min(e / grid_step, MAX_SIZE + 1)) for e in EXTENTS) > MAX_SIZE:
         raise InvariantError(f"grid_step {grid_step} gives more than {MAX_SIZE} grid points")
-    axes = np.meshgrid(*(np.arange(0.0, e, grid_step) for e in extents), indexing="ij")
+
+
+def _grid_points(grid_step: float) -> np.ndarray:
+    """(m, 2) decision-region grid over the coordinate box, x2 running fastest."""
+    check_grid_step(grid_step)
+    axes = np.meshgrid(*(np.arange(0.0, e, grid_step) for e in EXTENTS), indexing="ij")
     return np.column_stack([a.ravel() for a in axes])
 
 

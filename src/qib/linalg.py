@@ -1,6 +1,6 @@
 """Dense Hermitian matrix calculus: Hermitian projection, spectral
 decompositions, the floored logarithm, entropy of a spectrum, density
-checks and random densities.
+checks and Haar unitaries.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -165,20 +165,3 @@ def haar_unitary(z: np.ndarray) -> np.ndarray:
     # Fix the phase ambiguity so the distribution is exactly Haar.
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    return haar_unitary(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-
-
-def random_density(dim: int, rng: np.random.Generator, classical: bool = False) -> np.ndarray:
-    """Random density matrix: flat-Dirichlet spectrum, Haar eigenbasis.
-
-    With ``classical`` the matrix is diagonal in the computational basis.
-    """
-    p = rng.dirichlet(np.ones(dim))
-    if classical:
-        return np.diag(p).astype(np.complex128)
-    u = random_unitary(dim, rng)
-    return (u * p) @ np.conj(u.T)

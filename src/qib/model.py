@@ -14,6 +14,7 @@ arithmetic on purpose and should not be merged into it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -79,40 +80,51 @@ class CQState:
         linalg.check_density(self.rho_y_given_x, label="rho_y_given_x")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
     ``sigma_t_given_x`` has shape (sizeX, dimT, dimT); a (sizeX, dimT) table
-    is taken as the diagonals.  With ``classical`` set, every conditional
-    must be diagonal within 1e-12, and the solvers iterate its ``table()``;
-    updates preserve the flag.
+    is taken as the diagonals.  A classical channel given a real table keeps
+    only that table q[x, t], which the solvers iterate and ``table()`` returns
+    uncopied; its dense stack is built when first read.  Every classical
+    conditional must be diagonal within 1e-12; updates keep the flag.
     """
 
-    sigma_t_given_x: np.ndarray
-    classical: bool = False
+    classical: bool
 
-    def __post_init__(self):
-        sig = np.asarray(self.sigma_t_given_x, dtype=np.complex128)
+    def __init__(self, sigma_t_given_x: np.ndarray, classical: bool = False):
+        sig = np.asarray(sigma_t_given_x)
+        object.__setattr__(self, "classical", classical)
+        if classical and sig.ndim == 2 and not np.iscomplexobj(sig):
+            object.__setattr__(self, "_table", _freeze(np.asarray(sig, dtype=np.float64)))
+            return
+        sig = np.asarray(sig, dtype=np.complex128)
         if sig.ndim == 2:
             sig = linalg.diag_embed(sig)
         if sig.ndim != 3 or sig.shape[1] != sig.shape[2]:
             raise InvariantError(
                 f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}"
             )
-        object.__setattr__(self, "sigma_t_given_x", _freeze(sig))
+        sig = _freeze(sig)
+        object.__setattr__(self, "sigma_t_given_x", sig)
+        object.__setattr__(self, "_table", np.diagonal(sig, axis1=1, axis2=2).real)
+
+    @functools.cached_property
+    def sigma_t_given_x(self) -> np.ndarray:
+        return _freeze(linalg.diag_embed(self._table))
 
     @property
     def size_x(self) -> int:
-        return self.sigma_t_given_x.shape[0]
+        return self._table.shape[0]
 
     @property
     def dim_t(self) -> int:
-        return self.sigma_t_given_x.shape[1]
+        return self._table.shape[1]
 
     def table(self) -> np.ndarray:
         """The (sizeX, dimT) table q[x, t] of the conditionals' diagonals."""
-        return np.diagonal(self.sigma_t_given_x, axis1=1, axis2=2).real
+        return self._table
 
     def validate(self) -> None:
         linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")

@@ -4,17 +4,37 @@ import numpy as np
 
 from qib import qdib
 from qib.exceptions import InvariantError, NumericalError
-from qib.linalg import LOG_FLOOR, eig_hermitian, hermitize, random_density
+from qib.linalg import LOG_FLOOR, eig_hermitian, haar_unitary, hermitize
 from qib.model import CQChannel, CQState
 from qib.rng import derive_rng
 
 EXP_OVERFLOW = 700.0
 
 
+def random_unitary(dim, gen):
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    return haar_unitary(gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim)))
+
+
+def random_density(dim, gen):
+    """Random density matrix: flat-Dirichlet spectrum, Haar eigenbasis."""
+    p = gen.dirichlet(np.ones(dim))
+    u = random_unitary(dim, gen)
+    return (u * p) @ np.conj(u.T)
+
+
+def random_diagonal_density(dim, gen):
+    """Diagonal density with a flat-Dirichlet spectrum: the spectrum draw of
+    ``random_density`` without its eigenbasis."""
+    return np.diag(gen.dirichlet(np.ones(dim))).astype(np.complex128)
+
+
 def random_densities(dim, count, gen, classical=False):
-    """``count`` draws of ``random_density`` one after another: the per-x
-    reference for the batched draws of ``engine.random_channel``."""
-    return np.stack([random_density(dim, gen, classical=classical) for _ in range(count)])
+    """``count`` draws of ``random_density`` (``random_diagonal_density``
+    when classical) one after another: the per-x reference for the batched
+    draws of ``engine.random_channel``."""
+    draw = random_diagonal_density if classical else random_density
+    return np.stack([draw(dim, gen) for _ in range(count)])
 
 
 def random_cq_state(seed, size_x=None, dim_y=None, classical=False, tag="state"):

@@ -16,13 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qib import benchmarks, config as qconfig, engine, linalg, model, qdib, serialization
+from qib import benchmarks, config as qconfig, engine, model, qdib, serialization
 from qib.cli import main as cli_main
 from qib.experiments.ensembles import SuffStatsSpec
 from qib.experiments.classify import classify_pipeline
 from qib.experiments.suffstats import suffstats_pipeline
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng, derive_seed
+
+from helpers import random_density
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO_ROOT / "configs" / "small_gamma_demo.json"
@@ -38,7 +40,7 @@ def _instance(g: np.random.Generator, nx_lo, nx_hi, dy_hi, dt_hi):
     dy = int(g.integers(2, dy_hi))
     dt = int(g.integers(2, dt_hi))
     px = g.dirichlet(np.ones(nx))
-    rhos = np.stack([linalg.random_density(dy, g) for _ in range(nx)])
+    rhos = np.stack([random_density(dy, g) for _ in range(nx)])
     return CQState(px, rhos), dt
 
 
@@ -78,10 +80,10 @@ def test_step_ratio_bounded_by_alpha_and_exact_for_constant_channels():
         alpha = (0.3, 0.5, 1.0)[seed % 3]
         nx = state.size_x
         old = CQChannel(
-            np.broadcast_to(linalg.random_density(dt, g), (nx, dt, dt)).copy()
+            np.broadcast_to(random_density(dt, g), (nx, dt, dt)).copy()
         )
         new = CQChannel(
-            np.broadcast_to(linalg.random_density(dt, g), (nx, dt, dt)).copy()
+            np.broadcast_to(random_density(dt, g), (nx, dt, dt)).copy()
         )
         ratio = engine.gamma_ratio(state, new, old, alpha, 2.0)
         assert abs(ratio - (alpha - 1.0)) <= 1e-10

@@ -16,11 +16,10 @@ from qib.benchmarks import (
     quantum_bound,
 )
 from qib.exceptions import InvariantError
-from qib.linalg import random_unitary
 from qib.model import CQChannel
 from qib.rng import derive_rng
 
-from helpers import random_cq_state
+from helpers import random_cq_state, random_unitary
 
 
 def test_quantum_bound_value():

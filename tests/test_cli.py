@@ -640,3 +640,12 @@ def test_cli_import_leaves_jsonschema_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_classify_checks_the_grid_step_without_regions_out(tmp_path, capsys, monkeypatch):
+    # Without --regions-out the step used to go unread: nan exited 0.
+    monkeypatch.setattr(cli.engine, "run_qib", lambda *a, **k: pytest.fail("solved first"))
+    path = _write_json(tmp_path / "classify.json", {"n_samples": 40})
+    assert cli.main(["classify", "--config", path, "--grid-step", "nan"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: grid_step"), err

@@ -17,6 +17,7 @@ from helpers import (
     random_channel_for,
     random_cq_state,
     random_densities,
+    random_density,
     sparse_table_instance,
 )
 
@@ -147,14 +148,38 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
     assert np.max(np.abs(chan.sigma_t_given_x - dense_chan.sigma_t_given_x)) < 1e-10
 
 
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([(1.0, None), (1.0, 0.6), (0.0, None)]),
+)
+def test_runs_from_a_table_and_from_its_dense_embedding_agree(seed, classical_rho, step):
+    # Both classical; only the stored form of the initial channel differs.
+    state, q = sparse_table_instance(seed, classical_rho)
+    (alpha, gamma), runs = step, []
+    runner = qdib.run_qdib if alpha == 0.0 else engine.run_qib
+    cfg = ObjectiveConfig(
+        alpha=alpha, beta=5.0, gamma=gamma, dim_t=q.shape[1], classical=True,
+        tol=1e-10, max_iters=8,
+    )
+    for initial in (q, linalg.diag_embed(q)):
+        runs.append(runner(state, cfg, initial=CQChannel(initial, classical=True)))
+    (chan, trace), (dense_chan, dense_trace) = runs
+    assert len(trace) == len(dense_trace)
+    for a, b in zip(trace.records, dense_trace.records):
+        assert abs(a.f_alpha - b.f_alpha) < 1e-12
+        assert abs(a.i_ty - b.i_ty) < 1e-12
+    assert np.max(np.abs(chan.table() - dense_chan.table())) < 1e-12
+
+
 def test_gamma_ratio_constant_channels():
     # constant channels make the beta term drop out and the ratio collapse
     # to alpha - 1 exactly
     state = random_cq_state(5)
     gen = derive_rng(5, "const")
     for alpha in (0.0, 0.5, 1.0):
-        a = CQChannel(np.stack([linalg.random_density(3, gen)] * state.size_x))
-        b = CQChannel(np.stack([linalg.random_density(3, gen)] * state.size_x))
+        a = CQChannel(np.stack([random_density(3, gen)] * state.size_x))
+        b = CQChannel(np.stack([random_density(3, gen)] * state.size_x))
         r = engine.gamma_ratio(state, a, b, alpha, 2.0)
         assert abs(r - (alpha - 1.0)) < 1e-10
 

@@ -14,7 +14,10 @@ from helpers import (
     matrix_exp,
     matrix_log_supported,
     partial_trace,
+    random_density,
+    random_diagonal_density,
     random_hermitian,
+    random_unitary,
 )
 
 
@@ -71,7 +74,7 @@ def _qubit_operator(kind, gen, exponent):
         return 10.0 ** (exponent / 2) * random_hermitian(2, gen)
     # Near the log floor: eigenvalues LOG_FLOOR * (1 +- u) and the rest of a unit trace.
     low = linalg.LOG_FLOOR * (1.0 + a)
-    return (u := linalg.random_unitary(2, gen)) @ np.diag([low, 1.0 - low]) @ np.conj(u.T)
+    return (u := random_unitary(2, gen)) @ np.diag([low, 1.0 - low]) @ np.conj(u.T)
 
 
 @given(
@@ -115,7 +118,7 @@ def test_matrix_log_exp_roundtrip():
     gen = derive_rng(0, "roundtrip")
     h = random_hermitian(4, gen)
     assert np.max(np.abs(matrix_log_supported(matrix_exp(h)) - h)) < 1e-9
-    rho = linalg.random_density(4, gen)
+    rho = random_density(4, gen)
     back = matrix_exp(matrix_log_supported(rho))
     assert np.max(np.abs(back - rho)) < 1e-9
 
@@ -136,8 +139,8 @@ def test_matrix_exp_overflow_guard():
 @pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (2, 2)])
 def test_partial_trace_of_product(da, db):
     gen = derive_rng(da * 10 + db, "ptrace")
-    a = linalg.random_density(da, gen)
-    b = linalg.random_density(db, gen)
+    a = random_density(da, gen)
+    b = random_density(db, gen)
     m = np.kron(a, b)
     assert np.max(np.abs(partial_trace(m, (da, db), keep="first") - a)) < 1e-12
     assert np.max(np.abs(partial_trace(m, (da, db), keep="second") - b)) < 1e-12
@@ -188,15 +191,16 @@ def test_check_density_rejects_bad_matrices():
 
 
 def test_random_unitary_is_unitary_and_seeded():
-    u1 = linalg.random_unitary(4, derive_rng(7, "u"))
-    u2 = linalg.random_unitary(4, derive_rng(7, "u"))
+    u1 = random_unitary(4, derive_rng(7, "u"))
+    u2 = random_unitary(4, derive_rng(7, "u"))
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(np.conj(u1.T) @ u1 - np.eye(4))) < 1e-12
 
 
 @pytest.mark.parametrize("classical", [False, True])
 def test_random_density_is_valid(classical):
-    rho = linalg.random_density(3, derive_rng(2, "rho"), classical=classical)
+    draw = random_diagonal_density if classical else random_density
+    rho = draw(3, derive_rng(2, "rho"))
     linalg.check_density(rho)
     if classical:
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0

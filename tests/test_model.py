@@ -9,7 +9,14 @@ from qib.exceptions import InvariantError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
-from helpers import partial_trace, random_cq_state, random_channel_for, shannon
+from helpers import (
+    partial_trace,
+    random_channel_for,
+    random_cq_state,
+    random_density,
+    shannon,
+    sparse_table_instance,
+)
 
 
 def test_state_construction_validates_shapes():
@@ -55,6 +62,34 @@ def test_classical_channel_flag_enforced_by_validate():
     CQChannel(off, classical=False).validate()
 
 
+def _verdict(channel):
+    try:
+        channel.validate()
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["valid", "negative", "unnormalized"]))
+def test_table_backed_classical_channel_matches_its_dense_embedding(seed, defect):
+    _, q = sparse_table_instance(seed, classical_rho=True)
+    if defect == "negative":
+        # Row sums kept: only the sign of one entry is wrong.
+        i, j = q[0].argmin(), q[0].argmax()
+        q[0, j] += q[0, i] + 0.01
+        q[0, i] = -0.01
+    elif defect == "unnormalized":
+        q[-1] *= 1.1
+    table = CQChannel(q, classical=True)
+    dense = CQChannel(linalg.diag_embed(q), classical=True)
+    assert table.table() is table.table() and not table.table().flags.writeable
+    assert table.table().tobytes() == dense.table().tobytes()
+    assert np.array_equal(table.sigma_t_given_x, dense.sigma_t_given_x)
+    verdict = _verdict(table)
+    assert verdict == _verdict(dense)
+    assert (verdict is None) == (defect == "valid"), verdict
+
+
 def test_entropy_values():
     assert linalg.entropy(np.array([1.0, 0.0])) == 0.0
     assert abs(linalg.entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
@@ -73,8 +108,8 @@ def test_entropy_values():
 @given(st.integers(0, 100))
 def test_relative_entropy_klein_inequality(seed):
     gen = derive_rng(seed, "klein")
-    a = linalg.random_density(3, gen)
-    b = linalg.random_density(3, gen)
+    a = random_density(3, gen)
+    b = random_density(3, gen)
     d = model.relative_entropy(a, b)
     assert d >= -1e-10
     assert model.relative_entropy(a, a) < 1e-10
@@ -108,7 +143,7 @@ def test_marginals_are_partial_traces_of_joint():
 
 def test_joint_puts_t_factor_first():
     state = random_cq_state(12)
-    tau = linalg.random_density(3, derive_rng(12, "tau"))
+    tau = random_density(3, derive_rng(12, "tau"))
     chan = CQChannel(np.stack([tau] * state.size_x))
     joint = model.sigma_yt(chan, state)
     assert np.max(np.abs(joint - np.kron(tau, model.rho_y(state)))) < 1e-12
@@ -127,7 +162,7 @@ def test_mutual_informations_nonnegative_and_bounded():
 
 def test_product_channel_carries_no_information():
     state = random_cq_state(14)
-    tau = linalg.random_density(2, derive_rng(14, "tau"))
+    tau = random_density(2, derive_rng(14, "tau"))
     chan = CQChannel(np.stack([tau] * state.size_x))
     assert abs(model.mutual_info_tx(state, chan)) < 1e-10
     assert abs(model.mutual_info_ty(state, chan)) < 1e-10

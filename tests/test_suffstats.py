@@ -1,5 +1,7 @@
 """Sufficient-statistics recovery experiment at reduced size."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,15 @@ def test_pipeline_dim_t_override():
     rep = suffstats_pipeline(_small_spec(), beta=20.0, dim_t=3, seed=0, max_iters=80)
     assert rep.metrics["support_t_final"] <= 3
     assert not rep.trace.violations
+
+
+def test_classical_run_allocates_no_dense_stack():
+    # At the paper's scale (X = T = 100) one dense (sizeX, dimT, dimT) complex
+    # stack is 16 MB; the run iterates the 80 KB table and never builds one.
+    tracemalloc.start()
+    try:
+        suffstats_pipeline(SuffStatsSpec(), max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
