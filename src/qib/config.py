@@ -95,7 +95,7 @@ GAMMA_SWEEP_SCHEMA: Schema = (
 )
 BETA_SWEEP_SCHEMA: Schema = (
     ("alpha", "dimT", "state", "beta_list"),
-    _run_rules(("beta",), beta_list=_nonempty_list(_NONNEGATIVE), kappa_samples=_integer(0)),
+    _run_rules(("beta",), beta_list=_nonempty_list(_NONNEGATIVE), kappa_samples=_integer(0, MAX_SIZE)),
 )
 CLASSIFY_SCHEMA: Schema = (
     (),

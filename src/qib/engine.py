@@ -22,6 +22,7 @@ the dimY x dimY blocks of the joint are decomposed.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -102,14 +103,13 @@ class _Analysis:
             evals, self.log_mats = mats, linalg.log_floor(mats)
             self.sigma_t_evals = px @ mats
             self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
-            joint = linalg.einsum("x,xt,xij->tij", px, mats, rhos)
+            joint = _joint(px, mats, rhos)
         else:
             dt, dy = mats.shape[-1], rhos.shape[-1]
             evals, _, self.log_mats = linalg.floored_log(mats)
             sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
             self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(sigma_t)
-            joint4 = linalg.einsum("x,xik,xjl->ijkl", px, mats, rhos)
-            joint = joint4.reshape(dt * dy, dt * dy)
+            joint = _joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy)
         wj, _, log_joint = linalg.floored_log(linalg.hermitize(joint))
         self.h_each = linalg.entropy(evals)
         self.h_t_given_x = float(px @ self.h_each)
@@ -121,9 +121,9 @@ class _Analysis:
 
         if table:
             # Tr rho_x (log s_t I + log rho_Y - log J_t)
-            beta_term = self.log_sigma_t + linalg.einsum(
-                "xij,tji->xt", rhos, ctx.log_rho_y - log_joint
-            ).real
+            beta_term = self.log_sigma_t + np.tensordot(
+                ctx.log_rho_y - log_joint, rhos, axes=([1, 2], [2, 1])
+            ).T.real
         else:
             # log(sigma_T (x) rho_Y) assembled additively so the product-state
             # cancellation against log_joint is exact in float arithmetic.
@@ -131,16 +131,29 @@ class _Analysis:
                 np.eye(dt), ctx.log_rho_y
             )
             b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
-            beta_term = linalg.einsum("ijkl,xlj->xik", b4, rhos)
+            beta_term = np.tensordot(rhos, b4, axes=([1, 2], [3, 1]))
         fam = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
         self.f_family = fam if table else linalg.hermitize(fam)
+
+
+def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """sum_x P(x) mats_x (x) rhos_x, the axes of mats_x then those of rhos_x.
+    P(x) scales the factor with fewer entries per x (mats on a tie), which
+    then leads the product: the fewest multiplies, and the order of
+    np.einsum's greedy contraction path, so the sums match its bits."""
+    if mats[0].size <= rhos[0].size:
+        return np.tensordot(px.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats, rhos, axes=(0, 0))
+    return np.moveaxis(np.tensordot(px[:, None, None] * rhos, mats, axes=(0, 0)), (0, 1), (-2, -1))
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr[a_x b_x] for each x, of two stacks or two tables."""
     if a.ndim == 2:
         return np.sum(a * b, axis=1)
-    return linalg.einsum("xij,xji->x", a, b).real
+    # Tr[a b] = sum_ij b_ij a_ji: per x, one row of b times one column of a^T,
+    # the matmul np.einsum's optimized path runs, so the trace keeps its bits.
+    n = len(a)
+    return (b.reshape(n, 1, -1) @ np.swapaxes(a, 1, 2).reshape(n, -1, 1))[:, 0, 0].real
 
 
 def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
@@ -155,7 +168,7 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
         return shifted / shifted.sum(axis=1)[:, None]
     we, ve = linalg.eig_hermitian(linalg.hermitize(expon))
     shifted = np.exp(we - we[:, -1][:, None])
-    new = linalg.einsum("xij,xj,xkj->xik", ve, shifted, np.conj(ve))
+    new = linalg.from_eig(shifted, ve)
     new /= shifted.sum(axis=1)[:, None, None]
     return linalg.hermitize(new)
 
@@ -292,7 +305,7 @@ def random_channel(
         p[x] = gen.dirichlet(np.ones(dim_t))
         z[x] = gen.standard_normal((dim_t, dim_t)) + 1j * gen.standard_normal((dim_t, dim_t))
     u = linalg.haar_unitary(z)
-    return CQChannel((u * p[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2)))
+    return CQChannel(linalg.from_eig(p, u))
 
 
 def run_qib(
@@ -414,18 +427,12 @@ def estimate_kappa(state: CQState, samples: int = 200, seed: int = 0) -> float:
 
     eps = 1e-6
     uniform = np.full(nx, 1.0 / nx)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if nx <= 12:
-        eye = np.eye(nx)
-        for i in range(nx):
-            for j in range(nx):
-                if i != j:
-                    pairs.append((eye[i], eye[j]))
-    for _ in range(samples):
-        pairs.append((gen.dirichlet(np.ones(nx)), gen.dirichlet(np.ones(nx))))
+    # Pairs are scored as they are drawn, so memory stays flat in ``samples``.
+    vertices = itertools.permutations(np.eye(nx) if nx <= 12 else (), 2)
+    drawn = ((gen.dirichlet(np.ones(nx)), gen.dirichlet(np.ones(nx))) for _ in range(samples))
 
     best = 0.0
-    for q, qp in pairs:
+    for q, qp in itertools.chain(vertices, drawn):
         q = (1 - eps) * q + eps * uniform
         qp = (1 - eps) * qp + eps * uniform
         d_cl = float(np.sum(q * (np.log(q) - np.log(qp))))

@@ -152,7 +152,7 @@ def empirical_cq_state(
 
 def hs_gram(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
     """Pairwise Tr[A_i B_j] for stacked Hermitian features."""
-    return np.einsum("aij,bji->ab", mats_a, mats_b, optimize=True).real
+    return np.tensordot(mats_b, mats_a, axes=([1, 2], [2, 1])).T.real
 
 
 def train_classifier(

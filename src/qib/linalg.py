@@ -10,8 +10,6 @@ nats.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .exceptions import InvariantError, NumericalError
@@ -91,18 +89,9 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
         ) from exc
 
 
-@functools.lru_cache(maxsize=128)
-def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
-    # The planner reads only shapes: zero-stride views stand in for operands.
-    views = (np.broadcast_to(0.0, shape) for shape in shapes)
-    return tuple(np.einsum_path(subscripts, *views, optimize="greedy")[0])
-
-
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` with the greedy contraction path
-    planned once per subscripts and operand shapes, then reused."""
-    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
+def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``."""
+    return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def log_floor(w: np.ndarray) -> np.ndarray:
@@ -115,7 +104,7 @@ def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystem ``(w, v)`` of a Hermitian matrix (stacked OK) and its log
     ``V log_floor(w) V^H``."""
     w, v = eig_hermitian(h)
-    return w, v, einsum("...ij,...j,...kj->...ik", v, log_floor(w), np.conj(v))
+    return w, v, from_eig(log_floor(w), v)
 
 
 def entropy(w: np.ndarray) -> np.ndarray:

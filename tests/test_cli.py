@@ -463,6 +463,12 @@ _QUBITS = {"generator": "random-qubit-ensemble", "sizeX": 3}
         ("classify", {"n_samples": 10**20}, "/n_samples"),
         ("suffstats", {"sizeX1": 10**20}, "/sizeX1"),
         ("suffstats", {"sizeX2": 10**20}, "/sizeX2"),
+        (
+            "beta-sweep",
+            {"alpha": 1.0, "dimT": 2, "beta_list": [1.0], "state": _QUBITS,
+             "kappa_samples": ser.MAX_SIZE + 1},
+            "/kappa_samples",
+        ),
     ],
 )
 def test_malformed_config_names_the_key(tmp_path, capsys, command, config, pointer):

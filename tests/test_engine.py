@@ -1,13 +1,15 @@
 """Solver core: the F-operator identity, the accelerated update, descent."""
 
-import dataclasses
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qib import engine, linalg, model, qdib
 from qib.exceptions import InvariantError, NumericalError
+from qib.experiments import classify
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
@@ -347,6 +349,18 @@ def test_estimate_kappa_is_a_contraction_bound():
     assert 0.0 <= k <= 1.0 + 1e-9
 
 
+def test_estimate_kappa_scores_pairs_as_it_draws_them():
+    # A list of every drawn pair held 2 * samples * sizeX floats: 32.7 MB here.
+    state = random_cq_state(27, size_x=1000, dim_y=2)
+    tracemalloc.start()
+    try:
+        engine.estimate_kappa(state, samples=2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_random_channel_rejects_bad_sizes():
     with pytest.raises(InvariantError):
         engine.random_channel(0, 3)
@@ -366,17 +380,102 @@ def test_random_channel_equals_per_x_draws(dim_t, classical):
 
 @pytest.mark.parametrize("dim_t, classical", [(2, False), (3, False), (3, True)])
 def test_second_run_plans_no_einsum_path(monkeypatch, dim_t, classical):
+    # Every contraction has a fixed shape and is written as its product, so
+    # no run plans a path, the first included: not directly, not through
+    # np.einsum(optimize=).
     calls = []
     plan = np.einsum_path
-    monkeypatch.setattr(np, "einsum_path", lambda *a, **k: calls.append(a[0]) or plan(*a, **k))
-    linalg._einsum_path.cache_clear()
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    monkeypatch.setitem(inspect.unwrap(np.einsum).__globals__, "einsum_path", counting)
     state = random_cq_state(30, size_x=4, dim_y=2)
-    cfg = ObjectiveConfig(alpha=1.0, beta=5.0, dim_t=dim_t, classical=classical, max_iters=3)
-    engine.run_qib(state, cfg)
-    assert calls
-    planned = len(calls)
-    engine.run_qib(state, dataclasses.replace(cfg, seed=1))
-    assert len(calls) == planned
+    for seed in (0, 1):
+        for runner, alpha in [(engine.run_qib, 1.0), (qdib.run_qdib, 0.0)]:
+            cfg = ObjectiveConfig(
+                alpha=alpha, beta=5.0, dim_t=dim_t, classical=classical, max_iters=3, seed=seed
+            )
+            runner(state, cfg)
+    feats = random_densities(2, 5, derive_rng(30, "gram"))
+    classify.hs_gram(feats, feats[:3])
+    assert calls == []
+
+
+def _floored_log_ref(h):
+    w, v = linalg.eig_hermitian(h)
+    return w, np.einsum("...ij,...j,...kj->...ik", v, linalg.log_floor(w), np.conj(v))
+
+
+def _analysis_ref(state, mats, alpha, beta):
+    """(h_t, i_tx, i_ty, F) of ``engine._Analysis`` with its contractions
+    spelled as ``np.einsum`` subscripts; ``mats`` is a stack or a table."""
+    px, rhos = state.px, state.rho_y_given_x
+    wy, log_rho_y = _floored_log_ref(model.rho_y(state))
+    if mats.ndim == 2:
+        evals, log_mats = mats, linalg.log_floor(mats)
+        sigma_t_evals = px @ mats
+        log_sigma_t = linalg.log_floor(sigma_t_evals)
+        joint = np.einsum("x,xt,xij->tij", px, mats, rhos)
+    else:
+        dt, dy = mats.shape[-1], rhos.shape[-1]
+        evals, log_mats = _floored_log_ref(mats)
+        sigma_t_evals, log_sigma_t = _floored_log_ref(
+            linalg.hermitize(np.einsum("x,xij->ij", px, mats))
+        )
+        joint = np.einsum("x,xik,xjl->ijkl", px, mats, rhos).reshape(dt * dy, dt * dy)
+    wj, log_joint = _floored_log_ref(linalg.hermitize(joint))
+    h_t = linalg.entropy(sigma_t_evals)
+    i_tx = h_t - px @ linalg.entropy(evals)
+    i_ty = h_t + linalg.entropy(wy) - linalg.entropy(wj.ravel())
+    if mats.ndim == 2:
+        beta_term = log_sigma_t + np.einsum("xij,tji->xt", rhos, log_rho_y - log_joint).real
+        fam = linalg.diag_embed(-log_sigma_t + alpha * log_mats + beta * beta_term)
+    else:
+        log_prod = np.kron(log_sigma_t, np.eye(dy)) + np.kron(np.eye(dt), log_rho_y)
+        b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
+        beta_term = np.einsum("ijkl,xlj->xik", b4, rhos)
+        fam = linalg.hermitize(-log_sigma_t + alpha * log_mats + beta * beta_term)
+    return h_t, i_tx, i_ty, fam
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+@example(1, 1, 1, False, False, 0)
+@example(1, 1, 1, True, True, 0)
+@example(3, 4, 2, False, False, 1)
+@example(3, 4, 2, True, False, 1)
+def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical, classical_rho, seed):
+    state = random_cq_state(seed, size_x=size_x, dim_y=dim_y, classical=classical_rho)
+    gen = derive_rng(seed, "products")
+    if classical:
+        channel = CQChannel(gen.dirichlet(np.ones(dim_t), size=size_x), classical=True)
+    else:
+        channel = CQChannel(random_densities(dim_t, size_x, gen))
+    mats = channel.table() if classical else channel.sigma_t_given_x
+    for h in (state.rho_y_given_x, channel.sigma_t_given_x, model.rho_y(state)):
+        _, _, log_h = linalg.floored_log(h)
+        assert np.abs(log_h - _floored_log_ref(h)[1]).max() < 1e-12
+    alpha, beta = 1.0, 5.0
+    h_t, i_tx, i_ty, fam = _analysis_ref(state, mats, alpha, beta)
+    _, (got,) = engine._analyses(state, alpha, beta, channel)
+    assert abs(got.h_t - h_t) < 1e-12
+    assert abs(got.i_tx - i_tx) < 1e-12
+    assert abs(got.i_ty - i_ty) < 1e-12
+    assert np.abs(engine.f_operator(state, channel, alpha, beta) - fam).max() < 1e-12
+    trace = np.einsum("xij,xji->x", channel.sigma_t_given_x, fam).real
+    assert np.abs(engine._tr(channel.sigma_t_given_x, fam) - trace).max() < 1e-12
+    other = random_densities(dim_t, 3, gen)
+    gram = np.einsum("aij,bji->ab", fam, other).real
+    assert np.abs(classify.hs_gram(fam, other) - gram).max() < 1e-12
 
 
 def test_state_channel_size_mismatch_raises():
