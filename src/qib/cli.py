@@ -17,7 +17,7 @@ import sys
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
 from .exceptions import ConfigError, InvariantError, NumericalError
-from .experiments.classify import check_grid_step, classify_pipeline
+from .experiments.classify import MAX_CELLS, NUM_LABELS, check_grid_step, classify_pipeline
 from .experiments.suffstats import suffstats_pipeline
 from .experiments.sweeps import beta_sweep, gamma_sweep
 
@@ -42,6 +42,13 @@ def _load_config(args: argparse.Namespace, schema: cfg.Schema) -> tuple[dict, in
     return obj, seed
 
 
+def _load_run(args: argparse.Namespace, schema: cfg.Schema, alpha_override: float | None = None):
+    """Config, solver config and resolved state of a run subcommand."""
+    obj, seed = _load_config(args, schema)
+    run_cfg = cfg.objective_config(obj, seed, alpha_override)
+    return obj, run_cfg, cfg.resolve_state(obj["state"], seed, run_cfg.dim_t, run_cfg.classical)
+
+
 def _maybe_emit_state(args: argparse.Namespace, state) -> None:
     if getattr(args, "emit_state", None):
         serialization.write_text_atomic(
@@ -51,9 +58,7 @@ def _maybe_emit_state(args: argparse.Namespace, state) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """run-qib and run-qdib: the subparser supplies schema, runner and alpha."""
-    obj, seed = _load_config(args, args.schema)
-    state = cfg.resolve_state(obj["state"], seed)
-    run_cfg = cfg.objective_config(obj, seed, alpha_override=args.alpha_override)
+    obj, run_cfg, state = _load_run(args, args.schema, args.alpha_override)
     initial = cfg.resolve_initial_channel(
         obj.get("initial_channel"), run_cfg.dim_t, state.size_x, run_cfg.classical
     )
@@ -67,9 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma_sweep(args: argparse.Namespace) -> int:
-    obj, seed = _load_config(args, cfg.GAMMA_SWEEP_SCHEMA)
-    state = cfg.resolve_state(obj["state"], seed)
-    run_cfg = cfg.objective_config(obj, seed)
+    obj, run_cfg, state = _load_run(args, cfg.GAMMA_SWEEP_SCHEMA)
     results, _ = gamma_sweep(state, run_cfg, obj["gamma_list"])
     _maybe_emit_state(args, state)
     if args.format == "json":
@@ -87,9 +90,7 @@ def _cmd_gamma_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta_sweep(args: argparse.Namespace) -> int:
-    obj, seed = _load_config(args, cfg.BETA_SWEEP_SCHEMA)
-    state = cfg.resolve_state(obj["state"], seed)
-    run_cfg = cfg.objective_config(obj, seed)
+    obj, run_cfg, state = _load_run(args, cfg.BETA_SWEEP_SCHEMA)
     rows = beta_sweep(state, run_cfg, obj["beta_list"], **cfg.params(obj, ("kappa_samples",)))
     _maybe_emit_state(args, state)
     if args.format == "json":
@@ -137,6 +138,7 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.CLASSIFY_SCHEMA)
     check_grid_step(args.grid_step)
+    cfg.check_entries((("", MAX_CELLS),), (("", NUM_LABELS),), (("/dimT", obj.get("dimT", 2)),), False)
     report = classify_pipeline(
         seed=seed,
         grid_step=args.grid_step if args.regions_out else None,
@@ -157,8 +159,13 @@ def _cmd_suffstats(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.SUFFSTATS_SCHEMA)
     if args.out is None:
         raise InvariantError("suffstats writes multiple files; --out DIRECTORY is required")
+    spec = cfg.suffstats_spec(obj, seed)
+    size_x = (("/sizeX1", spec.size_x1), ("/sizeX2", spec.size_x2))
+    # The run's table, dimT defaulting to sizeX, and the baseline's (sizeX, sizeX1) one.
+    for dim_t in ((("/dimT", obj["dimT"]),) if "dimT" in obj else size_x, size_x[:1]):
+        cfg.check_entries(size_x, cfg.QUBIT, dim_t, classical=True)
     report = suffstats_pipeline(
-        cfg.suffstats_spec(obj, seed),
+        spec,
         seed=seed,
         **cfg.params(obj, ("beta", "dimT", "tol", "max_iters")),
     )

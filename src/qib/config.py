@@ -15,6 +15,7 @@ with their config pointer (``/state/rhoY/0/extra``) instead of ``<path>#``.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from typing import Any
 
@@ -115,28 +116,52 @@ SUFFSTATS_SCHEMA: Schema = (
 )
 
 
+# Most entries one array a config implies may hold, 1 GiB of complex128: the
+# size keys are capped one by one at MAX_SIZE, their products here.
+MAX_ENTRIES = 1 << 26
+QUBIT = (("", 2),)  # dimY of the qubit generators
+
+
+def check_entries(size_x: tuple, dim_y: tuple, dim_t: tuple, classical: bool) -> None:
+    """Bound the source stack sizeX·dimY², the channel sizeX·dimT² (a classical
+    table sizeX·dimT) and the (T, Y) joint.  Sizes are tuples of (pointer of the
+    key, value) factors; ConfigError names the largest factor of an array over."""
+    t = dim_t if classical else dim_t * 2
+    for factors in (size_x + dim_y * 2, size_x + t, t + dim_y * 2):
+        if (entries := math.prod(v for _, v in factors)) > MAX_ENTRIES:
+            pointer = max(factors, key=lambda f: f[1])[0]
+            raise ConfigError(pointer, f"implies an array of {entries} entries, above {MAX_ENTRIES}")
+
+
 def validate_config(obj: Any, schema: Schema) -> None:
     """Check a config object against a subcommand's schema; raise
     ConfigError with the JSON pointer of the first offending key."""
     _check_object(obj, *schema, "")
 
 
-def resolve_state(spec: Any, seed: int) -> CQState:
+def resolve_state(spec: Any, seed: int, dim_t: int = 1, classical: bool = True) -> CQState:
     """Materialize the ``state`` config key; generators derive from ``seed``.
-    Every resolved state is validated once: by its reader, or here."""
+    Every resolved state is validated once: by its reader, or here.  A run at
+    ``dim_t`` passes ``check_entries`` before a generator runs, or once read."""
     if not isinstance(spec, dict):
         raise InvariantError(f"state spec must be an object, got {type(spec).__name__}")
-    if "path" in spec:
-        return serialization.load_state(spec["path"])
-    if "generator" not in spec:
-        return serialization.obj_to_state(spec, "/state")
+    t = (("/dimT", dim_t),)
+    if "path" in spec or "generator" not in spec:
+        state = serialization.load_state(spec["path"]) if "path" in spec else serialization.obj_to_state(spec, "/state")
+        check_entries((("/state", state.size_x),), (("/state", state.dim_y),), t, classical)
+        return state
     kind = spec["generator"]
     if kind == "random-qubit-ensemble":
+        check_entries((("/state/sizeX", spec["sizeX"]),), QUBIT, t, classical)
         state = gen_random_qubit_ensemble(spec["sizeX"], seed=derive_seed(seed, "state-gen"))
     elif kind == "copy-state":
+        d = ("/state/d", spec["d"])
+        check_entries((d, ("/state/k", spec.get("k", 1))), (d,), t, classical)
         state = copy_state(spec["d"], spec.get("k", 1))
     elif kind == "suffstats-ensemble":
-        state = gen_suffstats_ensemble(suffstats_spec(spec, seed, "state-gen")).state
+        ss = suffstats_spec(spec, seed, "state-gen")
+        check_entries((("/state/sizeX1", ss.size_x1), ("/state/sizeX2", ss.size_x2)), QUBIT, t, classical)
+        state = gen_suffstats_ensemble(ss).state
     else:
         raise InvariantError(f"unknown state generator {kind!r}")
     state.validate()

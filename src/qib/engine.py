@@ -15,7 +15,9 @@ smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
 Internals are batched over x: conditionals are stacked (sizeX, dimT, dimT)
-arrays, and each iteration costs a handful of stacked eigendecompositions.
+arrays, carried with the spectral form (p, V) the update produces.  A
+quantum iteration costs two stacked eigendecompositions, of the update
+exponent and of the residual, plus those of sigma_T and the (T, Y) joint.
 A classical channel iterates as its (sizeX, dimT) table instead, where only
 the dimY x dimY blocks of the joint are decomposed.
 """
@@ -85,19 +87,19 @@ class _StateCtx:
 
 
 class _Analysis:
-    """Everything the loop needs about one channel iterate: a dense stack, or
-    the (sizeX, dimT) table q[x, t] of a classical channel, in which form
+    """Everything the loop needs about one channel iterate, read from the
+    dense stack and spectral form (p, V) the channel carries; with ``table``
+    from its (sizeX, dimT) table q[x, t] instead, in which form ``mats``,
     ``log_mats`` and ``f_family`` come too."""
 
     __slots__ = (
-        "mats", "log_mats", "h_each", "h_t_given_x", "sigma_t_evals", "log_sigma_t",
+        "channel", "mats", "log_mats", "h_each", "h_t_given_x", "sigma_t_evals", "log_sigma_t",
         "h_t", "i_tx", "i_ty", "f_alpha", "f_family",
     )
 
-    def __init__(self, ctx: _StateCtx, mats: np.ndarray, alpha: float, beta: float):
+    def __init__(self, ctx: _StateCtx, channel: CQChannel, table: bool, alpha: float, beta: float):
         px, rhos = ctx.px, ctx.rhos
-        table = mats.ndim == 2
-        self.mats = mats
+        self.channel, self.mats = channel, (mats := _form(channel, table))
         if table:
             # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
             evals, self.log_mats = mats, linalg.log_floor(mats)
@@ -105,8 +107,9 @@ class _Analysis:
             self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
             joint = _joint(px, mats, rhos)
         else:
-            dt, dy = mats.shape[-1], rhos.shape[-1]
-            evals, _, self.log_mats = linalg.floored_log(mats)
+            dt, dy = channel.dim_t, rhos.shape[-1]
+            evals, v = channel.spectrum
+            self.log_mats = linalg.from_eig(linalg.log_floor(evals), v)
             sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
             self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(sigma_t)
             joint = _joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy)
@@ -156,9 +159,9 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.reshape(n, 1, -1) @ np.swapaxes(a, 1, 2).reshape(n, -1, 1))[:, 0, 0].real
 
 
-def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
-    """One multiplicative update from a fully analyzed iterate; on a table it
-    is a row softmax, the soft-clustering update."""
+def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """One multiplicative update from a fully analyzed iterate, in spectral
+    form (p, V); on a table it is a row softmax, the soft-clustering update."""
     expon = analysis.log_mats - analysis.f_family / gamma
     if not np.all(np.isfinite(expon)):
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
@@ -168,9 +171,7 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray:
         return shifted / shifted.sum(axis=1)[:, None]
     we, ve = linalg.eig_hermitian(linalg.hermitize(expon))
     shifted = np.exp(we - we[:, -1][:, None])
-    new = linalg.from_eig(shifted, ve)
-    new /= shifted.sum(axis=1)[:, None, None]
-    return linalg.hermitize(new)
+    return shifted / shifted.sum(axis=1)[:, None], ve
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
@@ -207,7 +208,7 @@ def _analyses(
         model._check_pair(state, channel)
     ctx = _StateCtx(state)
     table = all(c.classical for c in channels)
-    return ctx, [_Analysis(ctx, _form(c, table), alpha, beta) for c in channels]
+    return ctx, [_Analysis(ctx, c, table, alpha, beta) for c in channels]
 
 
 def f_operator(
@@ -304,8 +305,7 @@ def random_channel(
     for x in range(size_x):
         p[x] = gen.dirichlet(np.ones(dim_t))
         z[x] = gen.standard_normal((dim_t, dim_t)) + 1j * gen.standard_normal((dim_t, dim_t))
-    u = linalg.haar_unitary(z)
-    return CQChannel(linalg.from_eig(p, u))
+    return CQChannel((p, linalg.haar_unitary(z)))
 
 
 def run_qib(
@@ -339,13 +339,14 @@ def _iterate(
     config: ObjectiveConfig,
     initial: CQChannel | None,
     init_label: str,
-    step: Callable[[_Analysis], np.ndarray],
+    step: Callable[[_Analysis], np.ndarray | tuple[np.ndarray, np.ndarray]],
     deterministic: bool,
 ) -> tuple[CQChannel, IterationTrace]:
     """The loop both runners share; ``step`` maps an analyzed iterate to the
     next conditional stack, or table on a classical run.  A missing
     ``initial`` is drawn from the seed under ``init_label``; a given one
     must fit the state's sizeX and the config's dimT and classical flag.
+    Each step's output becomes the next iterate's channel, which carries it.
     ``deterministic`` rows carry support_T and a nan step-size ratio, since
     gamma has no role in the projector step."""
     if initial is None:
@@ -364,13 +365,13 @@ def _iterate(
     elif config.classical and not initial.classical:
         raise InvariantError("config requests a classical run but the initial channel is not classical")
 
-    alpha, beta = config.alpha, config.beta
+    alpha, beta, table = config.alpha, config.beta, config.classical
     ctx = _StateCtx(state)
-    cur = _Analysis(ctx, _form(initial, config.classical), alpha, beta)
+    cur = _Analysis(ctx, initial, table, alpha, beta)
     trace = IterationTrace()
     converged = False
     for n in range(1, config.max_iters + 1):
-        nxt = _Analysis(ctx, step(cur), alpha, beta)
+        nxt = _Analysis(ctx, CQChannel(step(cur), table), table, alpha, beta)
         trace.records.append(_record(ctx, n, cur, nxt, deterministic))
         if nxt.f_alpha > cur.f_alpha + MONOTONICITY_TOL:
             trace.violations.append(n)
@@ -379,7 +380,7 @@ def _iterate(
             converged = True
             break
     # Final row: one prospective step from the returned iterate.
-    tail = _Analysis(ctx, step(cur), alpha, beta)
+    tail = _Analysis(ctx, CQChannel(step(cur), table), table, alpha, beta)
     trace.records.append(_record(ctx, len(trace.records) + 1, cur, tail, deterministic))
     if trace.violations:
         trace.status = STATUS_MONOTONICITY_VIOLATED
@@ -387,7 +388,7 @@ def _iterate(
         trace.status = STATUS_CONVERGED
     else:
         trace.status = STATUS_MAX_ITERS
-    return CQChannel(cur.mats, config.classical), trace
+    return cur.channel, trace
 
 
 def _record(

@@ -30,6 +30,8 @@ SIZE_X1 = 3
 SIZE_X2 = 10
 WIDE_NOISE = 1.2
 EXTENTS = (SIZE_X1 + WIDE_NOISE, SIZE_X2 + WIDE_NOISE)
+# Most cells the floored coordinates fall in: the largest sizeX of the source.
+MAX_CELLS = (SIZE_X1 + 1) * (SIZE_X2 + 1)
 
 
 @dataclass(frozen=True)

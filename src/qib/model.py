@@ -84,47 +84,55 @@ class CQState:
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
-    ``sigma_t_given_x`` has shape (sizeX, dimT, dimT); a (sizeX, dimT) table
-    is taken as the diagonals.  A classical channel given a real table keeps
-    only that table q[x, t], which the solvers iterate and ``table()`` returns
-    uncopied; its dense stack is built when first read.  Every classical
-    conditional must be diagonal within 1e-12; updates keep the flag.
+    Built from a (sizeX, dimT, dimT) stack ``sigma_t_given_x`` (a (sizeX,
+    dimT) table is taken as the diagonals), from a classical channel's real
+    table q[x, t], or from the spectral form (p, V) the solvers produce:
+    spectra and unitaries with sigma_{T|x} = V_x diag(p_x) V_x^H.  It keeps
+    that form read-only and derives the others once, when first read: the
+    ``spectrum`` of a stack costs one stacked eigendecomposition.  Every
+    classical conditional must be diagonal within 1e-12; updates keep the flag.
     """
 
     classical: bool
+    size_x: int
+    dim_t: int
 
-    def __init__(self, sigma_t_given_x: np.ndarray, classical: bool = False):
-        sig = np.asarray(sigma_t_given_x)
-        object.__setattr__(self, "classical", classical)
-        if classical and sig.ndim == 2 and not np.iscomplexobj(sig):
-            object.__setattr__(self, "_table", _freeze(np.asarray(sig, dtype=np.float64)))
-            return
-        sig = np.asarray(sig, dtype=np.complex128)
-        if sig.ndim == 2:
-            sig = linalg.diag_embed(sig)
-        if sig.ndim != 3 or sig.shape[1] != sig.shape[2]:
-            raise InvariantError(
-                f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}"
-            )
-        sig = _freeze(sig)
-        object.__setattr__(self, "sigma_t_given_x", sig)
-        object.__setattr__(self, "_table", np.diagonal(sig, axis1=1, axis2=2).real)
+    def __init__(self, sigma_t_given_x: np.ndarray | tuple, classical: bool = False):
+        if isinstance(sigma_t_given_x, tuple):
+            p, v = sigma_t_given_x
+            p, v = _freeze(np.asarray(p, dtype=np.float64)), _freeze(np.asarray(v, dtype=np.complex128))
+            if p.ndim != 2 or v.shape != p.shape + p.shape[-1:]:
+                raise InvariantError(f"(p, V) must be (sizeX, dimT) and (sizeX, dimT, dimT), got {p.shape}, {v.shape}")
+            form, value, shape = "spectrum", (p, v), p.shape
+        elif classical and np.ndim(sigma_t_given_x) == 2 and not np.iscomplexobj(sigma_t_given_x):
+            value = _freeze(np.asarray(sigma_t_given_x, dtype=np.float64))
+            form, shape = "_table", value.shape
+        else:
+            sig = np.asarray(sigma_t_given_x, dtype=np.complex128)
+            if sig.ndim == 2:
+                sig = linalg.diag_embed(sig)
+            if sig.ndim != 3 or sig.shape[1] != sig.shape[2]:
+                raise InvariantError(
+                    f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}"
+                )
+            form, value, shape = "sigma_t_given_x", _freeze(sig), sig.shape
+        # The fields, and the given form as the cached property that derives it otherwise.
+        vars(self).update({"classical": classical, "size_x": shape[0], "dim_t": shape[1], form: value})
 
     @functools.cached_property
     def sigma_t_given_x(self) -> np.ndarray:
-        return _freeze(linalg.diag_embed(self._table))
+        table = vars(self).get("_table")
+        return _freeze(linalg.from_eig(*self.spectrum) if table is None else linalg.diag_embed(table))
 
-    @property
-    def size_x(self) -> int:
-        return self._table.shape[0]
-
-    @property
-    def dim_t(self) -> int:
-        return self._table.shape[1]
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, V): per x the eigenvalues and eigenvector columns of sigma_{T|x}."""
+        return tuple(map(_freeze, linalg.eig_hermitian(self.sigma_t_given_x)))
 
     def table(self) -> np.ndarray:
         """The (sizeX, dimT) table q[x, t] of the conditionals' diagonals."""
-        return self._table
+        table = vars(self).get("_table")
+        return np.diagonal(self.sigma_t_given_x, axis1=1, axis2=2).real if table is None else table
 
     def validate(self) -> None:
         linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")

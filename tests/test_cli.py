@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qib import cli, serialization as ser
+from qib import cli, config as qconfig, serialization as ser
 from qib.exceptions import NumericalError
 
 from helpers import random_cq_state, random_channel_for
@@ -477,6 +477,41 @@ def test_malformed_config_names_the_key(tmp_path, capsys, command, config, point
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config error at {pointer}:")
+
+
+@pytest.mark.parametrize(
+    "command, config, pointer",
+    [
+        # Each size is within MAX_SIZE, but the arrays they imply are far
+        # beyond any memory: a (d, d, d) stack, 43.7 TiB of channel in
+        # random_channel.
+        ("run-qib", dict(_RUN, state={"generator": "copy-state", "d": 10**6}), "/state/d"),
+        ("run-qib", dict(_RUN, dimT=10**6, state=_QUBITS), "/dimT"),
+        # A classical table is sizeX·dimT.
+        ("run-qdib", {"beta": 2.0, "dimT": 10**6, "classical": True,
+                      "state": dict(_QUBITS, sizeX=10**5)}, "/dimT"),
+        ("gamma-sweep", dict(_RUN, dimT=10**5, gamma_list=[1.0], state=_QUBITS), "/dimT"),
+        ("beta-sweep", {"alpha": 1.0, "dimT": 2, "beta_list": [1.0],
+                        "state": {"generator": "copy-state", "d": 10**5}}, "/state/d"),
+        ("classify", {"dimT": 10**6}, "/dimT"),
+        ("suffstats", {"sizeX1": 10**6, "sizeX2": 10**6}, "/sizeX1"),
+        # The discard-X2 baseline's (sizeX, sizeX1) table.
+        ("suffstats", {"sizeX1": 10**6, "sizeX2": 1, "dimT": 2, "max_iters": 1}, "/sizeX1"),
+    ],
+)
+def test_config_whose_arrays_exceed_the_entry_bound_names_the_key(tmp_path, capsys, command, config, pointer):
+    path = _write_json(tmp_path / "big.json", config)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    got, message = _config_error(capsys)
+    assert got == pointer
+    assert message.endswith(f"entries, above {qconfig.MAX_ENTRIES}")
+
+
+def test_file_state_sizes_enter_the_entry_bound(tmp_path, capsys):
+    spath = _write_json(tmp_path / "s.json", ser.state_to_obj(random_cq_state(4, size_x=3, dim_y=2)))
+    config = _write_json(tmp_path / "c.json", dict(_RUN, dimT=10**6, state={"path": spath}))
+    assert cli.main(["run-qib", "--config", config]) == 1
+    assert _config_error(capsys)[0] == "/dimT"
 
 
 def _inline_state_config():

@@ -225,3 +225,15 @@ def test_derive_seed_streams_are_pinned(parts, expected):
 def test_derive_seed_accepts_integers_of_any_size():
     seeds = {derive_seed(n) for n in (2**127, -(2**127) - 1, 10**400, -(10**400))}
     assert len(seeds) == 4
+
+
+def test_check_entries_admits_the_bound_and_names_the_largest_factor():
+    # sizeX 1, dimY 1 and dimT 2^13: channel and joint hold 2^26 entries each.
+    one = (("/state/px", 1),)
+    cfg.check_entries(one, (("/state/dimY", 1),), (("/dimT", 2**13),), classical=False)
+    with pytest.raises(ConfigError, match=r"^config error at /dimT: implies an array of 67125249 entries"):
+        cfg.check_entries(one, (("/state/dimY", 1),), (("/dimT", 2**13 + 1),), classical=False)
+    # A classical table is sizeX·dimT; the joint dimT·dimY².
+    cfg.check_entries((("/state/sizeX", 2**13),), (("", 2),), (("/dimT", 2**13),), classical=True)
+    with pytest.raises(ConfigError, match="^config error at /state/d: "):
+        cfg.check_entries((("/state/d", 2**9), ("/state/k", 2**3)), (("/state/d", 2**9),), (("/dimT", 2),), True)

@@ -111,8 +111,8 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta)
     dense = engine.f_operator(state, CQChannel(q), alpha, beta)
     assert np.max(np.abs(table - dense)) < 1e-10
     ctx = engine._StateCtx(state)
-    a = engine._Analysis(ctx, q, alpha, beta)
-    b = engine._Analysis(ctx, linalg.diag_embed(q), alpha, beta)
+    a = engine._Analysis(ctx, CQChannel(q, classical=True), True, alpha, beta)
+    b = engine._Analysis(ctx, CQChannel(linalg.diag_embed(q)), False, alpha, beta)
     for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
 
@@ -476,6 +476,81 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
     other = random_densities(dim_t, 3, gen)
     gram = np.einsum("aij,bji->ab", fam, other).real
     assert np.abs(classify.hs_gram(fam, other) - gram).max() < 1e-12
+
+
+def _spectra(gen, size_x, dim_t, kind):
+    """(sizeX, dimT) spectra: flat Dirichlet, near-degenerate (a tie split
+    by 1e-13) or rank-deficient (every entry but one or two zeroed)."""
+    p = gen.dirichlet(np.ones(dim_t), size=size_x)
+    if kind == "near-degenerate":
+        p = np.full((size_x, dim_t), 1.0 / dim_t)
+        p[:, 0] += 1e-13
+    elif kind == "rank-deficient":
+        p[:, min(2, dim_t):] = 0.0
+    return p / p.sum(axis=1)[:, None]
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["dirichlet", "near-degenerate", "rank-deficient"]),
+    st.sampled_from(["spectral", "dense", "updated"]),
+    st.integers(0, 10**6),
+)
+@example(1, 1, "dirichlet", "updated", 0)
+@example(1, 3, "rank-deficient", "updated", 1)
+@example(3, 4, "near-degenerate", "dense", 2)
+@example(4, 3, "rank-deficient", "spectral", 3)
+def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, seed):
+    # A quantum channel carries (p, V): drawn by random_channel, decomposed
+    # once from a dense stack, or produced by the update.  The carried pair
+    # must be the stack's spectral form, and an analysis of it must match
+    # the model.py oracles, which decompose the stack themselves.
+    state = random_cq_state(seed, size_x=size_x, tag="carried")
+    gen = derive_rng(seed, "carried")
+    shape = (size_x, dim_t, dim_t)
+    u = linalg.haar_unitary(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    spectral = CQChannel((_spectra(gen, size_x, dim_t, kind), u))
+    channel = {
+        "spectral": spectral,
+        "dense": CQChannel(linalg.hermitize(spectral.sigma_t_given_x)),
+        "updated": engine.update(state, spectral, 0.7, 1.0, 5.0),
+    }[origin]
+    p, v = channel.spectrum
+    stack = channel.sigma_t_given_x
+    assert np.abs(np.sort(p, axis=1) - np.linalg.eigvalsh(stack)).max() < 1e-12
+    assert np.abs(linalg.from_eig(p, v) - stack).max() < 1e-12
+    assert np.abs(np.conj(np.swapaxes(v, 1, 2)) @ v - np.eye(dim_t)).max() < 1e-12
+    alpha, beta = 1.0, 5.0
+    _, (got,) = engine._analyses(state, alpha, beta, channel)
+    assert abs(got.h_t - model.von_neumann_entropy(model.sigma_t(channel, state))) < 1e-10
+    assert abs(got.i_tx - model.mutual_info_tx(state, channel)) < 1e-10
+    assert abs(got.i_ty - model.mutual_info_ty(state, channel)) < 1e-10
+    assert abs(got.f_alpha - model.objective_f_alpha(state, channel, alpha, beta)) < 1e-10
+
+
+@pytest.mark.parametrize("dim_t", [2, 3])
+@pytest.mark.parametrize("dense_start", [False, True])
+def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, dense_start):
+    # Per iteration: the update exponent and the residual's difference.  The
+    # conditionals are never decomposed again: the update hands its (p, V) to
+    # the next iterate, random_channel draws one, and a dense start is
+    # decomposed once.  dimT 2 takes the closed form, dimT 3 LAPACK.
+    state = random_cq_state(31, size_x=5, dim_y=2)
+    stacked = []
+    eig = linalg.eig_hermitian
+
+    def counting(h, vectors=True):
+        if np.shape(h) == (state.size_x, dim_t, dim_t):
+            stacked.append(vectors)
+        return eig(h, vectors)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    initial = random_channel_for(state, dim_t, 31) if dense_start else None
+    cfg = ObjectiveConfig(alpha=1.0, beta=5.0, gamma=0.8, dim_t=dim_t, seed=31, max_iters=7)
+    _, trace = engine.run_qib(state, cfg, initial=initial)
+    assert len(trace) == 8
+    assert stacked == [True] * dense_start + [True, False] * len(trace)
 
 
 def test_state_channel_size_mismatch_raises():
