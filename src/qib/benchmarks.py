@@ -34,7 +34,7 @@ def quantum_bound(n: int, beta: float) -> float:
     """
     if n < 2:
         raise InvariantError(f"bottleneck dimension must be >= 2, got {n}")
-    if beta < 1:
+    if not beta >= 1:
         raise InvariantError(f"closed form requires beta >= 1, got {beta}")
     return (1.0 - beta) * float(np.log(n))
 
@@ -53,7 +53,7 @@ def classical_bound(d: int, n: int, beta: float) -> float:
         raise InvariantError(
             f"classical bound needs n < d for a nontrivial bottleneck, got n={n}, d={d}"
         )
-    if beta < 1:
+    if not beta >= 1:
         raise InvariantError(f"closed form requires beta >= 1, got {beta}")
     m, l = divmod(d, n)
     big = l * (m + 1) / d * np.log(d / (m + 1))
@@ -108,7 +108,7 @@ def assignment_terms(
     w = state.px[:, None] * (maps[..., None] == np.arange(dim_t))
     h_t = linalg.entropy(w.sum(axis=1))
     blocks = np.einsum("nxt,xij->ntij", w, state.rho_y_given_x)
-    h_ty = linalg.entropy(np.linalg.eigvalsh(blocks).reshape(len(maps), -1))
+    h_ty = linalg.entropy(linalg.eig_hermitian(blocks, vectors=False).reshape(len(maps), -1))
     h_y = model.von_neumann_entropy(model.rho_y(state))
     return h_t, h_y - (h_ty - h_t)
 
@@ -171,7 +171,7 @@ def advantage_gap(d: int, n: int, alpha: float, beta: float) -> AdvantageReport:
     the copy source, certifying the quantum bound is attained (they agree
     to round-off for every valid instance).
     """
-    if alpha > beta or alpha > 1:
+    if not (alpha <= beta and alpha <= 1):
         raise InvariantError(
             f"closed forms require alpha <= min(1, beta), got alpha={alpha}, beta={beta}"
         )

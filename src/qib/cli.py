@@ -13,6 +13,7 @@ usage), 2 numerical failure inside an otherwise valid computation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
@@ -122,6 +123,11 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
         raise InvariantError(
             f"--d and --n must have matching lengths (or one scalar), got {len(ds)} and {len(ns)}"
         )
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not math.isfinite(value):
+            raise InvariantError(f"{flag} must be a finite number, got {value}")
+    for d, n in zip(ds, ns):  # a copy source has sizeX = dimY = d; the Fourier channel has dimT = n
+        cfg.check_entries((("--d", d),), (("--d", d),), (("--n", n),), classical=False)
     reports = [
         benchmarks.advantage_gap(d, n, args.alpha, args.beta)
         for d, n in zip(ds, ns)
@@ -137,8 +143,13 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.CLASSIFY_SCHEMA)
-    check_grid_step(args.grid_step)
-    cfg.check_entries((("", MAX_CELLS),), (("", NUM_LABELS),), (("/dimT", obj.get("dimT", 2)),), False)
+    grid = ("--grid-step", check_grid_step(args.grid_step))
+    n, t = ("/n_samples", obj.get("n_samples", 400)), ("/dimT", obj.get("dimT", 2))
+    train = ("/n_samples", round(obj.get("train_fraction", 0.5) * n[1]))
+    cfg.check_entries((("", MAX_CELLS),), (("", NUM_LABELS),), (t,), False)
+    # The grams and feature stacks at the pipeline's defaults, with the grid's if it is written.
+    cfg.check_arrays((train, train), (("/n_samples", n[1] - train[1]), train), (n, t, t),
+                     *(((grid, train), (grid, t, t)) if args.regions_out else ()))
     report = classify_pipeline(
         seed=seed,
         grid_step=args.grid_step if args.regions_out else None,

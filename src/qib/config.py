@@ -124,13 +124,19 @@ QUBIT = (("", 2),)  # dimY of the qubit generators
 
 def check_entries(size_x: tuple, dim_y: tuple, dim_t: tuple, classical: bool) -> None:
     """Bound the source stack sizeX·dimY², the channel sizeX·dimT² (a classical
-    table sizeX·dimT) and the (T, Y) joint.  Sizes are tuples of (pointer of the
-    key, value) factors; ConfigError names the largest factor of an array over."""
+    table sizeX·dimT) and the (T, Y) joint with ``check_arrays``."""
     t = dim_t if classical else dim_t * 2
-    for factors in (size_x + dim_y * 2, size_x + t, t + dim_y * 2):
+    check_arrays(size_x + dim_y * 2, size_x + t, t + dim_y * 2)
+
+
+def check_arrays(*arrays: tuple) -> None:
+    """Bound each array, a tuple of (pointer of the key or flag, value) factors,
+    at MAX_ENTRIES; the error names the largest factor of the first array over."""
+    for factors in arrays:
         if (entries := math.prod(v for _, v in factors)) > MAX_ENTRIES:
-            pointer = max(factors, key=lambda f: f[1])[0]
-            raise ConfigError(pointer, f"implies an array of {entries} entries, above {MAX_ENTRIES}")
+            key = max(factors, key=lambda f: f[1])[0]
+            message = f"implies an array of {entries} entries, above {MAX_ENTRIES}"
+            raise InvariantError(f"{key} {message}") if key.startswith("--") else ConfigError(key, message)
 
 
 def validate_config(obj: Any, schema: Schema) -> None:

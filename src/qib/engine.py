@@ -110,10 +110,9 @@ class _Analysis:
             dt, dy = channel.dim_t, rhos.shape[-1]
             evals, v = channel.spectrum
             self.log_mats = linalg.from_eig(linalg.log_floor(evals), v)
-            sigma_t = linalg.hermitize(np.einsum("x,xij->ij", px, mats))
-            self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(sigma_t)
+            self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(np.einsum("x,xij->ij", px, mats))
             joint = _joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy)
-        wj, _, log_joint = linalg.floored_log(linalg.hermitize(joint))
+        wj, _, log_joint = linalg.floored_log(joint)
         self.h_each = linalg.entropy(evals)
         self.h_t_given_x = float(px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
@@ -135,26 +134,19 @@ class _Analysis:
             )
             b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
             beta_term = np.tensordot(rhos, b4, axes=([1, 2], [3, 1]))
-        fam = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
-        self.f_family = fam if table else linalg.hermitize(fam)
+        self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
 
 
 def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """sum_x P(x) mats_x (x) rhos_x, the axes of mats_x then those of rhos_x.
-    P(x) scales the factor with fewer entries per x (mats on a tie), which
-    then leads the product: the fewest multiplies, and the order of
-    np.einsum's greedy contraction path, so the sums match its bits."""
-    if mats[0].size <= rhos[0].size:
-        return np.tensordot(px.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats, rhos, axes=(0, 0))
-    return np.moveaxis(np.tensordot(px[:, None, None] * rhos, mats, axes=(0, 0)), (0, 1), (-2, -1))
+    """sum_x P(x) mats_x (x) rhos_x, the axes of mats_x then those of rhos_x."""
+    return np.tensordot(px.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats, rhos, axes=(0, 0))
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr[a_x b_x] for each x, of two stacks or two tables."""
     if a.ndim == 2:
         return np.sum(a * b, axis=1)
-    # Tr[a b] = sum_ij b_ij a_ji: per x, one row of b times one column of a^T,
-    # the matmul np.einsum's optimized path runs, so the trace keeps its bits.
+    # Tr[a b] = sum_ij b_ij a_ji: per x, one row of b times one column of a^T.
     n = len(a)
     return (b.reshape(n, 1, -1) @ np.swapaxes(a, 1, 2).reshape(n, -1, 1))[:, 0, 0].real
 
@@ -169,7 +161,7 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray
     if expon.ndim == 2:
         shifted = np.exp(expon - expon.max(axis=1)[:, None])
         return shifted / shifted.sum(axis=1)[:, None]
-    we, ve = linalg.eig_hermitian(linalg.hermitize(expon))
+    we, ve = linalg.eig_hermitian(expon)
     shifted = np.exp(we - we[:, -1][:, None])
     return shifted / shifted.sum(axis=1)[:, None], ve
 
@@ -191,7 +183,7 @@ def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm)."""
     if a.ndim == 2:
         return float(px @ np.sum(np.abs(b - a), axis=1))
-    w = linalg.eig_hermitian(linalg.hermitize(b - a), vectors=False)
+    w = linalg.eig_hermitian(b - a, vectors=False)
     return float(px @ np.sum(np.abs(w), axis=-1))
 
 
@@ -214,7 +206,7 @@ def _analyses(
 def f_operator(
     state: CQState, channel: CQChannel, alpha: float, beta: float
 ) -> np.ndarray:
-    """Stacked operator family F(x), shape (sizeX, dimT, dimT), Hermitian.
+    """Stacked operator family F(x), shape (sizeX, dimT, dimT), Hermitian up to round-off.
 
     The average Tr[sigma_{T|x} F(x)] under P_X reproduces the objective
     exactly; that identity is the backbone correctness check.
@@ -439,9 +431,7 @@ def estimate_kappa(state: CQState, samples: int = 200, seed: int = 0) -> float:
         d_cl = float(np.sum(q * (np.log(q) - np.log(qp))))
         if d_cl <= RATIO_DENOM_TOL:
             continue
-        mix_q = linalg.hermitize(np.einsum("x,xij->ij", q, rhos))
-        mix_qp = linalg.hermitize(np.einsum("x,xij->ij", qp, rhos))
-        d_qu = model.relative_entropy(mix_q, mix_qp)
+        d_qu = model.relative_entropy(np.einsum("x,xij->ij", q, rhos), np.einsum("x,xij->ij", qp, rhos))
         if np.isfinite(d_qu):
             best = max(best, d_qu / d_cl)
     return best

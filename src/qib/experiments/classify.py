@@ -210,13 +210,15 @@ def _features(
     return feats, int(np.sum(~seen))
 
 
-def check_grid_step(grid_step: float) -> None:
-    """Reject a grid step that is not finite and > 0 or gives over MAX_SIZE points."""
+def check_grid_step(grid_step: float) -> int:
+    """Number of grid points of a step; reject a step that is not finite and
+    > 0 or gives over MAX_SIZE points."""
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise InvariantError(f"grid_step must be a finite number > 0, got {grid_step}")
     # np.arange's length per axis; an axis past MAX_SIZE alone decides.
-    if math.prod(math.ceil(min(e / grid_step, MAX_SIZE + 1)) for e in EXTENTS) > MAX_SIZE:
+    if (points := math.prod(math.ceil(min(e / grid_step, MAX_SIZE + 1)) for e in EXTENTS)) > MAX_SIZE:
         raise InvariantError(f"grid_step {grid_step} gives more than {MAX_SIZE} grid points")
+    return points
 
 
 def _grid_points(grid_step: float) -> np.ndarray:

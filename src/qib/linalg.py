@@ -1,6 +1,8 @@
-"""Dense Hermitian matrix calculus: Hermitian projection, spectral
-decompositions, the floored logarithm, entropy of a spectrum, density
-checks and Haar unitaries.
+"""Dense Hermitian matrix calculus: spectral decompositions, the floored
+logarithm, entropy of a spectrum, density checks and Haar unitaries.
+
+``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
+triangle, so callers pass their matrices on as computed, never symmetrized.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -18,17 +20,6 @@ HERMITICITY_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
 LOG_FLOOR = 1e-12
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (M + M^H)/2.
-
-    The result is forced into C order: for large stacks numpy may lay the
-    sum out with the last two axes swapped, and downstream code that takes
-    reshape views of the output would silently operate on copies.
-    """
-    m = np.asarray(m)
-    return np.ascontiguousarray(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
 
 
 def diag_embed(diags: np.ndarray) -> np.ndarray:
@@ -133,7 +124,7 @@ def check_density(m: np.ndarray, label: str = "matrix") -> None:
     # Every comparison is phrased so that a NaN residual fails it.
     ok = (res <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
     wmin = np.full(len(flat), np.nan)
-    wmin[ok] = eig_hermitian(hermitize(flat[ok]), vectors=False)[:, 0]
+    wmin[ok] = eig_hermitian(flat[ok], vectors=False)[:, 0]
     bad = np.flatnonzero(~(wmin >= -DENSITY_EIG_TOL))
     if not bad.size:
         return

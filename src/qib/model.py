@@ -191,14 +191,12 @@ def _check_pair(state: CQState, channel: CQChannel) -> None:
 def sigma_t(channel: CQChannel, state: CQState) -> np.ndarray:
     """Bottleneck marginal sigma_T = sum_x P(x) sigma_{T|x}."""
     _check_pair(state, channel)
-    out = np.einsum("x,xij->ij", state.px, channel.sigma_t_given_x)
-    return linalg.hermitize(out)
+    return np.einsum("x,xij->ij", state.px, channel.sigma_t_given_x)
 
 
 def rho_y(state: CQState) -> np.ndarray:
     """Source marginal rho_Y = sum_x P(x) rho_{Y|x}."""
-    out = np.einsum("x,xij->ij", state.px, state.rho_y_given_x)
-    return linalg.hermitize(out)
+    return np.einsum("x,xij->ij", state.px, state.rho_y_given_x)
 
 
 def sigma_yt(channel: CQChannel, state: CQState) -> np.ndarray:
@@ -214,7 +212,7 @@ def sigma_yt(channel: CQChannel, state: CQState) -> np.ndarray:
         "x,xik,xjl->ijkl", state.px, channel.sigma_t_given_x, state.rho_y_given_x,
         optimize=True,
     )
-    return linalg.hermitize(four.reshape(dt * dy, dt * dy))
+    return four.reshape(dt * dy, dt * dy)
 
 
 def von_neumann_entropy(rho_mat: np.ndarray) -> float:
@@ -260,7 +258,7 @@ def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
 def cond_entropy_t_given_x(state: CQState, channel: CQChannel) -> float:
     """H(T|X) = sum_x P(x) H(sigma_{T|x})."""
     _check_pair(state, channel)
-    ent = linalg.entropy(np.linalg.eigvalsh(channel.sigma_t_given_x))
+    ent = linalg.entropy(linalg.eig_hermitian(channel.sigma_t_given_x, vectors=False))
     return float(np.dot(state.px, ent))
 
 
@@ -293,7 +291,7 @@ def objective_f_alpha(
 def holevo_information(state: CQState) -> float:
     """I(X:Y) of the source itself: H(rho_Y) - sum_x P(x) H(rho_{Y|x})."""
     avg = von_neumann_entropy(rho_y(state))
-    ent = linalg.entropy(np.linalg.eigvalsh(state.rho_y_given_x))
+    ent = linalg.entropy(linalg.eig_hermitian(state.rho_y_given_x, vectors=False))
     return avg - float(np.dot(state.px, ent))
 
 

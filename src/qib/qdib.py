@@ -35,14 +35,14 @@ def min_eigenspace_projector(h: np.ndarray) -> np.ndarray:
     matrix (stacked OK).
 
     Eigenvalues within PROJECTOR_REL_TOL * (spread) of the minimum count as tied and
-    are kept, so a multiple of the identity yields the full identity.
+    are kept, so a multiple of the identity yields the full identity.  ``h`` is
+    read through its lower triangle; the projector is Hermitian up to round-off.
     """
     w, v = linalg.eig_hermitian(h)
     window = w[..., :1] + PROJECTOR_REL_TOL * (w[..., -1:] - w[..., :1])
     keep = w <= window  # a prefix of the columns, since w ascends
     k = int(keep.sum(axis=-1).max())
-    sel = v[..., :k] * keep[..., None, :k]
-    return linalg.hermitize(sel @ np.conj(np.swapaxes(sel, -1, -2)))
+    return linalg.from_eig(keep[..., :k].astype(np.float64), v[..., :k])
 
 
 def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
@@ -89,7 +89,7 @@ def _projected_step(fam: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, list
     gone = overlap <= OVERLAP_TOL
     out[gone] = proj[gone]
     out /= np.where(gone, rank, overlap).reshape((-1,) + (1,) * (out.ndim - 1))
-    return (out if out.ndim == 2 else linalg.hermitize(out)), np.flatnonzero(gone).tolist()
+    return out, np.flatnonzero(gone).tolist()
 
 
 def run_qdib(

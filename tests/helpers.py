@@ -4,11 +4,17 @@ import numpy as np
 
 from qib import qdib
 from qib.exceptions import InvariantError, NumericalError
-from qib.linalg import LOG_FLOOR, eig_hermitian, haar_unitary, hermitize
+from qib.linalg import LOG_FLOOR, eig_hermitian, haar_unitary
 from qib.model import CQChannel, CQState
 from qib.rng import derive_rng
 
 EXP_OVERFLOW = 700.0
+
+
+def symmetrize(m):
+    """Hermitian part (M + M^H)/2 (stacked OK), for references only: the
+    package passes matrices on as computed and reads their lower triangle."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def random_unitary(dim, gen):
@@ -173,4 +179,4 @@ def projected_step_loop(fam, mats):
             out[x] = proj / float(np.trace(proj).real)
         else:
             out[x] = comp / overlap
-    return hermitize(out), vanished
+    return symmetrize(out), vanished

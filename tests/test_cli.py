@@ -259,6 +259,31 @@ def test_advantage_bad_lists_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--beta", "nan"], "--beta"),
+        (["--beta", "inf"], "--beta"),
+        (["--beta", "1e400"], "--beta"),
+        (["--alpha", "nan"], "--alpha"),
+        # copy_state(3000) alone is a (3000, 3000, 3000) stack.
+        (["--d", "3000"], "--d"),
+        (["--d", "3,4,3000", "--n", "2"], "--d"),
+        # The Fourier channel d n^2 and the (T, Y) joint (d n)^2.
+        (["--n", "5000"], "--n"),
+    ],
+)
+def test_advantage_rejects_bad_flags_before_any_array(capsys, monkeypatch, flags, flag):
+    # NaN used to print a nan row (NaN, which is not JSON, with --format json),
+    # and --d 3000 died in a numpy traceback.
+    monkeypatch.setattr(cli.benchmarks, "copy_state", lambda *a, **k: pytest.fail("built the source"))
+    argv = ["advantage", "--d", "3", "--n", "2", "--beta", "2", "--format", "json", *flags]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} "), err
+
+
 def test_classify_command(tmp_path, capsys):
     path = _write_json(
         tmp_path / "classify.json",
@@ -298,6 +323,28 @@ def test_classify_rejects_a_bad_grid_step_before_solving(tmp_path, capsys, monke
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: grid_step"), err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags, key",
+    [
+        # A 500000 x 500000 train gram.
+        ({"n_samples": 10**6}, [], "/n_samples"),
+        # (200, 1000, 1000) feature stacks.
+        ({"dimT": 1000}, [], "/dimT"),
+        # 470400 grid points x 200 training samples.
+        ({}, ["--grid-step", "0.01"], "--grid-step"),
+    ],
+)
+def test_classify_bounds_its_grams_and_features_before_solving(tmp_path, capsys, monkeypatch, config, flags, key):
+    monkeypatch.setattr(cli.engine, "run_qib", lambda *a, **k: pytest.fail("solved first"))
+    path = _write_json(tmp_path / "classify.json", config)
+    argv = ["classify", "--config", path, "--regions-out", str(tmp_path / "r.csv"), *flags]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "r.csv").exists()
+    prefix = "error: config error at " if key.startswith("/") else "error: "
+    assert err.startswith(f"{prefix}{key}") and f"above {qconfig.MAX_ENTRIES}" in err, err
 
 
 @pytest.mark.parametrize(

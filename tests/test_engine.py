@@ -21,6 +21,7 @@ from helpers import (
     random_densities,
     random_density,
     sparse_table_instance,
+    symmetrize,
 )
 
 
@@ -65,7 +66,7 @@ def test_update_matches_exponentiated_f_at_unit_step():
     new = engine.update(state, chan, 1.0, 1.0, 1.5)
     for x in range(state.size_x):
         lg = matrix_log_supported(chan.sigma_t_given_x[x])
-        e = matrix_exp(linalg.hermitize(lg - fam[x]))
+        e = matrix_exp(symmetrize(lg - fam[x]))
         ref = e / np.trace(e).real
         assert np.max(np.abs(new.sigma_t_given_x[x] - ref)) < 1e-10
 
@@ -423,10 +424,10 @@ def _analysis_ref(state, mats, alpha, beta):
         dt, dy = mats.shape[-1], rhos.shape[-1]
         evals, log_mats = _floored_log_ref(mats)
         sigma_t_evals, log_sigma_t = _floored_log_ref(
-            linalg.hermitize(np.einsum("x,xij->ij", px, mats))
+            symmetrize(np.einsum("x,xij->ij", px, mats))
         )
         joint = np.einsum("x,xik,xjl->ijkl", px, mats, rhos).reshape(dt * dy, dt * dy)
-    wj, log_joint = _floored_log_ref(linalg.hermitize(joint))
+    wj, log_joint = _floored_log_ref(symmetrize(joint))
     h_t = linalg.entropy(sigma_t_evals)
     i_tx = h_t - px @ linalg.entropy(evals)
     i_ty = h_t + linalg.entropy(wy) - linalg.entropy(wj.ravel())
@@ -437,7 +438,7 @@ def _analysis_ref(state, mats, alpha, beta):
         log_prod = np.kron(log_sigma_t, np.eye(dy)) + np.kron(np.eye(dt), log_rho_y)
         b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
         beta_term = np.einsum("ijkl,xlj->xik", b4, rhos)
-        fam = linalg.hermitize(-log_sigma_t + alpha * log_mats + beta * beta_term)
+        fam = symmetrize(-log_sigma_t + alpha * log_mats + beta * beta_term)
     return h_t, i_tx, i_ty, fam
 
 
@@ -513,7 +514,7 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
     spectral = CQChannel((_spectra(gen, size_x, dim_t, kind), u))
     channel = {
         "spectral": spectral,
-        "dense": CQChannel(linalg.hermitize(spectral.sigma_t_given_x)),
+        "dense": CQChannel(symmetrize(spectral.sigma_t_given_x)),
         "updated": engine.update(state, spectral, 0.7, 1.0, 5.0),
     }[origin]
     p, v = channel.spectrum

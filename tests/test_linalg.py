@@ -1,12 +1,18 @@
 """Hermitian calculus: decompositions, density checks, random densities;
 plus the log/exp/partial-trace oracles kept in the test helpers."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qib import linalg
+from qib import benchmarks, engine, linalg, model, qdib
 from qib.exceptions import InvariantError, NumericalError
+from qib.experiments.ensembles import SuffStatsSpec
+from qib.experiments.suffstats import suffstats_pipeline
+from qib.model import ObjectiveConfig
 from qib.rng import derive_rng
 
 from helpers import (
@@ -14,6 +20,7 @@ from helpers import (
     matrix_exp,
     matrix_log_supported,
     partial_trace,
+    random_cq_state,
     random_density,
     random_diagonal_density,
     random_hermitian,
@@ -102,6 +109,50 @@ def test_eig_hermitian_2x2_closed_form_matches_lapack(kind, lead, exponent, seed
     assert np.all(np.abs(rebuilt - h) <= scale[..., None])
     gram = np.conj(np.swapaxes(v, -1, -2)) @ v
     assert np.max(np.abs(gram - np.eye(2)), initial=0.0) <= 8.0 * np.finfo(float).eps
+
+
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_eig_hermitian_reads_only_the_lower_triangle(dim, lead, seed):
+    # Callers pass matrices Hermitian only up to round-off; whatever lies above
+    # the diagonal, the result is that of the Hermitian matrix of the lower triangle.
+    gen = np.random.default_rng(seed)
+    shape = lead + (dim, dim)
+    lower = np.tril(gen.standard_normal(shape) + 1j * gen.standard_normal(shape), -1)
+    diag = gen.standard_normal(lead + (dim,))[..., None, :] * np.eye(dim)
+    mirrored = diag + lower + np.conj(np.swapaxes(lower, -1, -2))
+    scrambled = diag + lower + np.triu(gen.standard_normal(shape) + 1j * gen.standard_normal(shape), 1)
+    w, v = linalg.eig_hermitian(scrambled)
+    want_w, want_v = linalg.eig_hermitian(mirrored)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert np.array_equal(linalg.eig_hermitian(scrambled, vectors=False), linalg.eig_hermitian(mirrored, vectors=False))
+
+
+def test_every_eigendecomposition_goes_through_linalg(monkeypatch):
+    """No module but linalg calls numpy's eigensolvers: eig_hermitian is the
+    one entry point, and with it the one reading of Hermiticity."""
+    callers = []
+
+    def recorded(solver):
+        def call(*args, **kwargs):
+            callers.append(os.path.realpath(sys._getframe(1).f_code.co_filename))
+            return solver(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    state = random_cq_state(3, size_x=4, dim_y=2, tag="owner")
+    for dim_t in (2, 3):
+        engine.run_qib(state, ObjectiveConfig(alpha=1.0, beta=3.0, dim_t=dim_t, max_iters=3))
+    qdib.run_qdib(state, ObjectiveConfig(alpha=0.0, beta=3.0, dim_t=3, max_iters=3))
+    suffstats_pipeline(SuffStatsSpec(size_x1=3, size_x2=2, nu=25.0), max_iters=3)
+    copy = benchmarks.copy_state(3)
+    model.holevo_information(copy)
+    benchmarks.brute_force_classical_opt(copy, 2, 1.0, 2.0)
+    assert callers and set(callers) == {os.path.realpath(linalg.__file__)}, set(callers)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -204,24 +255,6 @@ def test_random_density_is_valid(classical):
     linalg.check_density(rho)
     if classical:
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
-
-
-def test_hermitize_projects_and_is_idempotent():
-    gen = derive_rng(5, "herm")
-    a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    h = linalg.hermitize(a)
-    assert linalg.hermiticity_residual(h) < 1e-15
-    assert np.max(np.abs(linalg.hermitize(h) - h)) == 0.0
-
-
-def test_hermitize_output_is_c_contiguous_for_large_stacks():
-    # Regression: numpy can lay out the symmetrized sum with the last two
-    # axes swapped on big stacks, and reshape views of such output silently
-    # turn into copies downstream.
-    gen = derive_rng(6, "herm-big")
-    big = gen.normal(size=(20, 100, 100)) + 1j * gen.normal(size=(20, 100, 100))
-    out = linalg.hermitize(big)
-    assert out.flags["C_CONTIGUOUS"]
 
 
 @pytest.mark.parametrize("dim", [3, 100])
