@@ -43,10 +43,10 @@ def _load_config(args: argparse.Namespace, schema: cfg.Schema) -> tuple[dict, in
     return obj, seed
 
 
-def _load_run(args: argparse.Namespace, schema: cfg.Schema, alpha_override: float | None = None):
+def _load_run(args: argparse.Namespace, schema: cfg.Schema):
     """Config, solver config and resolved state of a run subcommand."""
     obj, seed = _load_config(args, schema)
-    run_cfg = cfg.objective_config(obj, seed, alpha_override)
+    run_cfg = cfg.objective_config(obj, seed)
     return obj, run_cfg, cfg.resolve_state(obj["state"], seed, run_cfg.dim_t, run_cfg.classical)
 
 
@@ -58,8 +58,8 @@ def _maybe_emit_state(args: argparse.Namespace, state) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """run-qib and run-qdib: the subparser supplies schema, runner and alpha."""
-    obj, run_cfg, state = _load_run(args, args.schema, args.alpha_override)
+    """run-qib and run-qdib: the subparser supplies schema and runner."""
+    obj, run_cfg, state = _load_run(args, args.schema)
     initial = cfg.resolve_initial_channel(
         obj.get("initial_channel"), run_cfg.dim_t, state.size_x, run_cfg.classical
     )
@@ -231,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = (
         ("run-qib", "iterate the soft bottleneck to convergence", dict(
-            func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib, alpha_override=None)),
+            func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib)),
         ("run-qdib", "iterate the deterministic bottleneck", dict(
-            func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib, alpha_override=0.0)),
+            func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib)),
         ("gamma-sweep", "one run per step size from a shared start", dict(func=_cmd_gamma_sweep)),
         ("beta-sweep", "converged metrics per trade-off weight", dict(func=_cmd_beta_sweep)),
     )

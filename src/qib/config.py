@@ -208,10 +208,11 @@ def suffstats_spec(obj: dict[str, Any], *seed_parts: int | str) -> SuffStatsSpec
     )
 
 
-def objective_config(obj: dict[str, Any], seed: int, alpha_override: float | None = None) -> ObjectiveConfig:
-    """Build the solver config from common run keys (post seed override)."""
+def objective_config(obj: dict[str, Any], seed: int) -> ObjectiveConfig:
+    """Build the solver config from common run keys (post seed override).
+    Alpha is 0 when absent, as the run-qdib schema requires."""
     return ObjectiveConfig(
-        alpha=alpha_override if alpha_override is not None else obj["alpha"],
+        alpha=obj.get("alpha", 0.0),
         beta=obj.get("beta", 1.0),
         seed=seed,
         **params(obj, ("dimT", "gamma", "classical", "tol", "max_iters")),

@@ -154,7 +154,8 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """One multiplicative update from a fully analyzed iterate, in spectral
     form (p, V); on a table it is a row softmax, the soft-clustering update."""
-    expon = analysis.log_mats - analysis.f_family / gamma
+    with np.errstate(over="ignore"):  # the finiteness check below owns the failure
+        expon = analysis.log_mats - analysis.f_family / gamma
     if not np.all(np.isfinite(expon)):
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
         raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")

@@ -111,7 +111,6 @@ class SuffStatsInstance:
     permutation: np.ndarray
     thetas: np.ndarray
     lams: np.ndarray
-    spec: SuffStatsSpec
 
 
 def gen_suffstats_ensemble(spec: SuffStatsSpec) -> SuffStatsInstance:
@@ -142,6 +141,4 @@ def gen_suffstats_ensemble(spec: SuffStatsSpec) -> SuffStatsInstance:
     rho_recorded = np.empty_like(rho_structured)
     rho_recorded[perm] = rho_structured
     state = CQState(np.full(size, 1.0 / size), rho_recorded)
-    return SuffStatsInstance(
-        state=state, permutation=perm, thetas=thetas, lams=lams, spec=spec
-    )
+    return SuffStatsInstance(state=state, permutation=perm, thetas=thetas, lams=lams)

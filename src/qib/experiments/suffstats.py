@@ -49,8 +49,6 @@ def baseline_discard_x2(
 class SuffStatsReport:
     instance: SuffStatsInstance
     trace: engine.IterationTrace
-    baseline: dict[str, float]
-    i_xy: float
     metrics: dict[str, float]
     fdib_rows: list[tuple[int, float, float]]
     ity_rows: list[tuple[int, float, float, float]]
@@ -114,8 +112,6 @@ def suffstats_pipeline(
     return SuffStatsReport(
         instance=instance,
         trace=trace,
-        baseline=baseline,
-        i_xy=i_xy,
         metrics=metrics,
         fdib_rows=fdib_rows,
         ity_rows=ity_rows,

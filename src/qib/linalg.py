@@ -31,13 +31,6 @@ def diag_embed(diags: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Max absolute entry of M - M^H over the whole stack."""
-    m = np.asarray(m)
-    d = m - np.conj(np.swapaxes(m, -1, -2))
-    return float(np.max(np.abs(d))) if d.size else 0.0
-
-
 def _eig2(h: np.ndarray, vectors: bool):
     """Closed form for a finite (..., 2, 2) stack.  With H - mean I = radius
     [[cos t, e^{-i phi} sin t], ...], the top eigenvector is (cos t/2,
@@ -63,8 +56,7 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
     Eigenvalues ascend; eigenvectors are orthonormal columns, so
     ``H = V diag(w) V^H`` per stack element.  2 x 2 matrices are solved in
     closed form, larger ones by LAPACK; both read the lower triangle.  Raises
-    NumericalError on non-finite input, and with the hermiticity residual if
-    LAPACK fails to converge (in practice, on input far from Hermitian).
+    NumericalError on non-finite input, or if LAPACK fails to converge.
     """
     h = np.asarray(h)
     if not np.all(np.isfinite(h)):
@@ -74,10 +66,7 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
     try:
         return tuple(np.linalg.eigh(h)) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed on shape {h.shape}: {exc}; "
-            f"hermiticity residual {hermiticity_residual(h):.3e}"
-        ) from exc
+        raise NumericalError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
 
 
 def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:

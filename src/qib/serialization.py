@@ -47,8 +47,6 @@ def fmt_float(x: float) -> str:
 
 
 def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
     if isinstance(value, int):
         return str(value)
     return fmt_float(value)
@@ -56,7 +54,7 @@ def _csv_cell(value: Any) -> str:
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Header line plus one line per row: ints verbatim, floats through
-    ``fmt_float``, None as an empty cell."""
+    ``fmt_float``."""
     lines = [",".join(columns)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"

@@ -5,14 +5,16 @@ import errno
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qib import cli, config as qconfig, serialization as ser
+from qib import cli, config as qconfig, engine, serialization as ser
 from qib.exceptions import NumericalError
+from qib.experiments.sweeps import gamma_sweep
 
 from helpers import random_cq_state, random_channel_for
 
@@ -98,6 +100,18 @@ def test_run_qib_initial_channel_keyword(qib_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_qib_initial_channel_from_a_file(qib_config, tmp_path, capsys):
+    obj = _read_json(qib_config)
+    state = qconfig.resolve_state(obj["state"], obj["seed"], 2, False)
+    chan = random_channel_for(state, 2, 0, tag="clifile")
+    obj["initial_channel"] = {"path": _write_json(tmp_path / "channel.json", ser.channel_to_obj(chan))}
+    path = _write_json(tmp_path / "from_file.json", obj)
+    assert cli.main(["run-qib", "--config", path, "--format", "json"]) == 0
+    first = json.loads(capsys.readouterr().out)["records"][0]
+    _, trace = engine.run_qib(state, qconfig.objective_config(obj, obj["seed"]), initial=chan)
+    assert first == ser.trace_to_records(trace)["records"][0]
+
+
 def test_run_qib_initial_channel_mismatch_exits_1(qib_config, tmp_path, capsys):
     state = random_cq_state(0, size_x=3, dim_y=2, tag="climm")
     chan = random_channel_for(state, 3, 0, tag="climm")  # dimT 3, config wants 2
@@ -137,6 +151,28 @@ def test_numerical_failures_exit_2(qib_config, capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "run_qib", boom)
     assert cli.main(["run-qib", "--config", qib_config]) == 2
     assert "numerical error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_an_overflowing_update_exponent_exits_2_with_one_line(tmp_path, capsys, classical):
+    # gamma = 1e-310 passes every key rule; F / gamma overflows to inf, which
+    # the finiteness check reports, with no numpy warning before it.
+    config = dict(_RUN, gamma=1e-310, classical=classical, state=_QUBITS)
+    assert cli.main(["run-qib", "--config", _write_json(tmp_path / "tiny.json", config)]) == 2
+    assert capsys.readouterr() == ("", "numerical error: update exponent is not finite at x=0\n")
+
+
+def test_running_the_module_calls_main(monkeypatch, capsys):
+    argv = ["advantage", "--d", "3", "--n", "2", "--beta", "2"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["qib", *argv])
+    # runpy warns when the module it runs is already imported.
+    monkeypatch.delitem(sys.modules, "qib.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qib.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
@@ -205,6 +241,29 @@ def test_gamma_sweep_concatenates_chunks(tmp_path, capsys):
     assert len(f_values) == 1
 
 
+def test_gamma_sweep_json_lists_each_run_in_input_order(tmp_path, capsys):
+    obj = dict(_RUN, seed=1, tol=1e-15, max_iters=60, state=_QUBITS, gamma_list=[1.0, 2.0])
+    path = _write_json(tmp_path / "sweep.json", obj)
+    argv = ["gamma-sweep", "--config", path, "--format", "json"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == text
+    runs = json.loads(text)["runs"]
+    state = qconfig.resolve_state(obj["state"], 1, 2, False)
+    results, _ = gamma_sweep(state, qconfig.objective_config(obj, 1), obj["gamma_list"])
+    assert [run["gamma"] for run in runs] == obj["gamma_list"]
+    for run, (_, trace) in zip(runs, results):
+        assert set(run) == {"gamma", "status", "violations", "records"}
+        assert run["records"] == ser.trace_to_records(trace)["records"]
+    # gamma_ratio is null exactly where the CSV prints nan.
+    assert cli.main(argv[:-2]) == 0
+    csv_rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:] if not ln.startswith("#")]
+    nulls = [r["gamma_ratio"] is None for run in runs for r in run["records"]]
+    assert nulls == [row[7] == "nan" for row in csv_rows]
+    assert any(nulls) and not all(nulls)
+
+
 def test_beta_sweep_csv_and_json(tmp_path, capsys):
     path = _write_json(
         tmp_path / "beta.json",
@@ -271,6 +330,7 @@ def test_advantage_bad_lists_exit_1(capsys):
         (["--d", "3,4,3000", "--n", "2"], "--d"),
         # The Fourier channel d n^2 and the (T, Y) joint (d n)^2.
         (["--n", "5000"], "--n"),
+        (["--d", ","], "--d"),  # produced no values
     ],
 )
 def test_advantage_rejects_bad_flags_before_any_array(capsys, monkeypatch, flags, flag):

@@ -202,8 +202,9 @@ def test_objective_config_defaults_and_override():
     assert run_cfg.dim_t == 2 and run_cfg.seed == 3
     assert run_cfg.tol == 1e-7 and run_cfg.max_iters == 500
     assert run_cfg.gamma is None and run_cfg.effective_gamma == 1.0
-    forced = cfg.objective_config(obj, seed=3, alpha_override=0.0)
-    assert forced.alpha == 0.0
+    # run-qdib's schema rejects an alpha key; its runs get alpha 0.
+    del obj["alpha"]
+    assert cfg.objective_config(obj, seed=3).alpha == 0.0
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,7 @@ def test_f_operator_family_is_hermitian():
     chan = random_channel_for(state, 2, 1)
     fam = engine.f_operator(state, chan, 0.5, 2.0)
     assert fam.shape == (state.size_x, 2, 2)
-    assert linalg.hermiticity_residual(fam) < 1e-12
+    assert np.max(np.abs(fam - np.conj(np.swapaxes(fam, -1, -2)))) < 1e-12
 
 
 def test_update_produces_valid_channel_and_keeps_classical():
@@ -56,6 +56,13 @@ def test_update_produces_valid_channel_and_keeps_classical():
         new = engine.update(state, chan, 0.8, 0.8, 2.0)
         new.validate()
         assert new.classical == classical
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+def test_update_rejects_a_step_that_is_not_positive(gamma):
+    state = random_cq_state(2)
+    with pytest.raises(InvariantError, match="^gamma must be > 0"):
+        engine.update(state, random_channel_for(state, 2, 2), gamma, 1.0, 2.0)
 
 
 def test_update_matches_exponentiated_f_at_unit_step():
@@ -360,6 +367,28 @@ def test_estimate_kappa_scores_pairs_as_it_draws_them():
     finally:
         tracemalloc.stop()
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("size_x, samples, message", [
+    (1, 10, "^kappa needs at least two source symbols$"),
+    (2, -1, "^samples must be >= 0, got -1$"),
+], ids=["size_x", "samples"])
+def test_estimate_kappa_rejects_bad_arguments(size_x, samples, message):
+    with pytest.raises(InvariantError, match=message):
+        engine.estimate_kappa(random_cq_state(30, size_x=size_x, dim_y=2), samples=samples)
+
+
+def test_estimate_kappa_skips_pairs_without_classical_divergence(monkeypatch):
+    # Past 12 symbols no vertex pairs are scored, so every pair is drawn; a
+    # pair of equal distributions has no ratio and must be skipped, not
+    # divided by zero.
+    class Repeating:
+        def dirichlet(self, alpha):
+            return np.full(len(alpha), 1.0 / len(alpha))
+
+    monkeypatch.setattr(engine.rng, "derive_rng", lambda *parts: Repeating())
+    state = random_cq_state(31, size_x=13, dim_y=2)
+    assert engine.estimate_kappa(state, samples=3) == 0.0
 
 
 def test_random_channel_rejects_bad_sizes():

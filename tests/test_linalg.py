@@ -165,6 +165,17 @@ def test_eig_hermitian_rejects_non_finite_input(dim, bad):
             linalg.eig_hermitian(h, vectors)
 
 
+def test_eig_hermitian_reports_a_lapack_failure(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    for vectors in (True, False):
+        with pytest.raises(NumericalError, match=r"^eigensolver failed on shape \(3, 3\): Eigenvalues did not converge$"):
+            linalg.eig_hermitian(np.eye(3), vectors)
+
+
 def test_matrix_log_exp_roundtrip():
     gen = derive_rng(0, "roundtrip")
     h = random_hermitian(4, gen)
@@ -212,6 +223,9 @@ def test_partial_trace_preserves_trace_and_is_linear():
 def test_check_density_rejects_bad_matrices():
     good = np.diag([0.5, 0.5]).astype(complex)
     linalg.check_density(good)
+    for shape in ((2,), (2, 3)):
+        with pytest.raises(InvariantError, match=rf"^matrix: expected a square matrix, got shape \({shape[0]},"):
+            linalg.check_density(np.ones(shape))
     with pytest.raises(InvariantError, match="trace"):
         linalg.check_density(2.0 * good)
     with pytest.raises(InvariantError, match="mylabel"):

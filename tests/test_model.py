@@ -62,6 +62,17 @@ def test_classical_channel_flag_enforced_by_validate():
     CQChannel(off, classical=False).validate()
 
 
+@pytest.mark.parametrize("form, message", [
+    ((np.ones((2, 2)), np.ones((2, 3, 3))), r"^\(p, V\) must be \(sizeX, dimT\)"),
+    ((np.ones(2), np.ones((2, 2))), r"^\(p, V\) must be \(sizeX, dimT\)"),
+    (np.zeros((2, 2, 3)), "^sigma_t_given_x must be stacked square matrices, got shape \\(2, 2, 3\\)$"),
+    (np.zeros((2, 2, 2, 2)), "^sigma_t_given_x must be stacked square matrices"),
+], ids=["p-V-sizes", "p-vector", "non-square", "4-d"])
+def test_channel_construction_validates_shapes(form, message):
+    with pytest.raises(InvariantError, match=message):
+        CQChannel(form)
+
+
 def _verdict(channel):
     try:
         channel.validate()
@@ -129,6 +140,11 @@ def test_relative_entropy_unsupported_is_infinite():
         assert model.relative_entropy(rho, sig) == np.inf
 
 
+def test_relative_entropy_rejects_a_shape_mismatch():
+    with pytest.raises(InvariantError, match=r"^shape mismatch in relative entropy: \(2, 2\) vs \(3, 3\)$"):
+        model.relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
+
+
 def test_marginals_are_partial_traces_of_joint():
     state = random_cq_state(11)
     chan = random_channel_for(state, 3, 11)
@@ -187,10 +203,30 @@ def test_channel_divergence_zero_iff_equal():
     assert model.channel_divergence(chan, other, state) > 1e-6
 
 
+def test_channel_divergence_rejects_differing_t_dimensions():
+    state = random_cq_state(15)
+    with pytest.raises(InvariantError, match="^channels act on different T dimensions: 2 vs 3$"):
+        model.channel_divergence(random_channel_for(state, 2, 15), random_channel_for(state, 3, 15), state)
+
+
+def test_channel_divergence_skips_symbols_of_zero_probability():
+    # At x = 1 the divergence is infinite, but P(1) = 0 leaves it out.
+    rho = np.stack([np.eye(2, dtype=complex) / 2] * 2)
+    state = CQState(np.array([1.0, 0.0]), rho)
+    p = np.diag([0.2, 0.8]).astype(complex)
+    chan = CQChannel(np.stack([p, np.eye(2) / 2]))
+    other = CQChannel(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]))
+    want = model.relative_entropy(p, np.eye(2) / 2)
+    assert model.channel_divergence(chan, other, state) == want
+
+
 def test_maximally_mixed_channel_is_valid():
     chan = model.maximally_mixed_channel(3, 4, classical=True)
     chan.validate()
     assert chan.dim_t == 3 and chan.size_x == 4
+    for dim_t, size_x in ((0, 4), (3, 0)):
+        with pytest.raises(InvariantError, match=f"^dim_t and size_x must be >= 1, got {dim_t}, {size_x}$"):
+            model.maximally_mixed_channel(dim_t, size_x)
 
 
 def test_objective_config_gamma_defaults_to_alpha():

@@ -1,5 +1,6 @@
 """Wire formats: JSON round-trips, CSV layout, atomic writes."""
 
+import errno
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qib import serialization as ser
+from qib import cli, serialization as ser
 from qib.engine import IterationTrace, TraceRecord
 from qib.exceptions import ConfigError, InvariantError
 
@@ -160,6 +161,20 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "replaced\n"
     leftovers = [p for p in os.listdir(tmp_path / "deep") if p.startswith(".tmp")]
     assert leftovers == []
+
+
+def test_write_text_atomic_removes_its_temporary_file_when_the_rename_fails(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
+
+    monkeypatch.setattr(ser.os, "replace", refuse)
+    target = tmp_path / "out.csv"
+    with pytest.raises(PermissionError):
+        ser.write_text_atomic(str(target), "hello\n")
+    argv = ["advantage", "--d", "3", "--n", "2", "--beta", "2", "--out", str(target)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {os.strerror(errno.EACCES)}: {target}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_text_atomic_never_exposes_partial_content(tmp_path):

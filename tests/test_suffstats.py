@@ -77,11 +77,11 @@ def test_pipeline_rows_share_the_trace_iterations():
     for row, rec in zip(rep.fdib_rows, rep.trace.records):
         assert row[0] == rec.iteration
         assert row[1] == rec.f_alpha
-        assert row[2] == rep.baseline["f_dib"]
+        assert row[2] == rep.metrics["f_dib_baseline"]
     for row, rec in zip(rep.ity_rows, rep.trace.records):
         assert row[1] == rec.i_ty
-        assert row[2] == rep.baseline["i_x1y"]
-        assert row[3] == rep.i_xy
+        assert row[2] == rep.metrics["i_x1y_baseline"]
+        assert row[3] == rep.metrics["i_xy"]
 
 
 def test_crossing_iteration_matches_rows():
