@@ -13,6 +13,7 @@ usage), 2 numerical failure inside an otherwise valid computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -58,12 +59,13 @@ def _maybe_emit_state(args: argparse.Namespace, state) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """run-qib and run-qdib: the subparser supplies schema and runner."""
+    """run-qib and run-qdib: the subparser supplies the schema and the runner's
+    (module, name), looked up now, so a replaced module attribute is called."""
     obj, run_cfg, state = _load_run(args, args.schema)
     initial = cfg.resolve_initial_channel(
         obj.get("initial_channel"), run_cfg.dim_t, state.size_x, run_cfg.classical
     )
-    _, trace = args.runner(state, run_cfg, initial=initial)
+    _, trace = getattr(*args.runner)(state, run_cfg, initial=initial)
     _maybe_emit_state(args, state)
     if args.format == "json":
         _emit(serialization.dump_json(serialization.trace_to_records(trace)), args.out)
@@ -215,6 +217,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     raise ConfigError(f"{args.file}#", "neither a state file (rhoY) nor a channel file (sigmaT)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qib",
@@ -231,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = (
         ("run-qib", "iterate the soft bottleneck to convergence", dict(
-            func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=engine.run_qib)),
+            func=_cmd_run, schema=cfg.RUN_QIB_SCHEMA, runner=(engine, "run_qib"))),
         ("run-qdib", "iterate the deterministic bottleneck", dict(
-            func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=qdib.run_qdib)),
+            func=_cmd_run, schema=cfg.RUN_QDIB_SCHEMA, runner=(qdib, "run_qdib"))),
         ("gamma-sweep", "one run per step size from a shared start", dict(func=_cmd_gamma_sweep)),
         ("beta-sweep", "converged metrics per trade-off weight", dict(func=_cmd_beta_sweep)),
     )

@@ -146,9 +146,7 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr[a_x b_x] for each x, of two stacks or two tables."""
     if a.ndim == 2:
         return np.sum(a * b, axis=1)
-    # Tr[a b] = sum_ij b_ij a_ji: per x, one row of b times one column of a^T.
-    n = len(a)
-    return (b.reshape(n, 1, -1) @ np.swapaxes(a, 1, 2).reshape(n, -1, 1))[:, 0, 0].real
+    return np.einsum("xij,xji->x", a, b).real
 
 
 def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -286,19 +284,22 @@ def random_channel(
 ) -> CQChannel:
     """Random full-rank channel: per x a flat-Dirichlet spectrum in a Haar
     basis.  A classical channel is the (sizeX, dimT) table of the spectra
-    alone, drawn in one call: the same numbers as one draw per x."""
+    alone, drawn in one call: the same numbers as one draw per x.  A quantum
+    channel's spectra are the same numbers as per-x ``dirichlet`` draws."""
     if dim_t < 1 or size_x < 1:
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
     gen = seed if isinstance(seed, np.random.Generator) else rng.derive_rng(seed, "channel")
     if classical:
         return CQChannel(gen.dirichlet(np.ones(dim_t), size=size_x), classical=True)
-    # Per x a spectrum, then a Gaussian matrix for its basis, in stream order.
-    p = np.empty((size_x, dim_t))
-    z = np.empty((size_x, dim_t, dim_t), dtype=np.complex128)
+    # Per x a spectrum's exponentials, then a Gaussian matrix for its basis, in stream
+    # order.  A flat Dirichlet draw is exponentials times 1 / their sum in draw order.
+    e = np.empty((size_x, dim_t))
+    z = np.empty((size_x, 2, dim_t, dim_t))
     for x in range(size_x):
-        p[x] = gen.dirichlet(np.ones(dim_t))
-        z[x] = gen.standard_normal((dim_t, dim_t)) + 1j * gen.standard_normal((dim_t, dim_t))
-    return CQChannel((p, linalg.haar_unitary(z)))
+        e[x] = gen.standard_exponential(dim_t)
+        z[x] = gen.standard_normal((2, dim_t, dim_t))
+    total = np.add.accumulate(e, axis=1)[:, -1]
+    return CQChannel((e * (1.0 / total)[:, None], linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])))
 
 
 def run_qib(

@@ -3,6 +3,8 @@ logarithm, entropy of a spectrum, density checks and Haar unitaries.
 
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
+Stacks of 2 x 2 matrices take a closed form in both directions, elementwise
+over the stack: ``eig_hermitian`` calls no LAPACK and ``from_eig`` no BLAS.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -39,14 +41,17 @@ def _eig2(h: np.ndarray, vectors: bool):
     a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
     mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
     radius = np.hypot(half, np.abs(b))
-    w = np.stack([mean - radius, mean + radius], axis=-1)
+    w = np.empty(h.shape[:-1])
+    w[..., 0], w[..., 1] = mean - radius, mean + radius
     if not vectors:
         return w
     safe = np.where(radius > 0, radius, 1.0)  # radius 0 keeps the standard basis
     big = np.sqrt(0.5 + 0.5 * np.where(radius > 0, np.abs(half) / safe, 1.0))
     small = b / (2.0 * safe * big)
     x, y = np.where(half >= 0, big, np.conj(small)), np.where(half >= 0, small, big)
-    return w, np.stack([np.stack([-np.conj(y), x], -1), np.stack([np.conj(x), y], -1)], -2)
+    v = np.empty(h.shape, dtype=y.dtype)
+    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = -np.conj(y), x, np.conj(x), y
+    return w, v
 
 
 def eig_hermitian(h: np.ndarray, vectors: bool = True):
@@ -70,8 +75,18 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
 
 
 def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``."""
-    return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``.
+    A 2 x 2 stack sums the same terms elementwise, exactly Hermitian."""
+    if v.shape[-2:] != (2, 2):
+        return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    w0, w1 = w[..., 0], w[..., 1]
+    sq = v.real ** 2 + v.imag ** 2
+    h = np.empty(v.shape, dtype=np.result_type(w, v))
+    h[..., 0, 0] = w0 * sq[..., 0, 0] + w1 * sq[..., 0, 1]
+    h[..., 1, 1] = w0 * sq[..., 1, 0] + w1 * sq[..., 1, 1]
+    h[..., 1, 0] = w0 * v[..., 1, 0] * np.conj(v[..., 0, 0]) + w1 * v[..., 1, 1] * np.conj(v[..., 0, 1])
+    h[..., 0, 1] = np.conj(h[..., 1, 0])
+    return h
 
 
 def log_floor(w: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qib import cli, config as qconfig, engine, serialization as ser
+from qib import cli, config as qconfig, engine, qdib, serialization as ser
 from qib.exceptions import NumericalError
 from qib.experiments.sweeps import gamma_sweep
 
@@ -211,6 +211,36 @@ def test_run_qdib_rejects_alpha_key(tmp_path, capsys):
     )
     assert cli.main(["run-qdib", "--config", path]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, owner, name, extra", [
+    ("run-qib", engine, "run_qib", {"alpha": 1.0}),
+    ("run-qdib", qdib, "run_qdib", {}),
+])
+def test_run_commands_call_the_runner_attribute_of_the_moment(
+    tmp_path, monkeypatch, capsys, command, owner, name, extra
+):
+    # The parser is built once per process, but a runner replaced after that
+    # (as a tracer replaces module attributes) is the one a later call runs.
+    path = _write_json(tmp_path / "run.json", {
+        **extra, "beta": 2.0, "dimT": 2, "seed": 7, "max_iters": 3,
+        "state": {"generator": "random-qubit-ensemble", "sizeX": 3},
+    })
+    cli.build_parser.cache_clear()
+    assert cli.main([command, "--config", path]) == 0
+    plain = capsys.readouterr().out
+    calls = []
+    original = getattr(owner, name)
+
+    def patched(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+    assert cli.main([command, "--config", path]) == 0
+    assert len(calls) == 1 and calls[0].beta == 2.0
+    assert capsys.readouterr().out == plain
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_gamma_sweep_concatenates_chunks(tmp_path, capsys):

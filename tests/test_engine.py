@@ -20,6 +20,7 @@ from helpers import (
     random_cq_state,
     random_densities,
     random_density,
+    random_unitary,
     sparse_table_instance,
     symmetrize,
 )
@@ -398,14 +399,24 @@ def test_random_channel_rejects_bad_sizes():
         engine.random_channel(2, 0)
 
 
-@pytest.mark.parametrize("dim_t", [2, 3, 16])
+@pytest.mark.parametrize("dim_t", [1, 2, 3, 8, 16, 64])
 @pytest.mark.parametrize("classical", [False, True])
 def test_random_channel_equals_per_x_draws(dim_t, classical):
-    # The quantum branch draws per x but builds its stack in one batch.
-    batched = engine.random_channel(dim_t, 9, classical=classical, seed=derive_rng(4, "draws"))
-    looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
+    # The quantum branch draws per x but normalizes its spectra and builds its
+    # bases in one batch; dimT 8 is where a pairwise sum would change bits.
+    gen, ref = derive_rng(4, "draws"), derive_rng(4, "draws")
+    batched = engine.random_channel(dim_t, 9, classical=classical, seed=gen)
     assert batched.classical == classical
-    assert np.array_equal(batched.sigma_t_given_x, looped)
+    if classical:
+        assert np.array_equal(batched.table(), [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
+    else:
+        p, v = zip(*[(ref.dirichlet(np.ones(dim_t)), random_unitary(dim_t, ref)) for _ in range(9)])
+        assert np.array_equal(batched.spectrum[0], p) and np.array_equal(batched.spectrum[1], v)
+    # Both consumed the same stretch of the stream.
+    assert gen.random() == ref.random()
+    if classical or dim_t != 2:  # the 2 x 2 stack is not built by the matmul
+        looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
+        assert np.array_equal(batched.sigma_t_given_x, looped)
 
 
 @pytest.mark.parametrize("dim_t, classical", [(2, False), (3, False), (3, True)])

@@ -131,6 +131,31 @@ def test_eig_hermitian_reads_only_the_lower_triangle(dim, lead, seed):
     assert np.array_equal(linalg.eig_hermitian(scrambled, vectors=False), linalg.eig_hermitian(mirrored, vectors=False))
 
 
+@given(
+    st.sampled_from([(), (1,), (6,), (2, 3)]),
+    st.sampled_from(["closed form", "haar"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_from_eig_2x2_closed_form_matches_the_matmul(lead, basis, equal, seed):
+    # Eigenvalues from a pool of 0, log(LOG_FLOOR) and two random values, in
+    # equal pairs when ``equal``; bases from the eigensolver or Haar draws.
+    gen = np.random.default_rng(seed)
+    pool = np.array([0.0, np.log(linalg.LOG_FLOOR), *gen.uniform(-30.0, 30.0, 2)])
+    w = pool[gen.integers(0, 4, lead + (2,))]
+    if equal:
+        w[..., 1] = w[..., 0]
+    z = gen.standard_normal(lead + (2, 2)) + 1j * gen.standard_normal(lead + (2, 2))
+    v = linalg.haar_unitary(z) if basis == "haar" else linalg.eig_hermitian(z + np.conj(np.swapaxes(z, -1, -2)))[1]
+    h = linalg.from_eig(w, v)
+    matmul = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    scale = 1e-15 * np.maximum(1.0, np.abs(w).max(axis=-1))
+    assert h.shape == lead + (2, 2)
+    assert np.all(np.abs(h - matmul).max(axis=(-2, -1)) <= scale)
+    assert np.all(h[..., 0, 0].imag == 0) and np.all(h[..., 1, 1].imag == 0)
+    assert np.array_equal(h[..., 0, 1], np.conj(h[..., 1, 0]))
+
+
 def test_every_eigendecomposition_goes_through_linalg(monkeypatch):
     """No module but linalg calls numpy's eigensolvers: eig_hermitian is the
     one entry point, and with it the one reading of Hermiticity."""
