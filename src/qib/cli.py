@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import sys
 
@@ -146,8 +147,10 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     obj, seed = _load_config(args, cfg.CLASSIFY_SCHEMA)
     grid = ("--grid-step", check_grid_step(args.grid_step))
-    n, t = ("/n_samples", obj.get("n_samples", 400)), ("/dimT", obj.get("dimT", 2))
-    train = ("/n_samples", round(obj.get("train_fraction", 0.5) * n[1]))
+    # The pipeline's signature owns the defaults of the keys a config leaves out.
+    default = {k: p.default for k, p in inspect.signature(classify_pipeline).parameters.items()}
+    n, t = ("/n_samples", obj.get("n_samples", default["n_samples"])), ("/dimT", obj.get("dimT", default["dim_t"]))
+    train = ("/n_samples", round(obj.get("train_fraction", default["train_fraction"]) * n[1]))
     cfg.check_entries((("", MAX_CELLS),), (("", NUM_LABELS),), (t,), False)
     # The grams and feature stacks at the pipeline's defaults, with the grid's if it is written.
     cfg.check_arrays((train, train), (("/n_samples", n[1] - train[1]), train), (n, t, t),

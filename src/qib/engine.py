@@ -82,7 +82,7 @@ class _StateCtx:
     def __init__(self, state: CQState):
         self.px = state.px
         self.rhos = state.rho_y_given_x
-        wy, _, self.log_rho_y = linalg.floored_log(model.rho_y(state))
+        wy, _, self.log_rho_y = linalg.floored_log(np.einsum("x,xij->ij", state.px, state.rho_y_given_x))
         self.h_y = linalg.entropy(wy)
 
 
@@ -205,14 +205,14 @@ def _analyses(
 def f_operator(
     state: CQState, channel: CQChannel, alpha: float, beta: float
 ) -> np.ndarray:
-    """Stacked operator family F(x), shape (sizeX, dimT, dimT), Hermitian up to round-off.
+    """Operator family F(x) in the channel's form: a (sizeX, dimT, dimT) stack,
+    Hermitian up to round-off, or a classical channel's (sizeX, dimT) table.
 
     The average Tr[sigma_{T|x} F(x)] under P_X reproduces the objective
     exactly; that identity is the backbone correctness check.
     """
     _, (analysis,) = _analyses(state, alpha, beta, channel)
-    fam = analysis.f_family
-    return linalg.diag_embed(fam) if fam.ndim == 2 else fam
+    return analysis.f_family
 
 
 def update(
@@ -364,24 +364,18 @@ def _iterate(
     cur = _Analysis(ctx, initial, table, alpha, beta)
     trace = IterationTrace()
     converged = False
-    for n in range(1, config.max_iters + 1):
+    # The last pass only records the prospective step from the returned iterate.
+    for n in range(1, config.max_iters + 2):
         nxt = _Analysis(ctx, CQChannel(step(cur), table), table, alpha, beta)
         trace.records.append(_record(ctx, n, cur, nxt, deterministic))
+        if converged or n > config.max_iters:
+            break
         if nxt.f_alpha > cur.f_alpha + MONOTONICITY_TOL:
             trace.violations.append(n)
-        prev_f, cur = cur.f_alpha, nxt
-        if abs(prev_f - cur.f_alpha) <= config.tol:
-            converged = True
-            break
-    # Final row: one prospective step from the returned iterate.
-    tail = _Analysis(ctx, CQChannel(step(cur), table), table, alpha, beta)
-    trace.records.append(_record(ctx, len(trace.records) + 1, cur, tail, deterministic))
-    if trace.violations:
-        trace.status = STATUS_MONOTONICITY_VIOLATED
-    elif converged:
-        trace.status = STATUS_CONVERGED
-    else:
-        trace.status = STATUS_MAX_ITERS
+        converged = abs(cur.f_alpha - nxt.f_alpha) <= config.tol
+        cur = nxt
+    trace.status = (STATUS_MONOTONICITY_VIOLATED if trace.violations
+                    else STATUS_CONVERGED if converged else STATUS_MAX_ITERS)
     return cur.channel, trace
 
 

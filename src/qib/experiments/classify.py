@@ -152,9 +152,12 @@ def empirical_cq_state(
     return CQState(px, rho), cells
 
 
-def hs_gram(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
-    """Pairwise Tr[A_i B_j] for stacked Hermitian features."""
-    return np.tensordot(mats_b, mats_a, axes=([1, 2], [2, 1])).T.real
+def hs_gram(feats_a: np.ndarray, feats_b: np.ndarray) -> np.ndarray:
+    """Pairwise Tr[A_i B_j] for stacked Hermitian features; rows, such as
+    a classical channel's table rows, pair by their dot products."""
+    if feats_a.ndim == 2:
+        return feats_a @ feats_b.T
+    return np.tensordot(feats_b, feats_a, axes=([1, 2], [2, 1])).T.real
 
 
 def train_classifier(
@@ -196,17 +199,20 @@ class ClassifyReport:
 def _features(
     channel: CQChannel, cells: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Feature operators of the floored (x1, x2) cells of ``points`` (m, 2),
-    and how many points fall in cells unseen in training: those get I/dimT."""
+    """Features of the floored (x1, x2) cells of ``points`` (m, 2): density
+    operators, or a classical channel's table rows.  Also how many points fall
+    in cells unseen in training: those get I/dimT, or the uniform row."""
     cell_keys = _cell_keys(cells[:, 0], cells[:, 1])
     floored = np.floor(points).astype(np.int64)
     keys = _cell_keys(floored[:, 0], floored[:, 1])
     pos = np.minimum(np.searchsorted(cell_keys, keys), cell_keys.size - 1)
     seen = cell_keys[pos] == keys
     dt = channel.dim_t
-    feats = np.empty((keys.size, dt, dt), dtype=np.complex128)
-    feats[seen] = channel.sigma_t_given_x[pos[seen]]
-    feats[~seen] = np.eye(dt, dtype=np.complex128) / dt
+    if channel.classical:
+        feats, uniform = channel.table()[pos], np.full(dt, 1.0 / dt)
+    else:
+        feats, uniform = channel.sigma_t_given_x[pos], np.eye(dt) / dt
+    feats[~seen] = uniform
     return feats, int(np.sum(~seen))
 
 
@@ -264,22 +270,19 @@ def classify_pipeline(
         )
         results[name] = engine.run_qib(state, config)
 
-    # Each arm maps (x1, x2) points to (features, unseen-cell count) and pairs
-    # features through its kernel.
-    arms = {
-        name: (functools.partial(_features, channel, cells), hs_gram)
-        for name, (channel, _) in results.items()
-    }
-    arms["linear"] = (lambda points: (points, 0), lambda a, b: a @ b.T)
+    # Each arm maps (x1, x2) points to (features, unseen-cell count); all
+    # pair their features through ``hs_gram``.
+    arms = {name: functools.partial(_features, channel, cells) for name, (channel, _) in results.items()}
+    arms["linear"] = lambda points: (points, 0)
     coords = np.column_stack([ds.x1_cont, ds.x2_cont])
     queries = {"test": coords[te]} if grid is None else {"test": coords[te], "grid": grid}
     preds, unseen = {}, {}
-    for name, (featurize, kernel) in arms.items():
+    for name, featurize in arms.items():
         f_tr, _ = featurize(coords[tr])
-        coef, bias = train_classifier(kernel(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
+        coef, bias = train_classifier(hs_gram(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
         for key, points in queries.items():
             feats, unseen[key, name] = featurize(points)
-            preds[key, name] = predict(kernel(feats, f_tr), coef, bias)
+            preds[key, name] = predict(hs_gram(feats, f_tr), coef, bias)
 
     n_unseen = unseen["test", "quantum"]
     if n_unseen:

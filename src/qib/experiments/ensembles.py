@@ -25,20 +25,14 @@ from ..model import CQState
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
-def rho_qubit(theta: float, lam: float) -> np.ndarray:
-    """Single-qubit density e^{i theta X} diag(1-lam, lam) e^{-i theta X}."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvariantError(f"bias must lie in [0, 1], got {lam}")
-    u = math.cos(theta) * np.eye(2, dtype=np.complex128) + 1j * math.sin(theta) * _PAULI_X
-    return u @ np.diag([1.0 - lam, lam]).astype(np.complex128) @ np.conj(u.T)
-
-
 def _stack_qubits(thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """``rho_qubit`` of each (theta, lam) pair, built in one batched product."""
+    """The qubit e^{i theta X} diag(1-lam, lam) e^{-i theta X} of each
+    (theta, lam) pair, built in one batched product."""
     bad = lams[~((0.0 <= lams) & (lams <= 1.0))]
     if bad.size:
-        rho_qubit(0.0, bad[0])  # raises rho_qubit's error for the first bad bias
-    # math's cos and sin, as in rho_qubit: numpy's may differ in the last bit.
+        raise InvariantError(f"bias must lie in [0, 1], got {bad[0]}")
+    # math's cos and sin keep generated states bit-identical to those of
+    # earlier versions: numpy's may differ in the last bit.
     cos = np.array([math.cos(t) for t in thetas])[:, None, None]
     sin = np.array([math.sin(t) for t in thetas])[:, None, None]
     u = cos * np.eye(2, dtype=np.complex128) + 1j * sin * _PAULI_X

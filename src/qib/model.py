@@ -84,13 +84,12 @@ class CQState:
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
-    Built from a (sizeX, dimT, dimT) stack ``sigma_t_given_x`` (a (sizeX,
-    dimT) table is taken as the diagonals), from a classical channel's real
-    table q[x, t], or from the spectral form (p, V) the solvers produce:
-    spectra and unitaries with sigma_{T|x} = V_x diag(p_x) V_x^H.  It keeps
-    that form read-only and derives the others once, when first read: the
-    ``spectrum`` of a stack costs one stacked eigendecomposition.  Every
-    classical conditional must be diagonal within 1e-12; updates keep the flag.
+    A quantum channel is built from a (sizeX, dimT, dimT) stack or from the
+    spectral form (p, V) the solvers produce, sigma_{T|x} = V_x diag(p_x) V_x^H.
+    A classical one stores only its real (sizeX, dimT) table q[x, t], given as
+    such or as a stack whose off-diagonal and imaginary entries are within
+    1e-12.  The stored form is read-only; the others are derived once, when
+    first read.  Updates keep the classical flag.
     """
 
     classical: bool
@@ -104,25 +103,20 @@ class CQChannel:
             if p.ndim != 2 or v.shape != p.shape + p.shape[-1:]:
                 raise InvariantError(f"(p, V) must be (sizeX, dimT) and (sizeX, dimT, dimT), got {p.shape}, {v.shape}")
             form, value, shape = "spectrum", (p, v), p.shape
-        elif classical and np.ndim(sigma_t_given_x) == 2 and not np.iscomplexobj(sigma_t_given_x):
-            value = _freeze(np.asarray(sigma_t_given_x, dtype=np.float64))
-            form, shape = "_table", value.shape
         else:
-            sig = np.asarray(sigma_t_given_x, dtype=np.complex128)
-            if sig.ndim == 2:
-                sig = linalg.diag_embed(sig)
-            if sig.ndim != 3 or sig.shape[1] != sig.shape[2]:
-                raise InvariantError(
-                    f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}"
-                )
-            form, value, shape = "sigma_t_given_x", _freeze(sig), sig.shape
+            sig = np.asarray(sigma_t_given_x)
+            if not (sig.ndim == 3 and sig.shape[1] == sig.shape[2] or classical and sig.ndim == 2):
+                raise InvariantError(f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}")
+            form = "_q" if classical else "sigma_t_given_x"
+            value = _diagonals(sig) if classical and sig.ndim == 3 else sig
+            value = _freeze(np.asarray(value, dtype=np.float64 if classical else np.complex128))
+            shape = value.shape
         # The fields, and the given form as the cached property that derives it otherwise.
         vars(self).update({"classical": classical, "size_x": shape[0], "dim_t": shape[1], form: value})
 
     @functools.cached_property
     def sigma_t_given_x(self) -> np.ndarray:
-        table = vars(self).get("_table")
-        return _freeze(linalg.from_eig(*self.spectrum) if table is None else linalg.diag_embed(table))
+        return _freeze(linalg.diag_embed(self._q) if self.classical else linalg.from_eig(*self.spectrum))
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,19 +124,24 @@ class CQChannel:
         return tuple(map(_freeze, linalg.eig_hermitian(self.sigma_t_given_x)))
 
     def table(self) -> np.ndarray:
-        """The (sizeX, dimT) table q[x, t] of the conditionals' diagonals."""
-        table = vars(self).get("_table")
-        return np.diagonal(self.sigma_t_given_x, axis1=1, axis2=2).real if table is None else table
+        """The (sizeX, dimT) table q[x, t] of a classical channel, as stored."""
+        return self._q
 
     def validate(self) -> None:
         linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")
-        if self.classical:
-            off = np.abs(self.sigma_t_given_x - linalg.diag_embed(self.table())).max(initial=0.0)
-            if off > CLASSICAL_OFFDIAG_TOL:
-                raise InvariantError(
-                    f"classical channel has off-diagonal magnitude {off:.3e} "
-                    f"above {CLASSICAL_OFFDIAG_TOL:.1e}"
-                )
+
+
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """The real diagonals of a stack of diagonal matrices; raise if an entry
+    off the diagonal, or a diagonal entry's imaginary part, exceeds
+    CLASSICAL_OFFDIAG_TOL in magnitude."""
+    k = np.arange(stack.shape[-1])
+    diag, off = np.diagonal(stack, axis1=1, axis2=2), np.abs(stack)
+    off[:, k, k] = np.abs(diag.imag)
+    # Phrased so that a NaN entry fails it.
+    if not (off := off.max(initial=0.0)) <= CLASSICAL_OFFDIAG_TOL:
+        raise InvariantError(f"classical channel has off-diagonal magnitude {off:.3e} above {CLASSICAL_OFFDIAG_TOL:.1e}")
+    return diag.real
 
 
 @dataclass(frozen=True)
@@ -318,4 +317,5 @@ def maximally_mixed_channel(dim_t: int, size_x: int, classical: bool = False) ->
     """Channel sending every x to I/dimT (a fixed point on product sources)."""
     if dim_t < 1 or size_x < 1:
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
-    return CQChannel(np.full((size_x, dim_t), 1.0 / dim_t), classical=classical)
+    table = np.full((size_x, dim_t), 1.0 / dim_t)
+    return CQChannel(table if classical else linalg.diag_embed(table), classical)

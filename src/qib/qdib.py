@@ -26,7 +26,7 @@ PROJECTOR_REL_TOL = 1e-9
 
 
 def score_operator(state: CQState, channel: CQChannel, beta: float) -> np.ndarray:
-    """Stacked score family S(x) = -F_0(x), shape (sizeX, dimT, dimT)."""
+    """Score family S(x) = -F_0(x) in the channel's form, as ``engine.f_operator``."""
     return -engine.f_operator(state, channel, alpha=0.0, beta=beta)
 
 

@@ -170,8 +170,10 @@ def _obj_to_stack(mats: list, pointer: str, dim: int, dim_key: str) -> np.ndarra
     return np.stack(stack)
 
 
-def _validated(value: CQState | CQChannel, pointer: str) -> Any:
+def _validated(build: Callable[..., CQState | CQChannel], pointer: str, *args: Any) -> Any:
+    """``build(*args)``, validated; its InvariantError becomes a ConfigError at ``pointer``."""
     try:
+        value = build(*args)
         value.validate()
     except InvariantError as exc:
         raise ConfigError(pointer, str(exc)) from exc
@@ -191,7 +193,7 @@ def obj_to_state(obj: Any, pointer: str = "") -> CQState:
     stack = _obj_to_stack(obj["rhoY"], f"{pointer}/rhoY", obj["dimY"], "dimY")
     if len(stack) != len(obj["px"]):
         raise ConfigError(f"{pointer}/rhoY", f"expected {len(obj['px'])} matrices, got {len(stack)}")
-    return _validated(CQState(obj["px"], stack), pointer)
+    return _validated(CQState, pointer, obj["px"], stack)
 
 
 def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
@@ -207,7 +209,7 @@ def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
 def obj_to_channel(obj: Any, pointer: str = "") -> CQChannel:
     _check_object(obj, *_CHANNEL, pointer)
     stack = _obj_to_stack(obj["sigmaT"], f"{pointer}/sigmaT", obj["dimT"], "dimT")
-    return _validated(CQChannel(stack, classical=obj["classical"]), pointer)
+    return _validated(CQChannel, pointer, stack, obj["classical"])
 
 
 def load_json(path: str) -> Any:

@@ -114,14 +114,18 @@ def test_train_classifier_guards():
 
 def test_features_fall_back_on_unseen_cells():
     mats = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-    chan = model.CQChannel(mats, classical=True)
     cells = np.array([[0, 0], [1, 2]])
     points = np.array([[0.0, 0.9], [5.2, 5.0], [1.99, 2.5]])
-    feats, n_unseen = classify._features(chan, cells, points)
-    assert n_unseen == 1
-    assert np.max(np.abs(feats[0] - mats[0])) < 1e-15
-    assert np.max(np.abs(feats[2] - mats[1])) < 1e-15
-    assert np.max(np.abs(feats[1] - np.eye(2) / 2.0)) < 1e-15
+    # A quantum channel's features are its conditionals, a classical one's its table rows.
+    for chan, rows, uniform in (
+        (model.CQChannel(mats), mats, np.eye(2) / 2.0),
+        (model.CQChannel(mats, classical=True), np.eye(2), np.full(2, 0.5)),
+    ):
+        feats, n_unseen = classify._features(chan, cells, points)
+        assert n_unseen == 1 and feats.shape == (3,) + rows.shape[1:]
+        assert np.max(np.abs(feats[0] - rows[0])) < 1e-15
+        assert np.max(np.abs(feats[2] - rows[1])) < 1e-15
+        assert np.max(np.abs(feats[1] - uniform)) < 1e-15
 
 
 def test_pipeline_small_instance():

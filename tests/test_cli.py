@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import inspect
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from qib import cli, config as qconfig, engine, qdib, serialization as ser
+from qib import cli, config as qconfig, engine, model, qdib, serialization as ser
 from qib.exceptions import NumericalError
 from qib.experiments.sweeps import gamma_sweep
 
@@ -110,6 +111,24 @@ def test_run_qib_initial_channel_from_a_file(qib_config, tmp_path, capsys):
     first = json.loads(capsys.readouterr().out)["records"][0]
     _, trace = engine.run_qib(state, qconfig.objective_config(obj, obj["seed"]), initial=chan)
     assert first == ser.trace_to_records(trace)["records"][0]
+
+
+@pytest.mark.parametrize("command, keys", [("run-qib", {"alpha": 1.0, "gamma": 0.7}), ("run-qdib", {})])
+def test_classical_initial_channel_as_a_stack_or_its_table_gives_one_trace(tmp_path, capsys, command, keys):
+    # A file or inline channel is a dense stack; the run sees only its table.
+    obj = {"beta": 8.0, "dimT": 3, "classical": True, "tol": 1e-12, "max_iters": 20, "seed": 3,
+           "state": {"generator": "random-qubit-ensemble", "sizeX": 6}, **keys}
+    state = qconfig.resolve_state(obj["state"], obj["seed"], 3, True)
+    q = engine.random_channel(3, 6, classical=True, seed=5).table()
+    runner = engine.run_qib if command == "run-qib" else qdib.run_qdib
+    _, trace = runner(state, qconfig.objective_config(obj, obj["seed"]), model.CQChannel(q, classical=True))
+    expected = {"csv": ser.trace_to_csv(trace), "json": ser.dump_json(ser.trace_to_records(trace))}
+    dense = ser.channel_to_obj(model.CQChannel(q, classical=True))
+    for initial in ({"path": _write_json(tmp_path / "channel.json", dense)}, dense):
+        path = _write_json(tmp_path / "run.json", {**obj, "initial_channel": initial})
+        for fmt, text in expected.items():
+            assert cli.main([command, "--config", path, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text
 
 
 def test_run_qib_initial_channel_mismatch_exits_1(qib_config, tmp_path, capsys):
@@ -437,6 +456,23 @@ def test_classify_bounds_its_grams_and_features_before_solving(tmp_path, capsys,
     assert err.startswith(f"{prefix}{key}") and f"above {qconfig.MAX_ENTRIES}" in err, err
 
 
+def test_classify_bounds_take_the_pipeline_defaults(tmp_path, capsys, monkeypatch):
+    # A key the config leaves out is bounded at the pipeline's own default.
+    signature = inspect.signature(cli.classify_pipeline)
+    defaults = [p.replace(default=10**5) if p.name == "n_samples" else p
+                for p in signature.parameters.values()]
+
+    def stub(**kwargs):
+        pytest.fail("solved first")
+
+    stub.__signature__ = signature.replace(parameters=defaults)
+    monkeypatch.setattr(cli, "classify_pipeline", stub)
+    path = _write_json(tmp_path / "classify.json", {})
+    assert cli.main(["classify", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at /n_samples:") and f"above {qconfig.MAX_ENTRIES}" in err, err
+
+
 @pytest.mark.parametrize(
     "command, config",
     [("classify", {}), ("suffstats", {"sizeX1": 3, "sizeX2": 4, "nu": 25.0})],
@@ -486,6 +522,16 @@ def test_validate_state_and_channel(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: state with sizeX=4, dimY=2\n"
     assert cli.main(["validate", cpath]) == 0
     assert capsys.readouterr().out == "ok: classical channel with sizeX=4, dimT=3\n"
+
+
+def test_validate_rejects_a_non_diagonal_classical_channel(tmp_path, capsys):
+    obj = ser.channel_to_obj(random_channel_for(random_cq_state(0), 2, 0, classical=True))
+    obj["sigmaT"][1]["re"][0][1] = obj["sigmaT"][1]["re"][1][0] = 1e-9
+    path = _write_json(tmp_path / "offdiag.json", obj)
+    assert cli.main(["validate", path]) == 1
+    assert _config_error(capsys) == (
+        f"{path}#", "classical channel has off-diagonal magnitude 1.000e-09 above 1.0e-12"
+    )
 
 
 def test_validate_rejects_other_files(tmp_path, capsys):

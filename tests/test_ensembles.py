@@ -1,5 +1,7 @@
 """Qubit ensemble generators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,10 +14,20 @@ from qib.experiments.ensembles import (
     gen_random_qubit_ensemble,
     gen_suffstats_ensemble,
     qubit_ensemble,
-    rho_qubit,
 )
 
 from helpers import assert_valid_density
+
+
+def rho_qubit(theta, lam):
+    """The one conditional of a one-element ``qubit_ensemble``."""
+    return qubit_ensemble(theta, lam).rho_y_given_x[0]
+
+
+def reference_qubit(theta, lam):
+    """e^{i theta X} diag(1-lam, lam) e^{-i theta X}, one matrix at a time."""
+    u = np.array([[math.cos(theta), 1j * math.sin(theta)], [1j * math.sin(theta), math.cos(theta)]])
+    return u @ np.diag([1.0 - lam, lam]).astype(np.complex128) @ np.conj(u.T)
 
 
 @given(
@@ -80,7 +92,7 @@ def test_suffstats_spec_validation():
 )
 def test_stack_qubits_equals_stacked_rho_qubit(pairs):
     thetas, lams = (np.array(column) for column in zip(*pairs))
-    looped = np.stack([rho_qubit(t, l) for t, l in zip(thetas, lams)])
+    looped = np.stack([reference_qubit(t, l) for t, l in zip(thetas, lams)])
     assert np.array_equal(ensembles._stack_qubits(thetas, lams), looped)
 
 

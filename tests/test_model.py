@@ -62,6 +62,35 @@ def test_classical_channel_flag_enforced_by_validate():
     CQChannel(off, classical=False).validate()
 
 
+@pytest.mark.parametrize("entry, value, within, magnitude", [
+    ((0, 1), 1e-9, 1e-13, "1.000e-09"),
+    ((1, 1), 2e-9j, 1e-13j, "2.000e-09"),
+    ((1, 0), np.nan, 1e-13, "nan"),
+], ids=["off-diagonal", "imaginary-diagonal", "nan-off-diagonal"])
+def test_classical_channel_rejects_a_non_diagonal_stack_when_built(entry, value, within, magnitude):
+    def stack(delta):
+        mats = np.stack([np.diag([0.4, 0.6]).astype(complex)] * 3)
+        mats[1][entry] += delta
+        return mats
+
+    with pytest.raises(
+        InvariantError, match=f"^classical channel has off-diagonal magnitude {magnitude} above 1.0e-12$"
+    ):
+        CQChannel(stack(value), classical=True)
+    CQChannel(stack(value))  # a quantum channel is checked by validate()
+    # Within the tolerance only the real diagonal is kept.
+    assert np.array_equal(CQChannel(stack(within), classical=True).table(), [[0.4, 0.6]] * 3)
+
+
+def test_classical_channel_built_from_a_stack_holds_only_its_table():
+    _, q = sparse_table_instance(0, classical_rho=True)
+    chan = CQChannel(linalg.diag_embed(q), classical=True)
+    assert max(np.ndim(v) for v in vars(chan).values()) == 2
+    assert np.array_equal(chan.table(), q) and chan.table().flags.c_contiguous
+    assert np.array_equal(chan.sigma_t_given_x, linalg.diag_embed(q))
+    assert max(np.ndim(v) for v in vars(chan).values()) == 3
+
+
 @pytest.mark.parametrize("form, message", [
     ((np.ones((2, 2)), np.ones((2, 3, 3))), r"^\(p, V\) must be \(sizeX, dimT\)"),
     ((np.ones(2), np.ones((2, 2))), r"^\(p, V\) must be \(sizeX, dimT\)"),

@@ -132,7 +132,7 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
     _, (analysis,) = engine._analyses(state, 0.0, beta, chan)
     out, vanished = qdib._projected_step(analysis.f_family, analysis.mats)
     assert named in vanished
-    fam, out = engine.f_operator(state, chan, 0.0, beta), linalg.diag_embed(out)
+    fam, out = linalg.diag_embed(engine.f_operator(state, chan, 0.0, beta)), linalg.diag_embed(out)
     for x in vanished:
         proj = qdib.min_eigenspace_projector(fam[x])
         assert np.max(np.abs(out[x] - proj / np.trace(proj).real)) < 1e-12
@@ -226,7 +226,8 @@ def test_run_qdib_classical_iterates_stay_diagonal():
     )
     chan, _ = qdib.run_qdib(state, cfg)
     assert chan.classical
-    chan.validate()  # includes the 1e-12 off-diagonal check
+    chan.validate()
+    CQChannel(chan.sigma_t_given_x, classical=True)  # the 1e-12 off-diagonal check
     # deterministic assignments: each conditional is a point mass
     diags = np.einsum("xii->xi", chan.sigma_t_given_x).real
     assert np.max(np.abs(np.sort(diags, axis=1)[:, -1] - 1.0)) < 1e-9
