@@ -127,12 +127,11 @@ class _Analysis:
                 ctx.log_rho_y - log_joint, rhos, axes=([1, 2], [2, 1])
             ).T.real
         else:
-            # log(sigma_T (x) rho_Y) assembled additively so the product-state
-            # cancellation against log_joint is exact in float arithmetic.
-            log_prod = np.kron(self.log_sigma_t, np.eye(dy)) + np.kron(
-                np.eye(dt), ctx.log_rho_y
-            )
-            b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
+            # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
+            # the product-state cancellation against log_joint is exact in floats.
+            log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
+                        + np.eye(dt)[:, None, :, None] * ctx.log_rho_y[None, :, None, :])
+            b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
             beta_term = np.tensordot(rhos, b4, axes=([1, 2], [3, 1]))
         self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
 

@@ -5,9 +5,11 @@ cells and blurs the integer coordinates with additive noise, so flooring
 the observed reals yields up to 4 x 11 = 44 distinct cells.  A bottleneck
 channel trained on the empirical cell/label source turns each cell into a
 density operator feature; classification is one-vs-rest regularized least
-squares with the Hilbert-Schmidt kernel Tr[sigma sigma'].  A classical
-(diagonal) bottleneck and a plain linear kernel on the raw coordinates are
-the comparison arms.
+squares with the Hilbert-Schmidt kernel Tr[sigma sigma'], a dot product of
+2 dimT^2 real coordinates: the ridge is solved over those, not the samples,
+and by the push-through identity its scores are the kernel form's.  A
+classical (diagonal) bottleneck and a plain linear kernel on the raw
+coordinates are the comparison arms.
 """
 
 from __future__ import annotations
@@ -152,37 +154,40 @@ def empirical_cq_state(
     return CQState(px, rho), cells
 
 
+def _rows(feats: np.ndarray) -> np.ndarray:
+    """Real rows whose dot products are Re Tr[A B], A or B Hermitian: a stack's (re, im)."""
+    return feats if feats.ndim == 2 else feats.reshape(len(feats), -1).view(np.float64)
+
+
 def hs_gram(feats_a: np.ndarray, feats_b: np.ndarray) -> np.ndarray:
-    """Pairwise Tr[A_i B_j] for stacked Hermitian features; rows, such as
-    a classical channel's table rows, pair by their dot products."""
-    if feats_a.ndim == 2:
-        return feats_a @ feats_b.T
-    return np.tensordot(feats_b, feats_a, axes=([1, 2], [2, 1])).T.real
+    """Pairwise Re Tr[A_i B_j] of stacked features, one side Hermitian; rows,
+    such as a classical channel's table rows, pair by their dot products."""
+    return _rows(feats_a) @ _rows(feats_b).T
 
 
 def train_classifier(
-    gram: np.ndarray, labels: np.ndarray, num_classes: int, ridge: float = 1e-3
+    feats: np.ndarray, labels: np.ndarray, num_classes: int, ridge: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-vs-rest kernel ridge least squares.
-
-    Solves (G + ridge I) a_c = z_c with z_c = +/-1 per class and offsets
-    b_c as the mean residual.  Returns (coefficients (n, C), biases (C,)).
-    """
-    gram = np.asarray(gram, dtype=np.float64)
-    n = gram.shape[0]
-    if gram.shape != (n, n):
-        raise InvariantError(f"gram must be square, got {gram.shape}")
+    """One-vs-rest ridge least squares with the kernel ``hs_gram``, solved in
+    feature space: with Phi the rows (``_rows``) and z_c = +/-1 per class, the
+    k x k solve w_c = (Phi^T Phi + ridge I)^-1 Phi^T z_c equals Phi^T a_c of
+    the n x n kernel form (Phi Phi^T + ridge I) a_c = z_c (push-through
+    identity).  Offsets b_c are the mean residuals.  Returns the class weights
+    in feature form (C, ...), which ``hs_gram`` scores, and b (C,)."""
+    phi = _rows(feats)
+    if len(labels) != len(phi):
+        raise InvariantError(f"need one label per feature, got {len(labels)} for {len(phi)}")
     if ridge <= 0:
         raise InvariantError(f"ridge must be positive, got {ridge}")
     z = np.where(np.arange(num_classes)[None, :] == np.asarray(labels)[:, None], 1.0, -1.0)
-    coef = np.linalg.solve(gram + ridge * np.eye(n), z)
-    bias = np.mean(z - gram @ coef, axis=0)
-    return coef, bias
+    weights = np.linalg.solve(phi.T @ phi + ridge * np.eye(phi.shape[1]), phi.T @ z)
+    bias = np.mean(z - phi @ weights, axis=0)
+    return weights.T.copy().view(feats.dtype).reshape(num_classes, *feats.shape[1:]), bias
 
 
-def predict(cross_gram: np.ndarray, coef: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Argmax class scores for rows of a (m, n_train) cross-kernel matrix."""
-    return np.argmax(cross_gram @ coef + bias[None, :], axis=1)
+def predict(scores: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Argmax class of each row of (m, C) scores ``hs_gram(feats, weights)`` + b."""
+    return np.argmax(scores + bias[None, :], axis=1)
 
 
 @dataclass(frozen=True)
@@ -279,19 +284,14 @@ def classify_pipeline(
     preds, unseen = {}, {}
     for name, featurize in arms.items():
         f_tr, _ = featurize(coords[tr])
-        coef, bias = train_classifier(hs_gram(f_tr, f_tr), ds.y[tr], NUM_LABELS, ridge)
+        weights, bias = train_classifier(f_tr, ds.y[tr], NUM_LABELS, ridge)
         for key, points in queries.items():
             feats, unseen[key, name] = featurize(points)
-            preds[key, name] = predict(hs_gram(feats, f_tr), coef, bias)
+            preds[key, name] = predict(hs_gram(feats, weights), bias)
 
-    n_unseen = unseen["test", "quantum"]
-    if n_unseen:
-        warnings.warn(
-            f"{n_unseen} test sample(s) hit cells unseen in training; "
-            "using the maximally mixed feature",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if n_unseen := unseen["test", "quantum"]:
+        warnings.warn(f"{n_unseen} test sample(s) hit cells unseen in training; "
+                      "using the maximally mixed feature", RuntimeWarning, stacklevel=2)
     acc = {name: float(np.mean(preds["test", name] == ds.y[te])) for name in arms}
     region_rows = None if grid is None else [
         (x1, x2, int(q), int(c), int(lin))

@@ -103,10 +103,10 @@ def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
-    """Entropy in nats over the last axis of eigenvalue vectors, with
-    eigenvalues clipped at zero and 0 log 0 = 0."""
-    w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
-    return -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+    """Entropy in nats over the last axis of eigenvalue vectors; eigenvalues
+    not above zero (round-off below it included) add nothing, 0 log 0 = 0."""
+    w = np.asarray(w, dtype=np.float64)
+    return -np.sum(np.where(pos := w > 0, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
 
 
 def check_density(m: np.ndarray, label: str = "matrix") -> None:

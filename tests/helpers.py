@@ -180,3 +180,19 @@ def projected_step_loop(fam, mats):
         else:
             out[x] = comp / overlap
     return symmetrize(out), vanished
+
+
+def dual_ridge_scores(train, labels, queries, num_classes, ridge):
+    """One-vs-rest kernel ridge in its dual form, the oracle of the
+    feature-space classifier: the n x n Gram matrix Tr[A_i B_j] of stacked
+    features (dot products of rows), the n x n solve (G + ridge I) a_c = z_c
+    with z_c = +/-1 per class, offsets b_c the mean residuals.  Returns the
+    (m, C) class scores of ``queries``."""
+
+    def gram(a, b):
+        return a @ b.T if a.ndim == 2 else np.einsum("aij,bji->ab", a, b).real
+
+    z = np.where(np.arange(num_classes)[None, :] == np.asarray(labels)[:, None], 1.0, -1.0)
+    g = gram(train, train)
+    coef = np.linalg.solve(g + ridge * np.eye(len(train)), z)
+    return gram(queries, train) @ coef + np.mean(z - g @ coef, axis=0)

@@ -14,6 +14,9 @@ from qib.experiments.classify import (
     predict,
     train_classifier,
 )
+from qib.rng import derive_rng
+
+from helpers import dual_ridge_scores, random_densities
 
 
 def test_dataset_determinism_and_split():
@@ -99,15 +102,56 @@ def test_train_classifier_separable_case():
     # two samples per class on orthogonal pure features
     labels = np.array([0, 0, 1, 1, 2, 2])
     feats = np.stack([np.diag(np.eye(3)[c]).astype(complex) for c in labels])
-    g = hs_gram(feats, feats)
-    coef, bias = train_classifier(g, labels, 3, ridge=1e-6)
-    pred = predict(g, coef, bias)
+    weights, bias = train_classifier(feats, labels, 3, ridge=1e-6)
+    pred = predict(hs_gram(feats, weights), bias)
     assert np.array_equal(pred, labels)
 
 
+def _classifier_inputs(kind, n, m, dim_t, gen):
+    """(train, queries) features of one classify arm's kind: density stacks,
+    table rows or raw points."""
+    if kind == "density":
+        return random_densities(dim_t, n, gen), random_densities(dim_t, m, gen)
+    if kind == "table":
+        return gen.dirichlet(np.ones(dim_t), size=n), gen.dirichlet(np.ones(dim_t), size=m)
+    return gen.random((n, 2)) * classify.EXTENTS, gen.random((m, 2)) * classify.EXTENTS
+
+
+@pytest.mark.parametrize("kind", ["density", "table", "points"])
+@pytest.mark.parametrize("n, dim_t, ridge", [(200, 2, 1e-3), (60, 3, 1e-3), (5, 4, 0.1), (40, 2, 1.0)])
+@pytest.mark.parametrize("seed", range(3))
+def test_feature_space_ridge_matches_the_dual_kernel_oracle(kind, n, dim_t, ridge, seed):
+    gen = derive_rng(seed, "ridge", kind, n)
+    train, queries = _classifier_inputs(kind, n, 50, dim_t, gen)
+    labels = gen.integers(0, 3, n)
+    weights, bias = train_classifier(train, labels, 3, ridge)
+    assert weights.shape == (3,) + train.shape[1:] and weights.dtype == train.dtype
+    scores = hs_gram(queries, weights) + bias
+    expected = dual_ridge_scores(train, labels, queries, 3, ridge)
+    assert np.abs(scores - expected).max() < 1e-9
+    assert np.array_equal(predict(hs_gram(queries, weights), bias), expected.argmax(axis=1))
+
+
+def test_pipeline_predictions_match_the_dual_kernel_oracle():
+    seed, n = 7, 160
+    with pytest.warns(RuntimeWarning, match="unseen in training"):
+        rep = classify.classify_pipeline(seed=seed, n_samples=n, max_iters=200)
+    ds = gen_classifier_dataset(seed, n)
+    tr, te = ds.train_mask, ~ds.train_mask
+    _, cells = empirical_cq_state(ds.x1_cell[tr], ds.x2_cell[tr], ds.y[tr])
+    coords = np.column_stack([ds.x1_cont, ds.x2_cont])
+    for name, channel in (("quantum", rep.quantum_channel), ("classical", rep.classical_channel)):
+        train, _ = classify._features(channel, cells, coords[tr])
+        queries, _ = classify._features(channel, cells, coords[te])
+        expected = dual_ridge_scores(train, ds.y[tr], queries, 3, 1e-3).argmax(axis=1)
+        assert np.array_equal(rep.test_predictions[name], expected)
+    expected = dual_ridge_scores(coords[tr], ds.y[tr], coords[te], 3, 1e-3).argmax(axis=1)
+    assert np.array_equal(rep.test_predictions["linear"], expected)
+
+
 def test_train_classifier_guards():
-    with pytest.raises(InvariantError, match="square"):
-        train_classifier(np.zeros((2, 3)), np.array([0, 1]), 2)
+    with pytest.raises(InvariantError, match="one label per feature, got 3 for 2"):
+        train_classifier(np.zeros((2, 3)), np.array([0, 1, 2]), 2)
     with pytest.raises(InvariantError, match="ridge"):
         train_classifier(np.eye(2), np.array([0, 1]), 2, ridge=0.0)
 

@@ -533,6 +533,38 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
     assert np.abs(classify.hs_gram(fam, other) - gram).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim_t, dim_y", [(2, 2), (2, 3), (16, 2), (64, 2), (3, 5)])
+@pytest.mark.parametrize("classical_rho", [False, True])
+def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, classical_rho):
+    """F from the broadcast log(sigma_T (x) I) + log(I (x) rho_Y) has the
+    bytes, signed zeros included, of F from the two np.kron calls."""
+    state = random_cq_state(dim_t, size_x=3, dim_y=dim_y, classical=classical_rho)
+    alpha, beta = 1.0, 5.0
+    # A channel constant in x makes the joint a product state, where the
+    # log-product and log_joint cancel to zeros.
+    for channel in (random_channel_for(state, dim_t, dim_y),
+                    CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
+        ctx, (got,) = engine._analyses(state, alpha, beta, channel)
+        joint = engine._joint(ctx.px, channel.sigma_t_given_x, ctx.rhos)
+        joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
+        log_joint = linalg.floored_log(joint)[2]
+        a, b = got.log_sigma_t, ctx.log_rho_y
+        terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
+        # The engine's broadcast form of each term, signed zeros included
+        # (a negative log times an off-diagonal 0 of the identity is -0.0).
+        broadcast = (a[:, None, :, None] * np.eye(dim_y)[None, :, None, :],
+                     np.eye(dim_t)[:, None, :, None] * b[None, :, None, :])
+        for term, cast in zip(terms, broadcast):
+            assert cast.reshape(term.shape).tobytes() == term.tobytes()
+        assert np.any(np.signbit(terms[0].real) & (terms[0].real == 0))
+        log_prod = terms[0] + terms[1]
+        assert (broadcast[0] + broadcast[1]).reshape(log_prod.shape).tobytes() == log_prod.tobytes()
+        b4 = (log_prod - log_joint).reshape(dim_t, dim_y, dim_t, dim_y)
+        beta_term = np.tensordot(ctx.rhos, b4, axes=([1, 2], [3, 1]))
+        ref = -got.log_sigma_t + alpha * got.log_mats + beta * beta_term
+        assert got.f_family.dtype == ref.dtype and got.f_family.tobytes() == ref.tobytes()
+
+
 def _spectra(gen, size_x, dim_t, kind):
     """(sizeX, dimT) spectra: flat Dirichlet, near-degenerate (a tie split
     by 1e-13) or rank-deficient (every entry but one or two zeroed)."""

@@ -305,3 +305,26 @@ def test_diag_embed_reconstructs_diagonals(dim):
     assert out.flags["C_CONTIGUOUS"]
     for i in range(7):
         assert np.array_equal(out[i], np.diag(d[i]).astype(np.complex128))
+
+
+def _entropy_clip(w):
+    """The entropy with eigenvalues clipped at zero first, as it was written
+    before the clip was found redundant."""
+    w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
+    return -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_entropy_equals_the_clip_form_bit_for_bit(seed):
+    gen = derive_rng(seed, "entropy")
+    w = gen.dirichlet(np.ones(4), size=(3, 6))
+    w[gen.random(w.shape) < 0.3] = 0.0  # exact zeros
+    w[gen.random(w.shape) < 0.2] = -0.0
+    w[gen.random(w.shape) < 0.2] = -gen.random() * 1e-16  # negative round-off
+    w[0, 0] = 0.0  # an all-zero row
+    w[1, 1] = -0.0
+    w[2, 2] = [-1e-17, 0.0, -0.0, -3e-18]
+    for spectra in (w, w[0], w[0, 0], w.reshape(-1)):
+        got, ref = linalg.entropy(spectra), _entropy_clip(spectra)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    assert np.signbit(linalg.entropy(w[0, 0]))  # an all-zero row has entropy -0.0
