@@ -150,11 +150,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # The pipeline's signature owns the defaults of the keys a config leaves out.
     default = {k: p.default for k, p in inspect.signature(classify_pipeline).parameters.items()}
     n, t = ("/n_samples", obj.get("n_samples", default["n_samples"])), ("/dimT", obj.get("dimT", default["dim_t"]))
-    train = ("/n_samples", round(obj.get("train_fraction", default["train_fraction"]) * n[1]))
     cfg.check_entries((("", MAX_CELLS),), (("", NUM_LABELS),), (t,), False)
-    # The grams and feature stacks at the pipeline's defaults, with the grid's if it is written.
-    cfg.check_arrays((train, train), (("/n_samples", n[1] - train[1]), train), (n, t, t),
-                     *(((grid, train), (grid, t, t)) if args.regions_out else ()))
+    # The feature stacks at the pipeline's defaults, with the grid's if it is written.
+    cfg.check_arrays((n, t, t), *(((grid, t, t),) if args.regions_out else ()))
     report = classify_pipeline(
         seed=seed,
         grid_step=args.grid_step if args.regions_out else None,

@@ -15,11 +15,16 @@ smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
 Internals are batched over x: conditionals are stacked (sizeX, dimT, dimT)
-arrays, carried with the spectral form (p, V) the update produces.  A
-quantum iteration costs two stacked eigendecompositions, of the update
-exponent and of the residual, plus those of sigma_T and the (T, Y) joint.
-A classical channel iterates as its (sizeX, dimT) table instead, where only
-the dimY x dimY blocks of the joint are decomposed.
+arrays.  The update hands the next iterate (p, sigma, log sigma): the
+spectra of the conditionals, lifted by ``linalg.eig_lift`` from the
+eigenvalues of the update exponent to the stack and its floored log, so the
+conditionals are never decomposed.  A quantum iteration costs two stacked
+eigendecompositions, of the update exponent and of the residual, plus those
+of sigma_T and the (T, Y) joint; at dimT = 2 none of them asks for an
+eigenvector stack.  sigma_T, the joint and the beta term of F are each one
+matrix product on reshaped stacks.  A classical channel iterates as its
+(sizeX, dimT) table instead, where only the dimY x dimY blocks of the joint
+are decomposed.
 """
 
 from __future__ import annotations
@@ -82,14 +87,14 @@ class _StateCtx:
     def __init__(self, state: CQState):
         self.px = state.px
         self.rhos = state.rho_y_given_x
-        wy, _, self.log_rho_y = linalg.floored_log(np.einsum("x,xij->ij", state.px, state.rho_y_given_x))
+        wy, self.log_rho_y = linalg.floored_log(np.einsum("x,xij->ij", state.px, state.rho_y_given_x))
         self.h_y = linalg.entropy(wy)
 
 
 class _Analysis:
     """Everything the loop needs about one channel iterate, read from the
-    dense stack and spectral form (p, V) the channel carries; with ``table``
-    from its (sizeX, dimT) table q[x, t] instead, in which form ``mats``,
+    stack, spectra and floored log the channel carries; with ``table`` from
+    its (sizeX, dimT) table q[x, t] instead, in which form ``mats``,
     ``log_mats`` and ``f_family`` come too."""
 
     __slots__ = (
@@ -108,11 +113,10 @@ class _Analysis:
             joint = _joint(px, mats, rhos)
         else:
             dt, dy = channel.dim_t, rhos.shape[-1]
-            evals, v = channel.spectrum
-            self.log_mats = linalg.from_eig(linalg.log_floor(evals), v)
-            self.sigma_t_evals, _, self.log_sigma_t = linalg.floored_log(np.einsum("x,xij->ij", px, mats))
+            evals, self.log_mats = channel.floored_log
+            self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
             joint = _joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy)
-        wj, _, log_joint = linalg.floored_log(joint)
+        wj, log_joint = linalg.floored_log(joint)
         self.h_each = linalg.entropy(evals)
         self.h_t_given_x = float(px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
@@ -132,13 +136,15 @@ class _Analysis:
             log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
                         + np.eye(dt)[:, None, :, None] * ctx.log_rho_y[None, :, None, :])
             b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
-            beta_term = np.tensordot(rhos, b4, axes=([1, 2], [3, 1]))
+            # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
+            beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
         self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
 
 
 def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """sum_x P(x) mats_x (x) rhos_x, the axes of mats_x then those of rhos_x."""
-    return np.tensordot(px.reshape((-1,) + (1,) * (mats.ndim - 1)) * mats, rhos, axes=(0, 0))
+    n = len(px)
+    return ((px[:, None] * mats.reshape(n, -1)).T @ rhos.reshape(n, -1)).reshape(mats.shape[1:] + rhos.shape[1:])
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,9 +154,9 @@ def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("xij,xji->x", a, b).real
 
 
-def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """One multiplicative update from a fully analyzed iterate, in spectral
-    form (p, V); on a table it is a row softmax, the soft-clustering update."""
+def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One multiplicative update from a fully analyzed iterate, as (p, sigma,
+    log sigma); on a table it is a row softmax, the soft-clustering update."""
     with np.errstate(over="ignore"):  # the finiteness check below owns the failure
         expon = analysis.log_mats - analysis.f_family / gamma
     if not np.all(np.isfinite(expon)):
@@ -159,9 +165,10 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray
     if expon.ndim == 2:
         shifted = np.exp(expon - expon.max(axis=1)[:, None])
         return shifted / shifted.sum(axis=1)[:, None]
-    we, ve = linalg.eig_hermitian(expon)
+    we, lift = linalg.eig_lift(expon)
     shifted = np.exp(we - we[:, -1][:, None])
-    return shifted / shifted.sum(axis=1)[:, None], ve
+    p = shifted / shifted.sum(axis=1)[:, None]
+    return p, lift(p), lift(linalg.log_floor(p))
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
@@ -189,9 +196,7 @@ def _form(channel: CQChannel, table: bool) -> np.ndarray:
     return channel.table() if table else channel.sigma_t_given_x
 
 
-def _analyses(
-    state: CQState, alpha: float, beta: float, *channels: CQChannel
-) -> tuple[_StateCtx, list[_Analysis]]:
+def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -> tuple[_StateCtx, list[_Analysis]]:
     """One source context and an analysis of each channel against it, on
     tables when every channel is classical."""
     for channel in channels:
@@ -201,9 +206,7 @@ def _analyses(
     return ctx, [_Analysis(ctx, c, table, alpha, beta) for c in channels]
 
 
-def f_operator(
-    state: CQState, channel: CQChannel, alpha: float, beta: float
-) -> np.ndarray:
+def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) -> np.ndarray:
     """Operator family F(x) in the channel's form: a (sizeX, dimT, dimT) stack,
     Hermitian up to round-off, or a classical channel's (sizeX, dimT) table.
 
@@ -214,9 +217,7 @@ def f_operator(
     return analysis.f_family
 
 
-def update(
-    state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float
-) -> CQChannel:
+def update(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> CQChannel:
     """One accelerated update; preserves the classical restriction."""
     if not (gamma > 0):
         raise InvariantError(f"gamma must be > 0, got {gamma}")
@@ -224,13 +225,7 @@ def update(
     return CQChannel(_advance(analysis, gamma), channel.classical)
 
 
-def gamma_ratio(
-    state: CQState,
-    channel: CQChannel,
-    channel2: CQChannel,
-    alpha: float,
-    beta: float,
-) -> float:
+def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: float, beta: float) -> float:
     """Empirical ratio bounding the usable step size.
 
     ratio = sum_x P Tr[sigma_x (F[sigma](x) - F[sigma'](x))]
@@ -250,12 +245,7 @@ def gamma_ratio(
 
 
 def j_function(
-    state: CQState,
-    channel: CQChannel,
-    channel2: CQChannel,
-    gamma: float,
-    alpha: float,
-    beta: float,
+    state: CQState, channel: CQChannel, channel2: CQChannel, gamma: float, alpha: float, beta: float
 ) -> float:
     """Surrogate objective gamma * D(sigma||sigma') + sum_x P Tr[sigma F[sigma']].
 
@@ -266,9 +256,7 @@ def j_function(
     return gamma * _avg_divergence(ctx.px, a, b) + float(ctx.px @ _tr(a.mats, b.f_family))
 
 
-def fixed_point_residual(
-    state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float
-) -> float:
+def fixed_point_residual(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> float:
     """Average trace-norm displacement of one update step."""
     nxt = update(state, channel, gamma, alpha, beta)
     table = channel.classical
@@ -276,10 +264,7 @@ def fixed_point_residual(
 
 
 def random_channel(
-    dim_t: int,
-    size_x: int,
-    classical: bool = False,
-    seed: int | np.random.Generator = 0,
+    dim_t: int, size_x: int, classical: bool = False, seed: int | np.random.Generator = 0
 ) -> CQChannel:
     """Random full-rank channel: per x a flat-Dirichlet spectrum in a Haar
     basis.  A classical channel is the (sizeX, dimT) table of the spectra
@@ -302,9 +287,7 @@ def random_channel(
 
 
 def run_qib(
-    state: CQState,
-    config: ObjectiveConfig,
-    initial: CQChannel | None = None,
+    state: CQState, config: ObjectiveConfig, initial: CQChannel | None = None
 ) -> tuple[CQChannel, IterationTrace]:
     """Iterate to convergence from a random (or given) initial channel.
 
@@ -328,27 +311,19 @@ def run_qib(
 
 
 def _iterate(
-    state: CQState,
-    config: ObjectiveConfig,
-    initial: CQChannel | None,
-    init_label: str,
-    step: Callable[[_Analysis], np.ndarray | tuple[np.ndarray, np.ndarray]],
-    deterministic: bool,
+    state: CQState, config: ObjectiveConfig, initial: CQChannel | None, init_label: str,
+    step: Callable[[_Analysis], np.ndarray | tuple[np.ndarray, ...]], deterministic: bool,
 ) -> tuple[CQChannel, IterationTrace]:
     """The loop both runners share; ``step`` maps an analyzed iterate to the
-    next conditional stack, or table on a classical run.  A missing
-    ``initial`` is drawn from the seed under ``init_label``; a given one
-    must fit the state's sizeX and the config's dimT and classical flag.
+    next one's (p, sigma, log sigma), or stack, or table on a classical run.
+    A missing ``initial`` is drawn from the seed under ``init_label``; a given
+    one must fit the state's sizeX and the config's dimT and classical flag.
     Each step's output becomes the next iterate's channel, which carries it.
     ``deterministic`` rows carry support_T and a nan step-size ratio, since
     gamma has no role in the projector step."""
     if initial is None:
-        initial = random_channel(
-            config.dim_t,
-            state.size_x,
-            classical=config.classical,
-            seed=rng.derive_rng(config.seed, init_label, "init"),
-        )
+        seed = rng.derive_rng(config.seed, init_label, "init")
+        initial = random_channel(config.dim_t, state.size_x, classical=config.classical, seed=seed)
     elif initial.size_x != state.size_x:
         raise InvariantError(
             f"initial channel has sizeX {initial.size_x}, state has {state.size_x}"
@@ -378,9 +353,7 @@ def _iterate(
     return cur.channel, trace
 
 
-def _record(
-    ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool
-) -> TraceRecord:
+def _record(ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool) -> TraceRecord:
     return TraceRecord(
         iteration=n,
         f_alpha=cur.f_alpha,
@@ -411,7 +384,7 @@ def estimate_kappa(state: CQState, samples: int = 200, seed: int = 0) -> float:
     if samples < 0:
         raise InvariantError(f"samples must be >= 0, got {samples}")
     gen = rng.derive_rng(seed, "kappa")
-    rhos = state.rho_y_given_x
+    flat = state.rho_y_given_x.reshape(nx, -1)
 
     eps = 1e-6
     uniform = np.full(nx, 1.0 / nx)
@@ -426,7 +399,7 @@ def estimate_kappa(state: CQState, samples: int = 200, seed: int = 0) -> float:
         d_cl = float(np.sum(q * (np.log(q) - np.log(qp))))
         if d_cl <= RATIO_DENOM_TOL:
             continue
-        d_qu = model.relative_entropy(np.einsum("x,xij->ij", q, rhos), np.einsum("x,xij->ij", qp, rhos))
+        d_qu = model.relative_entropy(*(np.stack([q, qp]) @ flat).reshape(2, state.dim_y, state.dim_y))
         if np.isfinite(d_qu):
             best = max(best, d_qu / d_cl)
     return best

@@ -3,8 +3,11 @@ logarithm, entropy of a spectrum, density checks and Haar unitaries.
 
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
-Stacks of 2 x 2 matrices take a closed form in both directions, elementwise
-over the stack: ``eig_hermitian`` calls no LAPACK and ``from_eig`` no BLAS.
+``eig_lift`` maps values f(w) on a stack's eigenvalues to the matrix function
+f(H).  Stacks of 2 x 2 matrices take closed forms, elementwise over the
+stack: ``eig_hermitian`` calls no LAPACK, and ``eig_lift`` asks it for
+eigenvalues only, so ``floored_log`` and the solver's update at dimT = 2
+build no eigenvectors.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -75,18 +78,33 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
 
 
 def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``.
-    A 2 x 2 stack sums the same terms elementwise, exactly Hermitian."""
-    if v.shape[-2:] != (2, 2):
-        return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    w0, w1 = w[..., 0], w[..., 1]
-    sq = v.real ** 2 + v.imag ** 2
-    h = np.empty(v.shape, dtype=np.result_type(w, v))
-    h[..., 0, 0] = w0 * sq[..., 0, 0] + w1 * sq[..., 0, 1]
-    h[..., 1, 1] = w0 * sq[..., 1, 0] + w1 * sq[..., 1, 1]
-    h[..., 1, 0] = w0 * v[..., 1, 0] * np.conj(v[..., 0, 0]) + w1 * v[..., 1, 1] * np.conj(v[..., 0, 1])
-    h[..., 0, 1] = np.conj(h[..., 1, 0])
-    return h
+    """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``."""
+    return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def eig_lift(h: np.ndarray):
+    """Eigenvalues ``w`` of a Hermitian matrix (stacked OK), ascending, and
+    ``lift``, which maps the values f(w) of any function on them to f(H):
+    V f(w) V^H, or on 2 x 2 stacks Sylvester's formula from w alone, f(H) =
+    (f0 + f1)/2 I + (f1 - f0)/(w1 - w0) (H - (w0 + w1)/2 I), slope 0 where
+    w0 = w1, exactly Hermitian with a real diagonal.  That slope is accurate
+    for f Lipschitz on the gap's scale; an indicator (a projector) is not."""
+    if h.shape[-2:] != (2, 2):
+        w, v = eig_hermitian(h)
+        return w, lambda fw: from_eig(fw, v)
+    w = eig_hermitian(h, vectors=False)
+    half, b, gap = 0.5 * h[..., 0, 0].real - 0.5 * h[..., 1, 1].real, h[..., 1, 0], w[..., 1] - w[..., 0]
+
+    def lift(fw: np.ndarray) -> np.ndarray:
+        f0, f1 = fw[..., 0], fw[..., 1]
+        slope = np.divide(f1 - f0, gap, out=np.zeros(gap.shape), where=gap > 0)
+        mid, tilt = 0.5 * f0 + 0.5 * f1, slope * half
+        out = np.empty(h.shape, dtype=np.result_type(fw, h))
+        out[..., 0, 0], out[..., 1, 1], out[..., 1, 0] = mid + tilt, mid - tilt, slope * b
+        out[..., 0, 1] = np.conj(out[..., 1, 0])
+        return out
+
+    return w, lift
 
 
 def log_floor(w: np.ndarray) -> np.ndarray:
@@ -95,11 +113,11 @@ def log_floor(w: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(w, LOG_FLOOR))
 
 
-def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystem ``(w, v)`` of a Hermitian matrix (stacked OK) and its log
-    ``V log_floor(w) V^H``."""
-    w, v = eig_hermitian(h)
-    return w, v, from_eig(log_floor(w), v)
+def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` of a Hermitian matrix (stacked OK) and its log
+    ``V log_floor(w) V^H``, lifted by ``eig_lift``."""
+    w, lift = eig_lift(h)
+    return w, lift(log_floor(w))
 
 
 def entropy(w: np.ndarray) -> np.ndarray:

@@ -84,12 +84,16 @@ class CQState:
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
-    A quantum channel is built from a (sizeX, dimT, dimT) stack or from the
-    spectral form (p, V) the solvers produce, sigma_{T|x} = V_x diag(p_x) V_x^H.
-    A classical one stores only its real (sizeX, dimT) table q[x, t], given as
-    such or as a stack whose off-diagonal and imaginary entries are within
-    1e-12.  The stored form is read-only; the others are derived once, when
-    first read.  Updates keep the classical flag.
+    A quantum channel carries its stack and ``floored_log``, the spectra p[x]
+    of sigma_{T|x} and its floored log.  It is built from the triple (p,
+    sigma, log sigma) the update produces, as given; from the spectral form
+    (p, V), sigma_{T|x} = V_x diag(p_x) V_x^H, which derives both stacks at
+    once; or from a (sizeX, dimT, dimT) stack, whose ``floored_log`` is
+    derived once, when first read.  A classical one stores only its real
+    (sizeX, dimT) table q[x, t], given as such or as a stack whose
+    off-diagonal and imaginary entries are within 1e-12, and derives its stack
+    when first read.  Every stored form is read-only.  Updates keep the
+    classical flag.
     """
 
     classical: bool
@@ -98,30 +102,34 @@ class CQChannel:
 
     def __init__(self, sigma_t_given_x: np.ndarray | tuple, classical: bool = False):
         if isinstance(sigma_t_given_x, tuple):
-            p, v = sigma_t_given_x
-            p, v = _freeze(np.asarray(p, dtype=np.float64)), _freeze(np.asarray(v, dtype=np.complex128))
-            if p.ndim != 2 or v.shape != p.shape + p.shape[-1:]:
-                raise InvariantError(f"(p, V) must be (sizeX, dimT) and (sizeX, dimT, dimT), got {p.shape}, {v.shape}")
-            form, value, shape = "spectrum", (p, v), p.shape
+            p, *mats = sigma_t_given_x
+            p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
+            if p.ndim != 2 or len(mats) not in (1, 2) or any(m.shape != p.shape + p.shape[-1:] for m in mats):
+                raise InvariantError(f"(p, V) must be (sizeX, dimT) and (sizeX, dimT, dimT), as must (p, sigma, "
+                                     f"log sigma), got shapes {[np.shape(a) for a in sigma_t_given_x]}")
+            if len(mats) == 1:  # eigenvector columns V: the stack and its log are V diag(f(p)) V^H
+                mats = [linalg.from_eig(fp, mats[0]) for fp in (p, linalg.log_floor(p))]
+            p, sigma, log = map(_freeze, (p, *mats))
+            stored, shape = {"sigma_t_given_x": sigma, "floored_log": (p, log)}, p.shape
         else:
             sig = np.asarray(sigma_t_given_x)
             if not (sig.ndim == 3 and sig.shape[1] == sig.shape[2] or classical and sig.ndim == 2):
                 raise InvariantError(f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}")
-            form = "_q" if classical else "sigma_t_given_x"
             value = _diagonals(sig) if classical and sig.ndim == 3 else sig
             value = _freeze(np.asarray(value, dtype=np.float64 if classical else np.complex128))
-            shape = value.shape
-        # The fields, and the given form as the cached property that derives it otherwise.
-        vars(self).update({"classical": classical, "size_x": shape[0], "dim_t": shape[1], form: value})
+            stored, shape = {"_q" if classical else "sigma_t_given_x": value}, value.shape
+        # The fields, and the given forms as the cached properties that derive them otherwise.
+        vars(self).update({"classical": classical, "size_x": shape[0], "dim_t": shape[1], **stored})
 
     @functools.cached_property
     def sigma_t_given_x(self) -> np.ndarray:
-        return _freeze(linalg.diag_embed(self._q) if self.classical else linalg.from_eig(*self.spectrum))
+        return _freeze(linalg.diag_embed(self._q))
 
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p, V): per x the eigenvalues and eigenvector columns of sigma_{T|x}."""
-        return tuple(map(_freeze, linalg.eig_hermitian(self.sigma_t_given_x)))
+    def floored_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, log sigma): per x the eigenvalues of sigma_{T|x} and its floored
+        log, ``linalg.floored_log`` of the stack."""
+        return tuple(map(_freeze, linalg.floored_log(self.sigma_t_given_x)))
 
     def table(self) -> np.ndarray:
         """The (sizeX, dimT) table q[x, t] of a classical channel, as stored."""
@@ -235,7 +243,8 @@ def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
             f"shape mismatch in relative entropy: {rho_mat.shape} vs {sigma_mat.shape}"
         )
     wr, _ = linalg.eig_hermitian(rho_mat)
-    ws, vs, log_sigma = linalg.floored_log(sigma_mat)
+    ws, vs = linalg.eig_hermitian(sigma_mat)
+    log_sigma = linalg.from_eig(linalg.log_floor(ws), vs)
     null = ws < linalg.LOG_FLOOR
     if np.any(null):
         overlap = np.einsum(

@@ -437,12 +437,12 @@ def test_classify_rejects_a_bad_grid_step_before_solving(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "config, flags, key",
     [
-        # A 500000 x 500000 train gram.
-        ({"n_samples": 10**6}, [], "/n_samples"),
-        # (200, 1000, 1000) feature stacks.
+        # (10**6, 9, 9) feature stacks.
+        ({"n_samples": 10**6, "dimT": 9}, [], "/n_samples"),
+        # (400, 1000, 1000) feature stacks.
         ({"dimT": 1000}, [], "/dimT"),
-        # 470400 grid points x 200 training samples.
-        ({}, ["--grid-step", "0.01"], "--grid-step"),
+        # (470400, 12, 12) grid feature stacks.
+        ({"dimT": 12}, ["--grid-step", "0.01"], "--grid-step"),
     ],
 )
 def test_classify_bounds_its_grams_and_features_before_solving(tmp_path, capsys, monkeypatch, config, flags, key):
@@ -456,10 +456,22 @@ def test_classify_bounds_its_grams_and_features_before_solving(tmp_path, capsys,
     assert err.startswith(f"{prefix}{key}") and f"above {qconfig.MAX_ENTRIES}" in err, err
 
 
+@pytest.mark.parametrize("flags", [[], ["--grid-step", "0.01"]], ids=["no-grid", "grid"])
+def test_classify_bound_admits_what_the_feature_space_solve_can_run(tmp_path, monkeypatch, flags):
+    # The ridge is solved over features, so no n x n gram is bounded: 20000
+    # samples, and the 0.01 grid at the default dimT, reach the solver.
+    monkeypatch.setattr(cli.engine, "run_qib", lambda *a, **k: pytest.fail("solved first"))
+    path = _write_json(tmp_path / "classify.json", {"n_samples": 20000})
+    with pytest.raises(pytest.fail.Exception, match="solved first"):
+        cli.main(["classify", "--config", path, "--regions-out", str(tmp_path / "r.csv"), *flags])
+
+
 def test_classify_bounds_take_the_pipeline_defaults(tmp_path, capsys, monkeypatch):
-    # A key the config leaves out is bounded at the pipeline's own default.
+    # A key the config leaves out is bounded at the pipeline's own default:
+    # here (10**6, 9, 9) feature stacks.
     signature = inspect.signature(cli.classify_pipeline)
-    defaults = [p.replace(default=10**5) if p.name == "n_samples" else p
+    stubbed = {"n_samples": 10**6, "dim_t": 9}
+    defaults = [p.replace(default=stubbed[p.name]) if p.name in stubbed else p
                 for p in signature.parameters.values()]
 
     def stub(**kwargs):

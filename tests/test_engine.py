@@ -14,6 +14,7 @@ from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
 from helpers import (
+    eigenvector_step,
     matrix_exp,
     matrix_log_supported,
     random_channel_for,
@@ -424,12 +425,14 @@ def test_random_channel_equals_per_x_draws(dim_t, classical):
         assert np.array_equal(batched.table(), [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
     else:
         p, v = zip(*[(ref.dirichlet(np.ones(dim_t)), random_unitary(dim_t, ref)) for _ in range(9)])
-        assert np.array_equal(batched.spectrum[0], p) and np.array_equal(batched.spectrum[1], v)
+        # The channel derives its stack and floored log from (p, V) once, by the matmul.
+        assert np.array_equal(batched.floored_log[0], p)
+        logs = [(u * linalg.log_floor(pp)) @ np.conj(u.T) for pp, u in zip(p, v)]
+        assert np.array_equal(batched.floored_log[1], logs)
     # Both consumed the same stretch of the stream.
     assert gen.random() == ref.random()
-    if classical or dim_t != 2:  # the 2 x 2 stack is not built by the matmul
-        looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
-        assert np.array_equal(batched.sigma_t_given_x, looped)
+    looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
+    assert np.array_equal(batched.sigma_t_given_x, looped)
 
 
 @pytest.mark.parametrize("dim_t, classical", [(2, False), (3, False), (3, True)])
@@ -516,7 +519,7 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
         channel = CQChannel(random_densities(dim_t, size_x, gen))
     mats = channel.table() if classical else channel.sigma_t_given_x
     for h in (state.rho_y_given_x, channel.sigma_t_given_x, model.rho_y(state)):
-        _, _, log_h = linalg.floored_log(h)
+        _, log_h = linalg.floored_log(h)
         assert np.abs(log_h - _floored_log_ref(h)[1]).max() < 1e-12
     alpha, beta = 1.0, 5.0
     h_t, i_tx, i_ty, fam = _analysis_ref(state, mats, alpha, beta)
@@ -547,7 +550,7 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
         ctx, (got,) = engine._analyses(state, alpha, beta, channel)
         joint = engine._joint(ctx.px, channel.sigma_t_given_x, ctx.rhos)
         joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
-        log_joint = linalg.floored_log(joint)[2]
+        log_joint = linalg.floored_log(joint)[1]
         a, b = got.log_sigma_t, ctx.log_rho_y
         terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
         # The engine's broadcast form of each term, signed zeros included
@@ -560,7 +563,8 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
         log_prod = terms[0] + terms[1]
         assert (broadcast[0] + broadcast[1]).reshape(log_prod.shape).tobytes() == log_prod.tobytes()
         b4 = (log_prod - log_joint).reshape(dim_t, dim_y, dim_t, dim_y)
-        beta_term = np.tensordot(ctx.rhos, b4, axes=([1, 2], [3, 1]))
+        beta_term = ctx.rhos.reshape(3, -1) @ b4.transpose(3, 1, 0, 2).reshape(dim_y**2, dim_t**2)
+        beta_term = beta_term.reshape(3, dim_t, dim_t)
         ref = -got.log_sigma_t + alpha * got.log_mats + beta * beta_term
         assert got.f_family.dtype == ref.dtype and got.f_family.tobytes() == ref.tobytes()
 
@@ -589,10 +593,11 @@ def _spectra(gen, size_x, dim_t, kind):
 @example(3, 4, "near-degenerate", "dense", 2)
 @example(4, 3, "rank-deficient", "spectral", 3)
 def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, seed):
-    # A quantum channel carries (p, V): drawn by random_channel, decomposed
-    # once from a dense stack, or produced by the update.  The carried pair
-    # must be the stack's spectral form, and an analysis of it must match
-    # the model.py oracles, which decompose the stack themselves.
+    # A quantum channel carries its spectra p and floored log: derived from
+    # random_channel's (p, V), decomposed once from a dense stack, or produced
+    # by the update.  p must be the stack's spectrum, the log must commute with
+    # the stack and pair log_floor(p) with it, and an analysis of the channel
+    # must match the model.py oracles, which decompose the stack themselves.
     state = random_cq_state(seed, size_x=size_x, tag="carried")
     gen = derive_rng(seed, "carried")
     shape = (size_x, dim_t, dim_t)
@@ -603,11 +608,13 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
         "dense": CQChannel(symmetrize(spectral.sigma_t_given_x)),
         "updated": engine.update(state, spectral, 0.7, 1.0, 5.0),
     }[origin]
-    p, v = channel.spectrum
+    p, log = channel.floored_log
     stack = channel.sigma_t_given_x
     assert np.abs(np.sort(p, axis=1) - np.linalg.eigvalsh(stack)).max() < 1e-12
-    assert np.abs(linalg.from_eig(p, v) - stack).max() < 1e-12
-    assert np.abs(np.conj(np.swapaxes(v, 1, 2)) @ v - np.eye(dim_t)).max() < 1e-12
+    assert np.abs(np.linalg.eigvalsh(log) - np.sort(linalg.log_floor(p), axis=1)).max() < 1e-12
+    assert np.abs(stack @ log - log @ stack).max() < 1e-12
+    pairing = np.einsum("xij,xji->x", stack, log).real
+    assert np.abs(pairing - np.sum(p * linalg.log_floor(p), axis=1)).max() < 1e-12
     alpha, beta = 1.0, 5.0
     _, (got,) = engine._analyses(state, alpha, beta, channel)
     assert abs(got.h_t - model.von_neumann_entropy(model.sigma_t(channel, state))) < 1e-10
@@ -620,9 +627,10 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
 @pytest.mark.parametrize("dense_start", [False, True])
 def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, dense_start):
     # Per iteration: the update exponent and the residual's difference.  The
-    # conditionals are never decomposed again: the update hands its (p, V) to
-    # the next iterate, random_channel draws one, and a dense start is
-    # decomposed once.  dimT 2 takes the closed form, dimT 3 LAPACK.
+    # conditionals are never decomposed again: the update hands its (p, sigma,
+    # log sigma) to the next iterate, random_channel draws (p, V), and a dense
+    # start is decomposed once.  dimT 3 takes LAPACK.  dimT 2 takes the closed
+    # forms, and a qubit run never asks for an eigenvector stack.
     state = random_cq_state(31, size_x=5, dim_y=2)
     stacked = []
     eig = linalg.eig_hermitian
@@ -637,7 +645,32 @@ def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, den
     cfg = ObjectiveConfig(alpha=1.0, beta=5.0, gamma=0.8, dim_t=dim_t, seed=31, max_iters=7)
     _, trace = engine.run_qib(state, cfg, initial=initial)
     assert len(trace) == 8
-    assert stacked == [True] * dense_start + [True, False] * len(trace)
+    if dim_t == 2:
+        assert stacked == [False] * (dense_start + 2 * len(trace))
+    else:
+        assert stacked == [True] * dense_start + [True, False] * len(trace)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7], ids=["gamma=alpha", "gamma<alpha"])
+@pytest.mark.parametrize("dense_start", [False, True])
+def test_qubit_run_matches_the_eigenvector_path(gamma, dense_start):
+    # At dimT 2 the update lifts p and log_floor(p) from the exponent's
+    # eigenvalues alone (Sylvester's formula); the oracle lifts them through
+    # LAPACK's eigenvectors.  A dense start holds a zero eigenvalue, so the
+    # floor is in play from the first row.
+    state = random_cq_state(41, size_x=6, dim_y=2)
+    initial = None
+    if dense_start:
+        initial = CQChannel(np.stack([np.diag([1.0, 0.0]).astype(complex)] * 3 + [np.eye(2) / 2] * 3))
+    cfg = ObjectiveConfig(alpha=1.0, beta=5.0, gamma=gamma, dim_t=2, tol=1e-300, max_iters=30, seed=41)
+    _, got = engine.run_qib(state, cfg, initial=initial)
+    _, want = engine._iterate(state, cfg, initial, "run-qib", eigenvector_step(gamma), deterministic=False)
+    assert len(got) == len(want) and got.status == want.status
+    for a, b in zip(got.records, want.records):
+        for name in ("f_alpha", "h_t", "i_tx", "i_ty", "step_divergence", "fixed_point_residual"):
+            assert abs(getattr(a, name) - getattr(b, name)) < 1e-12, (a.iteration, name)
+        assert abs(a.gamma_ratio - b.gamma_ratio) * a.step_divergence < 1e-12 or (
+            np.isnan(a.gamma_ratio) and np.isnan(b.gamma_ratio))
 
 
 def test_state_channel_size_mismatch_raises():

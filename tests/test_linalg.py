@@ -131,29 +131,60 @@ def test_eig_hermitian_reads_only_the_lower_triangle(dim, lead, seed):
     assert np.array_equal(linalg.eig_hermitian(scrambled, vectors=False), linalg.eig_hermitian(mirrored, vectors=False))
 
 
+def _softmax(w):
+    shifted = np.exp(w - w.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+_FUNCTIONS = {
+    "identity": lambda w: w,
+    "log_floor": linalg.log_floor,
+    "exp": lambda w: np.exp(w - w.max(axis=-1, keepdims=True)),
+    "softmax": _softmax,
+    "floored log-softmax": lambda w: linalg.log_floor(_softmax(w)),
+}
+
+
+def _qubit_spectrum(kind, gen, size):
+    """(size, 2) eigenvalues of a kind Sylvester's formula must get right."""
+    a, b = gen.uniform(-1.0, 1.0, (2, size))
+    if kind == "c I":
+        return np.column_stack([a, a])
+    if kind == "zero":
+        return np.zeros((size, 2))
+    if kind == "gap 1e-14":
+        return np.column_stack([a, a + 1e-14 * (1.0 + b)])
+    if kind == "below the floor":
+        # One eigenvalue well under LOG_FLOOR (or 0), one of order 1.
+        return np.column_stack([linalg.LOG_FLOOR * 0.01 * (1.0 + b), 0.5 + 0.5 * a])
+    if kind == "spread 400":
+        return np.column_stack([a, a - 400.0 * (1.0 + b) / 2.0])
+    return np.column_stack([a, b])
+
+
 @given(
+    st.sampled_from(["random", "c I", "zero", "gap 1e-14", "below the floor", "spread 400"]),
+    st.sampled_from(sorted(_FUNCTIONS)),
     st.sampled_from([(), (1,), (6,), (2, 3)]),
-    st.sampled_from(["closed form", "haar"]),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_from_eig_2x2_closed_form_matches_the_matmul(lead, basis, equal, seed):
-    # Eigenvalues from a pool of 0, log(LOG_FLOOR) and two random values, in
-    # equal pairs when ``equal``; bases from the eigensolver or Haar draws.
+def test_eig_lift_2x2_closed_form_matches_lapack(kind, name, lead, seed):
+    # Sylvester's formula from the closed-form eigenvalues against V f(w) V^H
+    # from LAPACK's eigensystem, within 1e-12 max|f| per matrix; exactly Hermitian.
     gen = np.random.default_rng(seed)
-    pool = np.array([0.0, np.log(linalg.LOG_FLOOR), *gen.uniform(-30.0, 30.0, 2)])
-    w = pool[gen.integers(0, 4, lead + (2,))]
-    if equal:
-        w[..., 1] = w[..., 0]
-    z = gen.standard_normal(lead + (2, 2)) + 1j * gen.standard_normal(lead + (2, 2))
-    v = linalg.haar_unitary(z) if basis == "haar" else linalg.eig_hermitian(z + np.conj(np.swapaxes(z, -1, -2)))[1]
-    h = linalg.from_eig(w, v)
-    matmul = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    scale = 1e-15 * np.maximum(1.0, np.abs(w).max(axis=-1))
-    assert h.shape == lead + (2, 2)
-    assert np.all(np.abs(h - matmul).max(axis=(-2, -1)) <= scale)
-    assert np.all(h[..., 0, 0].imag == 0) and np.all(h[..., 1, 1].imag == 0)
-    assert np.array_equal(h[..., 0, 1], np.conj(h[..., 1, 0]))
+    size = int(np.prod(lead))
+    u = linalg.haar_unitary(gen.standard_normal((size, 2, 2)) + 1j * gen.standard_normal((size, 2, 2)))
+    h = ((u * _qubit_spectrum(kind, gen, size)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))).reshape(lead + (2, 2))
+    f = _FUNCTIONS[name]
+    w, lift = linalg.eig_lift(h)
+    got = lift(f(w))
+    ref_w, ref_v = np.linalg.eigh(h)  # reads the lower triangle, as eig_lift does
+    want = (ref_v * f(ref_w)[..., None, :]) @ np.conj(np.swapaxes(ref_v, -1, -2))
+    scale = 1e-12 * np.abs(f(ref_w)).max(axis=-1)
+    assert got.shape == lead + (2, 2) and got.dtype == np.complex128
+    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= scale)
+    assert np.all(got[..., 0, 0].imag == 0) and np.all(got[..., 1, 1].imag == 0)
+    assert np.array_equal(got[..., 0, 1], np.conj(got[..., 1, 0]))
 
 
 def test_every_eigendecomposition_goes_through_linalg(monkeypatch):
@@ -212,7 +243,7 @@ def test_matrix_log_exp_roundtrip():
 
 def test_matrix_log_floors_null_directions():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    for log in (matrix_log_supported(rho), linalg.floored_log(rho)[2]):
+    for log in (matrix_log_supported(rho), linalg.floored_log(rho)[1]):
         w = np.sort(np.linalg.eigvalsh(log))
         assert abs(w[1]) < 1e-12
         assert abs(w[0] - np.log(1e-12)) < 1e-9
