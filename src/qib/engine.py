@@ -148,10 +148,14 @@ def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr[a_x b_x] for each x, of two stacks or two tables."""
-    if a.ndim == 2:
-        return np.sum(a * b, axis=1)
-    return np.einsum("xij,xji->x", a, b).real
+    """Re Tr[a_x b_x] for each x, of two tables or two stacks, one Hermitian."""
+    return np.einsum("xk,xk->x", linalg.rows(a), linalg.rows(b))
+
+
+def _softmax(z: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Each row x of exp(z_x - top_x) over its sum, ``top`` the row maxima."""
+    shifted = np.exp(z - top[:, None])
+    return shifted / np.einsum("xk->x", shifted)[:, None]
 
 
 def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,11 +167,9 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
         raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")
     if expon.ndim == 2:
-        shifted = np.exp(expon - expon.max(axis=1)[:, None])
-        return shifted / shifted.sum(axis=1)[:, None]
+        return _softmax(expon, expon.max(axis=1))
     we, lift = linalg.eig_lift(expon)
-    shifted = np.exp(we - we[:, -1][:, None])
-    p = shifted / shifted.sum(axis=1)[:, None]
+    p = _softmax(we, we[:, -1])
     return p, lift(p), lift(linalg.log_floor(p))
 
 
@@ -179,17 +181,14 @@ def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
 def _ratio_or_nan(px: np.ndarray, new: _Analysis, old: _Analysis) -> float:
     num = float(px @ _tr(new.mats, new.f_family - old.f_family))
     den = _avg_divergence(px, new, old)
-    if den <= RATIO_DENOM_TOL:
-        return float("nan")
-    return num / den
+    return num / den if den > RATIO_DENOM_TOL else float("nan")
 
 
 def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm)."""
-    if a.ndim == 2:
-        return float(px @ np.sum(np.abs(b - a), axis=1))
-    w = linalg.eig_hermitian(b - a, vectors=False)
-    return float(px @ np.sum(np.abs(w), axis=-1))
+    """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm), each
+    x's absolute entries (eigenvalues) summed in the same order whatever sizeX."""
+    d = b - a if a.ndim == 2 else linalg.eig_hermitian(b - a, vectors=False)
+    return float(px @ np.einsum("xk->x", np.abs(d)))
 
 
 def _form(channel: CQChannel, table: bool) -> np.ndarray:

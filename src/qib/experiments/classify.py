@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import engine, rng
 from ..exceptions import InvariantError
-from ..linalg import diag_embed
+from ..linalg import diag_embed, rows
 from ..model import CQChannel, CQState, ObjectiveConfig
 from ..serialization import MAX_SIZE
 
@@ -154,27 +154,22 @@ def empirical_cq_state(
     return CQState(px, rho), cells
 
 
-def _rows(feats: np.ndarray) -> np.ndarray:
-    """Real rows whose dot products are Re Tr[A B], A or B Hermitian: a stack's (re, im)."""
-    return feats if feats.ndim == 2 else feats.reshape(len(feats), -1).view(np.float64)
-
-
 def hs_gram(feats_a: np.ndarray, feats_b: np.ndarray) -> np.ndarray:
     """Pairwise Re Tr[A_i B_j] of stacked features, one side Hermitian; rows,
     such as a classical channel's table rows, pair by their dot products."""
-    return _rows(feats_a) @ _rows(feats_b).T
+    return rows(feats_a) @ rows(feats_b).T
 
 
 def train_classifier(
     feats: np.ndarray, labels: np.ndarray, num_classes: int, ridge: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest ridge least squares with the kernel ``hs_gram``, solved in
-    feature space: with Phi the rows (``_rows``) and z_c = +/-1 per class, the
+    feature space: with Phi the ``linalg.rows`` and z_c = +/-1 per class, the
     k x k solve w_c = (Phi^T Phi + ridge I)^-1 Phi^T z_c equals Phi^T a_c of
     the n x n kernel form (Phi Phi^T + ridge I) a_c = z_c (push-through
     identity).  Offsets b_c are the mean residuals.  Returns the class weights
     in feature form (C, ...), which ``hs_gram`` scores, and b (C,)."""
-    phi = _rows(feats)
+    phi = rows(feats)
     if len(labels) != len(phi):
         raise InvariantError(f"need one label per feature, got {len(labels)} for {len(phi)}")
     if ridge <= 0:

@@ -1,5 +1,5 @@
 """Dense Hermitian matrix calculus: spectral decompositions, the floored
-logarithm, entropy of a spectrum, density checks and Haar unitaries.
+logarithm, entropy of a spectrum, trace rows, density checks, Haar unitaries.
 
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
@@ -121,10 +121,16 @@ def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
-    """Entropy in nats over the last axis of eigenvalue vectors; eigenvalues
-    not above zero (round-off below it included) add nothing, 0 log 0 = 0."""
-    w = np.asarray(w, dtype=np.float64)
-    return -np.sum(np.where(pos := w > 0, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
+    """Entropy in nats over the last axis of eigenvalue vectors, by ``np.sum``, whose order
+    the objective's bits follow; values not above zero count as 1: 1 log 1 = 0 log 0 = 0."""
+    m = np.where(w > 0, w, 1.0)
+    return -np.sum(m * np.log(m), axis=-1)
+
+
+def rows(m: np.ndarray) -> np.ndarray:
+    """Real rows with dot products Re Tr[A B] = Re sum_ij a_ij conj(b_ij), A or B
+    Hermitian: an (n, d, d) stack's entries as (re, im) pairs; a table as it is."""
+    return m if m.ndim == 2 else m.reshape(len(m), -1).view(np.float64)
 
 
 def check_density(m: np.ndarray, label: str = "matrix") -> None:

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from qib import engine, linalg, model, qdib
 from qib.exceptions import InvariantError, NumericalError
-from qib.experiments import classify
+from qib.experiments import classify, ensembles
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
@@ -671,6 +671,59 @@ def test_qubit_run_matches_the_eigenvector_path(gamma, dense_start):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12, (a.iteration, name)
         assert abs(a.gamma_ratio - b.gamma_ratio) * a.step_divergence < 1e-12 or (
             np.isnan(a.gamma_ratio) and np.isnan(b.gamma_ratio))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 16])
+@pytest.mark.parametrize("table", [True, False], ids=["table", "stack"])
+def test_row_results_do_not_depend_on_stack_length(k, table):
+    # The per-x reductions of an iteration (the update's softmax normaliser,
+    # the residual's row sums and the traces) give each row the bits it gets
+    # alone or in a block of 7; at k = 2 they are also the bits of the np.sum
+    # form.  With OpenBLAS 0.3.31 a BLAS row sum (``@ np.ones(k)``) fails at k = 4.
+    n, gen = 1000, derive_rng(k, "rows")
+    if table:
+        a, b = gen.dirichlet(np.ones(k), size=(2, n))
+        z = gen.standard_normal((n, k)) * 30.0
+        top = z.max(axis=1)
+    else:
+        a, b = (engine.random_channel(k, n, seed=s).sigma_t_given_x for s in gen.integers(2**31, size=2))
+        z = np.sort(gen.standard_normal((n, k)) * 30.0, axis=1)  # ascending, as eigenvalues
+        top = z[:, -1]
+    px = gen.dirichlet(np.ones(n))
+    soft, tr, residual = engine._softmax(z, top), engine._tr(a, b), engine._residual(px, a, b)
+    for m in (1, 7):
+        blocks = [slice(x, x + m) for x in range(0, n, m)]
+        assert soft.tobytes() == np.concatenate([engine._softmax(z[s], top[s]) for s in blocks]).tobytes()
+        assert tr.tobytes() == np.concatenate([engine._tr(a[s], b[s]) for s in blocks]).tobytes()
+        # A unit weight picks one row's norm out of a block exactly.
+        norms = [engine._residual(e, a[s], b[s]) for s in blocks for e in np.eye(len(a[s]))]
+        assert residual == float(px @ np.array(norms))
+    if k == 2:
+        shifted = np.exp(z - top[:, None])
+        assert soft.tobytes() == (shifted / np.sum(shifted, axis=1)[:, None]).tobytes()
+        w = b - a if table else linalg.eig_hermitian(b - a, vectors=False)
+        assert residual == float(px @ np.sum(np.abs(w), axis=-1))
+        if table:
+            assert tr.tobytes() == np.sum(a * b, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.8], ids=["gamma=alpha", "gamma<alpha"])
+def test_final_objective_does_not_depend_on_the_log_floor(monkeypatch, gamma):
+    # A source whose converged conditionals have null directions (below both
+    # floors).  At gamma = alpha the two log sigma terms of the update exponent
+    # cancel; at this gamma < alpha every step ratio stays below gamma, and the
+    # floored directions still do not move the result.
+    state = ensembles.gen_random_qubit_ensemble(8, 4)
+    cfg = ObjectiveConfig(alpha=1.0, beta=30.0, dim_t=4, gamma=gamma, tol=1e-12, max_iters=500, seed=1)
+    finals = []
+    for floor in (1e-10, 1e-14):
+        monkeypatch.setattr(linalg, "LOG_FLOOR", floor)
+        channel, trace = engine.run_qib(state, cfg)
+        assert trace.status == engine.STATUS_CONVERGED
+        assert not any(r.gamma_ratio > gamma for r in trace.records)
+        assert (channel.floored_log[0] < 1e-14).sum() > 0
+        finals.append(trace.final_f)
+    assert abs(finals[0] - finals[1]) < 1e-10
 
 
 def test_state_channel_size_mismatch_raises():
