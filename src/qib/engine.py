@@ -87,7 +87,7 @@ class _StateCtx:
     def __init__(self, state: CQState):
         self.px = state.px
         self.rhos = state.rho_y_given_x
-        wy, self.log_rho_y = linalg.floored_log(np.einsum("x,xij->ij", state.px, state.rho_y_given_x))
+        wy, self.log_rho_y = linalg.floored_log(state.rho_y)
         self.h_y = linalg.entropy(wy)
 
 
@@ -199,7 +199,8 @@ def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -
     """One source context and an analysis of each channel against it, on
     tables when every channel is classical."""
     for channel in channels:
-        model._check_pair(state, channel)
+        if channel.size_x != state.size_x:
+            raise InvariantError(f"state has sizeX {state.size_x} but channel has {channel.size_x}")
     ctx = _StateCtx(state)
     table = all(c.classical for c in channels)
     return ctx, [_Analysis(ctx, c, table, alpha, beta) for c in channels]

@@ -19,6 +19,7 @@ from qib.exceptions import InvariantError
 from qib.model import CQChannel
 from qib.rng import derive_rng
 
+import reference
 from helpers import random_cq_state, random_unitary
 
 
@@ -100,7 +101,7 @@ def test_fourier_channel_is_valid_and_flat():
     purity = np.einsum("xij,xji->x", mats, mats).real
     assert np.max(np.abs(purity - 1.0)) < 1e-12
     # uniform mixture is exactly maximally mixed
-    marginal = model.sigma_t(chan, copy_state(5))
+    marginal = reference.sigma_t(chan, copy_state(5))
     assert np.max(np.abs(marginal - np.eye(3) / 3.0)) < 1e-12
 
 
@@ -108,7 +109,7 @@ def test_fourier_channel_replicates_over_x2():
     chan = fourier_feature_channel(4, 2, size_x2=3)
     assert chan.size_x == 12
     assert np.array_equal(chan.sigma_t_given_x[0], chan.sigma_t_given_x[2])
-    marginal = model.sigma_t(chan, copy_state(4, 3))
+    marginal = reference.sigma_t(chan, copy_state(4, 3))
     assert np.max(np.abs(marginal - np.eye(2) / 2.0)) < 1e-12
     with pytest.raises(InvariantError, match="2 <= n <= d"):
         fourier_feature_channel(3, 4)
@@ -118,7 +119,7 @@ def test_fourier_channel_replicates_over_x2():
 
 @pytest.mark.parametrize("d,n", [(3, 2), (5, 2), (5, 4)])
 def test_fourier_channel_attains_quantum_bound(d, n):
-    f = model.objective_f_alpha(
+    f = reference.objective_f_alpha(
         copy_state(d), fourier_feature_channel(d, n), 1.0, 2.0
     )
     assert abs(f - quantum_bound(n, 2.0)) < 1e-9
@@ -216,8 +217,8 @@ def test_assignment_terms_match_model_oracle(seed, classical, dim_t):
     h_t, i_ty = benchmarks.assignment_terms(state, maps, dim_t)
     for n, row in enumerate(maps):
         channel = CQChannel(linalg.diag_embed(np.eye(dim_t)[row]), classical=True)
-        assert abs(h_t[n] - model.von_neumann_entropy(model.sigma_t(channel, state))) < 1e-12
-        assert abs(i_ty[n] - model.mutual_info_ty(state, channel)) < 1e-12
+        assert abs(h_t[n] - reference.von_neumann_entropy(reference.sigma_t(channel, state))) < 1e-12
+        assert abs(i_ty[n] - reference.mutual_info_ty(state, channel)) < 1e-12
 
 
 def test_brute_force_guards():

@@ -337,6 +337,22 @@ def test_beta_sweep_csv_and_json(tmp_path, capsys):
     assert [r["beta"] for r in rows] == [0.1, 2.0, 6.0]
 
 
+def test_beta_sweep_on_a_rank_one_source(tmp_path, capsys):
+    # Both states are |0><0| in dimY 3, so every pair kappa scores compares
+    # two densities with two null directions.
+    pure = np.zeros((3, 3), dtype=complex)
+    pure[0, 0] = 1.0
+    state = ser.state_to_obj(model.CQState(np.array([0.5, 0.5]), np.stack([pure, pure])))
+    path = _write_json(
+        tmp_path / "rank1.json",
+        {"alpha": 1.0, "dimT": 2, "seed": 4, "max_iters": 20, "kappa_samples": 5,
+         "state": state, "beta_list": [2.0]},
+    )
+    assert cli.main(["beta-sweep", "--config", path, "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert np.isfinite(row["kappa_lower_bound"])
+
+
 def test_advantage_table(capsys):
     assert cli.main(["advantage", "--d", "3,5", "--n", "2", "--beta", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,5 +1,6 @@
 """Solver core: the F-operator identity, the accelerated update, descent."""
 
+import ast
 import inspect
 import tracemalloc
 
@@ -13,6 +14,7 @@ from qib.experiments import classify, ensembles
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
+import reference
 from helpers import (
     eigenvector_step,
     matrix_exp,
@@ -36,7 +38,7 @@ def test_objective_equals_averaged_f_operator(seed, alpha, beta):
     state = random_cq_state(seed)
     chan = random_channel_for(state, 3, seed)
     fam = engine.f_operator(state, chan, alpha, beta)
-    direct = model.objective_f_alpha(state, chan, alpha, beta)
+    direct = reference.objective_f_alpha(state, chan, alpha, beta)
     averaged = float(
         np.einsum("x,xij,xji->", state.px, chan.sigma_t_given_x, fam).real
     )
@@ -184,17 +186,31 @@ def test_runs_from_a_table_and_from_its_dense_embedding_agree(seed, classical_rh
 
 
 def test_solvers_take_no_evaluation_code_from_the_oracle(monkeypatch):
-    # model is the independent check of _Analysis, so the solvers must not call it.
+    # reference is the independent check of _Analysis, so the solvers must not call it.
     def oracle(*args):
-        raise AssertionError("model.rho_y called")
+        raise AssertionError("reference called")
 
-    monkeypatch.setattr(model, "rho_y", oracle)
+    for name, value in vars(reference).items():
+        if inspect.isfunction(value) and value.__module__ == reference.__name__:
+            monkeypatch.setattr(reference, name, oracle)
     state = random_cq_state(3)
     for runner, alpha in ((engine.run_qib, 1.0), (qdib.run_qdib, 0.0)):
         for classical in (False, True):
             cfg = ObjectiveConfig(alpha=alpha, beta=3.0, dim_t=2, classical=classical, max_iters=3)
             assert len(runner(state, cfg)[1]) >= 2
 
+
+
+def test_reference_imports_none_of_the_code_it_checks():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reference))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert "qib.model" in imported
+    checked = ("qib.engine", "qib.qdib", "qib.benchmarks", "qib.experiments")
+    assert [m for m in imported if any(m == c or m.startswith(c + ".") for c in checked)] == []
 
 def test_gamma_ratio_constant_channels():
     # constant channels make the beta term drop out and the ratio collapse
@@ -229,7 +245,7 @@ def test_j_function_diagonal_equals_objective():
     state = random_cq_state(7)
     chan = random_channel_for(state, 3, 7)
     j = engine.j_function(state, chan, chan, 0.6, 0.6, 2.0)
-    f = model.objective_f_alpha(state, chan, 0.6, 2.0)
+    f = reference.objective_f_alpha(state, chan, 0.6, 2.0)
     assert abs(j - f) < 1e-12
 
 
@@ -243,7 +259,7 @@ def test_j_function_decomposes_around_the_update():
     lhs = engine.j_function(state, probe, anchor, gamma, alpha, beta) - engine.j_function(
         state, best, anchor, gamma, alpha, beta
     )
-    rhs = gamma * model.channel_divergence(probe, best, state)
+    rhs = gamma * reference.channel_divergence(probe, best, state)
     assert abs(lhs - rhs) < 1e-9
     assert lhs >= -1e-10  # the update minimizes J in its first slot
 
@@ -274,7 +290,7 @@ def test_run_qib_starts_from_given_initial():
     initial = random_channel_for(state, 2, 22)
     cfg = ObjectiveConfig(alpha=1.0, beta=2.0, dim_t=2, seed=0, max_iters=3, tol=1e-16)
     _, trace = engine.run_qib(state, cfg, initial=initial)
-    f0 = model.objective_f_alpha(state, initial, 1.0, 2.0)
+    f0 = reference.objective_f_alpha(state, initial, 1.0, 2.0)
     assert abs(trace.records[0].f_alpha - f0) < 1e-12
 
 
@@ -470,7 +486,7 @@ def _analysis_ref(state, mats, alpha, beta):
     """(h_t, i_tx, i_ty, F) of ``engine._Analysis`` with its contractions
     spelled as ``np.einsum`` subscripts; ``mats`` is a stack or a table."""
     px, rhos = state.px, state.rho_y_given_x
-    wy, log_rho_y = _floored_log_ref(model.rho_y(state))
+    wy, log_rho_y = _floored_log_ref(reference.rho_y(state))
     if mats.ndim == 2:
         evals, log_mats = mats, linalg.log_floor(mats)
         sigma_t_evals = px @ mats
@@ -518,7 +534,7 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
     else:
         channel = CQChannel(random_densities(dim_t, size_x, gen))
     mats = channel.table() if classical else channel.sigma_t_given_x
-    for h in (state.rho_y_given_x, channel.sigma_t_given_x, model.rho_y(state)):
+    for h in (state.rho_y_given_x, channel.sigma_t_given_x, reference.rho_y(state)):
         _, log_h = linalg.floored_log(h)
         assert np.abs(log_h - _floored_log_ref(h)[1]).max() < 1e-12
     alpha, beta = 1.0, 5.0
@@ -597,7 +613,7 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
     # random_channel's (p, V), decomposed once from a dense stack, or produced
     # by the update.  p must be the stack's spectrum, the log must commute with
     # the stack and pair log_floor(p) with it, and an analysis of the channel
-    # must match the model.py oracles, which decompose the stack themselves.
+    # must match the tests/reference.py oracle, which decomposes the stack itself.
     state = random_cq_state(seed, size_x=size_x, tag="carried")
     gen = derive_rng(seed, "carried")
     shape = (size_x, dim_t, dim_t)
@@ -617,10 +633,10 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
     assert np.abs(pairing - np.sum(p * linalg.log_floor(p), axis=1)).max() < 1e-12
     alpha, beta = 1.0, 5.0
     _, (got,) = engine._analyses(state, alpha, beta, channel)
-    assert abs(got.h_t - model.von_neumann_entropy(model.sigma_t(channel, state))) < 1e-10
-    assert abs(got.i_tx - model.mutual_info_tx(state, channel)) < 1e-10
-    assert abs(got.i_ty - model.mutual_info_ty(state, channel)) < 1e-10
-    assert abs(got.f_alpha - model.objective_f_alpha(state, channel, alpha, beta)) < 1e-10
+    assert abs(got.h_t - reference.von_neumann_entropy(reference.sigma_t(channel, state))) < 1e-10
+    assert abs(got.i_tx - reference.mutual_info_tx(state, channel)) < 1e-10
+    assert abs(got.i_ty - reference.mutual_info_ty(state, channel)) < 1e-10
+    assert abs(got.f_alpha - reference.objective_f_alpha(state, channel, alpha, beta)) < 1e-10
 
 
 @pytest.mark.parametrize("dim_t", [2, 3])

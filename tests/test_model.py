@@ -9,11 +9,13 @@ from qib.exceptions import InvariantError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
+import reference
 from helpers import (
     partial_trace,
     random_channel_for,
     random_cq_state,
     random_density,
+    random_unitary,
     shannon,
     sparse_table_instance,
 )
@@ -50,6 +52,9 @@ def test_state_arrays_are_frozen():
         state.px[0] = 0.0
     with pytest.raises(ValueError):
         state.rho_y_given_x[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        state.rho_y[0, 0] = 0.0
+    assert state.rho_y.tobytes() == np.einsum("x,xij->ij", state.px, state.rho_y_given_x).tobytes()
 
 
 def test_classical_channel_flag_enforced_by_validate():
@@ -142,9 +147,9 @@ def test_entropy_values():
     rows = [np.log(2), -(0.2 * np.log(0.2) + 0.3 * np.log(0.3) + 0.5 * np.log(0.5)), np.log(4)]
     assert np.max(np.abs(linalg.entropy(stack) - rows)) < 1e-15
     assert [linalg.entropy(row) for row in stack] == list(linalg.entropy(stack))
-    assert model.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
+    assert reference.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
     mixed = np.eye(3, dtype=complex) / 3
-    assert abs(model.von_neumann_entropy(mixed) - np.log(3)) < 1e-12
+    assert abs(reference.von_neumann_entropy(mixed) - np.log(3)) < 1e-12
 
 
 @given(st.integers(0, 100))
@@ -171,6 +176,49 @@ def test_relative_entropy_unsupported_is_infinite():
         assert model.relative_entropy(rho, sig) == np.inf
 
 
+def _in_random_basis(spectrum, seed):
+    u = random_unitary(3, derive_rng(seed, "basis"))
+    return (u * np.asarray(spectrum)) @ np.conj(u.T)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relative_entropy_against_a_rank_one_sigma_in_a_random_basis(seed):
+    # Two null directions, neither a standard basis vector.
+    sigma = _in_random_basis([1.0, 0.0, 0.0], seed)
+    d = model.relative_entropy(sigma, sigma)
+    assert np.isfinite(d) and abs(d) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relative_entropy_within_a_rank_two_support_in_a_random_basis(seed):
+    # One null direction off the standard basis, which rho also leaves empty.
+    rho = _in_random_basis([0.3, 0.7, 0.0], seed)
+    sigma = _in_random_basis([0.6, 0.4, 0.0], seed)
+    d = model.relative_entropy(rho, sigma)
+    assert abs(d - (0.3 * np.log(0.3 / 0.6) + 0.7 * np.log(0.7 / 0.4))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("spectrum", [[1.0, 0.0, 0.0], [0.6, 0.4, 0.0]], ids=["rank-1", "rank-2"])
+def test_relative_entropy_off_a_random_basis_support_is_infinite(seed, spectrum):
+    rho = _in_random_basis([0.2, 0.3, 0.5], seed)
+    with pytest.warns(RuntimeWarning, match="support"):
+        assert model.relative_entropy(rho, _in_random_basis(spectrum, seed)) == np.inf
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relative_entropy_reads_null_mass_orthogonal_to_the_all_ones_vector(seed):
+    # rho = |w><w| with w the null direction v of sigma less its (1, 1, 1)
+    # component: the overlap is |<v|w>|^2 > 0, where a contraction that sums
+    # rows instead of taking the trace reads <v|rho|1> <1|v> = 0.
+    v = random_unitary(3, derive_rng(seed, "basis"))[:, 2]
+    w = v - v.sum() / 3
+    w /= np.linalg.norm(w)
+    rho = np.outer(w, np.conj(w))
+    with pytest.warns(RuntimeWarning, match="support"):
+        assert model.relative_entropy(rho, _in_random_basis([0.6, 0.4, 0.0], seed)) == np.inf
+
+
 def test_relative_entropy_rejects_a_shape_mismatch():
     with pytest.raises(InvariantError, match=r"^shape mismatch in relative entropy: \(2, 2\) vs \(3, 3\)$"):
         model.relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
@@ -179,12 +227,12 @@ def test_relative_entropy_rejects_a_shape_mismatch():
 def test_marginals_are_partial_traces_of_joint():
     state = random_cq_state(11)
     chan = random_channel_for(state, 3, 11)
-    joint = model.sigma_yt(chan, state)
+    joint = reference.sigma_yt(chan, state)
     dims = (chan.dim_t, state.dim_y)
     st_marg = partial_trace(joint, dims, keep="first")
     ry_marg = partial_trace(joint, dims, keep="second")
-    assert np.max(np.abs(st_marg - model.sigma_t(chan, state))) < 1e-12
-    assert np.max(np.abs(ry_marg - model.rho_y(state))) < 1e-12
+    assert np.max(np.abs(st_marg - reference.sigma_t(chan, state))) < 1e-12
+    assert np.max(np.abs(ry_marg - reference.rho_y(state))) < 1e-12
     assert abs(np.trace(joint).real - 1.0) < 1e-12
 
 
@@ -192,15 +240,15 @@ def test_joint_puts_t_factor_first():
     state = random_cq_state(12)
     tau = random_density(3, derive_rng(12, "tau"))
     chan = CQChannel(np.stack([tau] * state.size_x))
-    joint = model.sigma_yt(chan, state)
-    assert np.max(np.abs(joint - np.kron(tau, model.rho_y(state)))) < 1e-12
+    joint = reference.sigma_yt(chan, state)
+    assert np.max(np.abs(joint - np.kron(tau, reference.rho_y(state)))) < 1e-12
 
 
 def test_mutual_informations_nonnegative_and_bounded():
     state = random_cq_state(13)
     chan = random_channel_for(state, 2, 13)
-    i_tx = model.mutual_info_tx(state, chan)
-    i_ty = model.mutual_info_ty(state, chan)
+    i_tx = reference.mutual_info_tx(state, chan)
+    i_ty = reference.mutual_info_ty(state, chan)
     assert i_tx >= -1e-10
     assert i_ty >= -1e-10
     # data processing through X: T sees Y only via X
@@ -211,11 +259,11 @@ def test_product_channel_carries_no_information():
     state = random_cq_state(14)
     tau = random_density(2, derive_rng(14, "tau"))
     chan = CQChannel(np.stack([tau] * state.size_x))
-    assert abs(model.mutual_info_tx(state, chan)) < 1e-10
-    assert abs(model.mutual_info_ty(state, chan)) < 1e-10
-    h_tau = model.von_neumann_entropy(tau)
+    assert abs(reference.mutual_info_tx(state, chan)) < 1e-10
+    assert abs(reference.mutual_info_ty(state, chan)) < 1e-10
+    h_tau = reference.von_neumann_entropy(tau)
     for alpha in (0.0, 0.5, 1.0):
-        f = model.objective_f_alpha(state, chan, alpha, 3.0)
+        f = reference.objective_f_alpha(state, chan, alpha, 3.0)
         assert abs(f - (1.0 - alpha) * h_tau) < 1e-10
 
 
@@ -230,14 +278,21 @@ def test_channel_divergence_zero_iff_equal():
     state = random_cq_state(15)
     chan = random_channel_for(state, 2, 15)
     other = random_channel_for(state, 2, 16)
-    assert model.channel_divergence(chan, chan, state) < 1e-10
-    assert model.channel_divergence(chan, other, state) > 1e-6
+    assert reference.channel_divergence(chan, chan, state) < 1e-10
+    assert reference.channel_divergence(chan, other, state) > 1e-6
 
 
 def test_channel_divergence_rejects_differing_t_dimensions():
     state = random_cq_state(15)
     with pytest.raises(InvariantError, match="^channels act on different T dimensions: 2 vs 3$"):
-        model.channel_divergence(random_channel_for(state, 2, 15), random_channel_for(state, 3, 15), state)
+        reference.channel_divergence(random_channel_for(state, 2, 15), random_channel_for(state, 3, 15), state)
+
+
+def test_reference_rejects_a_channel_of_another_size_x():
+    state = random_cq_state(15, size_x=3)
+    chan = random_channel_for(random_cq_state(15, size_x=2), 2, 15)
+    with pytest.raises(InvariantError, match="^state has sizeX 3 but channel has 2$"):
+        reference.sigma_t(chan, state)
 
 
 def test_channel_divergence_skips_symbols_of_zero_probability():
@@ -248,7 +303,7 @@ def test_channel_divergence_skips_symbols_of_zero_probability():
     chan = CQChannel(np.stack([p, np.eye(2) / 2]))
     other = CQChannel(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]))
     want = model.relative_entropy(p, np.eye(2) / 2)
-    assert model.channel_divergence(chan, other, state) == want
+    assert reference.channel_divergence(chan, other, state) == want
 
 
 def test_maximally_mixed_channel_is_valid():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qib import engine, linalg, model, qdib
+from qib import engine, linalg, qdib
 from qib.exceptions import InvariantError, NumericalError
 from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng
 
+import reference
 from helpers import (
     projected_step_loop,
     random_channel_for,
@@ -214,7 +215,7 @@ def test_run_qdib_trace_support_column():
     chan, trace = qdib.run_qdib(state, cfg)
     final = trace.records[-1]
     assert final.support_t is not None
-    evals = np.linalg.eigvalsh(model.sigma_t(chan, state))
+    evals = np.linalg.eigvalsh(reference.sigma_t(chan, state))
     assert final.support_t == int(np.sum(evals > 1e-9))
     assert all(np.isnan(r.gamma_ratio) for r in trace.records)
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from qib import model
 from qib.exceptions import InvariantError
 from qib.experiments.sweeps import beta_sweep, gamma_sweep
 from qib.model import ObjectiveConfig
 
+import reference
 from helpers import random_cq_state
 
 
@@ -24,7 +24,7 @@ def test_gamma_sweep_shares_the_initial_channel():
     results, initial = gamma_sweep(state, config, gammas)
     initial.validate()
     assert [g for g, _ in results] == gammas
-    f0 = model.objective_f_alpha(state, initial, config.alpha, config.beta)
+    f0 = reference.objective_f_alpha(state, initial, config.alpha, config.beta)
     for _, trace in results:
         assert abs(trace.records[0].f_alpha - f0) < 1e-12
 
