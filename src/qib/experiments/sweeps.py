@@ -4,16 +4,60 @@ The gamma sweep starts every run from one shared random initial channel so
 the trajectories are comparable; the beta sweep reruns from fresh per-beta
 initializations and pairs each converged point with the source's divergence
 contraction bound, whose inverse marks the triviality threshold in beta.
+
+The runs are independent: ``_map_runs`` runs them on min(runs, usable cores)
+threads, the calling one included, with OpenBLAS pinned to one thread,
+process-wide, while they are in flight; with one usable core or no pin, one
+after another on the calling thread.  Either way the output is byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 
-from .. import engine, rng
+from .. import engine, linalg, rng
 from ..engine import IterationTrace
 from ..exceptions import InvariantError
 from ..model import CQChannel, CQState, ObjectiveConfig
+
+
+def _map_runs(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], run as the module docstring says.  Of failed
+    runs the earliest in input order raises, as in a loop; no run starts after
+    a failure, and no helper thread outlives the call."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    with linalg.one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as pinned:
+        if not pinned:
+            return [fn(item) for item in items]
+        results, errors, lock, queue = [None] * len(items), {}, threading.Lock(), enumerate(items)
+
+        def work() -> None:
+            # Items leave the queue in input order: every run before a failed one has started.
+            while True:
+                with lock:
+                    i, item = (None, None) if errors else next(queue, (None, None))
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(item)
+                except BaseException as exc:
+                    errors[i] = exc
+
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        try:
+            for helper in helpers:
+                helper.start()
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def gamma_sweep(
@@ -37,11 +81,12 @@ def gamma_sweep(
         seed=rng.derive_rng(config.seed, "gamma-sweep", "init"),
     )
 
-    results = []
-    for gamma in gamma_list:
-        _, trace = engine.run_qib(state, replace(config, gamma=gamma), initial=initial)
-        results.append((gamma, trace))
-    return results, initial
+    # The runs share these caches: derive them before the runs read them.
+    state.rho_y
+    if not initial.classical:
+        initial.floored_log
+    traces = _map_runs(lambda g: engine.run_qib(state, replace(config, gamma=g), initial=initial)[1], gamma_list)
+    return list(zip(gamma_list, traces)), initial
 
 
 def beta_sweep(
@@ -65,17 +110,12 @@ def beta_sweep(
         state, samples=kappa_samples, seed=rng.derive_seed(config.seed, "kappa")
     )
 
-    rows = []
-    for i, beta in enumerate(beta_list):
-        cfg = replace(config, beta=beta, seed=rng.derive_seed(config.seed, "beta-sweep", i))
-        _, trace = engine.run_qib(state, cfg)
-        final = trace.records[-1]
-        rows.append({
-            "beta": beta,
-            "f": final.f_alpha,
-            "H_T": final.h_t,
-            "I_TX": final.i_tx,
-            "I_TY": final.i_ty,
-            "kappa_lower_bound": kappa,
-        })
-    return rows
+    def final(i: int) -> engine.TraceRecord:
+        cfg = replace(config, beta=beta_list[i], seed=rng.derive_seed(config.seed, "beta-sweep", i))
+        return engine.run_qib(state, cfg)[1].records[-1]
+
+    state.rho_y  # shared by the runs: derive it before they read it
+    return [
+        {"beta": beta, "f": r.f_alpha, "H_T": r.h_t, "I_TX": r.i_tx, "I_TY": r.i_ty, "kappa_lower_bound": kappa}
+        for beta, r in zip(beta_list, _map_runs(final, range(len(beta_list))))
+    ]

@@ -17,6 +17,10 @@ nats.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
 
 from .exceptions import InvariantError, NumericalError
@@ -165,6 +169,32 @@ def check_density(m: np.ndarray, label: str = "matrix") -> None:
             f"{label}: trace {tr[i].real:.12g} deviates from 1 beyond {DENSITY_TRACE_TOL:.1e}"
         )
     raise InvariantError(f"{label}: negative eigenvalue {wmin[i]:.3e} below -{DENSITY_EIG_TOL:.1e}")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where
+    this build exports no such pair; looked up on first use, not at import."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin OpenBLAS to one thread, process-wide, and restore the previous count
+    on exit; yields whether it pinned, False where ``_openblas`` is None."""
+    if (blas := _openblas()) is None:
+        yield False
+        return
+    before = blas[0]()
+    blas[1](1)
+    try:
+        yield True
+    finally:
+        blas[1](before)
 
 
 def haar_unitary(z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ Prints ``path:line`` for each AST statement of ``src/qib`` and
 1 if there is any, or with pytest's code if the suite itself fails.  A
 statement counts as run when any line of its span (decorators included)
 produced a line event, so a compound statement whose body ran is covered.
+The recorder is installed for the calling thread and for every thread started
+under the suite, so a statement that only a sweep's helper thread runs counts.
 Hypothesis runs with seed 0, so the result is deterministic.  Needs nothing
 beyond the test dependencies.
 """
@@ -19,6 +21,7 @@ import ast
 import contextlib
 import os
 import sys
+import threading
 
 import pytest
 
@@ -49,8 +52,8 @@ def statements(path: str) -> list[tuple[int, int]]:
 
 
 class LineRecorder:
-    """sys.settrace hook recording the lines run in frames of the package and
-    of the reference evaluator."""
+    """sys.settrace and threading.settrace hook recording the lines run in
+    frames of the package and of the reference evaluator."""
 
     def __init__(self) -> None:
         self.lines: dict[str, set[int]] = {}
@@ -71,6 +74,7 @@ class LineRecorder:
 
 def main(argv: list[str]) -> int:
     recorder = LineRecorder()
+    threading.settrace(recorder)
     sys.settrace(recorder)
     try:
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the findings
@@ -78,6 +82,7 @@ def main(argv: list[str]) -> int:
         hijacked = sys.gettrace() is not recorder
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     if hijacked:
         print("error: another tracer replaced the coverage hook", file=sys.stderr)
         return 1

@@ -422,6 +422,17 @@ def test_estimate_kappa_skips_pairs_without_classical_divergence(monkeypatch):
     assert engine.estimate_kappa(state, samples=3) == 0.0
 
 
+def test_estimate_kappa_skips_a_pair_of_infinite_divergence():
+    # rho_1 has a null direction that rho_0 reaches with mass 1e-8: the vertex
+    # pair leaning on rho_1 in the second slot breaks the support condition,
+    # so its ratio is skipped and the bound stays finite.
+    rhos = np.stack([np.diag([1 - 1e-8, 1e-8]), np.diag([1.0, 0.0])]).astype(complex)
+    state = CQState(np.array([0.5, 0.5]), rhos)
+    with pytest.warns(RuntimeWarning, match="support violation"):
+        kappa = engine.estimate_kappa(state, samples=0)
+    assert np.isfinite(kappa) and 0.0 < kappa < 1e-8
+
+
 def test_random_channel_rejects_bad_sizes():
     with pytest.raises(InvariantError):
         engine.random_channel(0, 3)

@@ -211,6 +211,30 @@ def test_every_eigendecomposition_goes_through_linalg(monkeypatch):
     assert callers and set(callers) == {os.path.realpath(linalg.__file__)}, set(callers)
 
 
+def test_one_blas_thread_pins_and_restores_the_count():
+    blas = linalg._openblas()
+    if blas is None:  # a numpy without the bundled OpenBLAS setter: nothing to pin
+        with linalg.one_blas_thread() as pinned:
+            assert pinned is False
+        return
+    get, put = blas
+    before = get()
+    put(2)  # OpenBLAS may clamp this; the count read back is the one to restore
+    try:
+        count = get()
+        with pytest.raises(ValueError, match="in flight"), linalg.one_blas_thread() as pinned:
+            assert pinned is True and get() == 1
+            raise ValueError("in flight")
+        assert get() == count
+    finally:
+        put(before)
+
+
+def test_openblas_lookup_without_the_symbols(monkeypatch):
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
+    assert linalg._openblas.__wrapped__() is None
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_eig_hermitian_rejects_non_finite_input(dim, bad):

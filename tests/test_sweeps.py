@@ -1,9 +1,18 @@
-"""Gamma and beta sweeps: shared initials, guards, kappa column."""
+"""Gamma and beta sweeps: shared initials, guards, kappa column, and the
+fan-out of their runs over the usable cores."""
+
+import dataclasses
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from qib.exceptions import InvariantError
+from qib import engine, linalg, rng
+from qib.exceptions import InvariantError, NumericalError
+from qib.experiments import sweeps
 from qib.experiments.sweeps import beta_sweep, gamma_sweep
 from qib.model import ObjectiveConfig
 
@@ -79,3 +88,142 @@ def test_beta_sweep_guards():
         beta_sweep(state, config, [])
     with pytest.raises(InvariantError, match=">= 0"):
         beta_sweep(state, config, [1.0, -0.5])
+
+
+def _bits(trace):
+    """Every field of every row by repr, exact for floats (nan and -0.0 included)."""
+    return [repr(dataclasses.astuple(r)) for r in trace.records], trace.status, trace.violations
+
+
+def _blas_threads():
+    blas = linalg._openblas()
+    return blas and blas[0]()
+
+
+def _fans_out():
+    """Whether a sweep of two or more runs takes more than the calling thread here."""
+    return len(os.sched_getaffinity(0)) > 1 and linalg._openblas() is not None
+
+
+def _patch_runs(monkeypatch, before=None, fail=(), slow=()):
+    """Route engine.run_qib through a wrapper that calls ``before(config)``,
+    sleeps on gammas in ``slow`` and raises on gammas in ``fail``."""
+    real = engine.run_qib
+
+    def run_qib(state, config, initial=None):
+        if before:
+            before(config)
+        if config.gamma in slow:
+            time.sleep(0.2)
+        if config.gamma in fail:
+            raise NumericalError(f"run at gamma {config.gamma}")
+        return real(state, config, initial)
+
+    monkeypatch.setattr(engine, "run_qib", run_qib)
+
+
+@pytest.mark.parametrize("dim_t, classical", [(16, False), (2, False), (4, True)],
+                         ids=["lapack", "qubit", "classical"])
+def test_sweeps_equal_sequential_runs_bit_for_bit(dim_t, classical):
+    state, config = _state_and_config(seed=7, dim_t=dim_t, classical=classical, tol=1e-15, max_iters=12)
+    gammas = [1.0, 0.7, 0.4]
+    results, initial = gamma_sweep(state, config, gammas)
+    assert [g for g, _ in results] == gammas
+    for gamma, trace in results:
+        assert _bits(trace) == _bits(engine.run_qib(state, dataclasses.replace(config, gamma=gamma), initial)[1])
+    betas = [0.5, 3.0, 8.0]
+    rows = beta_sweep(state, config, betas, kappa_samples=5)
+    for i, (beta, row) in enumerate(zip(betas, rows)):
+        cfg = dataclasses.replace(config, beta=beta, seed=rng.derive_seed(config.seed, "beta-sweep", i))
+        last = engine.run_qib(state, cfg)[1].records[-1]
+        assert [repr(row[k]) for k in ("beta", "f", "H_T", "I_TX", "I_TY")] == [
+            repr(v) for v in (beta, last.f_alpha, last.h_t, last.i_tx, last.i_ty)]
+
+
+@pytest.mark.parametrize("fail, slow, stop", [({2.0, 4.0}, (1.0,), 2), ({1.0, 2.0}, (1.0,), 1), ({4.0}, (), 4)],
+                         ids=["two", "earliest-fails-last", "last"])
+def test_sweep_raises_the_earliest_failing_run(monkeypatch, fail, slow, stop):
+    # The run at gamma 1 is slow, so with two workers the run at 2 fails
+    # first.  A loop would start ``stop`` runs; the fan-out starts no run after
+    # a failure, so those and any already in flight with them.
+    state, config = _state_and_config()
+    gammas, ran = [1.0, 2.0, 3.0, 4.0], set()
+    _patch_runs(monkeypatch, before=lambda config: ran.add(config.gamma), fail=fail, slow=slow)
+    with pytest.raises(NumericalError, match=f"^run at gamma {min(fail)}$"):
+        gamma_sweep(state, config, gammas)
+    workers = min(len(gammas), len(os.sched_getaffinity(0))) if _fans_out() else 1
+    assert ran == set(gammas[:max(stop, workers)])
+
+
+def test_sweep_restores_blas_threads_and_joins_its_helpers(monkeypatch):
+    state, config = _state_and_config()
+    before = (_blas_threads(), threading.active_count())
+    gamma_sweep(state, config, [1.0, 0.7, 0.4])
+    assert (_blas_threads(), threading.active_count()) == before
+    _patch_runs(monkeypatch, fail={0.7})
+    with pytest.raises(NumericalError):
+        gamma_sweep(state, config, [1.0, 0.7, 0.4])
+    assert (_blas_threads(), threading.active_count()) == before
+
+
+def test_sweep_runs_on_the_usable_cores(monkeypatch):
+    """Where two cores are usable and OpenBLAS can be pinned, two runs are in
+    flight at once, each on one BLAS thread; otherwise (one core, e.g. under
+    ``taskset -c 0``) every run goes on the calling thread, BLAS untouched."""
+    state, config = _state_and_config()
+    before, seen = _blas_threads(), []
+    barrier = threading.Barrier(2, timeout=30)
+
+    def record(config):
+        seen.append((threading.get_ident(), _blas_threads()))
+        if _fans_out():
+            barrier.wait()  # breaks unless both runs are in flight together
+
+    _patch_runs(monkeypatch, before=record)
+    gamma_sweep(state, config, [1.0, 0.7])
+    threads, counts = {t for t, _ in seen}, {c for _, c in seen}
+    if _fans_out():
+        assert len(threads) == 2 and counts == {1}
+    else:
+        assert threads == {threading.get_ident()} and counts == {before}
+    assert _blas_threads() == before
+
+
+def test_sweep_without_the_blas_setter_runs_in_a_loop(monkeypatch):
+    state, config = _state_and_config(seed=2)
+    gammas = [1.0, 0.7, 0.4]
+    fanned, _ = gamma_sweep(state, config, gammas)
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    threads = set()
+    _patch_runs(monkeypatch, before=lambda config: threads.add(threading.get_ident()))
+    looped, _ = gamma_sweep(state, config, gammas)
+    assert threads == {threading.get_ident()}
+    assert [(g, _bits(t)) for g, t in looped] == [(g, _bits(t)) for g, t in fanned]
+
+
+def test_map_runs_under_thread_switching(monkeypatch):
+    """Eight workers, whatever the core count, switching threads every
+    microsecond: each item runs once, results keep input order, and the
+    earliest failure raises."""
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(8)))
+    before, calls = threading.active_count(), []
+
+    def square(i):
+        calls.append(i)
+        return i * i
+
+    def fail_some(i):
+        if i in (37, 61):
+            raise ValueError(f"item {i}")
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert sweeps._map_runs(square, range(300)) == [i * i for i in range(300)]
+        assert sorted(calls) == list(range(300))
+        with pytest.raises(ValueError, match="^item 37$"):
+            sweeps._map_runs(fail_some, range(300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
