@@ -109,7 +109,7 @@ def assignment_terms(
     h_t = linalg.entropy(w.sum(axis=1))
     blocks = np.einsum("nxt,xij->ntij", w, state.rho_y_given_x)
     h_ty = linalg.entropy(linalg.eig_hermitian(blocks, vectors=False).reshape(len(maps), -1))
-    h_y = linalg.entropy(linalg.eig_hermitian(state.rho_y)[0])
+    h_y = linalg.entropy(linalg.eig_hermitian(state.rho_y, vectors=False))
     return h_t, h_y - (h_ty - h_t)
 
 

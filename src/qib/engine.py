@@ -244,18 +244,6 @@ def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: 
     return ratio
 
 
-def j_function(
-    state: CQState, channel: CQChannel, channel2: CQChannel, gamma: float, alpha: float, beta: float
-) -> float:
-    """Surrogate objective gamma * D(sigma||sigma') + sum_x P Tr[sigma F[sigma']].
-
-    Coincides with the objective on the diagonal and is minimized in its
-    first argument by one update step from the second.
-    """
-    ctx, (a, b) = _analyses(state, alpha, beta, channel, channel2)
-    return gamma * _avg_divergence(ctx.px, a, b) + float(ctx.px @ _tr(a.mats, b.f_family))
-
-
 def fixed_point_residual(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> float:
     """Average trace-norm displacement of one update step."""
     nxt = update(state, channel, gamma, alpha, beta)
@@ -283,7 +271,8 @@ def random_channel(
         e[x] = gen.standard_exponential(dim_t)
         z[x] = gen.standard_normal((2, dim_t, dim_t))
     total = np.add.accumulate(e, axis=1)[:, -1]
-    return CQChannel((e * (1.0 / total)[:, None], linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])))
+    p, v = e * (1.0 / total)[:, None], linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])
+    return CQChannel((p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)))
 
 
 def run_qib(

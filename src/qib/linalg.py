@@ -4,10 +4,12 @@ logarithm, entropy of a spectrum, trace rows, density checks, Haar unitaries.
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
 ``eig_lift`` maps values f(w) on a stack's eigenvalues to the matrix function
-f(H).  Stacks of 2 x 2 matrices take closed forms, elementwise over the
-stack: ``eig_hermitian`` calls no LAPACK, and ``eig_lift`` asks it for
-eigenvalues only, so ``floored_log`` and the solver's update at dimT = 2
-build no eigenvectors.
+f(H).  Eigenvalue-only calls may take a closed form: on stacks of 2 x 2
+matrices, mean +- radius, elementwise over the stack.  Every call that asks
+for eigenvectors goes to LAPACK, so the eigenvalues of the two calls may
+differ in the last bits, as those of ``eigh`` and ``eigvalsh`` do at larger
+sizes.  ``eig_lift`` asks for eigenvalues only on 2 x 2 stacks, so
+``floored_log`` and the solver's update at dimT = 2 build no eigenvectors.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -40,25 +42,13 @@ def diag_embed(diags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eig2(h: np.ndarray, vectors: bool):
-    """Closed form for a finite (..., 2, 2) stack.  With H - mean I = radius
-    [[cos t, e^{-i phi} sin t], ...], the top eigenvector is (cos t/2,
-    e^{i phi} sin t/2) up to phase: the larger half-angle factor comes from a
-    square root, the other from sin t = 2 cos(t/2) sin(t/2); neither cancels."""
+def _eig2(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues mean -+ radius of a finite (..., 2, 2) stack."""
     a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
-    radius = np.hypot(half, np.abs(b))
+    mean, radius = 0.5 * a + 0.5 * c, np.hypot(0.5 * a - 0.5 * c, np.abs(b))
     w = np.empty(h.shape[:-1])
     w[..., 0], w[..., 1] = mean - radius, mean + radius
-    if not vectors:
-        return w
-    safe = np.where(radius > 0, radius, 1.0)  # radius 0 keeps the standard basis
-    big = np.sqrt(0.5 + 0.5 * np.where(radius > 0, np.abs(half) / safe, 1.0))
-    small = b / (2.0 * safe * big)
-    x, y = np.where(half >= 0, big, np.conj(small)), np.where(half >= 0, small, big)
-    v = np.empty(h.shape, dtype=y.dtype)
-    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = -np.conj(y), x, np.conj(x), y
-    return w, v
+    return w
 
 
 def eig_hermitian(h: np.ndarray, vectors: bool = True):
@@ -66,15 +56,17 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
     ``w`` alone when not ``vectors``.
 
     Eigenvalues ascend; eigenvectors are orthonormal columns, so
-    ``H = V diag(w) V^H`` per stack element.  2 x 2 matrices are solved in
-    closed form, larger ones by LAPACK; both read the lower triangle.  Raises
-    NumericalError on non-finite input, or if LAPACK fails to converge.
+    ``H = V diag(w) V^H`` per stack element.  The eigenvalues alone of 2 x 2
+    matrices come in closed form; every other call goes to LAPACK, so a 2 x 2
+    call's ``w`` may differ from the closed form's in the last bits.  Both
+    read the lower triangle.  Raises NumericalError on non-finite input, or
+    if LAPACK fails to converge.
     """
     h = np.asarray(h)
     if not np.all(np.isfinite(h)):
         raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
-    if h.shape[-2:] == (2, 2):
-        return _eig2(h, vectors)
+    if not vectors and h.shape[-2:] == (2, 2):
+        return _eig2(h)
     try:
         return tuple(np.linalg.eigh(h)) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:

@@ -88,14 +88,13 @@ class CQChannel:
 
     A quantum channel carries its stack and ``floored_log``, the spectra p[x]
     of sigma_{T|x} and its floored log.  It is built from the triple (p,
-    sigma, log sigma) the update produces, as given; from the spectral form
-    (p, V), sigma_{T|x} = V_x diag(p_x) V_x^H, which derives both stacks at
-    once; or from a (sizeX, dimT, dimT) stack, whose ``floored_log`` is
-    derived once, when first read.  A classical one stores only its real
-    (sizeX, dimT) table q[x, t], given as such or as a stack whose
-    off-diagonal and imaginary entries are within 1e-12, and derives its stack
-    when first read.  Every stored form is read-only.  Updates keep the
-    classical flag.
+    sigma, log sigma), as the update and ``engine.random_channel`` produce
+    it, taken as given; or from a (sizeX, dimT, dimT) stack, whose
+    ``floored_log`` is derived once, when first read.  A classical one stores
+    only its real (sizeX, dimT) table q[x, t], given as such or as a stack
+    whose off-diagonal and imaginary entries are within 1e-12, and derives
+    its stack when first read.  Every stored form is read-only.  Updates keep
+    the classical flag.
     """
 
     classical: bool
@@ -106,11 +105,9 @@ class CQChannel:
         if isinstance(sigma_t_given_x, tuple):
             p, *mats = sigma_t_given_x
             p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
-            if p.ndim != 2 or len(mats) not in (1, 2) or any(m.shape != p.shape + p.shape[-1:] for m in mats):
-                raise InvariantError(f"(p, V) must be (sizeX, dimT) and (sizeX, dimT, dimT), as must (p, sigma, "
-                                     f"log sigma), got shapes {[np.shape(a) for a in sigma_t_given_x]}")
-            if len(mats) == 1:  # eigenvector columns V: the stack and its log are V diag(f(p)) V^H
-                mats = [linalg.from_eig(fp, mats[0]) for fp in (p, linalg.log_floor(p))]
+            if p.ndim != 2 or len(mats) != 2 or any(m.shape != p.shape + p.shape[-1:] for m in mats):
+                raise InvariantError(f"(p, sigma, log sigma) must be (sizeX, dimT) and two (sizeX, dimT, dimT), "
+                                     f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
             p, sigma, log = map(_freeze, (p, *mats))
             stored, shape = {"sigma_t_given_x": sigma, "floored_log": (p, log)}, p.shape
         else:
@@ -204,14 +201,12 @@ def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
         raise InvariantError(
             f"shape mismatch in relative entropy: {rho_mat.shape} vs {sigma_mat.shape}"
         )
-    wr, _ = linalg.eig_hermitian(rho_mat)
+    wr = linalg.eig_hermitian(rho_mat, vectors=False)
     ws, vs = linalg.eig_hermitian(sigma_mat)
     log_sigma = linalg.from_eig(linalg.log_floor(ws), vs)
     null = ws < linalg.LOG_FLOOR
     if np.any(null):
-        overlap = np.einsum(
-            "ij,jk,ki->", np.conj(vs[:, null]).T, rho_mat, vs[:, null], optimize=True
-        ).real
+        overlap = np.trace(np.conj(vs[:, null]).T @ rho_mat @ vs[:, null]).real
         if overlap > 1e-9:
             warnings.warn(
                 f"relative entropy support violation: {overlap:.3e} mass outside "
@@ -227,7 +222,7 @@ def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
 
 def holevo_information(state: CQState) -> float:
     """I(X:Y) of the source itself: H(rho_Y) - sum_x P(x) H(rho_{Y|x})."""
-    h_y = float(linalg.entropy(linalg.eig_hermitian(state.rho_y)[0]))
+    h_y = float(linalg.entropy(linalg.eig_hermitian(state.rho_y, vectors=False)))
     ent = linalg.entropy(linalg.eig_hermitian(state.rho_y_given_x, vectors=False))
     return h_y - float(np.dot(state.px, ent))
 

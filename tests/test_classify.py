@@ -1,6 +1,8 @@
 """Scrambled-cell classification task: generator, empirical source, kernel
 ridge pieces, and the end-to-end pipeline at a reduced sample size."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,15 @@ def test_pipeline_small_instance():
     assert rep.test_predictions["y"].shape == (n_test,)
     assert rep.test_predictions["quantum"].shape == (n_test,)
     assert rep.region_rows is None
+
+
+def test_pipeline_without_unseen_test_cells_does_not_warn():
+    # At seed 14 every test sample's cell was seen in training.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = classify.classify_pipeline(seed=14, n_samples=400, max_iters=50)
+    assert rep.metrics["unseen_test_cells"] == 0
+    assert not [w for w in caught if "unseen" in str(w.message)]
 
 
 def test_pipeline_deterministic():

@@ -241,10 +241,19 @@ def test_gamma_ratio_rejects_identical_channels():
         engine.gamma_ratio(state, chan, chan, 1.0, 2.0)
 
 
+def j_function(state, channel, channel2, gamma, alpha, beta):
+    """Surrogate objective gamma sum_x P D(sigma_x || sigma'_x) + sum_x P Tr[sigma_x F[sigma'](x)]:
+    the objective on the diagonal, minimized in its first argument by one
+    update step from the second."""
+    f = engine.f_operator(state, channel2, alpha, beta)
+    pairing = np.einsum("xij,xji->x", channel.sigma_t_given_x, f).real
+    return gamma * reference.channel_divergence(channel, channel2, state) + float(state.px @ pairing)
+
+
 def test_j_function_diagonal_equals_objective():
     state = random_cq_state(7)
     chan = random_channel_for(state, 3, 7)
-    j = engine.j_function(state, chan, chan, 0.6, 0.6, 2.0)
+    j = j_function(state, chan, chan, 0.6, 0.6, 2.0)
     f = reference.objective_f_alpha(state, chan, 0.6, 2.0)
     assert abs(j - f) < 1e-12
 
@@ -256,7 +265,7 @@ def test_j_function_decomposes_around_the_update():
     probe = random_channel_for(state, 3, 9)
     gamma, alpha, beta = 0.7, 0.7, 2.0
     best = engine.update(state, anchor, gamma, alpha, beta)
-    lhs = engine.j_function(state, probe, anchor, gamma, alpha, beta) - engine.j_function(
+    lhs = j_function(state, probe, anchor, gamma, alpha, beta) - j_function(
         state, best, anchor, gamma, alpha, beta
     )
     rhs = gamma * reference.channel_divergence(probe, best, state)
@@ -452,7 +461,7 @@ def test_random_channel_equals_per_x_draws(dim_t, classical):
         assert np.array_equal(batched.table(), [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
     else:
         p, v = zip(*[(ref.dirichlet(np.ones(dim_t)), random_unitary(dim_t, ref)) for _ in range(9)])
-        # The channel derives its stack and floored log from (p, V) once, by the matmul.
+        # random_channel derives the stack and floored log from (p, V) once, by the matmul.
         assert np.array_equal(batched.floored_log[0], p)
         logs = [(u * linalg.log_floor(pp)) @ np.conj(u.T) for pp, u in zip(p, v)]
         assert np.array_equal(batched.floored_log[1], logs)
@@ -620,16 +629,19 @@ def _spectra(gen, size_x, dim_t, kind):
 @example(3, 4, "near-degenerate", "dense", 2)
 @example(4, 3, "rank-deficient", "spectral", 3)
 def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, seed):
-    # A quantum channel carries its spectra p and floored log: derived from
-    # random_channel's (p, V), decomposed once from a dense stack, or produced
-    # by the update.  p must be the stack's spectrum, the log must commute with
-    # the stack and pair log_floor(p) with it, and an analysis of the channel
-    # must match the tests/reference.py oracle, which decomposes the stack itself.
+    # A quantum channel carries its spectra p and floored log: given as the
+    # triple (p, sigma, log sigma) of a spectrum in a Haar basis, as
+    # random_channel builds it, decomposed once from a dense stack, or
+    # produced by the update.  p must be the stack's spectrum, the log must
+    # commute with the stack and pair log_floor(p) with it, and an analysis of
+    # the channel must match the tests/reference.py oracle, which decomposes
+    # the stack itself.
     state = random_cq_state(seed, size_x=size_x, tag="carried")
     gen = derive_rng(seed, "carried")
     shape = (size_x, dim_t, dim_t)
     u = linalg.haar_unitary(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-    spectral = CQChannel((_spectra(gen, size_x, dim_t, kind), u))
+    p = _spectra(gen, size_x, dim_t, kind)
+    spectral = CQChannel((p, linalg.from_eig(p, u), linalg.from_eig(linalg.log_floor(p), u)))
     channel = {
         "spectral": spectral,
         "dense": CQChannel(symmetrize(spectral.sigma_t_given_x)),
@@ -655,9 +667,10 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
 def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, dense_start):
     # Per iteration: the update exponent and the residual's difference.  The
     # conditionals are never decomposed again: the update hands its (p, sigma,
-    # log sigma) to the next iterate, random_channel draws (p, V), and a dense
-    # start is decomposed once.  dimT 3 takes LAPACK.  dimT 2 takes the closed
-    # forms, and a qubit run never asks for an eigenvector stack.
+    # log sigma) to the next iterate, random_channel builds its triple from
+    # (p, V), and a dense start is decomposed once.  dimT 3 takes LAPACK.
+    # dimT 2 takes the closed forms, and a qubit run never asks for an
+    # eigenvector stack.
     state = random_cq_state(31, size_x=5, dim_y=2)
     stacked = []
     eig = linalg.eig_hermitian

@@ -100,15 +100,25 @@ def test_eig_hermitian_2x2_closed_form_matches_lapack(kind, lead, exponent, seed
     # Only the lower triangle is read, as by LAPACK's UPLO='L'.
     given_h = h.copy()
     given_h[..., 0, 1] = gen.normal(size=lead)
-    w, v = linalg.eig_hermitian(given_h)
-    assert np.array_equal(linalg.eig_hermitian(given_h, vectors=False), w)
+    w = linalg.eig_hermitian(given_h, vectors=False)
     scale = 8.0 * np.finfo(float).eps * np.linalg.norm(h, axis=(-2, -1))[..., None]
     assert np.all(np.diff(w, axis=-1) >= 0)
     assert np.all(np.abs(w - np.linalg.eigvalsh(given_h)) <= scale)
+    w, v = linalg.eig_hermitian(given_h)
     rebuilt = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     assert np.all(np.abs(rebuilt - h) <= scale[..., None])
     gram = np.conj(np.swapaxes(v, -1, -2)) @ v
     assert np.max(np.abs(gram - np.eye(2)), initial=0.0) <= 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
+def test_eig_hermitian_2x2_eigenvectors_are_lapacks(lead):
+    # Only eigenvalue-only calls take the closed form; a call for eigenvectors
+    # returns numpy's eigh bit for bit, whatever the stack's shape.
+    gen = derive_rng(len(lead), "eigh2")
+    h = np.stack([random_hermitian(2, gen) for _ in range(int(np.prod(lead)))]).reshape(lead + (2, 2))
+    for got, want in zip(linalg.eig_hermitian(h), np.linalg.eigh(h), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(
@@ -209,6 +219,21 @@ def test_every_eigendecomposition_goes_through_linalg(monkeypatch):
     model.holevo_information(copy)
     benchmarks.brute_force_classical_opt(copy, 2, 1.0, 2.0)
     assert callers and set(callers) == {os.path.realpath(linalg.__file__)}, set(callers)
+
+
+def test_qubit_suffstats_asks_for_no_eigenvectors(monkeypatch):
+    # Every spectrum a qubit suffstats request reads (the conditionals, rho_Y in
+    # the Holevo information and the assignment scores) is eigenvalues only.
+    asked = []
+    eig = linalg.eig_hermitian
+
+    def recorded(h, vectors=True):
+        asked.append(vectors)
+        return eig(h, vectors)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", recorded)
+    suffstats_pipeline(SuffStatsSpec(size_x1=3, size_x2=2, nu=25.0), max_iters=3)
+    assert asked and not any(asked)
 
 
 def test_one_blas_thread_pins_and_restores_the_count():

@@ -97,10 +97,10 @@ def test_classical_channel_built_from_a_stack_holds_only_its_table():
 
 
 @pytest.mark.parametrize("form, message", [
-    ((np.ones((2, 2)), np.ones((2, 3, 3))), r"^\(p, V\) must be \(sizeX, dimT\)"),
-    ((np.ones(2), np.ones((2, 2))), r"^\(p, V\) must be \(sizeX, dimT\)"),
-    ((np.ones((2, 2)), np.ones((2, 2, 2)), np.ones((2, 3, 3))), r"as must \(p, sigma, log sigma\), got shapes \["),
-    ((np.ones((2, 2)),), r"^\(p, V\) must be \(sizeX, dimT\)"),
+    ((np.ones((2, 2)), np.ones((2, 3, 3))), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
+    ((np.ones(2), np.ones((2, 2))), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
+    ((np.ones((2, 2)), np.ones((2, 2, 2)), np.ones((2, 3, 3))), r"two \(sizeX, dimT, dimT\), got shapes \["),
+    ((np.ones((2, 2)),), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
     (np.zeros((2, 2, 3)), "^sigma_t_given_x must be stacked square matrices, got shape \\(2, 2, 3\\)$"),
     (np.zeros((2, 2, 2, 2)), "^sigma_t_given_x must be stacked square matrices"),
 ], ids=["p-V-sizes", "p-vector", "triple-sizes", "p-alone", "non-square", "4-d"])

@@ -177,6 +177,21 @@ def test_write_text_atomic_removes_its_temporary_file_when_the_rename_fails(tmp_
     assert os.listdir(tmp_path) == []
 
 
+def test_write_text_atomic_raises_after_a_rename_that_took_place(tmp_path, monkeypatch):
+    # The rename went through and then failed: no temporary file is left to remove.
+    replace = os.replace
+
+    def replace_then_fail(src, dst):
+        replace(src, dst)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(ser.os, "replace", replace_then_fail)
+    target = tmp_path / "out.csv"
+    with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+        ser.write_text_atomic(str(target), "hello\n")
+    assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "hello\n"
+
+
 def test_write_text_atomic_never_exposes_partial_content(tmp_path):
     # hammer the same path from two threads; any read sees a full payload
     target = str(tmp_path / "contended.txt")
