@@ -5,10 +5,10 @@ the trajectories are comparable; the beta sweep reruns from fresh per-beta
 initializations and pairs each converged point with the source's divergence
 contraction bound, whose inverse marks the triviality threshold in beta.
 
-The runs are independent: ``_map_runs`` runs them on min(runs, usable cores)
-threads, the calling one included, with OpenBLAS pinned to one thread,
-process-wide, while they are in flight; with one usable core or no pin, one
-after another on the calling thread.  Either way the output is byte-identical.
+The runs are independent: ``_map_runs`` runs them on min(runs, 2 x usable cores)
+threads, the calling one included, with OpenBLAS pinned to one thread, process-wide,
+while they are in flight; with one usable core or no pin, one after another on the
+calling thread.  Either way the output is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from ..model import CQChannel, CQState, ObjectiveConfig
 
 
 def _map_runs(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], run as the module docstring says.  Of failed
-    runs the earliest in input order raises, as in a loop; no run starts after
-    a failure, and no helper thread outlives the call."""
-    workers = min(len(items), len(os.sched_getaffinity(0)))
+    """[fn(item) for item in items], run as the module docstring says: up to twice
+    as many runs as cores share them, so none idles while the last runs end.  Of
+    failed runs the earliest in input order raises, as in a loop; no run starts
+    after a failure, and no helper thread outlives the call."""
+    workers = min(len(items), 2 * cores) if (cores := len(os.sched_getaffinity(0))) > 1 else 1
     with linalg.one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as pinned:
         if not pinned:
             return [fn(item) for item in items]

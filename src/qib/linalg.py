@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 
 import numpy as np
 
@@ -174,19 +175,29 @@ def _openblas():
         return None
 
 
+_pin_lock, _pin = threading.Lock(), {"holders": 0, "before": None}
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """Pin OpenBLAS to one thread, process-wide, and restore the previous count
-    on exit; yields whether it pinned, False where ``_openblas`` is None."""
+    """Pin OpenBLAS to one thread, process-wide; yields whether it pinned,
+    False where ``_openblas`` is None.  Pins may overlap across threads: the
+    first holder saves the count and pins it, the last to leave restores it."""
     if (blas := _openblas()) is None:
         yield False
         return
-    before = blas[0]()
-    blas[1](1)
+    with _pin_lock:
+        if not _pin["holders"]:
+            _pin["before"] = blas[0]()
+            blas[1](1)
+        _pin["holders"] += 1
     try:
         yield True
     finally:
-        blas[1](before)
+        with _pin_lock:
+            _pin["holders"] -= 1
+            if not _pin["holders"]:
+                blas[1](_pin["before"])
 
 
 def haar_unitary(z: np.ndarray) -> np.ndarray:

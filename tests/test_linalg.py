@@ -3,6 +3,7 @@ plus the log/exp/partial-trace oracles kept in the test helpers."""
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -253,6 +254,43 @@ def test_one_blas_thread_pins_and_restores_the_count():
         assert get() == count
     finally:
         put(before)
+
+
+@pytest.mark.parametrize("first_out", ["first-in", "second-in"])
+def test_overlapping_blas_pins_restore_the_count_once(monkeypatch, first_out):
+    """Two threads hold overlapping pins and leave in either order: the count
+    stays 1 while either holds it, and the last to leave restores the old one."""
+    count, sets = [3], []
+
+    def put(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
+    inside = {name: threading.Event() for name in ("first-in", "second-in")}
+    leave = {name: threading.Event() for name in inside}
+    failures = []
+
+    def hold(name):
+        try:
+            with linalg.one_blas_thread() as pinned:
+                inside[name].set()
+                assert pinned is True and leave[name].wait(30)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = {name: threading.Thread(target=hold, args=(name,)) for name in inside}
+    counts = []
+    for name in inside:
+        threads[name].start()
+        assert inside[name].wait(30)
+        counts.append(count[0])
+    for name in (first_out, *(n for n in inside if n != first_out)):
+        leave[name].set()
+        threads[name].join(30)
+        counts.append(count[0])
+    assert not failures
+    assert counts == [1, 1, 1, 3] and sets == [1, 3]
 
 
 def test_openblas_lookup_without_the_symbols(monkeypatch):

@@ -105,6 +105,14 @@ def _fans_out():
     return len(os.sched_getaffinity(0)) > 1 and linalg._openblas() is not None
 
 
+def _use_cores(monkeypatch, n):
+    """Make at most ``n`` cores usable, never more than the real count (as
+    ``taskset`` would), and return how many are."""
+    usable = sorted(os.sched_getaffinity(0))[:n]
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(usable))
+    return len(usable)
+
+
 def _patch_runs(monkeypatch, before=None, fail=(), slow=()):
     """Route engine.run_qib through a wrapper that calls ``before(config)``,
     sleeps on gammas in ``slow`` and raises on gammas in ``fail``."""
@@ -140,18 +148,26 @@ def test_sweeps_equal_sequential_runs_bit_for_bit(dim_t, classical):
             repr(v) for v in (beta, last.f_alpha, last.h_t, last.i_tx, last.i_ty)]
 
 
-@pytest.mark.parametrize("fail, slow, stop", [({2.0, 4.0}, (1.0,), 2), ({1.0, 2.0}, (1.0,), 1), ({4.0}, (), 4)],
-                         ids=["two", "earliest-fails-last", "last"])
+@pytest.mark.parametrize("fail, slow, stop", [({2.0, 4.0}, {1.0, 3.0}, 2), ({1.0, 2.0}, {1.0, 3.0, 4.0}, 1),
+                                             ({6.0}, (), 6)], ids=["two", "earliest-fails-last", "last"])
 def test_sweep_raises_the_earliest_failing_run(monkeypatch, fail, slow, stop):
-    # The run at gamma 1 is slow, so with two workers the run at 2 fails
-    # first.  A loop would start ``stop`` runs; the fan-out starts no run after
-    # a failure, so those and any already in flight with them.
+    # On two cores the sweep has four workers for six gammas.  The first four
+    # runs meet at a barrier, so every worker holds a run before any fails, and
+    # the slow ones outlast the failures.  A loop would start ``stop`` runs; the
+    # fan-out starts no run after a failure, so those and any in flight with them.
+    cores, gammas, ran = _use_cores(monkeypatch, 2), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], set()
+    workers = min(len(gammas), 2 * cores) if _fans_out() else 1
     state, config = _state_and_config()
-    gammas, ran = [1.0, 2.0, 3.0, 4.0], set()
-    _patch_runs(monkeypatch, before=lambda config: ran.add(config.gamma), fail=fail, slow=slow)
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def before(config):
+        ran.add(config.gamma)
+        if gammas.index(config.gamma) < workers:
+            barrier.wait()
+
+    _patch_runs(monkeypatch, before=before, fail=fail, slow=slow)
     with pytest.raises(NumericalError, match=f"^run at gamma {min(fail)}$"):
         gamma_sweep(state, config, gammas)
-    workers = min(len(gammas), len(os.sched_getaffinity(0))) if _fans_out() else 1
     assert ran == set(gammas[:max(stop, workers)])
 
 
@@ -167,26 +183,56 @@ def test_sweep_restores_blas_threads_and_joins_its_helpers(monkeypatch):
 
 
 def test_sweep_runs_on_the_usable_cores(monkeypatch):
-    """Where two cores are usable and OpenBLAS can be pinned, two runs are in
-    flight at once, each on one BLAS thread; otherwise (one core, e.g. under
-    ``taskset -c 0``) every run goes on the calling thread, BLAS untouched."""
+    """On two usable cores, with OpenBLAS pinnable, a 3-run sweep (the shape of
+    the ``sweep-deep`` workload) has all three runs in flight at once, each on
+    one BLAS thread; on one core (e.g. under ``taskset -c 0``) every run goes on
+    the calling thread, BLAS untouched."""
+    _use_cores(monkeypatch, 2)
     state, config = _state_and_config()
     before, seen = _blas_threads(), []
-    barrier = threading.Barrier(2, timeout=30)
+    barrier = threading.Barrier(3, timeout=30)
 
     def record(config):
         seen.append((threading.get_ident(), _blas_threads()))
         if _fans_out():
-            barrier.wait()  # breaks unless both runs are in flight together
+            barrier.wait()  # breaks unless all three runs are in flight together
 
     _patch_runs(monkeypatch, before=record)
-    gamma_sweep(state, config, [1.0, 0.7])
+    gamma_sweep(state, config, [1.0, 0.7, 0.4])
     threads, counts = {t for t, _ in seen}, {c for _, c in seen}
     if _fans_out():
-        assert len(threads) == 2 and counts == {1}
+        assert len(threads) == 3 and counts == {1}
     else:
         assert threads == {threading.get_ident()} and counts == {before}
     assert _blas_threads() == before
+
+
+def test_sweep_has_at_most_twice_the_cores_in_flight(monkeypatch):
+    """A sweep of 2 x cores + 1 runs: the first 2 x cores meet at a barrier, so
+    that many are in flight together, and a counter shows no more ever are."""
+    cores = _use_cores(monkeypatch, 2)
+    cap = 2 * cores if _fans_out() else 1
+    state, config = _state_and_config()
+    gammas = [1.0 + i for i in range(cap + 1)]
+    lock, barrier, live, peak = threading.Lock(), threading.Barrier(cap, timeout=30), [0], [0]
+    real = engine.run_qib
+
+    def run_qib(state, config, initial=None):
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        if gammas.index(config.gamma) < cap:
+            barrier.wait()
+        try:
+            return real(state, config, initial)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(engine, "run_qib", run_qib)
+    results, _ = gamma_sweep(state, config, gammas)
+    assert [g for g, _ in results] == gammas
+    assert peak[0] == cap and live[0] == 0
 
 
 def test_sweep_without_the_blas_setter_runs_in_a_loop(monkeypatch):
@@ -202,10 +248,10 @@ def test_sweep_without_the_blas_setter_runs_in_a_loop(monkeypatch):
 
 
 def test_map_runs_under_thread_switching(monkeypatch):
-    """Eight workers, whatever the core count, switching threads every
-    microsecond: each item runs once, results keep input order, and the
-    earliest failure raises."""
-    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(8)))
+    """Eight workers (four cores' worth), whatever the core count, switching
+    threads every microsecond: each item runs once, results keep input order,
+    and the earliest failure raises."""
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(4)))
     before, calls = threading.active_count(), []
 
     def square(i):
