@@ -1,7 +1,5 @@
 """Analytic benchmarks: closed-form optima separating quantum from classical
-compression, the Fourier construction achieving the quantum value, and a
-brute-force oracle over deterministic classical maps, which
-``assignment_terms`` scores in batches.
+compression, and the Fourier construction achieving the quantum value.
 
 Setting: X is uniform over d symbols, Y is a perfect classical copy of X,
 and the bottleneck system T has dimension n < d.  With beta >= 1 the optimal
@@ -16,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, linalg
+from . import engine
 from .exceptions import InvariantError
 from .model import CQChannel, CQState
-
-BRUTE_FORCE_LIMIT = 10**7
-# Complex matrix entries of the (T, Y) blocks that one batched call of
-# brute_force_classical_opt holds: dim_t * dimY^2 per map scored.
-BRUTE_FORCE_BLOCK = 1 << 19
 
 
 def quantum_bound(n: int, beta: float) -> float:
@@ -92,62 +85,6 @@ def fourier_feature_channel(d: int, n: int, size_x2: int = 1) -> CQChannel:
     psi = np.exp(2j * np.pi * np.arange(d)[:, None] * np.arange(n) / d) / np.sqrt(n)
     proj = psi[:, :, None] * np.conj(psi[:, None, :])
     return CQChannel(np.repeat(proj, size_x2, axis=0), classical=False)
-
-
-def assignment_terms(
-    state: CQState, maps: np.ndarray, dim_t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """H(T) and I(T:Y) of hard assignments x -> maps[n, x], one per row of
-    an (N, sizeX) integer array.
-
-    A point-mass channel makes the (T, Y) joint block-diagonal with blocks
-    J_t = sum_{x -> t} P(x) rho_{Y|x}, so H(T,Y) is the entropy of the
-    blocks' pooled spectra and I(T:Y) = H(Y) - (H(T,Y) - H(T)).
-    """
-    maps = np.asarray(maps)
-    w = state.px[:, None] * (maps[..., None] == np.arange(dim_t))
-    h_t = linalg.entropy(w.sum(axis=1))
-    blocks = np.einsum("nxt,xij->ntij", w, state.rho_y_given_x)
-    h_ty = linalg.entropy(linalg.eig_hermitian(blocks, vectors=False).reshape(len(maps), -1))
-    h_y = linalg.entropy(linalg.eig_hermitian(state.rho_y, vectors=False))
-    return h_t, h_y - (h_ty - h_t)
-
-
-def brute_force_classical_opt(
-    state: CQState, dim_t: int, alpha: float, beta: float
-) -> tuple[float, tuple[int, ...]]:
-    """Exact minimum of the objective over deterministic maps X -> T.
-
-    Enumerates all dim_t^{sizeX} assignments in lexicographic blocks that
-    fit ``BRUTE_FORCE_BLOCK`` (point-mass channels have H(T|X) = 0, so alpha
-    only matters through the reported value, not the argmin).  Ties break
-    toward the lexicographically first map.  Raises when the enumeration
-    exceeds 10^7 assignments; sample random maps or use the iterative
-    solver beyond that.
-    """
-    nx = state.size_x
-    if dim_t < 1:
-        raise InvariantError(f"dim_t must be >= 1, got {dim_t}")
-    total = dim_t**nx
-    if total > BRUTE_FORCE_LIMIT:
-        raise InvariantError(
-            f"brute force over {dim_t}^{nx} = {total} maps exceeds {BRUTE_FORCE_LIMIT}; "
-            "fall back to sampled maps or the iterative solver"
-        )
-    # Row i of a block is the base-dim_t digits of map index start + i.
-    place = dim_t ** np.arange(nx - 1, -1, -1)
-    block = max(1, BRUTE_FORCE_BLOCK // (dim_t * state.dim_y**2))
-    best_f = np.inf
-    best_map: tuple[int, ...] = ()
-    for start in range(0, total, block):
-        index = np.arange(start, min(start + block, total))
-        maps = index[:, None] // place % dim_t
-        h_t, i_ty = assignment_terms(state, maps, dim_t)
-        f = h_t - beta * i_ty
-        k = int(np.argmin(f))
-        if f[k] < best_f:
-            best_f, best_map = f[k], tuple(maps[k].tolist())
-    return float(best_f), best_map
 
 
 @dataclass(frozen=True)

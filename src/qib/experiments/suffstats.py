@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import benchmarks, engine, model, qdib, rng
+from .. import engine, model, qdib, rng
 from ..exceptions import InvariantError
-from ..model import CQState, ObjectiveConfig
+from ..model import CQChannel, CQState, ObjectiveConfig
 from .ensembles import SuffStatsInstance, SuffStatsSpec, gen_suffstats_ensemble
 
 
@@ -30,7 +30,8 @@ def baseline_discard_x2(
     """Oracle baseline: undo the relabeling, keep X1, drop X2.
 
     T = x1-component of the structured index, so H(T) = ln size_x1 and
-    f_DIB = ln size_x1 - beta I(X1:Y).  Returns f_dib, i_x1y and h_t.
+    f_DIB = ln size_x1 - beta I(X1:Y), as the solver's analysis scores that
+    one-hot table.  Returns f_dib, i_x1y and h_t.
     """
     perm = np.asarray(permutation)
     size = size_x1 * size_x2
@@ -40,9 +41,9 @@ def baseline_discard_x2(
             f"size_x1 * size_x2 = {size}"
         )
     # recorded cell j is structured cell argsort(perm)[j]; T(j) is its x1
-    t_of = np.argsort(perm) // size_x2
-    h_t, i_x1y = (float(v[0]) for v in benchmarks.assignment_terms(state, t_of[None], size_x1))
-    return {"f_dib": h_t - beta * i_x1y, "i_x1y": i_x1y, "h_t": h_t}
+    table = np.eye(size_x1)[np.argsort(perm) // size_x2]
+    _, (a,) = engine._analyses(state, 0.0, beta, CQChannel(table, classical=True))
+    return {"f_dib": float(a.f_alpha), "i_x1y": float(a.i_ty), "h_t": float(a.h_t)}
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def test_advantage_benchmarks_match_closed_forms():
         chan = benchmarks.fourier_feature_channel(d, n)
         achieved = reference.objective_f_alpha(state, chan, 1.0, 2.0)
         assert abs(achieved - benchmarks.quantum_bound(n, 2.0)) < 1e-9
-        value, _ = benchmarks.brute_force_classical_opt(state, n, 1.0, 2.0)
+        value, _ = reference.brute_force_classical_opt(state, n, 1.0, 2.0)
         assert abs(value - benchmarks.classical_bound(d, n, 2.0)) < 1e-9
 
     oracle = benchmarks.classical_bound(3, 2, 2.0)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qib import benchmarks, linalg, model
+from qib import linalg, model
 from qib.benchmarks import (
     advantage_gap,
-    brute_force_classical_opt,
     classical_bound,
     copy_state,
     fourier_feature_channel,
@@ -20,6 +19,7 @@ from qib.model import CQChannel
 from qib.rng import derive_rng
 
 import reference
+from reference import brute_force_classical_opt
 from helpers import random_cq_state, random_unitary
 
 
@@ -145,7 +145,7 @@ def test_brute_force_tie_break_is_lexicographic(block, monkeypatch):
     # matrix entries.
     def search(d, n):
         if block is not None:
-            monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", block * n * d**2)
+            monkeypatch.setattr(reference, "BRUTE_FORCE_BLOCK", block * n * d**2)
         return brute_force_classical_opt(copy_state(d), n, 1.0, 2.0)
 
     assert search(3, 2)[1] == (0, 0, 1)
@@ -160,14 +160,14 @@ def test_brute_force_blocks_stay_within_budget(budget, monkeypatch):
     # copy_state(6) with n = 3: 729 maps of 3 * 6^2 = 108 entries each.  A
     # budget below one map still scores one map per block.
     if budget is not None:
-        monkeypatch.setattr(benchmarks, "BRUTE_FORCE_BLOCK", budget)
-    budget, score, scored = benchmarks.BRUTE_FORCE_BLOCK, benchmarks.assignment_terms, []
+        monkeypatch.setattr(reference, "BRUTE_FORCE_BLOCK", budget)
+    budget, score, scored = reference.BRUTE_FORCE_BLOCK, reference.assignment_terms, []
 
     def spy(state, maps, dim_t):
         scored.append(maps)
         return score(state, maps, dim_t)
 
-    monkeypatch.setattr(benchmarks, "assignment_terms", spy)
+    monkeypatch.setattr(reference, "assignment_terms", spy)
     found = brute_force_classical_opt(copy_state(6), 3, 1.0, 2.0)
     assert max(len(m) * 108 for m in scored) <= max(budget, 108)
     assert np.array_equal(np.vstack(scored), np.array(list(np.ndindex(*[3] * 6))))
@@ -214,7 +214,7 @@ def test_assignment_terms_match_model_oracle(seed, classical, dim_t):
         gen.integers(0, dim_t, (6, state.size_x)),
         np.zeros((1, state.size_x), dtype=int),
     ])
-    h_t, i_ty = benchmarks.assignment_terms(state, maps, dim_t)
+    h_t, i_ty = reference.assignment_terms(state, maps, dim_t)
     for n, row in enumerate(maps):
         channel = CQChannel(linalg.diag_embed(np.eye(dim_t)[row]), classical=True)
         assert abs(h_t[n] - reference.von_neumann_entropy(reference.sigma_t(channel, state))) < 1e-12

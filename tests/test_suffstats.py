@@ -9,6 +9,7 @@ from qib import model
 from qib.exceptions import InvariantError
 from qib.experiments.ensembles import SuffStatsSpec, gen_suffstats_ensemble
 from qib.experiments.suffstats import baseline_discard_x2, suffstats_pipeline
+from qib.model import CQChannel
 
 import reference
 
@@ -31,19 +32,40 @@ def test_baseline_identity_permutation_noiseless():
     assert abs(base["f_dib"] - (np.log(3) - 10.0 * i_xy)) < 1e-10
 
 
-def test_baseline_grouping_uses_the_inverse_permutation():
-    inst = gen_suffstats_ensemble(_small_spec())
-    base = baseline_discard_x2(inst.state, inst.permutation, 3, 4, beta=5.0)
+def _check_baseline_grouping(spec, beta):
+    n1, n2 = spec.size_x1, spec.size_x2
+    inst = gen_suffstats_ensemble(spec)
+    state = inst.state
+    base = baseline_discard_x2(state, inst.permutation, n1, n2, beta=beta)
     # recompute from the structured states directly
-    structured = inst.state.rho_y_given_x[inst.permutation]
-    h_y = reference.von_neumann_entropy(reference.rho_y(inst.state))
+    structured = state.rho_y_given_x[inst.permutation]
+    h_y = reference.von_neumann_entropy(reference.rho_y(state))
     avg = 0.0
-    for g in range(3):
-        rbar = structured[g * 4 : (g + 1) * 4].mean(axis=0)
-        avg += (1.0 / 3.0) * reference.von_neumann_entropy(rbar)
+    for g in range(n1):
+        rbar = structured[g * n2 : (g + 1) * n2].mean(axis=0)
+        avg += (1.0 / n1) * reference.von_neumann_entropy(rbar)
     assert abs(base["i_x1y"] - (h_y - avg)) < 1e-10
     # noisy groups lose a little against the full source
-    assert base["i_x1y"] <= model.holevo_information(inst.state) + 1e-12
+    assert base["i_x1y"] <= model.holevo_information(state) + 1e-12
+    # and the reference evaluator scores the same one-hot channel alike
+    one_hot = CQChannel(np.eye(n1)[np.argsort(inst.permutation) // n2], classical=True)
+    assert abs(base["h_t"] - reference.von_neumann_entropy(reference.sigma_t(one_hot, state))) < 1e-12
+    assert abs(base["i_x1y"] - reference.mutual_info_ty(state, one_hot)) < 1e-12
+    assert abs(base["f_dib"] - reference.objective_f_alpha(state, one_hot, 0.0, beta)) < 1e-12
+
+
+def test_baseline_grouping_uses_the_inverse_permutation():
+    _check_baseline_grouping(_small_spec(), beta=5.0)
+
+
+@pytest.mark.parametrize("n1,n2,nu,seed,beta", [
+    (2, 5, 4.0, 3, 20.0),
+    (4, 3, 100.0, 7, 1.5),
+    (5, 2, 9.0, 11, 8.0),
+])
+def test_baseline_grouping_uses_the_inverse_permutation_across_sizes(n1, n2, nu, seed, beta):
+    spec = _small_spec(size_x1=n1, size_x2=n2, nu=nu, permutation_seed=seed, noise_seed=seed)
+    _check_baseline_grouping(spec, beta)
 
 
 def test_baseline_size_guard():
