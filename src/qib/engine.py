@@ -163,14 +163,24 @@ def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray
     log sigma); on a table it is a row softmax, the soft-clustering update."""
     with np.errstate(over="ignore"):  # the finiteness check below owns the failure
         expon = analysis.log_mats - analysis.f_family / gamma
+    if expon.ndim == 2:
+        _check_finite(expon)
+        return _softmax(expon, expon.max(axis=1))
+    try:  # the eigensolver checks the exponent; _check_finite names the x
+        we, lift = linalg.eig_lift(expon)
+    except NumericalError:
+        _check_finite(expon)
+        raise
+    p = _softmax(we, we[:, -1])
+    if p.shape[1] != 2:  # Sylvester lifts both in one pass; V f(w) V^H broadcast is slower
+        return p, lift(p), lift(linalg.log_floor(p))
+    return p, *lift(np.stack([p, linalg.log_floor(p)]))
+
+
+def _check_finite(expon: np.ndarray) -> None:
     if not np.all(np.isfinite(expon)):
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
         raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")
-    if expon.ndim == 2:
-        return _softmax(expon, expon.max(axis=1))
-    we, lift = linalg.eig_lift(expon)
-    p = _softmax(we, we[:, -1])
-    return p, lift(p), lift(linalg.log_floor(p))
 
 
 def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
@@ -267,9 +277,10 @@ def random_channel(
     # order.  A flat Dirichlet draw is exponentials times 1 / their sum in draw order.
     e = np.empty((size_x, dim_t))
     z = np.empty((size_x, 2, dim_t, dim_t))
+    exponential, normal = gen.standard_exponential, gen.standard_normal
     for x in range(size_x):
-        e[x] = gen.standard_exponential(dim_t)
-        z[x] = gen.standard_normal((2, dim_t, dim_t))
+        exponential(out=e[x])
+        normal(out=z[x])
     total = np.add.accumulate(e, axis=1)[:, -1]
     p, v = e * (1.0 / total)[:, None], linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])
     return CQChannel((p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)))

@@ -9,7 +9,10 @@ matrices, mean +- radius, elementwise over the stack.  Every call that asks
 for eigenvectors goes to LAPACK, so the eigenvalues of the two calls may
 differ in the last bits, as those of ``eigh`` and ``eigvalsh`` do at larger
 sizes.  ``eig_lift`` asks for eigenvalues only on 2 x 2 stacks, so
-``floored_log`` and the solver's update at dimT = 2 build no eigenvectors.
+``floored_log`` and the solver's update at dimT = 2 build no eigenvectors;
+one 2 x 2 matrix (sigma_T, rho_Y) takes the same formulas in Python floats.
+``haar_unitary`` orthonormalizes 2 x 2 matrices in closed form, others by
+LAPACK's QR.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -19,9 +22,11 @@ nats.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import ctypes
 import functools
+import math
 import threading
 
 import numpy as np
@@ -45,10 +50,11 @@ def diag_embed(diags: np.ndarray) -> np.ndarray:
 
 def _eig2(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues mean -+ radius of a finite (..., 2, 2) stack."""
-    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    mean, radius = 0.5 * a + 0.5 * c, np.hypot(0.5 * a - 0.5 * c, np.abs(b))
+    a, c = 0.5 * h[..., 0, 0].real, 0.5 * h[..., 1, 1].real
+    mean, radius = a + c, np.hypot(a - c, np.abs(h[..., 1, 0]))
     w = np.empty(h.shape[:-1])
-    w[..., 0], w[..., 1] = mean - radius, mean + radius
+    np.subtract(mean, radius, out=w[..., 0])
+    np.add(mean, radius, out=w[..., 1])
     return w
 
 
@@ -84,8 +90,11 @@ def eig_lift(h: np.ndarray):
     ``lift``, which maps the values f(w) of any function on them to f(H):
     V f(w) V^H, or on 2 x 2 stacks Sylvester's formula from w alone, f(H) =
     (f0 + f1)/2 I + (f1 - f0)/(w1 - w0) (H - (w0 + w1)/2 I), slope 0 where
-    w0 = w1, exactly Hermitian with a real diagonal.  That slope is accurate
-    for f Lipschitz on the gap's scale; an indicator (a projector) is not."""
+    w0 = w1, exactly Hermitian with a real diagonal; on a stack, ``fw`` may
+    hold several f on leading axes of its own.  That slope is accurate for f
+    Lipschitz on the gap's scale; an indicator (a projector) is not."""
+    if h.shape == (2, 2):
+        return _eig_lift_one(h)
     if h.shape[-2:] != (2, 2):
         w, v = eig_hermitian(h)
         return w, lambda fw: from_eig(fw, v)
@@ -94,14 +103,35 @@ def eig_lift(h: np.ndarray):
 
     def lift(fw: np.ndarray) -> np.ndarray:
         f0, f1 = fw[..., 0], fw[..., 1]
-        slope = np.divide(f1 - f0, gap, out=np.zeros(gap.shape), where=gap > 0)
+        slope = np.divide(f1 - f0, gap, out=np.zeros(f0.shape), where=gap > 0)
         mid, tilt = 0.5 * f0 + 0.5 * f1, slope * half
-        out = np.empty(h.shape, dtype=np.result_type(fw, h))
+        out = np.empty(f0.shape + (2, 2), dtype=np.result_type(fw, h))
         out[..., 0, 0], out[..., 1, 1], out[..., 1, 0] = mid + tilt, mid - tilt, slope * b
         out[..., 0, 1] = np.conj(out[..., 1, 0])
         return out
 
     return w, lift
+
+
+def _eig_lift_one(h: np.ndarray):
+    """``eig_lift`` of one 2 x 2 matrix in Python floats, where numpy's per-call
+    cost is the work: the stacked formulas, but Python's hypot."""
+    entries = h.tolist()
+    if not all(map(cmath.isfinite, entries[0] + entries[1])):
+        raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
+    (a, _), (b, c) = entries
+    a, c = 0.5 * a.real, 0.5 * c.real
+    half, mean, radius = a - c, a + c, math.hypot(a - c, abs(b))
+    w0, w1 = mean - radius, mean + radius
+    gap = w1 - w0
+
+    def lift(fw: np.ndarray) -> np.ndarray:
+        f0, f1 = fw.tolist()
+        slope = (f1 - f0) / gap if gap > 0 else 0.0
+        mid, tilt, off = 0.5 * f0 + 0.5 * f1, slope * half, slope * b
+        return np.array([[mid + tilt, off.conjugate()], [off, mid - tilt]], dtype=np.result_type(fw, h))
+
+    return np.array([w0, w1]), lift
 
 
 def log_floor(w: np.ndarray) -> np.ndarray:
@@ -121,7 +151,9 @@ def entropy(w: np.ndarray) -> np.ndarray:
     """Entropy in nats over the last axis of eigenvalue vectors, by ``np.sum``, whose order
     the objective's bits follow; values not above zero count as 1: 1 log 1 = 0 log 0 = 0."""
     m = np.where(w > 0, w, 1.0)
-    return -np.sum(m * np.log(m), axis=-1)
+    terms = m * np.log(m)
+    # A pair is summed as np.sum sums it, without its per-row cost on a short axis.
+    return -(terms[..., 0] + terms[..., 1]) if w.shape[-1] == 2 else -np.sum(terms, axis=-1)
 
 
 def rows(m: np.ndarray) -> np.ndarray:
@@ -201,8 +233,19 @@ def one_blas_thread():
 
 
 def haar_unitary(z: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitary from a complex Gaussian matrix (stacked OK)."""
-    q, r = np.linalg.qr(z)
-    # Fix the phase ambiguity so the distribution is exactly Haar.
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """Haar-distributed unitary from a complex Gaussian matrix (stacked OK): the
+    Q of z = QR with R's diagonal positive, which makes the distribution exactly
+    Haar; for 2 x 2, q0 = z0 / |z0| and q1 = (-conj(q0[1]), conj(q0[0])) det z / |det z|."""
+    if z.shape[-2:] != (2, 2):
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (d / np.abs(d))[..., None, :]
+    flat = z.reshape(-1, 2, 2)  # a stack even for one matrix: numpy scalars round otherwise
+    z00, z10, z01, z11 = flat[:, 0, 0], flat[:, 1, 0], flat[:, 0, 1], flat[:, 1, 1]
+    norm = np.sqrt(z00.real * z00.real + z00.imag * z00.imag + z10.real * z10.real + z10.imag * z10.imag)
+    det = z00 * z11 - z10 * z01
+    phase = det / np.sqrt(det.real * det.real + det.imag * det.imag)
+    q = np.empty(flat.shape, dtype=np.complex128)
+    q[:, 0, 0], q[:, 1, 0] = z00 / norm, z10 / norm
+    q[:, 0, 1], q[:, 1, 1] = -np.conj(q[:, 1, 0]) * phase, np.conj(q[:, 0, 0]) * phase
+    return q.reshape(z.shape)

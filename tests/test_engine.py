@@ -442,6 +442,21 @@ def test_estimate_kappa_skips_a_pair_of_infinite_divergence():
     assert np.isfinite(kappa) and 0.0 < kappa < 1e-8
 
 
+def test_update_reports_an_eigensolver_failure_as_such(monkeypatch):
+    # The exponent is finite, so a failure of its eigensolver is not renamed
+    # a non-finite exponent.
+    state = random_cq_state(3, size_x=4, dim_y=2, tag="lapack")
+    channel = engine.random_channel(3, 4, seed=1)
+    _, (analysis,) = engine._analyses(state, 1.0, 3.0, channel)
+
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match=r"^eigensolver failed on shape \(4, 3, 3\)"):
+        engine._advance(analysis, 1.0)
+
+
 def test_random_channel_rejects_bad_sizes():
     with pytest.raises(InvariantError):
         engine.random_channel(0, 3)

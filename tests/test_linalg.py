@@ -304,6 +304,32 @@ def test_eig_hermitian_rejects_non_finite_input(dim, bad):
             linalg.eig_hermitian(h, vectors)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_one_2x2_matrix_rejects_non_finite_input(entry, bad):
+    # One matrix takes eig_lift's Python-float path, which keeps the check.
+    h = np.eye(2, dtype=complex)
+    h[entry] = bad
+    for call in (linalg.eig_lift, linalg.floored_log):
+        with pytest.raises(NumericalError, match=r"^eigensolver input of shape \(2, 2\) is not finite$"):
+            call(h)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.float64, np.complex128]))
+def test_one_2x2_matrix_lifts_as_its_stack(seed, dtype):
+    # The Python-float path against the stacked closed form: the same formulas
+    # but for the hypot, so within a few ulps on a spectrum at or above 1;
+    # real input stays real.
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((2, 2)) + (1j * gen.standard_normal((2, 2)) if dtype is np.complex128 else 0.0)
+    h = a @ np.conj(a.T) + np.eye(2)
+    w, log = linalg.floored_log(h)
+    ws, logs = linalg.floored_log(h[None])
+    assert w.shape == (2,) and log.shape == (2, 2) and log.dtype == dtype
+    assert np.abs(w - ws[0]).max() <= 1e-14 * w[1] and np.abs(log - logs[0]).max() <= 1e-13
+    assert np.all(log.diagonal().imag == 0) and np.array_equal(log[0, 1], np.conj(log[1, 0]))
+
+
 def test_eig_hermitian_reports_a_lapack_failure(monkeypatch):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -401,6 +427,43 @@ def test_random_unitary_is_unitary_and_seeded():
     assert np.max(np.abs(np.conj(u1.T) @ u1 - np.eye(4))) < 1e-12
 
 
+@given(st.sampled_from([(), (1,), (7,), (2, 3)]), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_haar_unitary_2x2_closed_form_matches_lapack_qr(lead, scale, seed):
+    # The closed form is the QR of z with a positive real diagonal in R: Q is
+    # unitary, Q^H z upper triangular with that diagonal, and Q equals
+    # LAPACK's Q times the phases that make R's diagonal positive.
+    gen = np.random.default_rng(seed)
+    z = scale * (gen.standard_normal(lead + (2, 2)) + 1j * gen.standard_normal(lead + (2, 2)))
+    q = linalg.haar_unitary(z)
+    assert q.shape == z.shape and q.dtype == np.complex128
+    eye = np.conj(np.swapaxes(q, -1, -2)) @ q
+    assert np.abs(eye - np.eye(2)).max() <= 1e-14
+    r = np.conj(np.swapaxes(q, -1, -2)) @ z
+    size = 1e-14 * np.abs(z).max(axis=(-2, -1))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(np.abs(r[..., 1, 0]) <= size)
+    assert np.all(np.abs(diag.imag) <= size[..., None]) and np.all(diag.real > 0)
+    lq, lr = np.linalg.qr(z)
+    ld = np.diagonal(lr, axis1=-2, axis2=-1)
+    want = lq * (ld / np.abs(ld))[..., None, :]
+    # Q's second column carries the phase of det z, as ill-conditioned as z is:
+    # both sides sit within a few eps cond(z) of the exact Q (measured: 4.2).
+    tol = np.maximum(1e-13, 8 * np.finfo(float).eps * np.linalg.cond(z))
+    assert np.all(np.abs(q - want).max(axis=(-2, -1)) <= tol)
+    # One matrix gets the bits it gets inside a stack.
+    flat = z.reshape(-1, 2, 2)
+    assert np.array_equal(np.array([linalg.haar_unitary(m) for m in flat]), q.reshape(-1, 2, 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 4, 4)])
+def test_haar_unitary_other_sizes_are_lapacks_qr(shape):
+    gen = derive_rng(len(shape), "qr")
+    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    lq, lr = np.linalg.qr(z)
+    ld = np.diagonal(lr, axis1=-2, axis2=-1)
+    assert np.array_equal(linalg.haar_unitary(z), lq * (ld / np.abs(ld))[..., None, :])
+
+
 @pytest.mark.parametrize("classical", [False, True])
 def test_random_density_is_valid(classical):
     draw = random_diagonal_density if classical else random_density
@@ -431,14 +494,15 @@ def _entropy_clip(w):
 @pytest.mark.parametrize("seed", range(5))
 def test_entropy_equals_the_clip_form_bit_for_bit(seed):
     gen = derive_rng(seed, "entropy")
-    w = gen.dirichlet(np.ones(4), size=(3, 6))
-    w[gen.random(w.shape) < 0.3] = 0.0  # exact zeros
-    w[gen.random(w.shape) < 0.2] = -0.0
-    w[gen.random(w.shape) < 0.2] = -gen.random() * 1e-16  # negative round-off
-    w[0, 0] = 0.0  # an all-zero row
-    w[1, 1] = -0.0
-    w[2, 2] = [-1e-17, 0.0, -0.0, -3e-18]
-    for spectra in (w, w[0], w[0, 0], w.reshape(-1)):
-        got, ref = linalg.entropy(spectra), _entropy_clip(spectra)
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-    assert np.signbit(linalg.entropy(w[0, 0]))  # an all-zero row has entropy -0.0
+    for width in (4, 2):  # a pair is summed apart from np.sum; it must keep its bits
+        w = gen.dirichlet(np.ones(width), size=(3, 6))
+        w[gen.random(w.shape) < 0.3] = 0.0  # exact zeros
+        w[gen.random(w.shape) < 0.2] = -0.0
+        w[gen.random(w.shape) < 0.2] = -gen.random() * 1e-16  # negative round-off
+        w[0, 0] = 0.0  # an all-zero row
+        w[1, 1] = -0.0
+        w[2, 2] = [-1e-17, 0.0, -0.0, -3e-18][:width]
+        for spectra in (w, w[0], w[0, 0], w.reshape(-1)):
+            got, ref = linalg.entropy(spectra), _entropy_clip(spectra)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        assert np.signbit(linalg.entropy(w[0, 0]))  # an all-zero row has entropy -0.0
