@@ -114,7 +114,7 @@ def advantage_gap(d: int, n: int, alpha: float, beta: float) -> AdvantageReport:
         )
     q = quantum_bound(n, beta)
     c = classical_bound(d, n, beta)
-    _, (analysis,) = engine._analyses(copy_state(d, 1), alpha, beta, fourier_feature_channel(d, n))
+    (analysis,) = engine._analyses(copy_state(d, 1), alpha, beta, fourier_feature_channel(d, n))
     return AdvantageReport(
         d=d, n=n, alpha=alpha, beta=beta,
         quantum=q, classical=c, gap=c - q, achieved_quantum=float(analysis.f_alpha),

@@ -14,17 +14,20 @@ recovers the fixed-point iteration with the unconditional descent guarantee;
 smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
-Internals are batched over x: conditionals are stacked (sizeX, dimT, dimT)
-arrays.  The update hands the next iterate (p, sigma, log sigma): the
-spectra of the conditionals, lifted by ``linalg.eig_lift`` from the
-eigenvalues of the update exponent to the stack and its floored log, so the
-conditionals are never decomposed.  A quantum iteration costs two stacked
+Internals are batched over x, and each iterate is analyzed once, in the
+form its channel stores, by one class per form: ``_Stack`` reads a quantum
+channel's (sizeX, dimT, dimT) stack, ``_Table`` a classical channel's
+(sizeX, dimT) table, where only the dimY x dimY blocks of the joint are
+decomposed.  Each owns its soft step and its residual; their base scores
+the form against the source, whose entropy and floored log of rho_Y the
+state caches.  The quantum update hands the next iterate (p, sigma, log
+sigma): the spectra, lifted by ``linalg.eig_lift`` from the eigenvalues of
+the update exponent to the stack and its floored log, so the conditionals
+are never decomposed.  A quantum iteration costs two stacked
 eigendecompositions, of the update exponent and of the residual, plus those
-of sigma_T and the (T, Y) joint; at dimT = 2 none of them asks for an
-eigenvector stack.  sigma_T, the joint and the beta term of F are each one
-matrix product on reshaped stacks.  A classical channel iterates as its
-(sizeX, dimT) table instead, where only the dimY x dimY blocks of the joint
-are decomposed.
+of sigma_T and the (T, Y) joint; at dimT = 2 none asks for an eigenvector
+stack.  sigma_T, the joint and the beta term of F are each one matrix
+product on reshaped stacks.
 """
 
 from __future__ import annotations
@@ -81,64 +84,100 @@ class IterationTrace:
         return len(self.records)
 
 
-class _StateCtx:
-    """Per-source quantities reused across iterations."""
-
-    def __init__(self, state: CQState):
-        self.px = state.px
-        self.rhos = state.rho_y_given_x
-        wy, self.log_rho_y = linalg.floored_log(state.rho_y)
-        self.h_y = linalg.entropy(wy)
-
-
 class _Analysis:
-    """Everything the loop needs about one channel iterate, read from the
-    stack, spectra and floored log the channel carries; with ``table`` from
-    its (sizeX, dimT) table q[x, t] instead, in which form ``mats``,
-    ``log_mats`` and ``f_family`` come too."""
+    """One channel iterate as the loop reads it.  A subclass per stored form reads
+    it (``_read`` sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns
+    the conditionals' spectra, the joint's and F's beta term) and owns the soft step
+    (``advance``) and the residual's spread; the base scores it: f, F, divergence,
+    ratio, residual."""
 
-    __slots__ = (
-        "channel", "mats", "log_mats", "h_each", "h_t_given_x", "sigma_t_evals", "log_sigma_t",
-        "h_t", "i_tx", "i_ty", "f_alpha", "f_family",
-    )
-
-    def __init__(self, ctx: _StateCtx, channel: CQChannel, table: bool, alpha: float, beta: float):
-        px, rhos = ctx.px, ctx.rhos
-        self.channel, self.mats = channel, (mats := _form(channel, table))
-        if table:
-            # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
-            evals, self.log_mats = mats, linalg.log_floor(mats)
-            self.sigma_t_evals = px @ mats
-            self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
-            joint = _joint(px, mats, rhos)
-        else:
-            dt, dy = channel.dim_t, rhos.shape[-1]
-            evals, self.log_mats = channel.floored_log
-            self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
-            joint = _joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy)
-        wj, log_joint = linalg.floored_log(joint)
+    def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
+        self.px, self.channel = state.px, channel
+        evals, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
         self.h_each = linalg.entropy(evals)
-        self.h_t_given_x = float(px @ self.h_each)
+        self.h_t_given_x = float(self.px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
-
         self.i_tx = self.h_t - self.h_t_given_x
-        self.i_ty = self.h_t + ctx.h_y - linalg.entropy(wj.ravel())
+        self.i_ty = self.h_t + state.rho_y_log[0] - linalg.entropy(wj.ravel())
         self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
-
-        if table:
-            # Tr rho_x (log s_t I + log rho_Y - log J_t)
-            beta_term = self.log_sigma_t + np.tensordot(
-                ctx.log_rho_y - log_joint, rhos, axes=([1, 2], [2, 1])
-            ).T.real
-        else:
-            # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
-            # the product-state cancellation against log_joint is exact in floats.
-            log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
-                        + np.eye(dt)[:, None, :, None] * ctx.log_rho_y[None, :, None, :])
-            b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
-            # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
-            beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
         self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
+
+    def _exponent(self, gamma: float) -> np.ndarray:
+        with np.errstate(over="ignore"):  # the step's finiteness check owns the failure
+            return self.log_mats - self.f_family / gamma
+
+    def divergence(self, other: _Analysis) -> float:
+        """sum_x P(x) D(self_x || other_x) using the floored log of ``other``."""
+        return float(self.px @ (-self.h_each - _tr(self.mats, other.log_mats)))
+
+    def ratio(self, old: _Analysis) -> float:
+        num = float(self.px @ _tr(self.mats, self.f_family - old.f_family))
+        den = self.divergence(old)
+        return num / den if den > RATIO_DENOM_TOL else float("nan")
+
+    def residual(self, channel: CQChannel) -> float:
+        """sum_x P(x) ||sigma'_x - sigma_x||_1, the trace norm (l1 on tables), to ``channel``
+        sigma' of this form: each x's |spread| summed in the same order whatever sizeX."""
+        return float(self.px @ np.einsum("xk->x", np.abs(self._spread(channel))))
+
+
+class _Table(_Analysis):
+    """A classical channel as its (sizeX, dimT) table q[x, t], in which form
+    ``mats``, ``log_mats`` and ``f_family`` come too."""
+
+    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
+        px, mats = self.px, self.channel.table()
+        self.mats, self.log_mats = mats, linalg.log_floor(mats)
+        self.sigma_t_evals = px @ mats
+        self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
+        # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
+        wj, log_joint = linalg.floored_log(_joint(px, mats, rhos))
+        # Tr rho_x (log s_t I + log rho_Y - log J_t)
+        beta_term = self.log_sigma_t + np.tensordot(log_rho_y - log_joint, rhos, axes=([1, 2], [2, 1])).T.real
+        return mats, wj, beta_term
+
+    def advance(self, gamma: float) -> np.ndarray:
+        """One multiplicative update, a row softmax: the soft-clustering update."""
+        _check_finite(expon := self._exponent(gamma))
+        return _softmax(expon, expon.max(axis=1))
+
+    def _spread(self, channel: CQChannel) -> np.ndarray:  # the entries of q' - q: the l1 norm
+        return channel.table() - self.mats
+
+
+class _Stack(_Analysis):
+    """A quantum channel as the stack, spectra and floored log it carries."""
+
+    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
+        px, dt, dy = self.px, self.channel.dim_t, rhos.shape[-1]
+        self.mats = mats = self.channel.sigma_t_given_x
+        evals, self.log_mats = self.channel.floored_log
+        self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
+        wj, log_joint = linalg.floored_log(_joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy))
+        # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
+        # the product-state cancellation against log_joint is exact in floats.
+        log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
+                    + np.eye(dt)[:, None, :, None] * log_rho_y[None, :, None, :])
+        b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
+        # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
+        beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
+        return evals, wj, beta_term
+
+    def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One multiplicative update, as (p, sigma, log sigma)."""
+        expon = self._exponent(gamma)
+        try:  # the eigensolver checks the exponent; _check_finite names the x
+            we, lift = linalg.eig_lift(expon)
+        except NumericalError:
+            _check_finite(expon)
+            raise
+        p = _softmax(we, we[:, -1])
+        if p.shape[1] != 2:  # Sylvester lifts both in one pass; V f(w) V^H broadcast is slower
+            return p, lift(p), lift(linalg.log_floor(p))
+        return p, *lift(np.stack([p, linalg.log_floor(p)]))
+
+    def _spread(self, channel: CQChannel) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
+        return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
 
 
 def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -158,62 +197,23 @@ def _softmax(z: np.ndarray, top: np.ndarray) -> np.ndarray:
     return shifted / np.einsum("xk->x", shifted)[:, None]
 
 
-def _advance(analysis: _Analysis, gamma: float) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One multiplicative update from a fully analyzed iterate, as (p, sigma,
-    log sigma); on a table it is a row softmax, the soft-clustering update."""
-    with np.errstate(over="ignore"):  # the finiteness check below owns the failure
-        expon = analysis.log_mats - analysis.f_family / gamma
-    if expon.ndim == 2:
-        _check_finite(expon)
-        return _softmax(expon, expon.max(axis=1))
-    try:  # the eigensolver checks the exponent; _check_finite names the x
-        we, lift = linalg.eig_lift(expon)
-    except NumericalError:
-        _check_finite(expon)
-        raise
-    p = _softmax(we, we[:, -1])
-    if p.shape[1] != 2:  # Sylvester lifts both in one pass; V f(w) V^H broadcast is slower
-        return p, lift(p), lift(linalg.log_floor(p))
-    return p, *lift(np.stack([p, linalg.log_floor(p)]))
-
-
 def _check_finite(expon: np.ndarray) -> None:
     if not np.all(np.isfinite(expon)):
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
         raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")
 
 
-def _avg_divergence(px: np.ndarray, cur: _Analysis, other: _Analysis) -> float:
-    """sum_x P(x) D(cur_x || other_x) using the floored log of ``other``."""
-    return float(px @ (-cur.h_each - _tr(cur.mats, other.log_mats)))
-
-
-def _ratio_or_nan(px: np.ndarray, new: _Analysis, old: _Analysis) -> float:
-    num = float(px @ _tr(new.mats, new.f_family - old.f_family))
-    den = _avg_divergence(px, new, old)
-    return num / den if den > RATIO_DENOM_TOL else float("nan")
-
-
-def _residual(px: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum_x P(x) ||b_x - a_x||_1, the trace norm (on tables, the l1 norm), each
-    x's absolute entries (eigenvalues) summed in the same order whatever sizeX."""
-    d = b - a if a.ndim == 2 else linalg.eig_hermitian(b - a, vectors=False)
-    return float(px @ np.einsum("xk->x", np.abs(d)))
-
-
-def _form(channel: CQChannel, table: bool) -> np.ndarray:
-    return channel.table() if table else channel.sigma_t_given_x
-
-
-def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -> tuple[_StateCtx, list[_Analysis]]:
-    """One source context and an analysis of each channel against it, on
-    tables when every channel is classical."""
+def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -> list[_Analysis]:
+    """Each channel's analysis: of its table when all are classical, else of its
+    stack, a classical channel lifted to the quantum channel of its stack."""
     for channel in channels:
         if channel.size_x != state.size_x:
             raise InvariantError(f"state has sizeX {state.size_x} but channel has {channel.size_x}")
-    ctx = _StateCtx(state)
-    table = all(c.classical for c in channels)
-    return ctx, [_Analysis(ctx, c, table, alpha, beta) for c in channels]
+    if len(dims := [c.dim_t for c in channels]) != dims.count(dims[0]):
+        raise InvariantError(f"channels have dimT {' and '.join(map(str, dims))}")
+    if not all(c.classical for c in channels):
+        channels = [CQChannel(c.sigma_t_given_x) if c.classical else c for c in channels]
+    return [(_Table if c.classical else _Stack)(state, c, alpha, beta) for c in channels]
 
 
 def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) -> np.ndarray:
@@ -223,16 +223,13 @@ def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) ->
     The average Tr[sigma_{T|x} F(x)] under P_X reproduces the objective
     exactly; that identity is the backbone correctness check.
     """
-    _, (analysis,) = _analyses(state, alpha, beta, channel)
+    (analysis,) = _analyses(state, alpha, beta, channel)
     return analysis.f_family
 
 
 def update(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> CQChannel:
     """One accelerated update; preserves the classical restriction."""
-    if not (gamma > 0):
-        raise InvariantError(f"gamma must be > 0, got {gamma}")
-    _, (analysis,) = _analyses(state, alpha, beta, channel)
-    return CQChannel(_advance(analysis, gamma), channel.classical)
+    return _stepped(state, channel, gamma, alpha, beta)[1]
 
 
 def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: float, beta: float) -> float:
@@ -244,8 +241,8 @@ def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: 
     which never exceeds alpha.  Raises NumericalError for near-identical
     channels where the denominator vanishes and the ratio is undefined.
     """
-    ctx, (a, b) = _analyses(state, alpha, beta, channel, channel2)
-    ratio = _ratio_or_nan(ctx.px, a, b)
+    a, b = _analyses(state, alpha, beta, channel, channel2)
+    ratio = a.ratio(b)
     if np.isnan(ratio):
         raise NumericalError(
             f"gamma ratio undefined: channel divergence vanishes (at most "
@@ -256,9 +253,16 @@ def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: 
 
 def fixed_point_residual(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> float:
     """Average trace-norm displacement of one update step."""
-    nxt = update(state, channel, gamma, alpha, beta)
-    table = channel.classical
-    return _residual(state.px, _form(channel, table), _form(nxt, table))
+    cur, nxt = _stepped(state, channel, gamma, alpha, beta)
+    return cur.residual(nxt)
+
+
+def _stepped(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> tuple[_Analysis, CQChannel]:
+    """The channel's one analysis and the updated channel."""
+    if not (gamma > 0):
+        raise InvariantError(f"gamma must be > 0, got {gamma}")
+    (cur,) = _analyses(state, alpha, beta, channel)
+    return cur, CQChannel(cur.advance(gamma), channel.classical)
 
 
 def random_channel(
@@ -304,10 +308,7 @@ def run_qib(
             "effective gamma must be positive; alpha=0 requires an explicit gamma "
             "(or use the deterministic-variant runner)"
         )
-    return _iterate(
-        state, config, initial, "run-qib",
-        lambda cur: _advance(cur, gamma), deterministic=False,
-    )
+    return _iterate(state, config, initial, "run-qib", lambda cur: cur.advance(gamma), deterministic=False)
 
 
 def _iterate(
@@ -317,31 +318,32 @@ def _iterate(
     """The loop both runners share; ``step`` maps an analyzed iterate to the
     next one's (p, sigma, log sigma), or stack, or table on a classical run.
     A missing ``initial`` is drawn from the seed under ``init_label``; a given
-    one must fit the state's sizeX and the config's dimT and classical flag.
-    Each step's output becomes the next iterate's channel, which carries it.
+    one must fit the state's sizeX and the config's dimT and classical flag,
+    and a classical one starts a quantum run as the quantum channel of its
+    stack.  Each step's output becomes the next iterate's channel, which
+    carries it, analyzed in the form of the first.
     ``deterministic`` rows carry support_T and a nan step-size ratio, since
     gamma has no role in the projector step."""
     if initial is None:
         seed = rng.derive_rng(config.seed, init_label, "init")
         initial = random_channel(config.dim_t, state.size_x, classical=config.classical, seed=seed)
     elif initial.size_x != state.size_x:
-        raise InvariantError(
-            f"initial channel has sizeX {initial.size_x}, state has {state.size_x}"
-        )
+        raise InvariantError(f"initial channel has sizeX {initial.size_x}, state has {state.size_x}")
     elif initial.dim_t != config.dim_t:
         raise InvariantError(f"initial channel has dimT {initial.dim_t}, config has {config.dim_t}")
     elif config.classical and not initial.classical:
         raise InvariantError("config requests a classical run but the initial channel is not classical")
+    elif initial.classical and not config.classical:
+        initial = CQChannel(initial.sigma_t_given_x)
 
-    alpha, beta, table = config.alpha, config.beta, config.classical
-    ctx = _StateCtx(state)
-    cur = _Analysis(ctx, initial, table, alpha, beta)
+    alpha, beta = config.alpha, config.beta
+    (cur,) = _analyses(state, alpha, beta, initial)
     trace = IterationTrace()
     converged = False
     # The last pass only records the prospective step from the returned iterate.
     for n in range(1, config.max_iters + 2):
-        nxt = _Analysis(ctx, CQChannel(step(cur), table), table, alpha, beta)
-        trace.records.append(_record(ctx, n, cur, nxt, deterministic))
+        nxt = type(cur)(state, CQChannel(step(cur), config.classical), alpha, beta)
+        trace.records.append(_record(n, cur, nxt, deterministic))
         if converged or n > config.max_iters:
             break
         if nxt.f_alpha > cur.f_alpha + MONOTONICITY_TOL:
@@ -353,19 +355,17 @@ def _iterate(
     return cur.channel, trace
 
 
-def _record(ctx: _StateCtx, n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool) -> TraceRecord:
+def _record(n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool) -> TraceRecord:
     return TraceRecord(
         iteration=n,
         f_alpha=cur.f_alpha,
         h_t=cur.h_t,
         i_tx=cur.i_tx,
         i_ty=cur.i_ty,
-        step_divergence=_avg_divergence(ctx.px, cur, nxt),
-        gamma_ratio=float("nan") if deterministic else _ratio_or_nan(ctx.px, nxt, cur),
-        fixed_point_residual=_residual(ctx.px, cur.mats, nxt.mats),
-        support_t=(
-            int(np.sum(cur.sigma_t_evals > SUPPORT_EVAL_TOL)) if deterministic else None
-        ),
+        step_divergence=cur.divergence(nxt),
+        gamma_ratio=float("nan") if deterministic else nxt.ratio(cur),
+        fixed_point_residual=cur.residual(nxt.channel),
+        support_t=int(np.sum(cur.sigma_t_evals > SUPPORT_EVAL_TOL)) if deterministic else None,
     )
 
 

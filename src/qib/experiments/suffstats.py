@@ -42,7 +42,7 @@ def baseline_discard_x2(
         )
     # recorded cell j is structured cell argsort(perm)[j]; T(j) is its x1
     table = np.eye(size_x1)[np.argsort(perm) // size_x2]
-    _, (a,) = engine._analyses(state, 0.0, beta, CQChannel(table, classical=True))
+    (a,) = engine._analyses(state, 0.0, beta, CQChannel(table, classical=True))
     return {"f_dib": float(a.f_alpha), "i_x1y": float(a.i_ty), "h_t": float(a.h_t)}
 
 

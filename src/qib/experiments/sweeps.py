@@ -82,10 +82,9 @@ def gamma_sweep(
         seed=rng.derive_rng(config.seed, "gamma-sweep", "init"),
     )
 
-    # The runs share these caches: derive them before the runs read them.
-    state.rho_y
-    if not initial.classical:
-        initial.floored_log
+    # The runs share the source's cached rho_Y log: derive it before they read it.
+    # (random_channel's initial carries every form a run reads.)
+    state.rho_y_log
     traces = _map_runs(lambda g: engine.run_qib(state, replace(config, gamma=g), initial=initial)[1], gamma_list)
     return list(zip(gamma_list, traces)), initial
 
@@ -115,7 +114,7 @@ def beta_sweep(
         cfg = replace(config, beta=beta_list[i], seed=rng.derive_seed(config.seed, "beta-sweep", i))
         return engine.run_qib(state, cfg)[1].records[-1]
 
-    state.rho_y  # shared by the runs: derive it before they read it
+    state.rho_y_log  # shared by the runs: derive it before they read it
     return [
         {"beta": beta, "f": r.f_alpha, "H_T": r.h_t, "I_TX": r.i_tx, "I_TY": r.i_ty, "kappa_lower_bound": kappa}
         for beta, r in zip(beta_list, _map_runs(final, range(len(beta_list))))

@@ -6,7 +6,8 @@ A source is a classical random variable X correlated with a quantum system Y
 through conditional densities rho_{Y|x}; a compression channel assigns each x
 a density sigma_{T|x} on the bottleneck system T.  Joint operators over (T, Y)
 put the T factor first in the tensor order.  The objective itself is
-evaluated by ``engine._Analysis``.
+evaluated by ``engine``'s analyses, one class per stored form of a channel:
+a classical channel's table, a quantum channel's stack.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class CQState:
 
     ``px`` has shape (sizeX,), ``rho_y_given_x`` shape (sizeX, dimY, dimY)
     stacked along x.  Construction normalizes dtypes and freezes the arrays;
-    call ``validate()`` at trust boundaries.
+    call ``validate()`` at trust boundaries.  The marginal ``rho_y`` and
+    ``rho_y_log``, its entropy with its floored log, are derived once, when
+    first read, and every analysis of a channel against the state reads them.
     """
 
     px: np.ndarray
@@ -47,13 +50,9 @@ class CQState:
         if px.ndim != 1:
             raise InvariantError(f"px must be a vector, got shape {px.shape}")
         if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
-            raise InvariantError(
-                f"rho_y_given_x must be stacked square matrices, got shape {rho.shape}"
-            )
+            raise InvariantError(f"rho_y_given_x must be stacked square matrices, got shape {rho.shape}")
         if rho.shape[0] != px.shape[0]:
-            raise InvariantError(
-                f"px has {px.shape[0]} entries but rho_y_given_x has {rho.shape[0]}"
-            )
+            raise InvariantError(f"px has {px.shape[0]} entries but rho_y_given_x has {rho.shape[0]}")
         object.__setattr__(self, "px", _freeze(px))
         object.__setattr__(self, "rho_y_given_x", _freeze(rho))
 
@@ -70,12 +69,16 @@ class CQState:
         """Source marginal rho_Y = sum_x P(x) rho_{Y|x}, read-only."""
         return _freeze(np.einsum("x,xij->ij", self.px, self.rho_y_given_x))
 
+    @functools.cached_property
+    def rho_y_log(self) -> tuple[float, np.ndarray]:
+        """(H(rho_Y), floored log rho_Y), the source's share of every analysis."""
+        w, log = linalg.floored_log(self.rho_y)
+        return linalg.entropy(w), _freeze(log)
+
     def validate(self) -> None:
         # Phrased so that NaN entries fail the checks.
         if not np.all(self.px >= -1e-12):
-            raise InvariantError(
-                f"px has a negative or non-finite entry: min {self.px.min():.3e}"
-            )
+            raise InvariantError(f"px has a negative or non-finite entry: min {self.px.min():.3e}")
         s = float(self.px.sum())
         if not abs(s - 1.0) <= 1e-9:
             raise InvariantError(f"px sums to {s:.12g}, expected 1 within 1e-9")
@@ -103,6 +106,8 @@ class CQChannel:
 
     def __init__(self, sigma_t_given_x: np.ndarray | tuple, classical: bool = False):
         if isinstance(sigma_t_given_x, tuple):
+            if classical:
+                raise InvariantError("a classical channel is given as its table or stack, not as (p, sigma, log sigma)")
             p, *mats = sigma_t_given_x
             p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
             if p.ndim != 2 or len(mats) != 2 or any(m.shape != p.shape + p.shape[-1:] for m in mats):

@@ -54,7 +54,7 @@ def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
     but puts P/rank(P) at such x instead (see ``_projected_step``); the bare
     op refuses to choose.
     """
-    _, (analysis,) = engine._analyses(state, 0.0, beta, channel)
+    (analysis,) = engine._analyses(state, 0.0, beta, channel)
     out, vanished = _projected_step(analysis.f_family, analysis.mats)
     if vanished:
         raise NumericalError(
@@ -106,11 +106,6 @@ def run_qdib(
     """
     config.validate()
     if config.alpha != 0.0:
-        raise InvariantError(
-            f"deterministic runner requires alpha=0, got alpha={config.alpha}"
-        )
-    return engine._iterate(
-        state, config, initial, "run-qdib",
-        lambda cur: _projected_step(cur.f_family, cur.mats)[0],
-        deterministic=True,
-    )
+        raise InvariantError(f"deterministic runner requires alpha=0, got alpha={config.alpha}")
+    return engine._iterate(state, config, initial, "run-qdib",
+                           lambda cur: _projected_step(cur.f_family, cur.mats)[0], deterministic=True)

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,9 +123,8 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta)
     table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
     dense = engine.f_operator(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     assert table.shape == q.shape and np.max(np.abs(linalg.diag_embed(table) - dense)) < 1e-10
-    ctx = engine._StateCtx(state)
-    a = engine._Analysis(ctx, CQChannel(q, classical=True), True, alpha, beta)
-    b = engine._Analysis(ctx, CQChannel(linalg.diag_embed(q)), False, alpha, beta)
+    a = engine._Table(state, CQChannel(q, classical=True), alpha, beta)
+    b = engine._Stack(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
 
@@ -135,6 +135,7 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta)
     st.sampled_from([(1.0, None), (0.5, None), (1.0, 0.6), (0.0, None)]),
     st.sampled_from([2.0, 20.0]),
 )
+@example(999999, True, (1.0, None), 20.0)  # row 7's ratio denominator straddles RATIO_DENOM_TOL
 def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
     # The same table iterated as a classical channel and, densely, as a
     # quantum channel started from its diagonal embedding; alpha = 0 takes
@@ -147,20 +148,42 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
             alpha=alpha, beta=beta, gamma=gamma, dim_t=q.shape[1], classical=classical,
             tol=1e-10, max_iters=8,
         )
-        initial = q if classical else linalg.diag_embed(q)
-        runs.append(runner(state, cfg, initial=CQChannel(initial, classical=classical)))
-    (chan, trace), (dense_chan, dense_trace) = runs
+        initial = CQChannel(q if classical else linalg.diag_embed(q), classical=classical)
+        runs.append((cfg, initial, *runner(state, cfg, initial=initial)))
+    (_, _, chan, trace), (_, _, dense_chan, dense_trace) = runs
     assert (trace.status, trace.violations) == (dense_trace.status, dense_trace.violations)
     assert len(trace) == len(dense_trace)
     for a, b in zip(trace.records, dense_trace.records):
         assert a.support_t == b.support_t
         for name in ("f_alpha", "h_t", "i_tx", "i_ty", "step_divergence", "fixed_point_residual"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-10
-        if np.isnan(a.gamma_ratio) or np.isnan(b.gamma_ratio):
-            assert np.isnan(a.gamma_ratio) and np.isnan(b.gamma_ratio)
-        else:
+        if np.isnan(a.gamma_ratio) != np.isnan(b.gamma_ratio):
+            # Undecided: in both forms the denominator is within its round-off of the threshold.
+            for cfg, initial, *_ in runs:
+                den, margin = _ratio_denominator(state, cfg, initial, a.iteration)
+                assert abs(den - engine.RATIO_DENOM_TOL) <= margin, (a.iteration, den, margin)
+        elif not np.isnan(a.gamma_ratio):
             assert abs(a.gamma_ratio - b.gamma_ratio) * b.step_divergence < 1e-10
     assert np.max(np.abs(chan.sigma_t_given_x - dense_chan.sigma_t_given_x)) < 1e-10
+
+
+def _ratio_denominator(state, cfg, initial, n):
+    """D(sigma_n || sigma_{n-1}), the denominator of row n's ratio in the soft
+    run of ``cfg`` from a diagonal ``initial`` (replayed by ``engine.update``,
+    whose iterates are the run's to the bit), and the round-off margin of
+    its evaluation: (2 dimT^2 + sizeX) eps S, the a-priori bound on a
+    floating-point sum of that many terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 4) for the longest sum either form
+    takes, S the magnitudes of every term, sum_x P(x) sum_t (|s'_t log s'_t|
+    + |s'_t log s_t|) over the diagonals s, s' of the two iterates."""
+    chans = [initial]
+    for _ in range(n):
+        chans.append(engine.update(state, chans[-1], cfg.effective_gamma, cfg.alpha, cfg.beta))
+    cur, nxt = engine._analyses(state, cfg.alpha, cfg.beta, *chans[-2:])
+    s_old, s = (np.diagonal(c.sigma_t_given_x, axis1=1, axis2=2).real for c in chans[-2:])
+    terms = np.abs(s * linalg.log_floor(s)) + np.abs(s * linalg.log_floor(s_old))
+    margin = (2 * cfg.dim_t**2 + state.size_x) * np.finfo(float).eps * float(state.px @ terms.sum(axis=1))
+    return nxt.divergence(cur), margin
 
 
 @given(
@@ -447,14 +470,14 @@ def test_update_reports_an_eigensolver_failure_as_such(monkeypatch):
     # a non-finite exponent.
     state = random_cq_state(3, size_x=4, dim_y=2, tag="lapack")
     channel = engine.random_channel(3, 4, seed=1)
-    _, (analysis,) = engine._analyses(state, 1.0, 3.0, channel)
+    (analysis,) = engine._analyses(state, 1.0, 3.0, channel)
 
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError, match=r"^eigensolver failed on shape \(4, 3, 3\)"):
-        engine._advance(analysis, 1.0)
+        analysis.advance(1.0)
 
 
 def test_random_channel_rejects_bad_sizes():
@@ -519,7 +542,8 @@ def _floored_log_ref(h):
 
 def _analysis_ref(state, mats, alpha, beta):
     """(h_t, i_tx, i_ty, F) of ``engine._Analysis`` with its contractions
-    spelled as ``np.einsum`` subscripts; ``mats`` is a stack or a table."""
+    spelled as ``np.einsum`` subscripts, and the (T, Y) joint's eigenvalues;
+    ``mats`` is a stack or a table."""
     px, rhos = state.px, state.rho_y_given_x
     wy, log_rho_y = _floored_log_ref(reference.rho_y(state))
     if mats.ndim == 2:
@@ -546,7 +570,7 @@ def _analysis_ref(state, mats, alpha, beta):
         b4 = (log_prod - log_joint).reshape(dt, dy, dt, dy)
         beta_term = np.einsum("ijkl,xlj->xik", b4, rhos)
         fam = symmetrize(-log_sigma_t + alpha * log_mats + beta * beta_term)
-    return h_t, i_tx, i_ty, fam
+    return h_t, i_tx, i_ty, fam, wj
 
 
 @given(
@@ -561,6 +585,7 @@ def _analysis_ref(state, mats, alpha, beta):
 @example(1, 1, 1, True, True, 0)
 @example(3, 4, 2, False, False, 1)
 @example(3, 4, 2, True, False, 1)
+@example(1, 3, 2, False, False, 6)  # cond(J) = 2.3e4: F carries eps beta cond(J) = 2.5e-11 of round-off
 def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical, classical_rho, seed):
     state = random_cq_state(seed, size_x=size_x, dim_y=dim_y, classical=classical_rho)
     gen = derive_rng(seed, "products")
@@ -573,13 +598,17 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
         _, log_h = linalg.floored_log(h)
         assert np.abs(log_h - _floored_log_ref(h)[1]).max() < 1e-12
     alpha, beta = 1.0, 5.0
-    h_t, i_tx, i_ty, fam = _analysis_ref(state, mats, alpha, beta)
-    _, (got,) = engine._analyses(state, alpha, beta, channel)
+    h_t, i_tx, i_ty, fam, wj = _analysis_ref(state, mats, alpha, beta)
+    (got,) = engine._analyses(state, alpha, beta, channel)
     assert abs(got.h_t - h_t) < 1e-12
     assert abs(got.i_tx - i_tx) < 1e-12
     assert abs(got.i_ty - i_ty) < 1e-12
     got = engine.f_operator(state, channel, alpha, beta)
-    assert np.abs((linalg.diag_embed(got) if classical else got) - fam).max() < 1e-12
+    # log J, and with it F, is accurate to about eps cond(J) absolute, eps beta
+    # cond(J) in F (the eigenvalue floor caps cond(J)): on an ill-conditioned
+    # joint neither side holds 1e-12, and well-conditioned ones keep it.
+    bound = max(1e-12, np.finfo(float).eps * beta * wj.max() / max(wj.min(), linalg.LOG_FLOOR))
+    assert np.abs((linalg.diag_embed(got) if classical else got) - fam).max() < bound
     trace = np.einsum("xij,xji->x", channel.sigma_t_given_x, fam).real
     assert np.abs(engine._tr(channel.sigma_t_given_x, fam) - trace).max() < 1e-12
     other = random_densities(dim_t, 3, gen)
@@ -598,11 +627,11 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
     # log-product and log_joint cancel to zeros.
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
-        ctx, (got,) = engine._analyses(state, alpha, beta, channel)
-        joint = engine._joint(ctx.px, channel.sigma_t_given_x, ctx.rhos)
+        (got,) = engine._analyses(state, alpha, beta, channel)
+        joint = engine._joint(state.px, channel.sigma_t_given_x, state.rho_y_given_x)
         joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
         log_joint = linalg.floored_log(joint)[1]
-        a, b = got.log_sigma_t, ctx.log_rho_y
+        a, b = got.log_sigma_t, state.rho_y_log[1]
         terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
         # The engine's broadcast form of each term, signed zeros included
         # (a negative log times an off-diagonal 0 of the identity is -0.0).
@@ -614,7 +643,7 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
         log_prod = terms[0] + terms[1]
         assert (broadcast[0] + broadcast[1]).reshape(log_prod.shape).tobytes() == log_prod.tobytes()
         b4 = (log_prod - log_joint).reshape(dim_t, dim_y, dim_t, dim_y)
-        beta_term = ctx.rhos.reshape(3, -1) @ b4.transpose(3, 1, 0, 2).reshape(dim_y**2, dim_t**2)
+        beta_term = state.rho_y_given_x.reshape(3, -1) @ b4.transpose(3, 1, 0, 2).reshape(dim_y**2, dim_t**2)
         beta_term = beta_term.reshape(3, dim_t, dim_t)
         ref = -got.log_sigma_t + alpha * got.log_mats + beta * beta_term
         assert got.f_family.dtype == ref.dtype and got.f_family.tobytes() == ref.tobytes()
@@ -670,7 +699,7 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
     pairing = np.einsum("xij,xji->x", stack, log).real
     assert np.abs(pairing - np.sum(p * linalg.log_floor(p), axis=1)).max() < 1e-12
     alpha, beta = 1.0, 5.0
-    _, (got,) = engine._analyses(state, alpha, beta, channel)
+    (got,) = engine._analyses(state, alpha, beta, channel)
     assert abs(got.h_t - reference.von_neumann_entropy(reference.sigma_t(channel, state))) < 1e-10
     assert abs(got.i_tx - reference.mutual_info_tx(state, channel)) < 1e-10
     assert abs(got.i_ty - reference.mutual_info_ty(state, channel)) < 1e-10
@@ -728,6 +757,14 @@ def test_qubit_run_matches_the_eigenvector_path(gamma, dense_start):
             np.isnan(a.gamma_ratio) and np.isnan(b.gamma_ratio))
 
 
+def _residual(table, px, a, b):
+    """The residual of an analysis of ``a`` with weights ``px`` to a channel
+    of form ``b``: an analysis holding only what the residual reads."""
+    cur = object.__new__(engine._Table if table else engine._Stack)
+    cur.px, cur.mats = px, a
+    return cur.residual(SimpleNamespace(table=lambda: b, sigma_t_given_x=b))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 16])
 @pytest.mark.parametrize("table", [True, False], ids=["table", "stack"])
 def test_row_results_do_not_depend_on_stack_length(k, table):
@@ -745,13 +782,13 @@ def test_row_results_do_not_depend_on_stack_length(k, table):
         z = np.sort(gen.standard_normal((n, k)) * 30.0, axis=1)  # ascending, as eigenvalues
         top = z[:, -1]
     px = gen.dirichlet(np.ones(n))
-    soft, tr, residual = engine._softmax(z, top), engine._tr(a, b), engine._residual(px, a, b)
+    soft, tr, residual = engine._softmax(z, top), engine._tr(a, b), _residual(table, px, a, b)
     for m in (1, 7):
         blocks = [slice(x, x + m) for x in range(0, n, m)]
         assert soft.tobytes() == np.concatenate([engine._softmax(z[s], top[s]) for s in blocks]).tobytes()
         assert tr.tobytes() == np.concatenate([engine._tr(a[s], b[s]) for s in blocks]).tobytes()
         # A unit weight picks one row's norm out of a block exactly.
-        norms = [engine._residual(e, a[s], b[s]) for s in blocks for e in np.eye(len(a[s]))]
+        norms = [_residual(table, e, a[s], b[s]) for s in blocks for e in np.eye(len(a[s]))]
         assert residual == float(px @ np.array(norms))
     if k == 2:
         shifted = np.exp(z - top[:, None])
@@ -801,3 +838,66 @@ def test_runners_reject_an_initial_channel_that_does_not_fit(runner, alpha):
     classical = ObjectiveConfig(alpha=alpha, beta=2.0, dim_t=2, classical=True, max_iters=3)
     with pytest.raises(InvariantError, match="classical run but the initial channel is not classical"):
         runner(state, classical, initial=quantum)
+
+
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (True, False)], ids=["quantum", "classical", "mixed"])
+def test_gamma_ratio_rejects_channels_of_different_dim_t(kinds):
+    state = random_cq_state(28, size_x=3)
+    a, b = (engine.random_channel(d, 3, classical=c, seed=28) for d, c in zip((2, 3), kinds))
+    with pytest.raises(InvariantError, match="^channels have dimT 2 and 3$"):
+        engine.gamma_ratio(state, a, b, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("dim_t", [2, 3])
+@pytest.mark.parametrize("runner, alpha, gamma", [(engine.run_qib, 1.0, None), (engine.run_qib, 1.0, 0.6),
+                                                  (qdib.run_qdib, 0.0, None)], ids=["qib", "qib-gamma", "qdib"])
+def test_quantum_run_from_a_classical_start_is_the_run_from_its_stack(runner, alpha, gamma, dim_t):
+    # A quantum run lifts a classical initial channel to the quantum channel of
+    # its stack, once, and a mixed ratio pair lifts its classical channel.
+    state = random_cq_state(33, size_x=5, dim_y=2)
+    initial = engine.random_channel(dim_t, 5, classical=True, seed=33)
+    lifted = CQChannel(initial.sigma_t_given_x)
+    cfg = ObjectiveConfig(alpha=alpha, beta=5.0, gamma=gamma, dim_t=dim_t, max_iters=6, seed=33)
+    (chan, trace), (want, want_trace) = (runner(state, cfg, initial=c) for c in (initial, lifted))
+    assert not chan.classical and (trace.status, trace.violations) == (want_trace.status, want_trace.violations)
+    assert repr(trace.records) == repr(want_trace.records)
+    assert chan.sigma_t_given_x.tobytes() == want.sigma_t_given_x.tobytes()
+    other = engine.random_channel(dim_t, 5, seed=34)
+    for pair, stacks in (((initial, other), (lifted, other)), ((other, initial), (other, lifted))):
+        assert engine.gamma_ratio(state, *pair, 1.0, 5.0) == engine.gamma_ratio(state, *stacks, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_single_shot_ops_build_the_analyses_their_phase_probes_assume(monkeypatch, classical):
+    # perfbench's phase probes time these ops and take differences: step =
+    # update - f_operator, residual = fixed_point_residual - update, ratio =
+    # gamma_ratio - 2 f_operator, projector = qdib_update - f_operator.  Each
+    # op builds this many analyses, and the source's rho_Y log is derived
+    # once for them all.
+    built, derived = [], []
+    init, floored_log = engine._Analysis.__init__, linalg.floored_log
+
+    def counting_init(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    def counting_log(h):
+        derived.append(h is state.rho_y)
+        return floored_log(h)
+
+    monkeypatch.setattr(engine._Analysis, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "floored_log", counting_log)
+    state = random_cq_state(35, size_x=4, dim_y=2)
+    chan, other = (engine.random_channel(3, 4, classical=classical, seed=s) for s in (35, 36))
+    ops = [
+        (lambda: engine.f_operator(state, chan, 1.0, 5.0), 1),
+        (lambda: engine.update(state, chan, 0.8, 1.0, 5.0), 1),
+        (lambda: engine.fixed_point_residual(state, chan, 0.8, 1.0, 5.0), 1),
+        (lambda: engine.gamma_ratio(state, chan, other, 1.0, 5.0), 2),
+        (lambda: qdib.qdib_update(state, chan, 5.0), 1),
+    ]
+    for op, count in ops:
+        built.clear()
+        op()
+        assert built == [engine._Table if classical else engine._Stack] * count
+    assert sum(derived) == 1

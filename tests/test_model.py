@@ -57,6 +57,16 @@ def test_state_arrays_are_frozen():
     assert state.rho_y.tobytes() == np.einsum("x,xij->ij", state.px, state.rho_y_given_x).tobytes()
 
 
+def test_state_caches_the_entropy_and_floored_log_of_rho_y():
+    state = random_cq_state(0)
+    h_y, log = state.rho_y_log
+    w, want = linalg.floored_log(state.rho_y)
+    assert h_y == linalg.entropy(w) and log.tobytes() == want.tobytes()
+    assert state.rho_y_log is state.rho_y_log
+    with pytest.raises(ValueError):
+        log[0, 0] = 0.0
+
+
 def test_classical_channel_flag_enforced_by_validate():
     mats = np.stack([np.diag([0.4, 0.6]).astype(complex)] * 2)
     CQChannel(mats, classical=True).validate()
@@ -94,6 +104,15 @@ def test_classical_channel_built_from_a_stack_holds_only_its_table():
     assert np.array_equal(chan.table(), q) and chan.table().flags.c_contiguous
     assert np.array_equal(chan.sigma_t_given_x, linalg.diag_embed(q))
     assert max(np.ndim(v) for v in vars(chan).values()) == 3
+
+
+def test_classical_channel_rejects_a_triple():
+    # A classical channel stores its table alone, so a spectral triple has no place in it.
+    p = np.full((2, 2), 0.5)
+    stack = linalg.diag_embed(p).astype(complex)
+    with pytest.raises(InvariantError, match=r"^a classical channel is given as its table or stack, not as \(p, sigma, log sigma\)$"):
+        CQChannel((p, stack, stack), classical=True)
+    assert not CQChannel((p, stack, stack)).classical
 
 
 @pytest.mark.parametrize("form, message", [

@@ -130,7 +130,7 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
     with pytest.raises(NumericalError, match=r"x=(\d+)") as err:
         qdib.qdib_update(state, chan, beta)
     named = int(re.search(r"x=(\d+)", str(err.value)).group(1))
-    _, (analysis,) = engine._analyses(state, 0.0, beta, chan)
+    (analysis,) = engine._analyses(state, 0.0, beta, chan)
     out, vanished = qdib._projected_step(analysis.f_family, analysis.mats)
     assert named in vanished
     fam, out = linalg.diag_embed(engine.f_operator(state, chan, 0.0, beta)), linalg.diag_embed(out)
@@ -152,7 +152,7 @@ def test_projected_step_equals_per_x_loop(seed, classical):
     flip_state, flip, flip_beta = _orthogonal_flip_instance()
     flip = CQChannel(flip.sigma_t_given_x, classical)
     for st_, ch, beta in ((state, chan, 5.0), (flip_state, flip, flip_beta)):
-        _, (a,) = engine._analyses(st_, 0.0, beta, ch)
+        (a,) = engine._analyses(st_, 0.0, beta, ch)
         assert (a.mats.ndim == 2) == classical
         out, vanished = qdib._projected_step(a.f_family, a.mats)
         ref, ref_vanished = projected_step_loop(_dense(a.f_family), _dense(a.mats))
@@ -166,7 +166,7 @@ def test_table_projected_step_matches_dense_loop(seed, classical_rho, beta):
     # P/rank(P) fallback); the second family puts t = 0 just inside each
     # row's tie window.
     state, q = sparse_table_instance(seed, classical_rho)
-    a = engine._Analysis(engine._StateCtx(state), CQChannel(q, classical=True), True, 0.0, beta)
+    a = engine._Table(state, CQChannel(q, classical=True), 0.0, beta)
     near = a.f_family.copy()
     rest = near[:, 1:]
     near[:, 0] = rest.min(axis=1) + 1e-12 * (rest.max(axis=1) - rest.min(axis=1))

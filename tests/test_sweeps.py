@@ -54,6 +54,21 @@ def test_gamma_sweep_guards():
         gamma_sweep(state, config, [0.5, 0.0])
 
 
+@pytest.mark.parametrize("classical", [False, True])
+def test_gamma_sweep_derives_the_rho_y_log_once(monkeypatch, classical):
+    # The runs share the source's cached log, derived before they start.
+    state, config = _state_and_config(classical=classical, max_iters=3)
+    derived, floored_log = [], linalg.floored_log
+
+    def counting(h):
+        derived.append(h is state.rho_y)
+        return floored_log(h)
+
+    monkeypatch.setattr(linalg, "floored_log", counting)
+    gamma_sweep(state, config, [1.0, 0.7, 0.4])
+    assert sum(derived) == 1
+
+
 def test_beta_sweep_rows():
     state, config = _state_and_config(seed=3)
     betas = [0.05, 1.0, 5.0]
