@@ -15,24 +15,29 @@ smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
 Internals are batched over x, and each iterate is analyzed once, in the
-form its channel stores, by one class per form: ``_Stack`` reads a quantum
-channel's (sizeX, dimT, dimT) stack, ``_Table`` a classical channel's
-(sizeX, dimT) table, where only the dimY x dimY blocks of the joint are
-decomposed.  Each owns its soft step and its residual; their base scores
-the form against the source, whose entropy and floored log of rho_Y the
-state caches.  The quantum update hands the next iterate (p, sigma, log
-sigma): the spectra, lifted by ``linalg.eig_lift`` from the eigenvalues of
-the update exponent to the stack and its floored log, so the conditionals
-are never decomposed.  A quantum iteration costs two stacked
-eigendecompositions, of the update exponent and of the residual, plus those
-of sigma_T and the (T, Y) joint; at dimT = 2 none asks for an eigenvector
-stack.  sigma_T, the joint and the beta term of F are each one matrix
-product on reshaped stacks.
+form its channel stores, by one class per form: ``_Table`` reads a
+classical channel's (sizeX, dimT) table, where only the dimY x dimY blocks
+of the joint are decomposed; ``_Bloch`` a quantum qubit channel's (dimT =
+2) orthonormal Pauli coordinates, real (sizeX, 4) rows; ``_Stack`` any
+other quantum channel's (sizeX, dimT, dimT) stack.  Each owns its soft
+step, its projector step and its residual; their base scores the form
+against the source, whose entropy and floored log of rho_Y the state
+caches.  The stack update hands the next iterate (p, sigma, log sigma):
+the spectra, lifted by ``linalg.eig_lift`` from the eigenvalues of the
+update exponent to the stack and its floored log, so the conditionals are
+never decomposed.  A stack iteration costs two stacked eigendecompositions,
+of the update exponent and of the residual, plus those of sigma_T and the
+(T, Y) joint.  A qubit iteration makes one LAPACK call, the joint's:
+sigma_T's spectrum, the update's softmax and axis, the residual's trace
+norm and the projector are closed forms in the coordinates, where Tr[A B]
+is a dot product.  sigma_T, the joint and the beta term of F are each one
+matrix product on reshaped stacks or rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -48,6 +53,7 @@ STATUS_MONOTONICITY_VIOLATED = "monotonicity_violated"
 
 MONOTONICITY_TOL = 1e-9
 RATIO_DENOM_TOL = 1e-12
+OVERLAP_TOL = 1e-14
 SUPPORT_EVAL_TOL = 1e-9
 
 
@@ -88,8 +94,15 @@ class _Analysis:
     """One channel iterate as the loop reads it.  A subclass per stored form reads
     it (``_read`` sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns
     the conditionals' spectra, the joint's and F's beta term) and owns the soft step
-    (``advance``) and the residual's spread; the base scores it: f, F, divergence,
-    ratio, residual."""
+    (``advance``), the residual's spread and the projector step (``project``); the
+    base scores it: f, F, divergence, ratio, residual.
+
+    ``project`` is the deterministic step of an alpha = 0 analysis: each
+    conditional compressed onto the minimal eigenspace P(x) of F_0(x) and
+    renormalized by the overlap Tr[sigma_{T|x} P(x)], or P/rank(P) where that
+    overlap is OVERLAP_TOL or less, the exact alpha -> 0 limit of the gamma =
+    alpha update.  It returns the next iterate's form and those x in order: the
+    runner keeps the fallback, ``qdib.qdib_update`` raises on it."""
 
     def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
         self.px, self.channel = state.px, channel
@@ -144,6 +157,15 @@ class _Table(_Analysis):
     def _spread(self, channel: CQChannel) -> np.ndarray:  # the entries of q' - q: the l1 norm
         return channel.table() - self.mats
 
+    def project(self) -> tuple[np.ndarray, list[int]]:
+        """P(x) is the indicator of the row's tied minima of F_0: the hard
+        assignment of the deterministic IB."""
+        fam = self.f_family
+        lo, hi = fam.min(axis=1)[:, None], fam.max(axis=1)[:, None]
+        proj = (fam <= lo + linalg.PROJECTOR_REL_TOL * (hi - lo)).astype(np.float64)
+        out = proj * self.mats
+        return _renormalized(out, proj, out.sum(axis=1), proj.sum(axis=1))
+
 
 class _Stack(_Analysis):
     """A quantum channel as the stack, spectra and floored log it carries."""
@@ -172,12 +194,77 @@ class _Stack(_Analysis):
             _check_finite(expon)
             raise
         p = _softmax(we, we[:, -1])
-        if p.shape[1] != 2:  # Sylvester lifts both in one pass; V f(w) V^H broadcast is slower
-            return p, lift(p), lift(linalg.log_floor(p))
-        return p, *lift(np.stack([p, linalg.log_floor(p)]))
+        return p, lift(p), lift(linalg.log_floor(p))
 
     def _spread(self, channel: CQChannel) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
         return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
+
+    def project(self) -> tuple[np.ndarray, list[int]]:
+        proj = linalg.min_eigenspace_projector(self.f_family)
+        out = proj @ self.mats @ proj
+        return _renormalized(out, proj, np.trace(out, axis1=1, axis2=2).real, np.trace(proj, axis1=1, axis2=2).real)
+
+
+class _Bloch(_Analysis):
+    """A quantum channel at dimT 2 as the orthonormal Pauli coordinates
+    (``linalg.to_pauli``) of its conditionals and their floored logs, the
+    triple ``channel.pauli``: ``mats``, ``log_mats``, ``log_sigma_t`` and
+    ``f_family`` are real rows of 4, in which Tr[A B] = a . b, and sigma_T,
+    the update, the residual and the projector take closed forms."""
+
+    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
+        px, dy = self.px, rhos.shape[-1]
+        evals, self.mats, self.log_mats = self.channel.pauli
+        # sigma_T = sum_x P(x) sigma_x, eigenvalues (c0 -+ |c|) / sqrt2, in Python floats.
+        c0, *c = (px @ self.mats).tolist()
+        r = math.hypot(*c)
+        self.sigma_t_evals = np.array([c0 - r, c0 + r]) / linalg.SQRT2
+        l0, l1 = (math.log(max(w, linalg.LOG_FLOOR)) for w in self.sigma_t_evals.tolist())
+        slope = (l1 - l0) / r if r > 0 else 0.0
+        self.log_sigma_t = np.array([l0 + l1, slope * c[0], slope * c[1], slope * c[2]]) / linalg.SQRT2
+        # J = sum_mu sigma_mu / sqrt2 (x) R_mu, R_mu = sum_x P(x) c_{x mu} rho_x, on axes (t, y, t', y').
+        r_mu = ((self.mats.T * px) @ linalg.rows(rhos)).view(np.complex128)
+        joint = (linalg.PAULI.reshape(4, 4).T @ r_mu).reshape(2, 2, dy, dy).transpose(0, 2, 1, 3)
+        wj, log_joint = linalg.floored_log(joint.reshape(2 * dy, 2 * dy))
+        # F's beta term has coordinates Re sum_{y' y} rho_x[y', y] g[mu, (y', y)], g[mu] = Tr_T[B
+        # sigma_mu] / sqrt2 of B = log sigma_T (x) I + I (x) log rho_Y - log J on (t, y, t', y'),
+        # one product of rho_x's real rows with conj(g)'s (re, im) pairs.
+        conj_log_joint = np.conj(log_joint.reshape(2, dy, 2, dy).transpose(0, 2, 3, 1).reshape(4, -1))
+        conj_g = self.log_sigma_t[:, None] * np.eye(dy).ravel() - linalg.PAULI.reshape(4, 4) @ conj_log_joint
+        conj_g[0] += linalg.SQRT2 * np.conj(log_rho_y.T).ravel()
+        return evals, wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
+
+    def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One multiplicative update, as (p, c, log c): the exponent's eigenvalues
+        (e0 -+ |e|) / sqrt2 are sqrt2 |e| apart, so the softmax is p1 = 1 / (1 +
+        exp(-sqrt2 |e|)) and p0 = exp(-sqrt2 |e|) p1, p1 on the axis of e."""
+        _check_finite(expon := self._exponent(gamma))
+        e = expon[:, 1:]
+        r = linalg.norms(e)
+        pl = np.empty((2, 2, len(r)))  # p and its floored log, eigenvalue-major
+        p0, p1 = pl[0]
+        np.exp(-linalg.SQRT2 * r, out=p0)
+        np.divide(1.0, 1.0 + p0, out=p1)
+        p0 *= p1
+        pl[1] = linalg.log_floor(pl[0])
+        pl = pl.transpose(0, 2, 1)
+        return pl[0], *linalg.pauli_of(pl, e, r)
+
+    def _spread(self, channel: CQChannel) -> np.ndarray:  # sqrt2 |c' - c|: the trace norm of sigma' - sigma
+        return linalg.SQRT2 * linalg.norms(channel.pauli[1][:, 1:] - self.mats[:, 1:])[:, None]
+
+    def project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
+        """P(x) = (I - f.sigma / |f|) / 2 on the axis of F_0's coordinates f, rank
+        one, so P sigma P / Tr[sigma P] = P; P = I where f = 0, a tie."""
+        f = self.f_family[:, 1:]
+        r = linalg.norms(f)
+        tie = r == 0  # eigenvalues (1, 1) there, else (0, 1) with the eigenvector of 1 on -f
+        proj = linalg.pauli_of(np.where(tie[:, None], 1.0, [0.0, 1.0]), -f, r)
+        overlap = np.einsum("xk,xk->x", self.mats, proj)
+        out, gone = _renormalized(np.where(tie[:, None], self.mats, overlap[:, None] * proj), proj, overlap,
+                                  linalg.SQRT2 * proj[:, 0])
+        p, log = linalg.pauli_floored_log(out)
+        return (p, out, log), gone
 
 
 def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -197,6 +284,16 @@ def _softmax(z: np.ndarray, top: np.ndarray) -> np.ndarray:
     return shifted / np.einsum("xk->x", shifted)[:, None]
 
 
+def _renormalized(out: np.ndarray, proj: np.ndarray, overlap: np.ndarray,
+                  rank: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The projected conditionals ``out`` over their overlaps, P/rank(P) where
+    the overlap is OVERLAP_TOL or less, and those x in order."""
+    gone = overlap <= OVERLAP_TOL
+    out[gone] = proj[gone]
+    out /= np.where(gone, rank, overlap).reshape((-1,) + (1,) * (out.ndim - 1))
+    return out, np.flatnonzero(gone).tolist()
+
+
 def _check_finite(expon: np.ndarray) -> None:
     if not np.all(np.isfinite(expon)):
         finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
@@ -205,7 +302,8 @@ def _check_finite(expon: np.ndarray) -> None:
 
 def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -> list[_Analysis]:
     """Each channel's analysis: of its table when all are classical, else of its
-    stack, a classical channel lifted to the quantum channel of its stack."""
+    Pauli coordinates at dimT 2 and of its stack otherwise, a classical channel
+    lifted to the quantum channel of its stack."""
     for channel in channels:
         if channel.size_x != state.size_x:
             raise InvariantError(f"state has sizeX {state.size_x} but channel has {channel.size_x}")
@@ -213,7 +311,7 @@ def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -
         raise InvariantError(f"channels have dimT {' and '.join(map(str, dims))}")
     if not all(c.classical for c in channels):
         channels = [CQChannel(c.sigma_t_given_x) if c.classical else c for c in channels]
-    return [(_Table if c.classical else _Stack)(state, c, alpha, beta) for c in channels]
+    return [(_Table if c.classical else _Bloch if c.dim_t == 2 else _Stack)(state, c, alpha, beta) for c in channels]
 
 
 def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) -> np.ndarray:
@@ -224,7 +322,7 @@ def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) ->
     exactly; that identity is the backbone correctness check.
     """
     (analysis,) = _analyses(state, alpha, beta, channel)
-    return analysis.f_family
+    return linalg.from_pauli(analysis.f_family) if isinstance(analysis, _Bloch) else analysis.f_family
 
 
 def update(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> CQChannel:
@@ -286,7 +384,13 @@ def random_channel(
         exponential(out=e[x])
         normal(out=z[x])
     total = np.add.accumulate(e, axis=1)[:, -1]
-    p, v = e * (1.0 / total)[:, None], linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])
+    p = e * (1.0 / total)[:, None]
+    if dim_t == 2:  # p0 on the Bloch vector b of q0 = z0 / |z0|, p1 on -b
+        u, v = (z[:, 0, :, 0] + 1j * z[:, 1, :, 0]).T
+        uv, uu, vv = np.conj(u) * v, u.real**2 + u.imag**2, v.real**2 + v.imag**2
+        minus_b = np.stack([-2 * uv.real, -2 * uv.imag, vv - uu])  # |u|^2 + |v|^2 times -b
+        return CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), minus_b.T, uu + vv)))
+    v = linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])
     return CQChannel((p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)))
 
 

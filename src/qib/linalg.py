@@ -1,5 +1,6 @@
 """Dense Hermitian matrix calculus: spectral decompositions, the floored
-logarithm, entropy of a spectrum, trace rows, density checks, Haar unitaries.
+logarithm, entropy of a spectrum, trace rows, Pauli coordinates, projectors,
+density checks, Haar unitaries.
 
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
@@ -9,10 +10,15 @@ matrices, mean +- radius, elementwise over the stack.  Every call that asks
 for eigenvectors goes to LAPACK, so the eigenvalues of the two calls may
 differ in the last bits, as those of ``eigh`` and ``eigvalsh`` do at larger
 sizes.  ``eig_lift`` asks for eigenvalues only on 2 x 2 stacks, so
-``floored_log`` and the solver's update at dimT = 2 build no eigenvectors;
-one 2 x 2 matrix (sigma_T, rho_Y) takes the same formulas in Python floats.
-``haar_unitary`` orthonormalizes 2 x 2 matrices in closed form, others by
-LAPACK's QR.
+``floored_log`` builds no eigenvectors there (a classical channel's joint
+blocks at dimY = 2); one 2 x 2 matrix (rho_Y of a qubit source, the qubit
+joint at dimY = 1) takes the same formulas in Python floats.  Qubit
+operators have orthonormal Pauli coordinates (``to_pauli``,
+``from_pauli``), real rows in which Tr[A B] is a dot product and the
+spectrum and floored log come in closed form (``pauli_floored_log``,
+``pauli_of``): the solver's qubit form, which reads sigma_T's spectrum off
+its coordinates, not through the 2 x 2 path above.  ``haar_unitary``
+orthonormalizes by LAPACK's QR.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -37,6 +43,7 @@ HERMITICITY_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
 LOG_FLOOR = 1e-12
+PROJECTOR_REL_TOL = 1e-9
 
 
 def diag_embed(diags: np.ndarray) -> np.ndarray:
@@ -83,6 +90,21 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
 def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``V diag(w) V^H`` per stack element, the inverse of ``eig_hermitian``."""
     return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def min_eigenspace_projector(h: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the minimal eigenspace of a Hermitian
+    matrix (stacked OK).
+
+    Eigenvalues within PROJECTOR_REL_TOL * (spread) of the minimum count as tied and
+    are kept, so a multiple of the identity yields the full identity.  ``h`` is
+    read through its lower triangle; the projector is Hermitian up to round-off.
+    """
+    w, v = eig_hermitian(h)
+    window = w[..., :1] + PROJECTOR_REL_TOL * (w[..., -1:] - w[..., :1])
+    keep = w <= window  # a prefix of the columns, since w ascends
+    k = int(keep.sum(axis=-1).max())
+    return from_eig(keep[..., :k].astype(np.float64), v[..., :k])
 
 
 def eig_lift(h: np.ndarray):
@@ -162,6 +184,63 @@ def rows(m: np.ndarray) -> np.ndarray:
     return m if m.ndim == 2 else m.reshape(len(m), -1).view(np.float64)
 
 
+SQRT2 = math.sqrt(2.0)
+# sigma_mu / sqrt2 for sigma_0 = I and the Pauli matrices: an orthonormal basis of
+# the 2 x 2 Hermitian matrices under Tr[A B].
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / SQRT2
+# From a 2 x 2 stack's ``rows`` to Pauli coordinates, reading the lower triangle.
+_TO_PAULI = np.zeros((4, 8))
+_TO_PAULI[[0, 0, 3, 3], [0, 6, 0, 6]] = np.array([1, 1, 1, -1]) / SQRT2
+_TO_PAULI[[1, 2], [4, 5]] = SQRT2
+# From Pauli coordinates to a stack's entries as (re, im) pairs.
+_FROM_PAULI = PAULI.reshape(4, 4).view(np.float64)
+
+
+def to_pauli(m: np.ndarray) -> np.ndarray:
+    """Pauli coordinates c_mu = Tr[M sigma_mu] / sqrt2 (sigma_0 = I) of an (n, 2, 2)
+    Hermitian stack, read through its lower triangle: real (n, 4) rows, in which
+    Tr[A B] = a . b and M = sum_mu c_mu sigma_mu / sqrt2.  Pauli rows are stored
+    coordinate-major, each coordinate's n values contiguous, so that work on
+    them runs along x."""
+    return (_TO_PAULI @ rows(m).T).T
+
+
+def from_pauli(c: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) Hermitian stack of (n, 4) Pauli coordinates, exactly Hermitian."""
+    return (c @ _FROM_PAULI).view(np.complex128).reshape(-1, 2, 2)
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of an (n, k) array."""
+    return np.sqrt(np.einsum("xk,xk->x", v, v))
+
+
+def pauli_of(fw: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pauli coordinates ((f0 + f1), (f1 - f0) v / r) / sqrt2 of the qubit
+    Hermitian with eigenvalues fw[..., 0] and fw[..., 1], the latter's
+    eigenvector on the Bloch axis of the (n, 3) rows v of lengths r (any axis
+    where r = 0); ``fw`` may hold several f on leading axes of its own."""
+    f0, f1 = fw[..., 0], fw[..., 1]
+    out = np.empty(f0.shape[:-1] + (4, len(r)))
+    np.add(f0, f1, out=out[..., 0, :])
+    slope = np.divide(f1 - f0, r, out=np.zeros(f0.shape), where=r > 0)
+    np.multiply(slope[..., None, :], v.T, out=out[..., 1:, :])
+    out *= 1 / SQRT2
+    return np.swapaxes(out, -1, -2)
+
+
+def pauli_floored_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues (c0 -+ |c|) / sqrt2 of each row of Pauli
+    coordinates, and the coordinates of its floored log, in closed form."""
+    v = c[:, 1:]
+    r = norms(v)
+    w = np.empty((2, len(c)))
+    np.subtract(c[:, 0], r, out=w[0])
+    np.add(c[:, 0], r, out=w[1])
+    w *= 1 / SQRT2
+    return w.T, pauli_of(log_floor(w.T), v, r)
+
+
 def check_density(m: np.ndarray, label: str = "matrix") -> None:
     """Validate a density operator, or a ``(..., d, d)`` stack of them:
     Hermitian, unit trace within DENSITY_TRACE_TOL, PSD up to
@@ -235,17 +314,7 @@ def one_blas_thread():
 def haar_unitary(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitary from a complex Gaussian matrix (stacked OK): the
     Q of z = QR with R's diagonal positive, which makes the distribution exactly
-    Haar; for 2 x 2, q0 = z0 / |z0| and q1 = (-conj(q0[1]), conj(q0[0])) det z / |det z|."""
-    if z.shape[-2:] != (2, 2):
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        return q * (d / np.abs(d))[..., None, :]
-    flat = z.reshape(-1, 2, 2)  # a stack even for one matrix: numpy scalars round otherwise
-    z00, z10, z01, z11 = flat[:, 0, 0], flat[:, 1, 0], flat[:, 0, 1], flat[:, 1, 1]
-    norm = np.sqrt(z00.real * z00.real + z00.imag * z00.imag + z10.real * z10.real + z10.imag * z10.imag)
-    det = z00 * z11 - z10 * z01
-    phase = det / np.sqrt(det.real * det.real + det.imag * det.imag)
-    q = np.empty(flat.shape, dtype=np.complex128)
-    q[:, 0, 0], q[:, 1, 0] = z00 / norm, z10 / norm
-    q[:, 0, 1], q[:, 1, 1] = -np.conj(q[:, 1, 0]) * phase, np.conj(q[:, 0, 0]) * phase
-    return q.reshape(z.shape)
+    Haar."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

@@ -91,13 +91,17 @@ class CQChannel:
 
     A quantum channel carries its stack and ``floored_log``, the spectra p[x]
     of sigma_{T|x} and its floored log.  It is built from the triple (p,
-    sigma, log sigma), as the update and ``engine.random_channel`` produce
-    it, taken as given; or from a (sizeX, dimT, dimT) stack, whose
-    ``floored_log`` is derived once, when first read.  A classical one stores
-    only its real (sizeX, dimT) table q[x, t], given as such or as a stack
-    whose off-diagonal and imaginary entries are within 1e-12, and derives
-    its stack when first read.  Every stored form is read-only.  Updates keep
-    the classical flag.
+    sigma, log sigma), as the update produces it, taken as given; or from a
+    (sizeX, dimT, dimT) stack, whose ``floored_log`` is derived once, when
+    first read.  A qubit channel (dimT 2) also has ``pauli``, the triple (p,
+    c, log c) with the orthonormal Pauli coordinates c[x] =
+    ``linalg.to_pauli`` of sigma_{T|x} and of its floored log, which the qubit
+    update and ``engine.random_channel`` produce and build it from; given the
+    stack, it is derived in closed form, and given ``pauli``, the stack and
+    ``floored_log`` are.  A classical one stores only its real (sizeX, dimT)
+    table q[x, t], given as such or as a stack whose off-diagonal and
+    imaginary entries are within 1e-12, and derives its stack when first
+    read.  Every stored form is read-only.  Updates keep the classical flag.
     """
 
     classical: bool
@@ -107,14 +111,21 @@ class CQChannel:
     def __init__(self, sigma_t_given_x: np.ndarray | tuple, classical: bool = False):
         if isinstance(sigma_t_given_x, tuple):
             if classical:
-                raise InvariantError("a classical channel is given as its table or stack, not as (p, sigma, log sigma)")
-            p, *mats = sigma_t_given_x
-            p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
-            if p.ndim != 2 or len(mats) != 2 or any(m.shape != p.shape + p.shape[-1:] for m in mats):
-                raise InvariantError(f"(p, sigma, log sigma) must be (sizeX, dimT) and two (sizeX, dimT, dimT), "
-                                     f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
-            p, sigma, log = map(_freeze, (p, *mats))
-            stored, shape = {"sigma_t_given_x": sigma, "floored_log": (p, log)}, p.shape
+                raise InvariantError("a classical channel is given as its table or stack, not as a triple")
+            p, *mats = (np.asarray(a) for a in sigma_t_given_x)
+            if len(mats) == 2 and mats[0].ndim == 2:
+                if p.shape[1:] != (2,) or any(m.shape != (len(p), 4) or np.iscomplexobj(m) for m in mats):
+                    raise InvariantError(f"(p, c, log c) must be (sizeX, 2) and two real (sizeX, 4), "
+                                         f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
+                stored = {"pauli": tuple(_freeze(np.asarray(a, dtype=np.float64)) for a in (p, *mats))}
+            else:
+                p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
+                if p.ndim != 2 or len(mats) != 2 or any(m.shape != p.shape + p.shape[-1:] for m in mats):
+                    raise InvariantError(f"(p, sigma, log sigma) must be (sizeX, dimT) and two (sizeX, dimT, dimT), "
+                                         f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
+                p, sigma, log = map(_freeze, (p, *mats))
+                stored = {"sigma_t_given_x": sigma, "floored_log": (p, log)}
+            shape = p.shape
         else:
             sig = np.asarray(sigma_t_given_x)
             if not (sig.ndim == 3 and sig.shape[1] == sig.shape[2] or classical and sig.ndim == 2):
@@ -127,13 +138,25 @@ class CQChannel:
 
     @functools.cached_property
     def sigma_t_given_x(self) -> np.ndarray:
-        return _freeze(linalg.diag_embed(self._q))
+        return _freeze(linalg.diag_embed(self._q) if self.classical else linalg.from_pauli(self.pauli[1]))
 
     @functools.cached_property
     def floored_log(self) -> tuple[np.ndarray, np.ndarray]:
         """(p, log sigma): per x the eigenvalues of sigma_{T|x} and its floored
-        log, ``linalg.floored_log`` of the stack."""
+        log, ``linalg.floored_log`` of the stack, or the stack of ``pauli``'s."""
+        if "pauli" in vars(self):
+            p, _, log = self.pauli
+            return p, _freeze(linalg.from_pauli(log))
         return tuple(map(_freeze, linalg.floored_log(self.sigma_t_given_x)))
+
+    @functools.cached_property
+    def pauli(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, c, log c) of a qubit channel: per x the eigenvalues of
+        sigma_{T|x}, and the Pauli coordinates of sigma_{T|x} and of its
+        floored log; derived from the stack, p ascends: (c0 -+ |c|) / sqrt2."""
+        c = linalg.to_pauli(self.sigma_t_given_x)
+        p, log = linalg.pauli_floored_log(c)
+        return _freeze(p), _freeze(c), _freeze(log)
 
     def table(self) -> np.ndarray:
         """The (sizeX, dimT) table q[x, t] of a classical channel, as stored."""

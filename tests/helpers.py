@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qib import qdib
+from qib import engine, linalg
 from qib.exceptions import InvariantError, NumericalError
 from qib.linalg import LOG_FLOOR, eig_hermitian, haar_unitary
 from qib.model import CQChannel, CQState
@@ -181,14 +181,14 @@ def partial_trace(m, dims, keep="first"):
 
 def projected_step_loop(fam, mats):
     """The deterministic step one x at a time: the reference for the stacked
-    ``qdib._projected_step``, with the same P/rank(P) fallback."""
+    ``project`` of ``engine``'s stack analysis, with the same P/rank(P) fallback."""
     out = np.empty_like(mats)
     vanished = []
     for x in range(mats.shape[0]):
-        proj = qdib.min_eigenspace_projector(fam[x])
+        proj = linalg.min_eigenspace_projector(fam[x])
         comp = proj @ mats[x] @ proj
         overlap = float(np.trace(comp).real)
-        if overlap <= qdib.OVERLAP_TOL:
+        if overlap <= engine.OVERLAP_TOL:
             vanished.append(x)
             out[x] = proj / float(np.trace(proj).real)
         else:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qib import benchmarks, config as qconfig, engine, qdib, serialization
+from qib import benchmarks, config as qconfig, engine, linalg, qdib, serialization
 from qib.cli import main as cli_main
 from qib.experiments.ensembles import SuffStatsSpec
 from qib.experiments.classify import classify_pipeline
@@ -192,7 +192,7 @@ def test_deterministic_variant_descends_and_projector_forms_agree():
         f0 = engine.f_operator(state, chan, 0.0, beta)
         score = qdib.score_operator(state, chan, beta)
         for x in range(state.size_x):
-            p_min = qdib.min_eigenspace_projector(f0[x])
+            p_min = linalg.min_eigenspace_projector(f0[x])
             w, v = np.linalg.eigh(score[x])
             window = 1e-9 * max(w[-1] - w[0], 1e-300)
             top = v[:, w >= w[-1] - window]

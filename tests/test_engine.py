@@ -499,14 +499,23 @@ def test_random_channel_equals_per_x_draws(dim_t, classical):
         assert np.array_equal(batched.table(), [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
     else:
         p, v = zip(*[(ref.dirichlet(np.ones(dim_t)), random_unitary(dim_t, ref)) for _ in range(9)])
-        # random_channel derives the stack and floored log from (p, V) once, by the matmul.
+        # random_channel derives the stack and floored log from (p, V) once, by the
+        # matmul; a qubit channel from p and the Bloch axis of V's first column,
+        # the same operators to round-off.
         assert np.array_equal(batched.floored_log[0], p)
         logs = [(u * linalg.log_floor(pp)) @ np.conj(u.T) for pp, u in zip(p, v)]
-        assert np.array_equal(batched.floored_log[1], logs)
+        _assert_same_bits_or_qubit_round_off(batched.floored_log[1], np.array(logs), dim_t == 2)
     # Both consumed the same stretch of the stream.
     assert gen.random() == ref.random()
     looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
-    assert np.array_equal(batched.sigma_t_given_x, looped)
+    _assert_same_bits_or_qubit_round_off(batched.sigma_t_given_x, looped, dim_t == 2 and not classical)
+
+
+def _assert_same_bits_or_qubit_round_off(got, want, qubit):
+    if qubit:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim_t, classical", [(2, False), (3, False), (3, True)])
@@ -620,14 +629,15 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
 @pytest.mark.parametrize("classical_rho", [False, True])
 def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, classical_rho):
     """F from the broadcast log(sigma_T (x) I) + log(I (x) rho_Y) has the
-    bytes, signed zeros included, of F from the two np.kron calls."""
+    bytes, signed zeros included, of F from the two np.kron calls: the stack
+    form's F, built directly at dimT 2, where runs take the Pauli form."""
     state = random_cq_state(dim_t, size_x=3, dim_y=dim_y, classical=classical_rho)
     alpha, beta = 1.0, 5.0
     # A channel constant in x makes the joint a product state, where the
     # log-product and log_joint cancel to zeros.
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
-        (got,) = engine._analyses(state, alpha, beta, channel)
+        got = engine._Stack(state, channel, alpha, beta)
         joint = engine._joint(state.px, channel.sigma_t_given_x, state.rho_y_given_x)
         joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
         log_joint = linalg.floored_log(joint)[1]
@@ -713,8 +723,8 @@ def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, den
     # conditionals are never decomposed again: the update hands its (p, sigma,
     # log sigma) to the next iterate, random_channel builds its triple from
     # (p, V), and a dense start is decomposed once.  dimT 3 takes LAPACK.
-    # dimT 2 takes the closed forms, and a qubit run never asks for an
-    # eigenvector stack.
+    # dimT 2 takes the Pauli form's closed forms and decomposes no stack at all,
+    # a dense start included.
     state = random_cq_state(31, size_x=5, dim_y=2)
     stacked = []
     eig = linalg.eig_hermitian
@@ -730,24 +740,25 @@ def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, den
     _, trace = engine.run_qib(state, cfg, initial=initial)
     assert len(trace) == 8
     if dim_t == 2:
-        assert stacked == [False] * (dense_start + 2 * len(trace))
+        assert stacked == []
     else:
         assert stacked == [True] * dense_start + [True, False] * len(trace)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.7], ids=["gamma=alpha", "gamma<alpha"])
 @pytest.mark.parametrize("dense_start", [False, True])
-def test_qubit_run_matches_the_eigenvector_path(gamma, dense_start):
-    # At dimT 2 the update lifts p and log_floor(p) from the exponent's
-    # eigenvalues alone (Sylvester's formula); the oracle lifts them through
-    # LAPACK's eigenvectors.  A dense start holds a zero eigenvalue, so the
-    # floor is in play from the first row.
+def test_qubit_run_matches_the_eigenvector_path(monkeypatch, gamma, dense_start):
+    # At dimT 2 the run reads Pauli coordinates and steps in closed form; the
+    # oracle reads stacks (the qubit form swapped for the stack form) and
+    # lifts p and log_floor(p) through LAPACK's eigenvectors.  A dense start
+    # holds a zero eigenvalue, so the floor is in play from the first row.
     state = random_cq_state(41, size_x=6, dim_y=2)
     initial = None
     if dense_start:
         initial = CQChannel(np.stack([np.diag([1.0, 0.0]).astype(complex)] * 3 + [np.eye(2) / 2] * 3))
     cfg = ObjectiveConfig(alpha=1.0, beta=5.0, gamma=gamma, dim_t=2, tol=1e-300, max_iters=30, seed=41)
     _, got = engine.run_qib(state, cfg, initial=initial)
+    monkeypatch.setattr(engine, "_Bloch", engine._Stack)
     _, want = engine._iterate(state, cfg, initial, "run-qib", eigenvector_step(gamma), deterministic=False)
     assert len(got) == len(want) and got.status == want.status
     for a, b in zip(got.records, want.records):
@@ -872,8 +883,9 @@ def test_single_shot_ops_build_the_analyses_their_phase_probes_assume(monkeypatc
     # perfbench's phase probes time these ops and take differences: step =
     # update - f_operator, residual = fixed_point_residual - update, ratio =
     # gamma_ratio - 2 f_operator, projector = qdib_update - f_operator.  Each
-    # op builds this many analyses, and the source's rho_Y log is derived
-    # once for them all.
+    # op builds this many analyses, of the channel's form (a quantum channel's
+    # Pauli coordinates at dimT 2, its stack at dimT 3), and the source's rho_Y
+    # log is derived once for them all.
     built, derived = [], []
     init, floored_log = engine._Analysis.__init__, linalg.floored_log
 
@@ -888,16 +900,88 @@ def test_single_shot_ops_build_the_analyses_their_phase_probes_assume(monkeypatc
     monkeypatch.setattr(engine._Analysis, "__init__", counting_init)
     monkeypatch.setattr(linalg, "floored_log", counting_log)
     state = random_cq_state(35, size_x=4, dim_y=2)
-    chan, other = (engine.random_channel(3, 4, classical=classical, seed=s) for s in (35, 36))
-    ops = [
-        (lambda: engine.f_operator(state, chan, 1.0, 5.0), 1),
-        (lambda: engine.update(state, chan, 0.8, 1.0, 5.0), 1),
-        (lambda: engine.fixed_point_residual(state, chan, 0.8, 1.0, 5.0), 1),
-        (lambda: engine.gamma_ratio(state, chan, other, 1.0, 5.0), 2),
-        (lambda: qdib.qdib_update(state, chan, 5.0), 1),
-    ]
-    for op, count in ops:
-        built.clear()
-        op()
-        assert built == [engine._Table if classical else engine._Stack] * count
+    for dim_t, form in ((2, engine._Bloch), (3, engine._Stack)):
+        chan, other = (engine.random_channel(dim_t, 4, classical=classical, seed=s) for s in (35, 36))
+        ops = [
+            (lambda: engine.f_operator(state, chan, 1.0, 5.0), 1),
+            (lambda: engine.update(state, chan, 0.8, 1.0, 5.0), 1),
+            (lambda: engine.fixed_point_residual(state, chan, 0.8, 1.0, 5.0), 1),
+            (lambda: engine.gamma_ratio(state, chan, other, 1.0, 5.0), 2),
+            (lambda: qdib.qdib_update(state, chan, 5.0), 1),
+        ]
+        for op, count in ops:
+            built.clear()
+            op()
+            assert built == [engine._Table if classical else form] * count
     assert sum(derived) == 1
+
+
+def _stack_twin(channel):
+    """A Pauli-form qubit channel's conditionals as the stack triple, for the stack oracle."""
+    p, c, log = channel.pauli
+    return CQChannel((p, linalg.from_pauli(c), linalg.from_pauli(log)))
+
+
+def _qubit_case(kind, seed):
+    """(state, dimT 2 channel in the Pauli form, beta)."""
+    if kind == "floored":  # a run at beta 200 floors about 40% of the eigenvalues
+        state = ensembles.gen_random_qubit_ensemble(200, seed)
+        cfg = ObjectiveConfig(alpha=1.0, beta=200.0, dim_t=2, tol=1e-300, max_iters=60, seed=seed)
+        channel = engine.run_qib(state, cfg)[0]
+        assert (channel.pauli[0] < linalg.LOG_FLOOR).sum() > 100
+        return state, channel, 200.0
+    if kind == "maximally mixed, dimY 1":  # every Bloch vector is 0: sigma_T's, the joint's, F's
+        return CQState(np.full(4, 0.25), np.ones((4, 1, 1))), model.maximally_mixed_channel(2, 4), 5.0
+    state = random_cq_state(seed, size_x=6, dim_y=3 if kind == "dimY 3" else 2)
+    if kind == "maximally mixed":  # sigma_T's Bloch vector is 0
+        return state, model.maximally_mixed_channel(2, 6), 5.0
+    channel = engine.random_channel(2, 6, seed=seed)
+    if kind == "pure":  # p = (0, 1) on the drawn axes
+        c = channel.pauli[1]
+        p = np.tile([0.0, 1.0], (6, 1))
+        channel = CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), c[:, 1:], linalg.norms(c[:, 1:]))))
+    return state, channel, 5.0
+
+
+@pytest.mark.parametrize("kind", ["dimY 2", "dimY 3", "floored", "pure", "maximally mixed", "maximally mixed, dimY 1"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_qubit_analysis_matches_the_stack_analysis(kind, seed):
+    # The Pauli form against the stack form, the oracle, on the same conditionals:
+    # the objective, F as a stack, the update's (p, sigma, log sigma), and the
+    # step's divergence, residual and ratio; then the projector step.
+    state, channel, beta = _qubit_case(kind, seed)
+    twin = _stack_twin(channel)
+    alpha, gamma = 1.0, 0.8
+    a, b = engine._Bloch(state, channel, alpha, beta), engine._Stack(state, twin, alpha, beta)
+    for name in ("f_alpha", "h_t", "i_tx", "i_ty"):
+        assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+    assert np.abs(linalg.from_pauli(a.f_family) - b.f_family).max() <= 1e-12
+    (p, c, log), (q, sigma, log_sigma) = steps = a.advance(gamma), b.advance(gamma)
+    assert np.abs(p - np.sort(q, axis=1)).max() <= 1e-12
+    assert np.abs(linalg.from_pauli(c) - sigma).max() <= 1e-12
+    assert np.abs(linalg.from_pauli(log) - log_sigma).max() <= 1e-12
+    na, nb = (type(x)(state, CQChannel(step), alpha, beta) for x, step in zip((a, b), steps))
+    assert abs(a.divergence(na) - b.divergence(nb)) <= 1e-12
+    assert abs(a.residual(na.channel) - b.residual(nb.channel)) <= 1e-12
+    ra, rb = na.ratio(a), nb.ratio(b)
+    assert abs(ra - rb) * nb.divergence(b) <= 1e-12 or np.isnan(ra) and np.isnan(rb)
+    if kind == "maximally mixed":
+        return  # F_0 is 0 up to round-off, which picks either form's projector
+    a0, b0 = engine._Bloch(state, channel, 0.0, beta), engine._Stack(state, twin, 0.0, beta)
+    ((p, c, log), gone), (stepped, stack_gone) = a0.project(), b0.project()
+    assert gone == stack_gone
+    assert np.abs(linalg.from_pauli(c) - stepped).max() <= 1e-12
+    if kind == "maximally mixed, dimY 1":  # a tie in every x: P = I keeps sigma / Tr sigma
+        assert gone == [] and np.abs(c - channel.pauli[1]).max() <= 1e-15 and np.abs(p - 0.5).max() <= 1e-15
+
+
+def test_gamma_ratio_of_a_pauli_and_a_stack_channel_matches_the_stack_oracle():
+    # A qubit pair of one channel built in the Pauli form and one given as a
+    # dense stack is analyzed in the Pauli form, the stack's coordinates
+    # derived from it, and matches the stack form's ratio.
+    state = random_cq_state(37, size_x=5, dim_y=2)
+    pauli, stack = engine.random_channel(2, 5, seed=37), random_channel_for(state, 2, 37)
+    assert [type(x) for x in engine._analyses(state, 1.0, 5.0, pauli, stack)] == [engine._Bloch] * 2
+    for pair, twins in (((pauli, stack), (_stack_twin(pauli), stack)), ((stack, pauli), (stack, _stack_twin(pauli)))):
+        a, b = (engine._Stack(state, c, 1.0, 5.0) for c in twins)
+        assert abs(engine.gamma_ratio(state, *pair, 1.0, 5.0) - a.ratio(b)) * a.divergence(b) <= 1e-12

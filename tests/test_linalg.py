@@ -427,35 +427,7 @@ def test_random_unitary_is_unitary_and_seeded():
     assert np.max(np.abs(np.conj(u1.T) @ u1 - np.eye(4))) < 1e-12
 
 
-@given(st.sampled_from([(), (1,), (7,), (2, 3)]), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
-def test_haar_unitary_2x2_closed_form_matches_lapack_qr(lead, scale, seed):
-    # The closed form is the QR of z with a positive real diagonal in R: Q is
-    # unitary, Q^H z upper triangular with that diagonal, and Q equals
-    # LAPACK's Q times the phases that make R's diagonal positive.
-    gen = np.random.default_rng(seed)
-    z = scale * (gen.standard_normal(lead + (2, 2)) + 1j * gen.standard_normal(lead + (2, 2)))
-    q = linalg.haar_unitary(z)
-    assert q.shape == z.shape and q.dtype == np.complex128
-    eye = np.conj(np.swapaxes(q, -1, -2)) @ q
-    assert np.abs(eye - np.eye(2)).max() <= 1e-14
-    r = np.conj(np.swapaxes(q, -1, -2)) @ z
-    size = 1e-14 * np.abs(z).max(axis=(-2, -1))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    assert np.all(np.abs(r[..., 1, 0]) <= size)
-    assert np.all(np.abs(diag.imag) <= size[..., None]) and np.all(diag.real > 0)
-    lq, lr = np.linalg.qr(z)
-    ld = np.diagonal(lr, axis1=-2, axis2=-1)
-    want = lq * (ld / np.abs(ld))[..., None, :]
-    # Q's second column carries the phase of det z, as ill-conditioned as z is:
-    # both sides sit within a few eps cond(z) of the exact Q (measured: 4.2).
-    tol = np.maximum(1e-13, 8 * np.finfo(float).eps * np.linalg.cond(z))
-    assert np.all(np.abs(q - want).max(axis=(-2, -1)) <= tol)
-    # One matrix gets the bits it gets inside a stack.
-    flat = z.reshape(-1, 2, 2)
-    assert np.array_equal(np.array([linalg.haar_unitary(m) for m in flat]), q.reshape(-1, 2, 2))
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 4, 4)])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 4, 4), (2, 2), (3, 2, 2)])
 def test_haar_unitary_other_sizes_are_lapacks_qr(shape):
     gen = derive_rng(len(shape), "qr")
     z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)

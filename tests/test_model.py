@@ -110,7 +110,7 @@ def test_classical_channel_rejects_a_triple():
     # A classical channel stores its table alone, so a spectral triple has no place in it.
     p = np.full((2, 2), 0.5)
     stack = linalg.diag_embed(p).astype(complex)
-    with pytest.raises(InvariantError, match=r"^a classical channel is given as its table or stack, not as \(p, sigma, log sigma\)$"):
+    with pytest.raises(InvariantError, match=r"^a classical channel is given as its table or stack, not as a triple$"):
         CQChannel((p, stack, stack), classical=True)
     assert not CQChannel((p, stack, stack)).classical
 
@@ -126,6 +126,52 @@ def test_classical_channel_rejects_a_triple():
 def test_channel_construction_validates_shapes(form, message):
     with pytest.raises(InvariantError, match=message):
         CQChannel(form)
+
+
+@pytest.mark.parametrize("form", [
+    (np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4))),
+    (np.ones((2, 2)), np.ones((2, 4)), np.ones((3, 4))),
+    (np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3))),
+    (np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 2, 2))),
+    (np.ones((2, 2)), np.ones((2, 4)), np.full((2, 4), 1j)),
+], ids=["p-sizes", "log-rows", "three-coordinates", "log-a-stack", "complex"])
+def test_pauli_channel_construction_validates_its_triple(form):
+    with pytest.raises(InvariantError, match=r"^\(p, c, log c\) must be \(sizeX, 2\) and two real \(sizeX, 4\), got shapes \["):
+        CQChannel(form)
+
+
+@pytest.mark.parametrize("kind", ["random", "pure", "maximally mixed"])
+def test_pauli_channel_derives_the_stack_and_floored_log_of_its_spectra(kind):
+    # Given (p, c, log c), the stack and floored log are the matrices of the
+    # coordinates; given the stack, (p, c, log c) is derived in closed form,
+    # p ascending.  Every form is read-only, and the triple is a quantum
+    # channel's alone.
+    gen = derive_rng(5, "pauli", kind)
+    u = linalg.haar_unitary(gen.standard_normal((6, 2, 2)) + 1j * gen.standard_normal((6, 2, 2)))
+    p = {"random": gen.dirichlet(np.ones(2), size=6), "pure": np.tile([1.0, 0.0], (6, 1)),
+         "maximally mixed": np.full((6, 2), 0.5)}[kind]
+    sigma, log = linalg.from_eig(p, u), linalg.from_eig(linalg.log_floor(p), u)
+    chan = CQChannel((p, linalg.to_pauli(sigma), linalg.to_pauli(log)))
+    assert (chan.classical, chan.size_x, chan.dim_t) == (False, 6, 2)
+    assert np.abs(chan.sigma_t_given_x - sigma).max() <= 1e-15
+    assert chan.floored_log[0] is chan.pauli[0] and np.array_equal(chan.pauli[0], p)
+    assert np.abs(chan.floored_log[1] - log).max() <= 1e-13
+    assert not any(a.flags.writeable for a in (chan.sigma_t_given_x, *chan.floored_log, *chan.pauli))
+    chan.validate()
+    dense = CQChannel(sigma)
+    assert np.abs(dense.pauli[0] - np.sort(p, axis=1)).max() <= 1e-15
+    assert np.abs(dense.pauli[1] - chan.pauli[1]).max() <= 1e-15
+    assert np.abs(dense.pauli[2] - chan.pauli[2]).max() <= 1e-13
+    assert not any(a.flags.writeable for a in dense.pauli)
+    with pytest.raises(InvariantError, match="^a classical channel is given as its table or stack, not as a triple$"):
+        CQChannel(chan.pauli, classical=True)
+
+
+def test_pauli_channel_validate_rejects_a_negative_eigenvalue():
+    p = np.array([[-0.1, 1.1], [0.5, 0.5]])
+    c = linalg.to_pauli(linalg.diag_embed(p))
+    with pytest.raises(InvariantError, match=r"^sigma_t_given_x\[0\]: negative eigenvalue"):
+        CQChannel((p, c, c)).validate()
 
 
 def _verdict(channel):

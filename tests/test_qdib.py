@@ -32,7 +32,7 @@ def test_score_operator_is_negated_f0():
 def test_min_eigenspace_projector_properties():
     gen = derive_rng(1, "proj")
     h = random_hermitian(4, gen)
-    p = qdib.min_eigenspace_projector(h)
+    p = linalg.min_eigenspace_projector(h)
     assert np.max(np.abs(p - np.conj(p.T))) < 1e-12
     assert np.max(np.abs(p @ p - p)) < 1e-12
     w = np.linalg.eigvalsh(h)
@@ -40,9 +40,9 @@ def test_min_eigenspace_projector_properties():
 
 
 def test_min_eigenspace_projector_handles_degeneracy():
-    p = qdib.min_eigenspace_projector(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    p = linalg.min_eigenspace_projector(np.diag([0.0, 0.0, 1.0]).astype(complex))
     assert abs(np.trace(p).real - 2.0) < 1e-12
-    full = qdib.min_eigenspace_projector(2.5 * np.eye(3, dtype=complex))
+    full = linalg.min_eigenspace_projector(2.5 * np.eye(3, dtype=complex))
     assert np.max(np.abs(full - np.eye(3))) < 1e-12
 
 
@@ -62,9 +62,9 @@ def test_stacked_projector_equals_per_matrix_call(seed, kinds):
     h = np.stack(
         [random_hermitian(3, gen) if k == "random" else _TIED[k] for k in kinds]
     ).astype(complex)
-    stacked = qdib.min_eigenspace_projector(h)
+    stacked = linalg.min_eigenspace_projector(h)
     for x in range(h.shape[0]):
-        assert np.max(np.abs(stacked[x] - qdib.min_eigenspace_projector(h[x]))) <= 1e-12
+        assert np.max(np.abs(stacked[x] - linalg.min_eigenspace_projector(h[x]))) <= 1e-12
 
 
 def test_projector_consistency_min_f0_equals_max_score():
@@ -74,7 +74,7 @@ def test_projector_consistency_min_f0_equals_max_score():
         f0 = engine.f_operator(state, chan, 0.0, 5.0)
         score = qdib.score_operator(state, chan, 5.0)
         for x in range(state.size_x):
-            p_min = qdib.min_eigenspace_projector(f0[x])
+            p_min = linalg.min_eigenspace_projector(f0[x])
             # max eigenspace of the score is the min eigenspace of F_0
             w, v = np.linalg.eigh(score[x])
             top = v[:, w >= w[-1] - 1e-9 * max(w[-1] - w[0], 1e-300)]
@@ -89,7 +89,7 @@ def test_qdib_update_projects_and_renormalizes():
     new.validate()
     fam = engine.f_operator(state, chan, 0.0, 4.0)
     for x in range(state.size_x):
-        p = qdib.min_eigenspace_projector(fam[x])
+        p = linalg.min_eigenspace_projector(fam[x])
         comp = p @ chan.sigma_t_given_x[x] @ p
         ref = comp / np.trace(comp).real
         assert np.max(np.abs(new.sigma_t_given_x[x] - ref)) < 1e-12
@@ -131,33 +131,37 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
         qdib.qdib_update(state, chan, beta)
     named = int(re.search(r"x=(\d+)", str(err.value)).group(1))
     (analysis,) = engine._analyses(state, 0.0, beta, chan)
-    out, vanished = qdib._projected_step(analysis.f_family, analysis.mats)
+    out, vanished = analysis.project()
     assert named in vanished
     fam, out = linalg.diag_embed(engine.f_operator(state, chan, 0.0, beta)), linalg.diag_embed(out)
     for x in vanished:
-        proj = qdib.min_eigenspace_projector(fam[x])
+        proj = linalg.min_eigenspace_projector(fam[x])
         assert np.max(np.abs(out[x] - proj / np.trace(proj).real)) < 1e-12
 
 
-def _dense(a):
+def _dense(analysis, a):
+    """A table, Pauli rows (of a triple) or stack of ``analysis``'s form as the stack."""
+    if isinstance(analysis, engine._Bloch):
+        return linalg.from_pauli(a[1] if isinstance(a, tuple) else a)
     return linalg.diag_embed(a) if a.ndim == 2 else a
 
 
 @given(st.integers(0, 10**6), st.booleans())
 def test_projected_step_equals_per_x_loop(seed, classical):
-    # A classical channel steps on its table; the loop runs on the dense
-    # embedding.  The flip instance covers the vanishing-overlap fallback.
+    # A classical channel steps on its table, a quantum qubit channel on its
+    # Pauli coordinates; the loop runs on the dense embedding.  The flip
+    # instance (dimT 2) covers the vanishing-overlap fallback.
     state = random_cq_state(seed, classical=classical, tag="proj-loop")
     chan = random_channel_for(state, 3, seed, classical=classical, tag="proj-loop")
     flip_state, flip, flip_beta = _orthogonal_flip_instance()
     flip = CQChannel(flip.sigma_t_given_x, classical)
     for st_, ch, beta in ((state, chan, 5.0), (flip_state, flip, flip_beta)):
         (a,) = engine._analyses(st_, 0.0, beta, ch)
-        assert (a.mats.ndim == 2) == classical
-        out, vanished = qdib._projected_step(a.f_family, a.mats)
-        ref, ref_vanished = projected_step_loop(_dense(a.f_family), _dense(a.mats))
+        assert type(a) is (engine._Table if classical else engine._Bloch if ch.dim_t == 2 else engine._Stack)
+        out, vanished = a.project()
+        ref, ref_vanished = projected_step_loop(_dense(a, a.f_family), _dense(a, a.mats))
         assert vanished == ref_vanished
-        assert np.max(np.abs(_dense(out) - ref)) <= 1e-12
+        assert np.max(np.abs(_dense(a, out) - ref)) <= 1e-12
 
 
 @given(st.integers(0, 10**6), st.booleans(), st.sampled_from([1.0, 5.0, 45.0]))
@@ -171,7 +175,8 @@ def test_table_projected_step_matches_dense_loop(seed, classical_rho, beta):
     rest = near[:, 1:]
     near[:, 0] = rest.min(axis=1) + 1e-12 * (rest.max(axis=1) - rest.min(axis=1))
     for fam in (a.f_family, near):
-        out, vanished = qdib._projected_step(fam, a.mats)
+        a.f_family = fam
+        out, vanished = a.project()
         ref, ref_vanished = projected_step_loop(linalg.diag_embed(fam), linalg.diag_embed(q))
         assert vanished == ref_vanished
         assert np.max(np.abs(linalg.diag_embed(out) - ref)) <= 1e-12

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qib import cli, serialization as ser
+from qib import cli, engine, serialization as ser
 from qib.engine import IterationTrace, TraceRecord
 from qib.exceptions import ConfigError, InvariantError
 
@@ -48,6 +48,14 @@ def test_channel_roundtrip_and_flags():
     chan = random_channel_for(state, 3, 1, classical=True, tag="ser")
     again = ser.obj_to_channel(ser.channel_to_obj(chan))
     assert again.classical is True
+    assert np.array_equal(chan.sigma_t_given_x, again.sigma_t_given_x)
+
+
+def test_pauli_channel_roundtrip():
+    # A qubit channel built in the Pauli form is written as its stack.
+    chan = engine.random_channel(2, 4, seed=3)
+    again = ser.obj_to_channel(json.loads(ser.dump_json(ser.channel_to_obj(chan))))
+    assert again.classical is False
     assert np.array_equal(chan.sigma_t_given_x, again.sigma_t_given_x)
 
 
