@@ -31,7 +31,9 @@ of the update exponent and of the residual, plus those of sigma_T and the
 sigma_T's spectrum, the update's softmax and axis, the residual's trace
 norm and the projector are closed forms in the coordinates, where Tr[A B]
 is a dot product.  sigma_T, the joint and the beta term of F are each one
-matrix product on reshaped stacks or rows.
+matrix product on reshaped stacks or rows; a table's are real, on the
+trace rows (``linalg.rows``) of the source, and its rows' entropies are
+read off the floored log its analysis already takes.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class IterationTrace:
 class _Analysis:
     """One channel iterate as the loop reads it.  A subclass per stored form reads
     it (``_read`` sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns
-    the conditionals' spectra, the joint's and F's beta term) and owns the soft step
+    the conditionals' entropies, the joint's spectrum and F's beta term) and owns the soft step
     (``advance``), the residual's spread and the projector step (``project``); the
     base scores it: f, F, divergence, ratio, residual.
 
@@ -106,8 +108,7 @@ class _Analysis:
 
     def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
         self.px, self.channel = state.px, channel
-        evals, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
-        self.h_each = linalg.entropy(evals)
+        self.h_each, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
         self.h_t_given_x = float(self.px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
         self.i_tx = self.h_t - self.h_t_given_x
@@ -139,15 +140,17 @@ class _Table(_Analysis):
     ``mats``, ``log_mats`` and ``f_family`` come too."""
 
     def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
-        px, mats = self.px, self.channel.table()
+        px, mats, rho_rows = self.px, self.channel.table(), linalg.rows(rhos)
         self.mats, self.log_mats = mats, linalg.log_floor(mats)
         self.sigma_t_evals = px @ mats
         self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
         # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
-        wj, log_joint = linalg.floored_log(_joint(px, mats, rhos))
+        joint = ((px[:, None] * mats).T @ rho_rows).view(np.complex128).reshape(mats.shape[1:] + rhos.shape[1:])
+        wj, log_joint = linalg.floored_log(joint)
         # Tr rho_x (log s_t I + log rho_Y - log J_t)
-        beta_term = self.log_sigma_t + np.tensordot(log_rho_y - log_joint, rhos, axes=([1, 2], [2, 1])).T.real
-        return mats, wj, beta_term
+        beta_term = self.log_sigma_t + rho_rows @ linalg.rows(log_rho_y - log_joint).T
+        # -sum_t q log q from the floored log that the divergence's trace reads, so D(q || q) = 0.
+        return -np.einsum("xk,xk->x", mats, self.log_mats), wj, beta_term
 
     def advance(self, gamma: float) -> np.ndarray:
         """One multiplicative update, a row softmax: the soft-clustering update."""
@@ -175,7 +178,9 @@ class _Stack(_Analysis):
         self.mats = mats = self.channel.sigma_t_given_x
         evals, self.log_mats = self.channel.floored_log
         self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
-        wj, log_joint = linalg.floored_log(_joint(px, mats, rhos).transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy))
+        # J = sum_x P(x) sigma_x (x) rho_x on axes (t, t', y, y'), then (t, y, t', y')
+        joint = ((px[:, None] * mats.reshape(len(px), -1)).T @ rhos.reshape(len(px), -1)).reshape(dt, dt, dy, dy)
+        wj, log_joint = linalg.floored_log(joint.transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy))
         # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
         # the product-state cancellation against log_joint is exact in floats.
         log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
@@ -183,7 +188,7 @@ class _Stack(_Analysis):
         b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
         # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
         beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
-        return evals, wj, beta_term
+        return linalg.entropy(evals), wj, beta_term
 
     def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One multiplicative update, as (p, sigma, log sigma)."""
@@ -232,7 +237,7 @@ class _Bloch(_Analysis):
         conj_log_joint = np.conj(log_joint.reshape(2, dy, 2, dy).transpose(0, 2, 3, 1).reshape(4, -1))
         conj_g = self.log_sigma_t[:, None] * np.eye(dy).ravel() - linalg.PAULI.reshape(4, 4) @ conj_log_joint
         conj_g[0] += linalg.SQRT2 * np.conj(log_rho_y.T).ravel()
-        return evals, wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
+        return linalg.entropy(evals), wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
 
     def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One multiplicative update, as (p, c, log c): the exponent's eigenvalues
@@ -265,12 +270,6 @@ class _Bloch(_Analysis):
                                   linalg.SQRT2 * proj[:, 0])
         p, log = linalg.pauli_floored_log(out)
         return (p, out, log), gone
-
-
-def _joint(px: np.ndarray, mats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """sum_x P(x) mats_x (x) rhos_x, the axes of mats_x then those of rhos_x."""
-    n = len(px)
-    return ((px[:, None] * mats.reshape(n, -1)).T @ rhos.reshape(n, -1)).reshape(mats.shape[1:] + rhos.shape[1:])
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -171,7 +171,8 @@ def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def entropy(w: np.ndarray) -> np.ndarray:
     """Entropy in nats over the last axis of eigenvalue vectors, by ``np.sum``, whose order
-    the objective's bits follow; values not above zero count as 1: 1 log 1 = 0 log 0 = 0."""
+    the bits of every spectrum's entropy follow (not a table's rows: the engine reads those
+    off their floored log); values not above zero count as 1: 1 log 1 = 0 log 0 = 0."""
     m = np.where(w > 0, w, 1.0)
     terms = m * np.log(m)
     # A pair is summed as np.sum sums it, without its per-row cost on a short axis.

@@ -129,6 +129,72 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta)
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
 
 
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0.0, 1.0]))
+def test_table_self_divergence_is_exactly_zero(seed, classical_rho, alpha):
+    # A row's entropy and the divergence's trace read the same floored log
+    # through the same einsum, so D(q || q) vanishes to the bit: every row
+    # keeps its largest entry and gets one exact zero and one entry below
+    # LOG_FLOOR, where 0 log 0 and q log q leave the floored log.
+    state, q = sparse_table_instance(seed, classical_rho)
+    gen, x = derive_rng(seed, "sub-floor"), np.arange(len(q))
+    top = q.argmax(axis=1)
+    q[x, (top + 1) % q.shape[1]] = linalg.LOG_FLOOR * gen.uniform(1e-4, 0.9, len(q))
+    q[x, (top + 2) % q.shape[1]] = 0.0
+    a = engine._Table(state, CQChannel(q / q.sum(axis=1)[:, None], classical=True), alpha, 5.0)
+    assert a.divergence(a) == 0.0
+
+
+class _TrackedTable(np.ndarray):
+    """A real table that records, in ``promotions``, each ufunc (``@``
+    included) in which it, or a real array computed from it, meets a complex
+    operand: the ops that make a complex temporary of the table."""
+
+    promotions: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(args):
+            return tuple(a.view(np.ndarray) if isinstance(a, _TrackedTable) else a for a in args)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        if (any(isinstance(a, _TrackedTable) and not np.iscomplexobj(a) for a in inputs)
+                and any(map(np.iscomplexobj, inputs))):
+            self.promotions.append(ufunc.__name__)
+        out = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        return out.view(_TrackedTable) if isinstance(out, np.ndarray) and not np.iscomplexobj(out) else out
+
+
+@pytest.mark.parametrize("size_x1, size_x2", [(2, 3), (3, 4)])
+def test_suffstats_table_analysis_is_real_and_matches_the_dense_one(monkeypatch, size_x1, size_x2):
+    # The suffstats run's shape (a qubit source, dimT = sizeX, alpha 0) on a
+    # Dirichlet table and on its projected one-hot table: the analysis of the
+    # table matches the dense one of its diagonal embedding (the bounds of
+    # test_table_analysis_matches_dense_diagonal), calls no np.tensordot and
+    # never mixes the table with complex operands.
+    tensordots = []
+    tensordot = np.tensordot
+
+    def counting(*args, **kwargs):
+        tensordots.append(args)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counting)
+    monkeypatch.setattr(_TrackedTable, "promotions", [])
+    state = ensembles.gen_suffstats_ensemble(ensembles.SuffStatsSpec(size_x1=size_x1, size_x2=size_x2)).state
+    n, beta = state.size_x, 20.0
+    q = derive_rng(n, "suffstats-table").dirichlet(np.ones(n), size=n)
+    one_hot, gone = engine._Table(state, CQChannel(q, classical=True), 0.0, beta).project()
+    assert gone == [] and np.array_equal(np.sort(one_hot, axis=1)[:, :-1], np.zeros((n, n - 1)))
+    for table in (q, one_hot):
+        a = engine._Table(state, SimpleNamespace(table=lambda: table.view(_TrackedTable)), 0.0, beta)
+        a.project()
+        b = engine._Stack(state, CQChannel(linalg.diag_embed(table)), 0.0, beta)
+        assert np.max(np.abs(linalg.diag_embed(a.f_family) - b.f_family)) < 1e-10
+        for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
+            assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+    assert tensordots == [] and _TrackedTable.promotions == []
+
+
 @given(
     st.integers(0, 10**6),
     st.booleans(),
@@ -175,7 +241,10 @@ def _ratio_denominator(state, cfg, initial, n):
     floating-point sum of that many terms (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, ch. 4) for the longest sum either form
     takes, S the magnitudes of every term, sum_x P(x) sum_t (|s'_t log s'_t|
-    + |s'_t log s_t|) over the diagonals s, s' of the two iterates."""
+    + |s'_t log s_t|) over the diagonals s, s' of the two iterates; plus the
+    gap between the forms: a table's row entropy reads s'_t off the floored
+    log, so its denominator exceeds the dense one by sum_x P(x) sum_t s'_t
+    (log LOG_FLOOR - log s'_t) over the entries 0 < s'_t < LOG_FLOOR."""
     chans = [initial]
     for _ in range(n):
         chans.append(engine.update(state, chans[-1], cfg.effective_gamma, cfg.alpha, cfg.beta))
@@ -183,7 +252,9 @@ def _ratio_denominator(state, cfg, initial, n):
     s_old, s = (np.diagonal(c.sigma_t_given_x, axis1=1, axis2=2).real for c in chans[-2:])
     terms = np.abs(s * linalg.log_floor(s)) + np.abs(s * linalg.log_floor(s_old))
     margin = (2 * cfg.dim_t**2 + state.size_x) * np.finfo(float).eps * float(state.px @ terms.sum(axis=1))
-    return nxt.divergence(cur), margin
+    tiny = np.where((s > 0) & (s < linalg.LOG_FLOOR), s, 1.0)
+    gap = float(state.px @ (tiny * (linalg.log_floor(tiny) - np.log(tiny))).sum(axis=1))
+    return nxt.divergence(cur), margin + gap
 
 
 @given(
@@ -638,7 +709,9 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
         got = engine._Stack(state, channel, alpha, beta)
-        joint = engine._joint(state.px, channel.sigma_t_given_x, state.rho_y_given_x)
+        # The engine's product for the joint, so that log_joint has its bits.
+        weighted = state.px[:, None] * channel.sigma_t_given_x.reshape(3, -1)
+        joint = (weighted.T @ state.rho_y_given_x.reshape(3, -1)).reshape(dim_t, dim_t, dim_y, dim_y)
         joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
         log_joint = linalg.floored_log(joint)[1]
         a, b = got.log_sigma_t, state.rho_y_log[1]
