@@ -14,26 +14,24 @@ recovers the fixed-point iteration with the unconditional descent guarantee;
 smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
-Internals are batched over x, and each iterate is analyzed once, in the
-form its channel stores, by one class per form: ``_Table`` reads a
-classical channel's (sizeX, dimT) table, where only the dimY x dimY blocks
-of the joint are decomposed; ``_Bloch`` a quantum qubit channel's (dimT =
-2) orthonormal Pauli coordinates, real (sizeX, 4) rows; ``_Stack`` any
-other quantum channel's (sizeX, dimT, dimT) stack.  Each owns its soft
-step, its projector step and its residual; their base scores the form
-against the source, whose entropy and floored log of rho_Y the state
-caches.  The stack update hands the next iterate (p, sigma, log sigma):
-the spectra, lifted by ``linalg.eig_lift`` from the eigenvalues of the
-update exponent to the stack and its floored log, so the conditionals are
-never decomposed.  A stack iteration costs two stacked eigendecompositions,
-of the update exponent and of the residual, plus those of sigma_T and the
-(T, Y) joint.  A qubit iteration makes one LAPACK call, the joint's:
-sigma_T's spectrum, the update's softmax and axis, the residual's trace
-norm and the projector are closed forms in the coordinates, where Tr[A B]
-is a dot product.  sigma_T, the joint and the beta term of F are each one
-matrix product on reshaped stacks or rows; a table's are real, on the
-trace rows (``linalg.rows``) of the source, and its rows' entropies are
-read off the floored log its analysis already takes.
+Internals are batched over x, and each iterate is analyzed once, in the form
+its channel stores, by one class per form: ``_Table`` reads a classical
+channel's (sizeX, dimT) table, where only the dimY x dimY blocks of the joint
+are decomposed; ``_Bloch`` a quantum qubit channel's (dimT = 2) orthonormal
+Pauli coordinates, real (sizeX, 4) rows; ``_Stack`` any other quantum
+channel's (sizeX, dimT, dimT) stack.  Each owns its soft step, its projector
+step and its residual; their base scores the form against the source, whose
+entropy and floored log of rho_Y the state caches.  The stack update hands
+the next iterate (p, sigma, log sigma): the spectra, lifted by
+``linalg.eig_lift`` from the eigenvalues of the update exponent to the stack
+and its floored log, so the conditionals are never decomposed.  A stack
+iteration costs two stacked eigendecompositions, of the update exponent and
+of the residual, plus those of sigma_T and the (T, Y) joint.  A qubit
+iteration makes one LAPACK call, the joint's: sigma_T's spectrum, the
+update's softmax and axis, the residual's trace norm and the projector are
+closed forms in the coordinates, where Tr[A B] is a dot product.  sigma_T,
+the joint and the beta term of F are each one matrix product on reshaped
+stacks or rows, a table's real, on the source's trace rows (``linalg.rows``).
 """
 
 from __future__ import annotations
@@ -93,11 +91,13 @@ class IterationTrace:
 
 
 class _Analysis:
-    """One channel iterate as the loop reads it.  A subclass per stored form reads
-    it (``_read`` sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns
-    the conditionals' entropies, the joint's spectrum and F's beta term) and owns the soft step
-    (``advance``), the residual's spread and the projector step (``project``); the
-    base scores it: f, F, divergence, ratio, residual.
+    """One channel iterate as the loop reads it.  A subclass per stored form reads it (``_read``
+    sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns the conditionals'
+    entropies, the joint's spectrum and F's beta term) and owns the soft step (``advance``), the
+    residual's spread and the projector step (``project``); the base scores it: f, F, divergence,
+    ratio, residual.  A table's row entropies read ``log_mats`` (0 < q < LOG_FLOOR counts as
+    q log LOG_FLOOR, so D(q || q) = 0), H(T) and the spectra's keep p log p: its H(T|X) is below,
+    its I(T:X) and divergences above, the dense embedding's by sum_x P(x) sum_t q log(LOG_FLOOR/q).
 
     ``project`` is the deterministic step of an alpha = 0 analysis: each
     conditional compressed onto the minimal eigenspace P(x) of F_0(x) and
@@ -180,12 +180,12 @@ class _Stack(_Analysis):
         self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
         # J = sum_x P(x) sigma_x (x) rho_x on axes (t, t', y, y'), then (t, y, t', y')
         joint = ((px[:, None] * mats.reshape(len(px), -1)).T @ rhos.reshape(len(px), -1)).reshape(dt, dt, dy, dy)
-        wj, log_joint = linalg.floored_log(joint.transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy))
+        wj, self.log_joint = linalg.floored_log(joint.transpose(0, 2, 1, 3).reshape(dt * dy, dt * dy))
         # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
         # the product-state cancellation against log_joint is exact in floats.
         log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
                     + np.eye(dt)[:, None, :, None] * log_rho_y[None, :, None, :])
-        b4 = log_prod - log_joint.reshape(dt, dy, dt, dy)
+        b4 = log_prod - self.log_joint.reshape(dt, dy, dt, dy)
         # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
         beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
         return linalg.entropy(evals), wj, beta_term

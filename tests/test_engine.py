@@ -110,37 +110,60 @@ def test_classical_update_matches_soft_clustering_formula(alpha):
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
+def _with_sub_floor_entries(seed, q):
+    """``q`` with, in every row, its largest entry kept, one exact zero and
+    one entry below LOG_FLOOR (the table needs dimT >= 3)."""
+    gen, x, top = derive_rng(seed, "sub-floor"), np.arange(len(q)), q.argmax(axis=1)
+    q[x, (top + 1) % q.shape[1]] = q[x, (top + 2) % q.shape[1]] = 0.0
+    q /= q.sum(axis=1)[:, None]
+    tiny = linalg.LOG_FLOOR * gen.uniform(1e-4, 0.9, len(q))
+    q[x, (top + 1) % q.shape[1]] = tiny
+    q[x, top] -= tiny
+    return q
+
+
+def _floor_gap(px, q):
+    """sum_x P(x) sum_t q log(LOG_FLOOR / q) over the entries 0 < q < LOG_FLOOR:
+    the amount by which a table's row entropies, read off its floored log,
+    fall short of the spectral entropies of its diagonal embedding."""
+    tiny = np.where((q > 0) & (q < linalg.LOG_FLOOR), q, 1.0)
+    return float(px @ (tiny * (linalg.log_floor(tiny) - np.log(tiny))).sum(axis=1))
+
+
 @given(
     st.integers(0, 10**6),
     st.booleans(),
     st.sampled_from([0.0, 0.5, 1.0]),
     st.sampled_from([0.5, 2.0, 20.0]),
+    st.booleans(),
 )
-def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta):
+def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta, sub_floor):
     # A diagonal channel has a diagonal F for any source, so the table
-    # analysis must reproduce the dense one on the diagonal embedding.
+    # analysis must reproduce the dense one on the diagonal embedding, up to
+    # the floor gap of the row entropies when entries fall below LOG_FLOOR.
     state, q = sparse_table_instance(seed, classical_rho)
+    if sub_floor:
+        q = _with_sub_floor_entries(seed, q)
+    gap = _floor_gap(state.px, q)
+    assert (gap > 0) == sub_floor
     table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
     dense = engine.f_operator(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     assert table.shape == q.shape and np.max(np.abs(linalg.diag_embed(table) - dense)) < 1e-10
     a = engine._Table(state, CQChannel(q, classical=True), alpha, beta)
     b = engine._Stack(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
-    for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
-        assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+    offsets = {"f_alpha": alpha * gap, "h_t": 0.0, "h_t_given_x": -gap, "i_tx": gap, "i_ty": 0.0}
+    for name, offset in offsets.items():
+        assert abs(getattr(a, name) - getattr(b, name) - offset) < 1e-12
+    assert abs(a.divergence(a) - b.divergence(b) - gap) < 1e-12
 
 
 @given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0.0, 1.0]))
 def test_table_self_divergence_is_exactly_zero(seed, classical_rho, alpha):
     # A row's entropy and the divergence's trace read the same floored log
-    # through the same einsum, so D(q || q) vanishes to the bit: every row
-    # keeps its largest entry and gets one exact zero and one entry below
-    # LOG_FLOOR, where 0 log 0 and q log q leave the floored log.
+    # through the same einsum, so D(q || q) vanishes to the bit, also where
+    # 0 log 0 and q log q for q below LOG_FLOOR leave the floored log.
     state, q = sparse_table_instance(seed, classical_rho)
-    gen, x = derive_rng(seed, "sub-floor"), np.arange(len(q))
-    top = q.argmax(axis=1)
-    q[x, (top + 1) % q.shape[1]] = linalg.LOG_FLOOR * gen.uniform(1e-4, 0.9, len(q))
-    q[x, (top + 2) % q.shape[1]] = 0.0
-    a = engine._Table(state, CQChannel(q / q.sum(axis=1)[:, None], classical=True), alpha, 5.0)
+    a = engine._Table(state, CQChannel(_with_sub_floor_entries(seed, q), classical=True), alpha, 5.0)
     assert a.divergence(a) == 0.0
 
 
@@ -202,6 +225,7 @@ def test_suffstats_table_analysis_is_real_and_matches_the_dense_one(monkeypatch,
     st.sampled_from([2.0, 20.0]),
 )
 @example(999999, True, (1.0, None), 20.0)  # row 7's ratio denominator straddles RATIO_DENOM_TOL
+@example(262144, False, (0.5, None), 20.0)  # RATIO_DENOM_TOL lies in row 5's floor gap
 def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
     # The same table iterated as a classical channel and, densely, as a
     # quantum channel started from its diagonal embedding; alpha = 0 takes
@@ -224,10 +248,15 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
         for name in ("f_alpha", "h_t", "i_tx", "i_ty", "step_divergence", "fixed_point_residual"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-10
         if np.isnan(a.gamma_ratio) != np.isnan(b.gamma_ratio):
-            # Undecided: in both forms the denominator is within its round-off of the threshold.
-            for cfg, initial, *_ in runs:
-                den, margin = _ratio_denominator(state, cfg, initial, a.iteration)
-                assert abs(den - engine.RATIO_DENOM_TOL) <= margin, (a.iteration, den, margin)
+            # Undecided: each form's denominator is within its round-off of the
+            # threshold, or the threshold lies in the floor gap by which the
+            # table's exceeds the dense one (see _ratio_denominator).
+            (den, margin, gap), (dense_den, dense_margin, dense_gap) = (
+                _ratio_denominator(state, cfg, initial, a.iteration) for cfg, initial, *_ in runs
+            )
+            info = (a.iteration, den, dense_den, gap, margin)
+            assert den - gap - margin <= engine.RATIO_DENOM_TOL <= den + margin, info
+            assert dense_den - dense_margin <= engine.RATIO_DENOM_TOL <= dense_den + dense_gap + dense_margin, info
         elif not np.isnan(a.gamma_ratio):
             assert abs(a.gamma_ratio - b.gamma_ratio) * b.step_divergence < 1e-10
     assert np.max(np.abs(chan.sigma_t_given_x - dense_chan.sigma_t_given_x)) < 1e-10
@@ -236,15 +265,17 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
 def _ratio_denominator(state, cfg, initial, n):
     """D(sigma_n || sigma_{n-1}), the denominator of row n's ratio in the soft
     run of ``cfg`` from a diagonal ``initial`` (replayed by ``engine.update``,
-    whose iterates are the run's to the bit), and the round-off margin of
-    its evaluation: (2 dimT^2 + sizeX) eps S, the a-priori bound on a
-    floating-point sum of that many terms (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 4) for the longest sum either form
-    takes, S the magnitudes of every term, sum_x P(x) sum_t (|s'_t log s'_t|
-    + |s'_t log s_t|) over the diagonals s, s' of the two iterates; plus the
-    gap between the forms: a table's row entropy reads s'_t off the floored
-    log, so its denominator exceeds the dense one by sum_x P(x) sum_t s'_t
-    (log LOG_FLOOR - log s'_t) over the entries 0 < s'_t < LOG_FLOOR."""
+    whose iterates are the run's to the bit), the round-off margin of its
+    evaluation, and the floor gap of sigma_n.  The margin is (2 dimT^2 +
+    sizeX) eps S, the a-priori bound on a floating-point sum of that many
+    terms (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 4) for the longest sum either form takes, S the magnitudes of every
+    term, sum_x P(x) sum_t (|s'_t log s'_t| + |s'_t log s_t|) over the
+    diagonals s, s' of the two iterates.  The gap (``_floor_gap`` of s') is
+    by how much a table's denominator exceeds the dense one, because a
+    table's row entropy reads s'_t below LOG_FLOOR off the floored log: on
+    the diagonals s, s' the two forms' denominators are checked to differ
+    by exactly that, within the margin."""
     chans = [initial]
     for _ in range(n):
         chans.append(engine.update(state, chans[-1], cfg.effective_gamma, cfg.alpha, cfg.beta))
@@ -252,9 +283,12 @@ def _ratio_denominator(state, cfg, initial, n):
     s_old, s = (np.diagonal(c.sigma_t_given_x, axis1=1, axis2=2).real for c in chans[-2:])
     terms = np.abs(s * linalg.log_floor(s)) + np.abs(s * linalg.log_floor(s_old))
     margin = (2 * cfg.dim_t**2 + state.size_x) * np.finfo(float).eps * float(state.px @ terms.sum(axis=1))
-    tiny = np.where((s > 0) & (s < linalg.LOG_FLOOR), s, 1.0)
-    gap = float(state.px @ (tiny * (linalg.log_floor(tiny) - np.log(tiny))).sum(axis=1))
-    return nxt.divergence(cur), margin + gap
+    gap, forms = _floor_gap(state.px, s), []
+    for pair in ([CQChannel(d, classical=True) for d in (s_old, s)], [CQChannel(linalg.diag_embed(d)) for d in (s_old, s)]):
+        old, new = engine._analyses(state, cfg.alpha, cfg.beta, *pair)
+        forms.append(new.divergence(old))
+    assert abs(forms[0] - gap - forms[1]) <= margin, (forms, gap, margin)
+    return nxt.divergence(cur), margin, gap
 
 
 @given(
@@ -709,11 +743,6 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
         got = engine._Stack(state, channel, alpha, beta)
-        # The engine's product for the joint, so that log_joint has its bits.
-        weighted = state.px[:, None] * channel.sigma_t_given_x.reshape(3, -1)
-        joint = (weighted.T @ state.rho_y_given_x.reshape(3, -1)).reshape(dim_t, dim_t, dim_y, dim_y)
-        joint = joint.transpose(0, 2, 1, 3).reshape(dim_t * dim_y, dim_t * dim_y)
-        log_joint = linalg.floored_log(joint)[1]
         a, b = got.log_sigma_t, state.rho_y_log[1]
         terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
         # The engine's broadcast form of each term, signed zeros included
@@ -725,7 +754,7 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
         assert np.any(np.signbit(terms[0].real) & (terms[0].real == 0))
         log_prod = terms[0] + terms[1]
         assert (broadcast[0] + broadcast[1]).reshape(log_prod.shape).tobytes() == log_prod.tobytes()
-        b4 = (log_prod - log_joint).reshape(dim_t, dim_y, dim_t, dim_y)
+        b4 = (log_prod - got.log_joint).reshape(dim_t, dim_y, dim_t, dim_y)
         beta_term = state.rho_y_given_x.reshape(3, -1) @ b4.transpose(3, 1, 0, 2).reshape(dim_y**2, dim_t**2)
         beta_term = beta_term.reshape(3, dim_t, dim_t)
         ref = -got.log_sigma_t + alpha * got.log_mats + beta * beta_term
