@@ -5,17 +5,15 @@ the trajectories are comparable; the beta sweep reruns from fresh per-beta
 initializations and pairs each converged point with the source's divergence
 contraction bound, whose inverse marks the triviality threshold in beta.
 
-The runs are independent: ``_map_runs`` runs them on min(runs, 2 x usable cores)
-threads, the calling one included, with OpenBLAS pinned to one thread, process-wide,
-while they are in flight; with one usable core or no pin, one after another on the
-calling thread.  Either way the output is byte-identical.
+The runs are independent: ``_map_runs`` runs them in min(runs, 2 x usable cores)
+processes, the calling one and others forked from it with OpenBLAS pinned to one thread;
+with one usable core or no pin, in turn in the calling process.  Output bytes match.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import threading
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
@@ -26,39 +24,51 @@ from ..model import CQChannel, CQState, ObjectiveConfig
 
 
 def _map_runs(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], run as the module docstring says: up to twice
-    as many runs as cores share them, so none idles while the last runs end.  Of
-    failed runs the earliest in input order raises, as in a loop; no run starts
-    after a failure, and no helper thread outlives the call."""
+    """[fn(item) for item in items] on up to twice as many processes as cores.  Of failed
+    runs the earliest in input order raises, as in a loop; no run starts after a failure,
+    and a run process that exits without reporting fails its item."""
     workers = min(len(items), 2 * cores) if (cores := len(os.sched_getaffinity(0))) > 1 else 1
     with linalg.one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as pinned:
         if not pinned:
             return [fn(item) for item in items]
-        results, errors, lock, queue = [None] * len(items), {}, threading.Lock(), enumerate(items)
+        import multiprocessing  # here, not at the top: it costs `import qib.cli` 5-9 ms
+        ctx, n, done, procs = multiprocessing.get_context("fork"), len(items), {}, []
+        taken, owner = ctx.Value("i", 0), ctx.Array("i", n, lock=False)
 
-        def work() -> None:
-            # Items leave the queue in input order: every run before a failed one has started.
-            while True:
-                with lock:
-                    i, item = (None, None) if errors else next(queue, (None, None))
-                if i is None:
-                    return
+        def work(w: int, report: Callable) -> None:
+            while True:  # items leave in input order: every run before a failed one has started
+                with taken.get_lock():
+                    if (i := taken.value) == n:
+                        return
+                    taken.value, owner[i] = i + 1, w
                 try:
-                    results[i] = fn(item)
+                    report({i: (True, fn(items[i]))})
                 except BaseException as exc:
-                    errors[i] = exc
+                    taken.value = n
+                    report({i: (False, exc)})
 
-        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
         try:
-            for helper in helpers:
-                helper.start()
-            work()
+            for w in range(1, workers):  # each run process holds the write end of its own pipe only
+                reader, writer = ctx.Pipe(duplex=False)
+                (proc := ctx.Process(target=work, args=(w, writer.send))).start()
+                procs.append((proc, reader))
+                writer.close()
+            work(0, done.update)
+            for _, reader in procs:  # every pipe drained before any join: a full one blocks its writer
+                with contextlib.suppress(EOFError):
+                    while True:
+                        done.update(reader.recv())
+            for proc, _ in procs:
+                proc.join()
         finally:
-            for helper in helpers:
-                helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+            for proc, _ in procs:  # no run process outlives the call; kill is a no-op once joined
+                proc.kill()
+                proc.join()
+        done |= {i: (False, RuntimeError(f"item {i}: its process exited with code {procs[w - 1][0].exitcode}"
+                                         " before reporting")) for i, w in enumerate(owner) if w and i not in done}
+    if failed := [i for i, (ok, _) in done.items() if not ok]:
+        raise done[min(failed)][1]
+    return [done[i][1] for i in range(n)]
 
 
 def gamma_sweep(

@@ -19,8 +19,9 @@ side.  A ``while`` on a constant has no false side and is not a branch; a
 body on its condition's line is listed as ``cannot judge``.  Conditional expressions,
 short-circuit operators and comprehension filters are not line arcs, so they
 are out of scope.  The recorder is installed for the calling thread and for
-every thread started under the suite, so a statement or a branch that only a
-sweep's helper thread runs counts.  Hypothesis runs with seed 0, so the
+every thread started under the suite.  It does not see forked processes, so a
+sweep's run processes run nothing the calling process does not run too: each
+is a worker like the calling one.  Hypothesis runs with seed 0, so the
 result is deterministic.  Needs nothing beyond the test dependencies.
 """
 

@@ -884,14 +884,40 @@ def test_validate_names_every_non_finite_leaf_of_a_file(tmp_path, capsys, obj):
             assert _config_error(capsys)[0] in _leaf_pointers(leaf, f"{path}#"), (leaf, literal)
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, qib.cli; print('jsonschema' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+def _loaded_by_cli_import(module):
+    code = f"import sys, qib.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_cli_env(), capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    assert not _loaded_by_cli_import("jsonschema")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Sweeps import it where they fork their runs: at module level it would
+    # add 5-9 ms to every CLI start.
+    assert not _loaded_by_cli_import("multiprocessing")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("gamma-sweep", dict(_RUN, tol=1e-15, max_iters=60, state=_QUBITS, gamma_list=[1.0, 0.7, 0.4])),
+    ("beta-sweep", {"alpha": 1.0, "dimT": 2, "tol": 1e-15, "max_iters": 60, "kappa_samples": 5,
+                    "state": _QUBITS, "beta_list": [0.5, 2.0, 6.0, 9.0, 12.0]}),
+])
+def test_sweeps_piped_to_stdout_write_their_out_bytes(tmp_path, command, config):
+    # stdout into a pipe is block-buffered: the processes a sweep forks for its
+    # runs must neither write that buffer again nor lose it.
+    argv = [sys.executable, "-m", "qib.cli", command, "--config", _write_json(tmp_path / "sweep.json", config)]
+    piped = subprocess.run(argv, env=_cli_env(), stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(argv + ["--out", str(tmp_path / "out")], env=_cli_env(), check=True)
+    assert piped == (tmp_path / "out").read_bytes()
 
 
 def test_classify_checks_the_grid_step_without_regions_out(tmp_path, capsys, monkeypatch):

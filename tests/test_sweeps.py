@@ -1,9 +1,12 @@
 """Gamma and beta sweeps: shared initials, guards, kappa column, and the
-fan-out of their runs over the usable cores."""
+fan-out of their runs over the usable cores, one process per worker.  What a
+run reports to the test goes through fork-context primitives (a ``Value``, an
+``Array``, a ``Barrier``, a pipe), since a run may be in another process."""
 
+import contextlib
 import dataclasses
+import multiprocessing
 import os
-import sys
 import threading
 import time
 
@@ -18,6 +21,8 @@ from qib.model import ObjectiveConfig
 
 import reference
 from helpers import random_cq_state
+
+_FORK = multiprocessing.get_context("fork")
 
 
 def _state_and_config(seed=0, **kw):
@@ -56,17 +61,20 @@ def test_gamma_sweep_guards():
 
 @pytest.mark.parametrize("classical", [False, True])
 def test_gamma_sweep_derives_the_rho_y_log_once(monkeypatch, classical):
-    # The runs share the source's cached log, derived before they start.
+    # The runs share the source's cached log, derived before they start: a
+    # count shared by every run process sees no run derive it again.
     state, config = _state_and_config(classical=classical, max_iters=3)
-    derived, floored_log = [], linalg.floored_log
+    derived, floored_log = _FORK.Value("i", 0), linalg.floored_log
 
     def counting(h):
-        derived.append(h is state.rho_y)
+        if h is state.rho_y:
+            with derived.get_lock():
+                derived.value += 1
         return floored_log(h)
 
     monkeypatch.setattr(linalg, "floored_log", counting)
     gamma_sweep(state, config, [1.0, 0.7, 0.4])
-    assert sum(derived) == 1
+    assert derived.value == 1
 
 
 def test_beta_sweep_rows():
@@ -116,8 +124,31 @@ def _blas_threads():
 
 
 def _fans_out():
-    """Whether a sweep of two or more runs takes more than the calling thread here."""
+    """Whether a sweep of two or more runs takes more than the calling process here."""
     return len(os.sched_getaffinity(0)) > 1 and linalg._openblas() is not None
+
+
+def _log():
+    """(send, drain): runs in any process send small messages down one fork-context
+    pipe (each in one write, so concurrent ones never interleave); once the sweep
+    has returned, ``drain()`` lists them in the calling process."""
+    reader, writer = _FORK.Pipe(duplex=False)
+
+    def drain():
+        got = []
+        while reader.poll():
+            got.append(reader.recv())
+        return got
+
+    return writer.send, drain
+
+
+def _fan_out_on(monkeypatch, cores):
+    """Make ``_map_runs`` fan out over ``cores`` cores' worth of processes,
+    whatever the machine and its BLAS, and return the worker count."""
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(linalg, "one_blas_thread", lambda: contextlib.nullcontext(True))
+    return 2 * cores
 
 
 def _use_cores(monkeypatch, n):
@@ -164,90 +195,95 @@ def test_sweeps_equal_sequential_runs_bit_for_bit(dim_t, classical):
 
 
 @pytest.mark.parametrize("fail, slow, stop", [({2.0, 4.0}, {1.0, 3.0}, 2), ({1.0, 2.0}, {1.0, 3.0, 4.0}, 1),
-                                             ({6.0}, (), 6)], ids=["two", "earliest-fails-last", "last"])
+                                             ({6.0}, (), 6), ({1.0, 2.0, 3.0, 4.0, 5.0, 6.0}, (), 1)],
+                         ids=["two", "earliest-fails-last", "last", "all"])
 def test_sweep_raises_the_earliest_failing_run(monkeypatch, fail, slow, stop):
     # On two cores the sweep has four workers for six gammas.  The first four
     # runs meet at a barrier, so every worker holds a run before any fails, and
     # the slow ones outlast the failures.  A loop would start ``stop`` runs; the
     # fan-out starts no run after a failure, so those and any in flight with them.
-    cores, gammas, ran = _use_cores(monkeypatch, 2), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], set()
+    # With "all", every worker, the calling process included, meets a failure.
+    cores, gammas = _use_cores(monkeypatch, 2), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     workers = min(len(gammas), 2 * cores) if _fans_out() else 1
     state, config = _state_and_config()
-    barrier = threading.Barrier(workers, timeout=30)
+    barrier, (ran, drain) = _FORK.Barrier(workers, timeout=30), _log()
 
     def before(config):
-        ran.add(config.gamma)
+        ran(config.gamma)
         if gammas.index(config.gamma) < workers:
             barrier.wait()
 
     _patch_runs(monkeypatch, before=before, fail=fail, slow=slow)
     with pytest.raises(NumericalError, match=f"^run at gamma {min(fail)}$"):
         gamma_sweep(state, config, gammas)
-    assert ran == set(gammas[:max(stop, workers)])
+    assert sorted(drain()) == gammas[:max(stop, workers)]
 
 
 def test_sweep_restores_blas_threads_and_joins_its_helpers(monkeypatch):
     state, config = _state_and_config()
-    before = (_blas_threads(), threading.active_count())
+    before = (_blas_threads(), threading.active_count(), [])
     gamma_sweep(state, config, [1.0, 0.7, 0.4])
-    assert (_blas_threads(), threading.active_count()) == before
+    assert (_blas_threads(), threading.active_count(), multiprocessing.active_children()) == before
     _patch_runs(monkeypatch, fail={0.7})
     with pytest.raises(NumericalError):
         gamma_sweep(state, config, [1.0, 0.7, 0.4])
-    assert (_blas_threads(), threading.active_count()) == before
+    assert (_blas_threads(), threading.active_count(), multiprocessing.active_children()) == before
 
 
 def test_sweep_runs_on_the_usable_cores(monkeypatch):
     """On two usable cores, with OpenBLAS pinnable, a 3-run sweep (the shape of
-    the ``sweep-deep`` workload) has all three runs in flight at once, each on
-    one BLAS thread; on one core (e.g. under ``taskset -c 0``) every run goes on
-    the calling thread, BLAS untouched."""
+    the ``sweep-deep`` workload) has all three runs in flight at once, each in
+    its own process, the calling one included, and each reading one BLAS thread
+    there; on one core (e.g. under ``taskset -c 0``) every run goes in the
+    calling process, BLAS untouched."""
     _use_cores(monkeypatch, 2)
     state, config = _state_and_config()
-    before, seen = _blas_threads(), []
-    barrier = threading.Barrier(3, timeout=30)
+    before, (record, drain) = _blas_threads(), _log()
+    barrier = _FORK.Barrier(3, timeout=30)
 
-    def record(config):
-        seen.append((threading.get_ident(), _blas_threads()))
+    def before_run(config):
+        record((os.getpid(), _blas_threads()))
         if _fans_out():
             barrier.wait()  # breaks unless all three runs are in flight together
 
-    _patch_runs(monkeypatch, before=record)
+    _patch_runs(monkeypatch, before=before_run)
     gamma_sweep(state, config, [1.0, 0.7, 0.4])
-    threads, counts = {t for t, _ in seen}, {c for _, c in seen}
+    seen = drain()
+    pids, counts = {p for p, _ in seen}, {c for _, c in seen}
     if _fans_out():
-        assert len(threads) == 3 and counts == {1}
+        assert len(seen) == 3 and len(pids) == 3 and os.getpid() in pids and counts == {1}
     else:
-        assert threads == {threading.get_ident()} and counts == {before}
+        assert len(seen) == 3 and pids == {os.getpid()} and counts == {before}
     assert _blas_threads() == before
 
 
 def test_sweep_has_at_most_twice_the_cores_in_flight(monkeypatch):
     """A sweep of 2 x cores + 1 runs: the first 2 x cores meet at a barrier, so
-    that many are in flight together, and a counter shows no more ever are."""
+    that many are in flight together, and a count shared by the run processes
+    shows no more ever are."""
     cores = _use_cores(monkeypatch, 2)
     cap = 2 * cores if _fans_out() else 1
     state, config = _state_and_config()
     gammas = [1.0 + i for i in range(cap + 1)]
-    lock, barrier, live, peak = threading.Lock(), threading.Barrier(cap, timeout=30), [0], [0]
+    barrier, live, peak = _FORK.Barrier(cap, timeout=30), _FORK.Value("i", 0), _FORK.Value("i", 0)
     real = engine.run_qib
 
     def run_qib(state, config, initial=None):
-        with lock:
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
+        with live.get_lock():
+            live.value += 1
+            peak.value = max(peak.value, live.value)
         if gammas.index(config.gamma) < cap:
             barrier.wait()
         try:
             return real(state, config, initial)
         finally:
-            with lock:
-                live[0] -= 1
+            with live.get_lock():
+                live.value -= 1
 
     monkeypatch.setattr(engine, "run_qib", run_qib)
     results, _ = gamma_sweep(state, config, gammas)
     assert [g for g, _ in results] == gammas
-    assert peak[0] == cap and live[0] == 0
+    assert peak.value == cap and live.value == 0
 
 
 def test_sweep_without_the_blas_setter_runs_in_a_loop(monkeypatch):
@@ -255,22 +291,22 @@ def test_sweep_without_the_blas_setter_runs_in_a_loop(monkeypatch):
     gammas = [1.0, 0.7, 0.4]
     fanned, _ = gamma_sweep(state, config, gammas)
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    threads = set()
-    _patch_runs(monkeypatch, before=lambda config: threads.add(threading.get_ident()))
+    record, drain = _log()
+    _patch_runs(monkeypatch, before=lambda config: record(os.getpid()))
     looped, _ = gamma_sweep(state, config, gammas)
-    assert threads == {threading.get_ident()}
+    assert drain() == [os.getpid()] * 3
     assert [(g, _bits(t)) for g, t in looped] == [(g, _bits(t)) for g, t in fanned]
 
 
-def test_map_runs_under_thread_switching(monkeypatch):
-    """Eight workers (four cores' worth), whatever the core count, switching
-    threads every microsecond: each item runs once, results keep input order,
-    and the earliest failure raises."""
-    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(4)))
-    before, calls = threading.active_count(), []
+def test_map_runs_on_eight_processes(monkeypatch):
+    """Eight workers (four cores' worth), whatever the core count: each item
+    runs once, results keep input order, the earliest failure raises, and no
+    run process is left."""
+    _fan_out_on(monkeypatch, 4)
+    calls = _FORK.Array("i", 300, lock=False)
 
     def square(i):
-        calls.append(i)
+        calls[i] += 1
         return i * i
 
     def fail_some(i):
@@ -278,13 +314,81 @@ def test_map_runs_under_thread_switching(monkeypatch):
             raise ValueError(f"item {i}")
         return i
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert sweeps._map_runs(square, range(300)) == [i * i for i in range(300)]
-        assert sorted(calls) == list(range(300))
-        with pytest.raises(ValueError, match="^item 37$"):
-            sweeps._map_runs(fail_some, range(300))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
+    assert sweeps._map_runs(square, range(300)) == [i * i for i in range(300)]
+    assert list(calls) == [1] * 300
+    with pytest.raises(ValueError, match="^item 37$"):
+        sweeps._map_runs(fail_some, range(300))
+    assert multiprocessing.active_children() == []
+
+
+def test_map_runs_returns_results_larger_than_a_pipe_buffer(monkeypatch):
+    # Each result is 1.6 MB; a run process blocks on its pipe until the calling
+    # process reads it, so that must come before the join.
+    _fan_out_on(monkeypatch, 2)
+    results = sweeps._map_runs(lambda i: np.full(200_000, float(i)), range(5))
+    assert len(results) == 5
+    for i, r in enumerate(results):
+        assert np.array_equal(r, np.full(200_000, float(i)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("death, code", [("exit", 3), ("unpicklable", 1)])
+def test_map_runs_raises_when_a_run_process_dies_without_reporting(monkeypatch, death, code):
+    """A run process that exits inside a run, or whose failure cannot be
+    pickled, sends nothing back: the earliest such item raises with its exit
+    code, where waiting on its pipe would block."""
+    workers = _fan_out_on(monkeypatch, 2)
+    barrier, caller, (held, drain) = _FORK.Barrier(workers, timeout=30), os.getpid(), _log()
+
+    class Unpicklable(Exception):  # a local class: pickle cannot name it
+        pass
+
+    def run(i):
+        barrier.wait()  # each worker holds one item
+        if os.getpid() == caller:
+            held(i)
+            return i
+        if death == "exit":
+            os._exit(3)
+        raise Unpicklable(i)
+
+    with pytest.raises(RuntimeError) as info:
+        sweeps._map_runs(run, range(workers))
+    lost = min(set(range(workers)) - set(drain()))
+    assert str(info.value) == f"item {lost}: its process exited with code {code} before reporting"
+    assert multiprocessing.active_children() == []
+
+
+def _unloadable():
+    raise ValueError("cannot load")
+
+
+class _Unloadable:
+    """Pickles, but fails to unpickle."""
+
+    def __reduce__(self):
+        return _unloadable, ()
+
+
+def test_map_runs_kills_its_run_processes_when_a_result_cannot_be_read(monkeypatch):
+    # The runs in other processes return a result the calling process cannot
+    # load, then take another item that would sleep for a minute: the load error
+    # raises at once, and the sleeping run processes are killed.
+    workers = _fan_out_on(monkeypatch, 2)
+    barrier, caller = _FORK.Barrier(workers, timeout=30), os.getpid()
+
+    def run(i):
+        if i < workers:
+            barrier.wait()
+        if os.getpid() == caller:
+            time.sleep(0.5)
+            return i
+        if i < workers:
+            return _Unloadable()
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^cannot load$"):
+        sweeps._map_runs(run, range(2 * workers))
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
