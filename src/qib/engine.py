@@ -22,9 +22,9 @@ Pauli coordinates, real (sizeX, 4) rows; ``_Stack`` any other quantum
 channel's (sizeX, dimT, dimT) stack.  Each owns its soft step, its projector
 step and its residual; their base scores the form against the source, whose
 entropy and floored log of rho_Y the state caches.  The stack update hands
-the next iterate (p, sigma, log sigma): the spectra, lifted by
-``linalg.eig_lift`` from the eigenvalues of the update exponent to the stack
-and its floored log, so the conditionals are never decomposed.  A stack
+the next iterate (p, sigma, log sigma): the spectra, and the stack and its
+floored log built on the update exponent's eigenvectors (``linalg.from_eig``),
+so the conditionals are never decomposed.  A stack
 iteration costs two stacked eigendecompositions, of the update exponent and
 of the residual, plus those of sigma_T and the (T, Y) joint.  A qubit
 iteration makes one LAPACK call, the joint's: sigma_T's spectrum, the
@@ -92,12 +92,11 @@ class IterationTrace:
 
 class _Analysis:
     """One channel iterate as the loop reads it.  A subclass per stored form reads it (``_read``
-    sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns the conditionals'
-    entropies, the joint's spectrum and F's beta term) and owns the soft step (``advance``), the
-    residual's spread and the projector step (``project``); the base scores it: f, F, divergence,
-    ratio, residual.  A table's row entropies read ``log_mats`` (0 < q < LOG_FLOOR counts as
-    q log LOG_FLOOR, so D(q || q) = 0), H(T) and the spectra's keep p log p: its H(T|X) is below,
-    its I(T:X) and divergences above, the dense embedding's by sum_x P(x) sum_t q log(LOG_FLOOR/q).
+    sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns the conditionals' spectra
+    or table rows with their floored log, the joint's spectrum and F's beta term) and owns the soft
+    step (``advance``), the residual's spread and the projector step (``project``); the base scores
+    it: f, F, divergence, ratio, residual.  A conditional's entropy is -sum p log_floor(p), read
+    off the floored log that the divergence's trace reads, so D(sigma || sigma) = 0 up to round-off.
 
     ``project`` is the deterministic step of an alpha = 0 analysis: each
     conditional compressed onto the minimal eigenspace P(x) of F_0(x) and
@@ -108,7 +107,8 @@ class _Analysis:
 
     def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
         self.px, self.channel = state.px, channel
-        self.h_each, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
+        p, log_p, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
+        self.h_each = -np.einsum("xk,xk->x", p, log_p)
         self.h_t_given_x = float(self.px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
         self.i_tx = self.h_t - self.h_t_given_x
@@ -149,8 +149,7 @@ class _Table(_Analysis):
         wj, log_joint = linalg.floored_log(joint)
         # Tr rho_x (log s_t I + log rho_Y - log J_t)
         beta_term = self.log_sigma_t + rho_rows @ linalg.rows(log_rho_y - log_joint).T
-        # -sum_t q log q from the floored log that the divergence's trace reads, so D(q || q) = 0.
-        return -np.einsum("xk,xk->x", mats, self.log_mats), wj, beta_term
+        return mats, self.log_mats, wj, beta_term
 
     def advance(self, gamma: float) -> np.ndarray:
         """One multiplicative update, a row softmax: the soft-clustering update."""
@@ -188,18 +187,18 @@ class _Stack(_Analysis):
         b4 = log_prod - self.log_joint.reshape(dt, dy, dt, dy)
         # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
         beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
-        return linalg.entropy(evals), wj, beta_term
+        return evals, linalg.log_floor(evals), wj, beta_term
 
     def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One multiplicative update, as (p, sigma, log sigma)."""
         expon = self._exponent(gamma)
         try:  # the eigensolver checks the exponent; _check_finite names the x
-            we, lift = linalg.eig_lift(expon)
+            we, v = linalg.eig_hermitian(expon)
         except NumericalError:
             _check_finite(expon)
             raise
         p = _softmax(we, we[:, -1])
-        return p, lift(p), lift(linalg.log_floor(p))
+        return p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)
 
     def _spread(self, channel: CQChannel) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
         return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
@@ -237,7 +236,7 @@ class _Bloch(_Analysis):
         conj_log_joint = np.conj(log_joint.reshape(2, dy, 2, dy).transpose(0, 2, 3, 1).reshape(4, -1))
         conj_g = self.log_sigma_t[:, None] * np.eye(dy).ravel() - linalg.PAULI.reshape(4, 4) @ conj_log_joint
         conj_g[0] += linalg.SQRT2 * np.conj(log_rho_y.T).ravel()
-        return linalg.entropy(evals), wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
+        return evals, linalg.log_floor(evals), wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
 
     def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One multiplicative update, as (p, c, log c): the exponent's eigenvalues

@@ -80,6 +80,9 @@ def gen_classifier_dataset(
         raise InvariantError(f"need at least 10 samples, got {n_samples}")
     if not 0.0 < train_fraction < 1.0:
         raise InvariantError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if not 0 < (n_train := int(round(train_fraction * n_samples))) < n_samples:
+        raise InvariantError(f"train_fraction {train_fraction} of n_samples {n_samples} leaves "
+                             f"{n_train} training and {n_samples - n_train} test samples; each needs one")
     gen = rng.derive_rng(seed, "classify-data")
     perm = gen.permutation(SIZE_X1 * SIZE_X2)
     inv = np.argsort(perm)
@@ -98,7 +101,6 @@ def gen_classifier_dataset(
     x1_cont = rec_x1 + gen.random(n_samples) * width
     x2_cont = rec_x2 + gen.random(n_samples) * width
 
-    n_train = int(round(train_fraction * n_samples))
     train_mask = np.zeros(n_samples, dtype=bool)
     train_mask[:n_train] = True
     return LabeledDataset(

@@ -4,21 +4,16 @@ density checks, Haar unitaries.
 
 ``eig_hermitian`` owns Hermiticity: it reads the Hermitian matrix of the lower
 triangle, so callers pass their matrices on as computed, never symmetrized.
-``eig_lift`` maps values f(w) on a stack's eigenvalues to the matrix function
-f(H).  Eigenvalue-only calls may take a closed form: on stacks of 2 x 2
-matrices, mean +- radius, elementwise over the stack.  Every call that asks
-for eigenvectors goes to LAPACK, so the eigenvalues of the two calls may
-differ in the last bits, as those of ``eigh`` and ``eigvalsh`` do at larger
-sizes.  ``eig_lift`` asks for eigenvalues only on 2 x 2 stacks, so
-``floored_log`` builds no eigenvectors there (a classical channel's joint
-blocks at dimY = 2); one 2 x 2 matrix (rho_Y of a qubit source, the qubit
-joint at dimY = 1) takes the same formulas in Python floats.  Qubit
-operators have orthonormal Pauli coordinates (``to_pauli``,
-``from_pauli``), real rows in which Tr[A B] is a dot product and the
-spectrum and floored log come in closed form (``pauli_floored_log``,
-``pauli_of``): the solver's qubit form, which reads sigma_T's spectrum off
-its coordinates, not through the 2 x 2 path above.  ``haar_unitary``
-orthonormalizes by LAPACK's QR.
+Qubit operators have orthonormal Pauli coordinates (``to_pauli``,
+``from_pauli``), real rows in which Tr[A B] is a dot product and the spectrum
+and floored log come in closed form (``pauli_eigvals``, ``pauli_floored_log``,
+``pauli_of``).  Every 2 x 2 closed form goes through them: the eigenvalues
+alone of a (..., 2, 2) stack and its ``floored_log`` (a classical channel's
+joint blocks at dimY = 2, rho_Y of a qubit source), and the solver's qubit
+form.  Every call that asks for eigenvectors, and every larger size, goes to
+LAPACK, so the eigenvalues of the two kinds of call may differ in the last
+bits, as those of ``eigh`` and ``eigvalsh`` do at larger sizes.
+``haar_unitary`` orthonormalizes by LAPACK's QR.
 
 All functions accept stacked operands: an array of shape ``(..., d, d)`` is
 treated as a batch of ``d x d`` matrices and the result keeps the leading
@@ -28,7 +23,6 @@ nats.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import ctypes
 import functools
@@ -55,14 +49,11 @@ def diag_embed(diags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eig2(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues mean -+ radius of a finite (..., 2, 2) stack."""
-    a, c = 0.5 * h[..., 0, 0].real, 0.5 * h[..., 1, 1].real
-    mean, radius = a + c, np.hypot(a - c, np.abs(h[..., 1, 0]))
-    w = np.empty(h.shape[:-1])
-    np.subtract(mean, radius, out=w[..., 0])
-    np.add(mean, radius, out=w[..., 1])
-    return w
+def _finite(h: np.ndarray) -> np.ndarray:
+    """``h`` as an array, checked finite, as the eigensolvers require."""
+    if not np.all(np.isfinite(h := np.asarray(h))):
+        raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
+    return h
 
 
 def eig_hermitian(h: np.ndarray, vectors: bool = True):
@@ -71,16 +62,15 @@ def eig_hermitian(h: np.ndarray, vectors: bool = True):
 
     Eigenvalues ascend; eigenvectors are orthonormal columns, so
     ``H = V diag(w) V^H`` per stack element.  The eigenvalues alone of 2 x 2
-    matrices come in closed form; every other call goes to LAPACK, so a 2 x 2
-    call's ``w`` may differ from the closed form's in the last bits.  Both
-    read the lower triangle.  Raises NumericalError on non-finite input, or
-    if LAPACK fails to converge.
+    matrices come from their Pauli coordinates; every other call goes to
+    LAPACK, so a 2 x 2 call's ``w`` may differ from the closed form's in the
+    last bits.  Both read the lower triangle.  Raises NumericalError on
+    non-finite input, or if LAPACK fails to converge.
     """
-    h = np.asarray(h)
-    if not np.all(np.isfinite(h)):
-        raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
+    h = _finite(h)
     if not vectors and h.shape[-2:] == (2, 2):
-        return _eig2(h)
+        c = to_pauli(h)
+        return pauli_eigvals(c, norms(c[:, 1:])).reshape(h.shape[:-1])
     try:
         return tuple(np.linalg.eigh(h)) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
@@ -107,55 +97,6 @@ def min_eigenspace_projector(h: np.ndarray) -> np.ndarray:
     return from_eig(keep[..., :k].astype(np.float64), v[..., :k])
 
 
-def eig_lift(h: np.ndarray):
-    """Eigenvalues ``w`` of a Hermitian matrix (stacked OK), ascending, and
-    ``lift``, which maps the values f(w) of any function on them to f(H):
-    V f(w) V^H, or on 2 x 2 stacks Sylvester's formula from w alone, f(H) =
-    (f0 + f1)/2 I + (f1 - f0)/(w1 - w0) (H - (w0 + w1)/2 I), slope 0 where
-    w0 = w1, exactly Hermitian with a real diagonal; on a stack, ``fw`` may
-    hold several f on leading axes of its own.  That slope is accurate for f
-    Lipschitz on the gap's scale; an indicator (a projector) is not."""
-    if h.shape == (2, 2):
-        return _eig_lift_one(h)
-    if h.shape[-2:] != (2, 2):
-        w, v = eig_hermitian(h)
-        return w, lambda fw: from_eig(fw, v)
-    w = eig_hermitian(h, vectors=False)
-    half, b, gap = 0.5 * h[..., 0, 0].real - 0.5 * h[..., 1, 1].real, h[..., 1, 0], w[..., 1] - w[..., 0]
-
-    def lift(fw: np.ndarray) -> np.ndarray:
-        f0, f1 = fw[..., 0], fw[..., 1]
-        slope = np.divide(f1 - f0, gap, out=np.zeros(f0.shape), where=gap > 0)
-        mid, tilt = 0.5 * f0 + 0.5 * f1, slope * half
-        out = np.empty(f0.shape + (2, 2), dtype=np.result_type(fw, h))
-        out[..., 0, 0], out[..., 1, 1], out[..., 1, 0] = mid + tilt, mid - tilt, slope * b
-        out[..., 0, 1] = np.conj(out[..., 1, 0])
-        return out
-
-    return w, lift
-
-
-def _eig_lift_one(h: np.ndarray):
-    """``eig_lift`` of one 2 x 2 matrix in Python floats, where numpy's per-call
-    cost is the work: the stacked formulas, but Python's hypot."""
-    entries = h.tolist()
-    if not all(map(cmath.isfinite, entries[0] + entries[1])):
-        raise NumericalError(f"eigensolver input of shape {h.shape} is not finite")
-    (a, _), (b, c) = entries
-    a, c = 0.5 * a.real, 0.5 * c.real
-    half, mean, radius = a - c, a + c, math.hypot(a - c, abs(b))
-    w0, w1 = mean - radius, mean + radius
-    gap = w1 - w0
-
-    def lift(fw: np.ndarray) -> np.ndarray:
-        f0, f1 = fw.tolist()
-        slope = (f1 - f0) / gap if gap > 0 else 0.0
-        mid, tilt, off = 0.5 * f0 + 0.5 * f1, slope * half, slope * b
-        return np.array([[mid + tilt, off.conjugate()], [off, mid - tilt]], dtype=np.result_type(fw, h))
-
-    return np.array([w0, w1]), lift
-
-
 def log_floor(w: np.ndarray) -> np.ndarray:
     """log(max(w, LOG_FLOOR)) elementwise, the one place the floor is applied:
     null directions of a singular density get log(LOG_FLOOR), not -inf."""
@@ -164,9 +105,13 @@ def log_floor(w: np.ndarray) -> np.ndarray:
 
 def floored_log(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``w`` of a Hermitian matrix (stacked OK) and its log
-    ``V log_floor(w) V^H``, lifted by ``eig_lift``."""
-    w, lift = eig_lift(h)
-    return w, lift(log_floor(w))
+    ``V log_floor(w) V^H``: on 2 x 2 matrices ``pauli_floored_log`` of their
+    Pauli coordinates, exactly Hermitian; otherwise from LAPACK's eigensystem."""
+    if h.shape[-2:] != (2, 2):
+        w, v = eig_hermitian(h)
+        return w, from_eig(log_floor(w), v)
+    w, log = pauli_floored_log(to_pauli(_finite(h)))
+    return w.reshape(h.shape[:-1]), from_pauli(log).reshape(h.shape)
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
@@ -182,7 +127,7 @@ def entropy(w: np.ndarray) -> np.ndarray:
 def rows(m: np.ndarray) -> np.ndarray:
     """Real rows with dot products Re Tr[A B] = Re sum_ij a_ij conj(b_ij), A or B
     Hermitian: an (n, d, d) stack's entries as (re, im) pairs; a table as it is."""
-    return m if m.ndim == 2 else m.reshape(len(m), -1).view(np.float64)
+    return m if m.ndim == 2 else m.reshape(len(m), m.shape[1] * m.shape[2]).view(np.float64)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -198,12 +143,12 @@ _FROM_PAULI = PAULI.reshape(4, 4).view(np.float64)
 
 
 def to_pauli(m: np.ndarray) -> np.ndarray:
-    """Pauli coordinates c_mu = Tr[M sigma_mu] / sqrt2 (sigma_0 = I) of an (n, 2, 2)
-    Hermitian stack, read through its lower triangle: real (n, 4) rows, in which
-    Tr[A B] = a . b and M = sum_mu c_mu sigma_mu / sqrt2.  Pauli rows are stored
-    coordinate-major, each coordinate's n values contiguous, so that work on
-    them runs along x."""
-    return (_TO_PAULI @ rows(m).T).T
+    """Pauli coordinates c_mu = Tr[M sigma_mu] / sqrt2 (sigma_0 = I) of a (..., 2, 2)
+    Hermitian stack of n matrices, read through its lower triangle: real (n, 4)
+    rows, in which Tr[A B] = a . b and M = sum_mu c_mu sigma_mu / sqrt2.  Pauli
+    rows are stored coordinate-major, each coordinate's n values contiguous, so
+    that work on them runs along x."""
+    return (_TO_PAULI @ rows(np.asarray(m, dtype=np.complex128).reshape(-1, 2, 2)).T).T
 
 
 def from_pauli(c: np.ndarray) -> np.ndarray:
@@ -230,16 +175,23 @@ def pauli_of(fw: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, -1, -2)
 
 
-def pauli_floored_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending eigenvalues (c0 -+ |c|) / sqrt2 of each row of Pauli
-    coordinates, and the coordinates of its floored log, in closed form."""
-    v = c[:, 1:]
-    r = norms(v)
+def pauli_eigvals(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues (c0 -+ r) / sqrt2 of each row of Pauli
+    coordinates, r the length of its Bloch part c[:, 1:]."""
     w = np.empty((2, len(c)))
     np.subtract(c[:, 0], r, out=w[0])
     np.add(c[:, 0], r, out=w[1])
     w *= 1 / SQRT2
-    return w.T, pauli_of(log_floor(w.T), v, r)
+    return w.T
+
+
+def pauli_floored_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of each row of Pauli coordinates, and the
+    coordinates of its floored log, in closed form."""
+    v = c[:, 1:]
+    r = norms(v)
+    w = pauli_eigvals(c, r)
+    return w, pauli_of(log_floor(w), v, r)
 
 
 def check_density(m: np.ndarray, label: str = "matrix") -> None:

@@ -40,6 +40,9 @@ def test_dataset_guards():
         gen_classifier_dataset(0, n_samples=5)
     with pytest.raises(InvariantError, match="train_fraction"):
         gen_classifier_dataset(0, train_fraction=1.0)
+    for fraction, split in ((0.96, "10 training and 0 test"), (0.04, "0 training and 10 test")):
+        with pytest.raises(InvariantError, match=rf"^train_fraction {fraction} of n_samples 10 leaves {split} samples"):
+            gen_classifier_dataset(0, n_samples=10, train_fraction=fraction)
 
 
 def test_dataset_cells_floor_the_coordinates():

@@ -436,6 +436,15 @@ def test_classify_schema_rejects_small_n(tmp_path, capsys):
     assert "/n_samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fraction", [0.96, 0.04])
+def test_classify_rejects_a_split_that_leaves_a_side_empty(tmp_path, capsys, fraction):
+    path = _write_json(tmp_path / "classify.json", {"n_samples": 10, "train_fraction": fraction})
+    assert cli.main(["classify", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: train_fraction {fraction} of n_samples 10 leaves ")
+    assert err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-6"])
 def test_classify_rejects_a_bad_grid_step_before_solving(tmp_path, capsys, monkeypatch, step):
     # nan and 1e-6 used to escape, after both solves, as a ValueError and a

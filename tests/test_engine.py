@@ -122,14 +122,6 @@ def _with_sub_floor_entries(seed, q):
     return q
 
 
-def _floor_gap(px, q):
-    """sum_x P(x) sum_t q log(LOG_FLOOR / q) over the entries 0 < q < LOG_FLOOR:
-    the amount by which a table's row entropies, read off its floored log,
-    fall short of the spectral entropies of its diagonal embedding."""
-    tiny = np.where((q > 0) & (q < linalg.LOG_FLOOR), q, 1.0)
-    return float(px @ (tiny * (linalg.log_floor(tiny) - np.log(tiny))).sum(axis=1))
-
-
 @given(
     st.integers(0, 10**6),
     st.booleans(),
@@ -139,32 +131,48 @@ def _floor_gap(px, q):
 )
 def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta, sub_floor):
     # A diagonal channel has a diagonal F for any source, so the table
-    # analysis must reproduce the dense one on the diagonal embedding, up to
-    # the floor gap of the row entropies when entries fall below LOG_FLOOR.
+    # analysis must reproduce the dense one on the diagonal embedding, also
+    # where entries fall below LOG_FLOOR: both forms read a conditional's
+    # entropy off its floored log.
     state, q = sparse_table_instance(seed, classical_rho)
     if sub_floor:
         q = _with_sub_floor_entries(seed, q)
-    gap = _floor_gap(state.px, q)
-    assert (gap > 0) == sub_floor
+    assert ((q > 0) & (q < linalg.LOG_FLOOR)).any() == sub_floor
     table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
     dense = engine.f_operator(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     assert table.shape == q.shape and np.max(np.abs(linalg.diag_embed(table) - dense)) < 1e-10
     a = engine._Table(state, CQChannel(q, classical=True), alpha, beta)
     b = engine._Stack(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
-    offsets = {"f_alpha": alpha * gap, "h_t": 0.0, "h_t_given_x": -gap, "i_tx": gap, "i_ty": 0.0}
-    for name, offset in offsets.items():
-        assert abs(getattr(a, name) - getattr(b, name) - offset) < 1e-12
-    assert abs(a.divergence(a) - b.divergence(b) - gap) < 1e-12
+    for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
+        assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
+    assert abs(a.divergence(a) - b.divergence(b)) < 1e-12
 
 
-@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0.0, 1.0]))
-def test_table_self_divergence_is_exactly_zero(seed, classical_rho, alpha):
-    # A row's entropy and the divergence's trace read the same floored log
-    # through the same einsum, so D(q || q) vanishes to the bit, also where
-    # 0 log 0 and q log q for q below LOG_FLOOR leave the floored log.
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0.0, 1.0]), st.sampled_from(["table", "stack", "qubit"]))
+def test_self_divergence_vanishes(seed, classical_rho, alpha, form):
+    # A conditional's entropy and the divergence's trace read the same floored
+    # log, so D(sigma || sigma) vanishes, also where 0 log 0 and q log q for q
+    # below LOG_FLOOR leave the floored log: to the bit on a table (one einsum
+    # on the same operands), within round-off on the terms of order
+    # |log LOG_FLOOR| of the stack's and the Pauli form's traces.  Read with
+    # q log q instead, it would be sum_x P(x) q log(q / LOG_FLOOR), of order
+    # -1e-13 on these instances.
     state, q = sparse_table_instance(seed, classical_rho)
-    a = engine._Table(state, CQChannel(_with_sub_floor_entries(seed, q), classical=True), alpha, 5.0)
-    assert a.divergence(a) == 0.0
+    q = _with_sub_floor_entries(seed, q)
+    gen = derive_rng(seed, "self-divergence")
+    if form == "table":
+        a = engine._Table(state, CQChannel(q, classical=True), alpha, 5.0)
+        assert a.divergence(a) == 0.0
+        return
+    if form == "stack":  # each row in a Haar basis
+        u = np.stack([random_unitary(q.shape[1], gen) for _ in q])
+        a = engine._Stack(state, CQChannel((u * q[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))), alpha, 5.0)
+    else:  # spectra (q, 1 - q), q each row's entry below LOG_FLOOR, on random Bloch axes
+        tiny = np.where(q < linalg.LOG_FLOOR, q, 0.0).sum(axis=1)
+        p, axes = np.column_stack([tiny, 1.0 - tiny]), gen.standard_normal((len(q), 3))
+        a = engine._Bloch(state, CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), axes,
+                                                                   linalg.norms(axes)))), alpha, 5.0)
+    assert abs(a.divergence(a)) <= 32 * np.finfo(float).eps * abs(np.log(linalg.LOG_FLOOR))
 
 
 class _TrackedTable(np.ndarray):
@@ -225,7 +233,7 @@ def test_suffstats_table_analysis_is_real_and_matches_the_dense_one(monkeypatch,
     st.sampled_from([2.0, 20.0]),
 )
 @example(999999, True, (1.0, None), 20.0)  # row 7's ratio denominator straddles RATIO_DENOM_TOL
-@example(262144, False, (0.5, None), 20.0)  # RATIO_DENOM_TOL lies in row 5's floor gap
+@example(262144, False, (0.5, None), 20.0)  # row 5: sub-floor entries, a ratio denominator near RATIO_DENOM_TOL
 def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
     # The same table iterated as a classical channel and, densely, as a
     # quantum channel started from its diagonal embedding; alpha = 0 takes
@@ -249,14 +257,13 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-10
         if np.isnan(a.gamma_ratio) != np.isnan(b.gamma_ratio):
             # Undecided: each form's denominator is within its round-off of the
-            # threshold, or the threshold lies in the floor gap by which the
-            # table's exceeds the dense one (see _ratio_denominator).
-            (den, margin, gap), (dense_den, dense_margin, dense_gap) = (
+            # threshold (see _ratio_denominator).
+            (den, margin), (dense_den, dense_margin) = (
                 _ratio_denominator(state, cfg, initial, a.iteration) for cfg, initial, *_ in runs
             )
-            info = (a.iteration, den, dense_den, gap, margin)
-            assert den - gap - margin <= engine.RATIO_DENOM_TOL <= den + margin, info
-            assert dense_den - dense_margin <= engine.RATIO_DENOM_TOL <= dense_den + dense_gap + dense_margin, info
+            info = (a.iteration, den, dense_den, margin)
+            assert den - margin <= engine.RATIO_DENOM_TOL <= den + margin, info
+            assert dense_den - dense_margin <= engine.RATIO_DENOM_TOL <= dense_den + dense_margin, info
         elif not np.isnan(a.gamma_ratio):
             assert abs(a.gamma_ratio - b.gamma_ratio) * b.step_divergence < 1e-10
     assert np.max(np.abs(chan.sigma_t_given_x - dense_chan.sigma_t_given_x)) < 1e-10
@@ -265,17 +272,14 @@ def test_classical_run_matches_dense_run(seed, classical_rho, step, beta):
 def _ratio_denominator(state, cfg, initial, n):
     """D(sigma_n || sigma_{n-1}), the denominator of row n's ratio in the soft
     run of ``cfg`` from a diagonal ``initial`` (replayed by ``engine.update``,
-    whose iterates are the run's to the bit), the round-off margin of its
-    evaluation, and the floor gap of sigma_n.  The margin is (2 dimT^2 +
-    sizeX) eps S, the a-priori bound on a floating-point sum of that many
-    terms (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    ch. 4) for the longest sum either form takes, S the magnitudes of every
-    term, sum_x P(x) sum_t (|s'_t log s'_t| + |s'_t log s_t|) over the
-    diagonals s, s' of the two iterates.  The gap (``_floor_gap`` of s') is
-    by how much a table's denominator exceeds the dense one, because a
-    table's row entropy reads s'_t below LOG_FLOOR off the floored log: on
-    the diagonals s, s' the two forms' denominators are checked to differ
-    by exactly that, within the margin."""
+    whose iterates are the run's to the bit), and the round-off margin of its
+    evaluation.  The margin is (2 dimT^2 + sizeX) eps S, the a-priori bound on
+    a floating-point sum of that many terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 4) for the longest sum either form takes,
+    S the magnitudes of every term, sum_x P(x) sum_t (|s'_t log s'_t| + |s'_t
+    log s_t|) over the diagonals s, s' of the two iterates.  Both forms read
+    an entropy off the floored log, so on the diagonals s, s' the table's and
+    the dense denominators are checked to agree within the margin."""
     chans = [initial]
     for _ in range(n):
         chans.append(engine.update(state, chans[-1], cfg.effective_gamma, cfg.alpha, cfg.beta))
@@ -283,12 +287,12 @@ def _ratio_denominator(state, cfg, initial, n):
     s_old, s = (np.diagonal(c.sigma_t_given_x, axis1=1, axis2=2).real for c in chans[-2:])
     terms = np.abs(s * linalg.log_floor(s)) + np.abs(s * linalg.log_floor(s_old))
     margin = (2 * cfg.dim_t**2 + state.size_x) * np.finfo(float).eps * float(state.px @ terms.sum(axis=1))
-    gap, forms = _floor_gap(state.px, s), []
+    forms = []
     for pair in ([CQChannel(d, classical=True) for d in (s_old, s)], [CQChannel(linalg.diag_embed(d)) for d in (s_old, s)]):
         old, new = engine._analyses(state, cfg.alpha, cfg.beta, *pair)
         forms.append(new.divergence(old))
-    assert abs(forms[0] - gap - forms[1]) <= margin, (forms, gap, margin)
-    return nxt.divergence(cur), margin, gap
+    assert abs(forms[0] - forms[1]) <= margin, (forms, margin)
+    return nxt.divergence(cur), margin
 
 
 @given(
