@@ -69,7 +69,7 @@ def copy_state(d: int, k: int = 1) -> CQState:
     return CQState(np.full(size, 1.0 / size), rho)
 
 
-def fourier_feature_channel(d: int, n: int, size_x2: int = 1) -> CQChannel:
+def fourier_feature_channel(d: int, n: int) -> CQChannel:
     """Pure-state channel x -> |psi_{x1}><psi_{x1}| achieving the quantum bound.
 
     |psi_{x1}> = n^{-1/2} sum_t exp(2 pi i x1 t / d) |t>, with the phase
@@ -80,11 +80,9 @@ def fourier_feature_channel(d: int, n: int, size_x2: int = 1) -> CQChannel:
         raise InvariantError(
             f"Fourier construction needs 2 <= n <= d, got d={d}, n={n}"
         )
-    if size_x2 < 1:
-        raise InvariantError(f"size_x2 must be >= 1, got {size_x2}")
     psi = np.exp(2j * np.pi * np.arange(d)[:, None] * np.arange(n) / d) / np.sqrt(n)
     proj = psi[:, :, None] * np.conj(psi[:, None, :])
-    return CQChannel(np.repeat(proj, size_x2, axis=0), classical=False)
+    return CQChannel(proj, classical=False)
 
 
 @dataclass(frozen=True)
@@ -108,9 +106,9 @@ def advantage_gap(d: int, n: int, alpha: float, beta: float) -> AdvantageReport:
     the copy source, certifying the quantum bound is attained (they agree
     to round-off for every valid instance).
     """
-    if not (alpha <= beta and alpha <= 1):
+    if not (0 <= alpha <= 1 and alpha <= beta):  # NaN fails every comparison
         raise InvariantError(
-            f"closed forms require alpha <= min(1, beta), got alpha={alpha}, beta={beta}"
+            f"closed forms require 0 <= alpha <= min(1, beta), got alpha={alpha}, beta={beta}"
         )
     q = quantum_bound(n, beta)
     c = classical_bound(d, n, beta)

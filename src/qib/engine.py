@@ -83,9 +83,6 @@ class IterationTrace:
     def final_f(self) -> float:
         return self.records[-1].f_alpha
 
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_alpha for r in self.records])
-
     def __len__(self) -> int:
         return len(self.records)
 

@@ -57,10 +57,6 @@ class LabeledDataset:
     train_mask: np.ndarray
     permutation: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.y.shape[0]
-
 
 def gen_classifier_dataset(
     seed: int, n_samples: int = 400, train_fraction: float = 0.5

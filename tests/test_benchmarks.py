@@ -76,6 +76,8 @@ def test_bound_guards():
         advantage_gap(3, 2, 1.5, 2.0)
     with pytest.raises(InvariantError, match="alpha"):
         advantage_gap(3, 2, 1.0, 0.5)
+    with pytest.raises(InvariantError, match=r"0 <= alpha <= min\(1, beta\)"):
+        advantage_gap(3, 2, -0.5, 2.0)
 
 
 def test_copy_state_shape_and_redundancy():
@@ -106,15 +108,14 @@ def test_fourier_channel_is_valid_and_flat():
 
 
 def test_fourier_channel_replicates_over_x2():
-    chan = fourier_feature_channel(4, 2, size_x2=3)
+    repeated = np.repeat(fourier_feature_channel(4, 2).sigma_t_given_x, 3, axis=0)
+    chan = CQChannel(repeated, classical=False)
     assert chan.size_x == 12
     assert np.array_equal(chan.sigma_t_given_x[0], chan.sigma_t_given_x[2])
     marginal = reference.sigma_t(chan, copy_state(4, 3))
     assert np.max(np.abs(marginal - np.eye(2) / 2.0)) < 1e-12
     with pytest.raises(InvariantError, match="2 <= n <= d"):
         fourier_feature_channel(3, 4)
-    with pytest.raises(InvariantError, match="size_x2"):
-        fourier_feature_channel(3, 2, size_x2=0)
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (5, 2), (5, 4)])

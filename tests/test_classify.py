@@ -28,7 +28,7 @@ def test_dataset_determinism_and_split():
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.x1_cont, b.x1_cont)
     assert not np.array_equal(a.x1_cont, c.x1_cont)
-    assert a.n_samples == 80
+    assert len(a.y) == 80
     assert a.train_mask.sum() == 40
     assert np.all(a.train_mask[:40]) and not np.any(a.train_mask[40:])
     wider = gen_classifier_dataset(3, n_samples=80, train_fraction=0.75)

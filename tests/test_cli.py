@@ -17,7 +17,7 @@ from qib import cli, config as qconfig, engine, model, qdib, serialization as se
 from qib.exceptions import NumericalError
 from qib.experiments.sweeps import gamma_sweep
 
-from helpers import random_cq_state, random_channel_for
+from helpers import TRACE_HEADER, channel_to_obj, random_cq_state, random_channel_for
 
 
 def _write_json(path, obj):
@@ -45,7 +45,7 @@ def test_run_qib_stdout_csv(qib_config, capsys):
     assert cli.main(["run-qib", "--config", qib_config]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
-    assert lines[0] == ",".join(ser.TRACE_COLUMNS)
+    assert lines[0] == TRACE_HEADER
     assert lines[-1].startswith("# status=")
     assert len(lines) > 3
 
@@ -105,7 +105,7 @@ def test_run_qib_initial_channel_from_a_file(qib_config, tmp_path, capsys):
     obj = _read_json(qib_config)
     state = qconfig.resolve_state(obj["state"], obj["seed"], 2, False)
     chan = random_channel_for(state, 2, 0, tag="clifile")
-    obj["initial_channel"] = {"path": _write_json(tmp_path / "channel.json", ser.channel_to_obj(chan))}
+    obj["initial_channel"] = {"path": _write_json(tmp_path / "channel.json", channel_to_obj(chan))}
     path = _write_json(tmp_path / "from_file.json", obj)
     assert cli.main(["run-qib", "--config", path, "--format", "json"]) == 0
     first = json.loads(capsys.readouterr().out)["records"][0]
@@ -123,7 +123,7 @@ def test_classical_initial_channel_as_a_stack_or_its_table_gives_one_trace(tmp_p
     runner = engine.run_qib if command == "run-qib" else qdib.run_qdib
     _, trace = runner(state, qconfig.objective_config(obj, obj["seed"]), model.CQChannel(q, classical=True))
     expected = {"csv": ser.trace_to_csv(trace), "json": ser.dump_json(ser.trace_to_records(trace))}
-    dense = ser.channel_to_obj(model.CQChannel(q, classical=True))
+    dense = channel_to_obj(model.CQChannel(q, classical=True))
     for initial in ({"path": _write_json(tmp_path / "channel.json", dense)}, dense):
         path = _write_json(tmp_path / "run.json", {**obj, "initial_channel": initial})
         for fmt, text in expected.items():
@@ -135,7 +135,7 @@ def test_run_qib_initial_channel_mismatch_exits_1(qib_config, tmp_path, capsys):
     state = random_cq_state(0, size_x=3, dim_y=2, tag="climm")
     chan = random_channel_for(state, 3, 0, tag="climm")  # dimT 3, config wants 2
     obj = _read_json(qib_config)
-    obj["initial_channel"] = ser.channel_to_obj(chan)
+    obj["initial_channel"] = channel_to_obj(chan)
     path = _write_json(tmp_path / "bad.json", obj)
     assert cli.main(["run-qib", "--config", path]) == 1
     assert "error:" in capsys.readouterr().err
@@ -214,7 +214,7 @@ def test_run_qdib_csv_has_support_column(tmp_path, capsys):
     )
     assert cli.main(["run-qdib", "--config", path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == ",".join(ser.TRACE_COLUMNS) + ",support_T"
+    assert lines[0] == TRACE_HEADER + ",support_T"
     assert lines[1].split(",")[6] == "nan"  # no step-size ratio in qdib traces
 
 
@@ -278,7 +278,7 @@ def test_gamma_sweep_concatenates_chunks(tmp_path, capsys):
     assert cli.main(["gamma-sweep", "--config", path]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
-    header = "gamma," + ",".join(ser.TRACE_COLUMNS)
+    header = "gamma," + TRACE_HEADER
     assert lines[0] == header
     assert sum(1 for ln in lines if ln == header) == 1
     statuses = [ln for ln in lines if ln.startswith("# status=")]
@@ -381,6 +381,10 @@ def test_advantage_bad_lists_exit_1(capsys):
     assert cli.main(["advantage", "--d", "x", "--n", "2", "--beta", "2"]) == 1
     assert cli.main(["advantage", "--d", "3", "--n", "3", "--beta", "2"]) == 1
     capsys.readouterr()
+    assert cli.main(["advantage", "--d", "4", "--n", "2", "--beta", "2", "--alpha", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: closed forms require 0 <= alpha <= min(1, beta), got alpha=-1.0, beta=2.0"]
 
 
 @pytest.mark.parametrize(
@@ -553,7 +557,7 @@ def test_validate_state_and_channel(tmp_path, capsys):
     state = random_cq_state(5, size_x=4, dim_y=2, tag="clival")
     chan = random_channel_for(state, 3, 5, classical=True, tag="clival")
     spath = _write_json(tmp_path / "state.json", ser.state_to_obj(state))
-    cpath = _write_json(tmp_path / "chan.json", ser.channel_to_obj(chan))
+    cpath = _write_json(tmp_path / "chan.json", channel_to_obj(chan))
 
     assert cli.main(["validate", spath]) == 0
     assert capsys.readouterr().out == "ok: state with sizeX=4, dimY=2\n"
@@ -562,7 +566,7 @@ def test_validate_state_and_channel(tmp_path, capsys):
 
 
 def test_validate_rejects_a_non_diagonal_classical_channel(tmp_path, capsys):
-    obj = ser.channel_to_obj(random_channel_for(random_cq_state(0), 2, 0, classical=True))
+    obj = channel_to_obj(random_channel_for(random_cq_state(0), 2, 0, classical=True))
     obj["sigmaT"][1]["re"][0][1] = obj["sigmaT"][1]["re"][1][0] = 1e-9
     path = _write_json(tmp_path / "offdiag.json", obj)
     assert cli.main(["validate", path]) == 1
@@ -589,7 +593,7 @@ def test_validate_rejects_invalid_density(tmp_path, capsys):
         "dimY": 1,
         "rhoY": [{"dim": 1, "re": [[2.0]], "im": [[0.0]]}],
     }
-    mixed_dims = ser.channel_to_obj(random_channel_for(random_cq_state(0), 2, 0))
+    mixed_dims = channel_to_obj(random_channel_for(random_cq_state(0), 2, 0))
     mixed_dims["sigmaT"][1] = ser.matrix_to_obj(np.eye(3) / 3)
     for name, obj, pointer, message in (
         ("nondensity", nondensity, "", "rho_y_given_x[0]"),
@@ -759,7 +763,7 @@ def test_malformed_inline_source_names_the_entry(tmp_path, capsys, where, pointe
         config["state"]["extra"] = 1
     else:
         chan = random_channel_for(random_cq_state(3, size_x=2, dim_y=2, tag="inline"), 2, 0)
-        config["initial_channel"] = ser.channel_to_obj(chan)
+        config["initial_channel"] = channel_to_obj(chan)
         config["initial_channel"]["sigmaT"][1]["extra"] = 1
     path = _write_json(tmp_path / "bad.json", config)
     assert cli.main(["run-qib", "--config", path]) == 1
@@ -802,7 +806,7 @@ def test_seeds_of_any_size_run(qib_config, tmp_path, seed):
 
 _NUMBER_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
 _INLINE_STATE = ser.state_to_obj(random_cq_state(3, size_x=2, dim_y=2, tag="inline"))
-_INLINE_CHANNEL = ser.channel_to_obj(
+_INLINE_CHANNEL = channel_to_obj(
     random_channel_for(random_cq_state(3, size_x=2, dim_y=2, tag="inline"), 2, 0)
 )
 _SUFFSTATS = {"sizeX1": 2, "sizeX2": 2, "nu": 25.0}

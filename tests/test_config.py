@@ -12,7 +12,7 @@ from qib.experiments.ensembles import (
 )
 from qib.rng import derive_seed
 
-from helpers import random_cq_state, random_channel_for
+from helpers import channel_to_obj, random_cq_state, random_channel_for
 
 
 def _minimal_run_qib(**extra):
@@ -186,7 +186,7 @@ def test_resolve_initial_channel():
 
     state = random_cq_state(1, size_x=3, dim_y=2, tag="cfg")
     chan = random_channel_for(state, 2, 1, tag="cfg")
-    obj = ser.channel_to_obj(chan)
+    obj = channel_to_obj(chan)
     resolved = cfg.resolve_initial_channel(obj, 2, 3, False)
     assert np.array_equal(resolved.sigma_t_given_x, chan.sigma_t_given_x)
     # Whether the channel fits the run is the runner's check (test_engine).

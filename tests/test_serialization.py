@@ -13,7 +13,7 @@ from qib import cli, engine, serialization as ser
 from qib.engine import IterationTrace, TraceRecord
 from qib.exceptions import ConfigError, InvariantError
 
-from helpers import random_cq_state, random_channel_for
+from helpers import TRACE_HEADER, channel_to_obj, random_cq_state, random_channel_for
 
 
 def test_matrix_roundtrip_preserves_complex_entries():
@@ -46,7 +46,7 @@ def test_state_roundtrip_bitexact_through_json_text():
 def test_channel_roundtrip_and_flags():
     state = random_cq_state(1, tag="ser")
     chan = random_channel_for(state, 3, 1, classical=True, tag="ser")
-    again = ser.obj_to_channel(ser.channel_to_obj(chan))
+    again = ser.obj_to_channel(channel_to_obj(chan))
     assert again.classical is True
     assert np.array_equal(chan.sigma_t_given_x, again.sigma_t_given_x)
 
@@ -54,7 +54,7 @@ def test_channel_roundtrip_and_flags():
 def test_pauli_channel_roundtrip():
     # A qubit channel built in the Pauli form is written as its stack.
     chan = engine.random_channel(2, 4, seed=3)
-    again = ser.obj_to_channel(json.loads(ser.dump_json(ser.channel_to_obj(chan))))
+    again = ser.obj_to_channel(json.loads(ser.dump_json(channel_to_obj(chan))))
     assert again.classical is False
     assert np.array_equal(chan.sigma_t_given_x, again.sigma_t_given_x)
 
@@ -122,7 +122,7 @@ def _toy_trace(with_support=False, violations=()):
 def test_trace_csv_layout():
     text = ser.trace_to_csv(_toy_trace())
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(ser.TRACE_COLUMNS)
+    assert lines[0] == TRACE_HEADER
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "1"
@@ -277,7 +277,7 @@ def test_load_state_and_channel_files(tmp_path):
     spath = tmp_path / "state.json"
     cpath = tmp_path / "chan.json"
     ser.write_text_atomic(str(spath), ser.dump_json(ser.state_to_obj(state)))
-    ser.write_text_atomic(str(cpath), ser.dump_json(ser.channel_to_obj(chan)))
+    ser.write_text_atomic(str(cpath), ser.dump_json(channel_to_obj(chan)))
     s2 = ser.load_state(str(spath))
     c2 = ser.load_channel(str(cpath))
     assert np.array_equal(s2.px, state.px)

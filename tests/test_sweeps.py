@@ -20,7 +20,7 @@ from qib.experiments.sweeps import beta_sweep, gamma_sweep
 from qib.model import ObjectiveConfig
 
 import reference
-from helpers import random_cq_state
+from helpers import f_values, random_cq_state
 
 _FORK = multiprocessing.get_context("fork")
 
@@ -48,7 +48,7 @@ def test_gamma_sweep_descends_at_gamma_equal_alpha():
     results, _ = gamma_sweep(state, config, [1.0])
     _, trace = results[0]
     assert not trace.violations
-    assert np.all(np.diff(trace.f_values()) <= 1e-9)
+    assert np.all(np.diff(f_values(trace)) <= 1e-9)
 
 
 def test_gamma_sweep_guards():
