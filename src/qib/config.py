@@ -6,17 +6,16 @@ number > 0".  ``validate_config`` rejects unknown keys, missing keys and bad
 values with the JSON pointer of the offending key.  Seeds are integers of
 any size.
 
-The ``state`` key takes a ``{"path": ...}`` object, a generator spec (whose
-keys go through the same rules) or an inline source; ``initial_channel``
-takes "random", "maximally-mixed", a path object or an inline channel.
-Inline sources and channels are checked at resolve time by the file readers,
-with their config pointer (``/state/rhoY/0/extra``) instead of ``<path>#``.
+The rules of the spec keys, ``state`` and ``initial_channel`` (of run-qib and
+run-qdib only), check their kind.  Each spec's reader, ``resolve_state`` or
+``resolve_initial_channel``, sorts it once into path (any spec with a "path"
+key), generator or inline and checks its contents, with their pointers
+(``/state/sizeX``, ``/state/rhoY/0/extra``), before it reads or generates.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
 from typing import Any
 
 from . import serialization
@@ -45,31 +44,6 @@ _GENERATOR = _rule(
 )
 
 
-def _check_state(spec: Any, pointer: str) -> None:
-    if isinstance(spec, dict) and "path" in spec:
-        _check_object(spec, *_PATH, pointer)
-    elif isinstance(spec, dict) and "generator" in spec:
-        _GENERATOR(spec["generator"], f"{pointer}/generator")
-        required, rules = _GENERATORS[spec["generator"]]
-        _check_object(spec, ("generator", *required), {"generator": _GENERATOR, **rules}, pointer)
-    elif not isinstance(spec, dict):
-        raise ConfigError(
-            pointer,
-            f"expected a path object, a generator spec or an inline state, got {reprlib.repr(spec)}",
-        )
-
-
-def _check_initial_channel(spec: Any, pointer: str) -> None:
-    if isinstance(spec, dict) and "path" in spec:
-        _check_object(spec, *_PATH, pointer)
-    elif not isinstance(spec, dict) and spec not in ("random", "maximally-mixed"):
-        raise ConfigError(
-            pointer,
-            'expected "random", "maximally-mixed", a path object or an inline channel, '
-            f"got {reprlib.repr(spec)}",
-        )
-
-
 _RUN_RULES = {
     "alpha": _NONNEGATIVE,
     "beta": _NONNEGATIVE,
@@ -79,17 +53,18 @@ _RUN_RULES = {
     "tol": _POSITIVE,
     "max_iters": _COUNT,
     "seed": _SEED,
-    "state": _check_state,
-    "initial_channel": _check_initial_channel,
+    "state": _rule("a path object, a generator spec or an inline state", lambda v: isinstance(v, dict)),
 }
+_INITIAL_CHANNEL = _rule('"random", "maximally-mixed", a path object or an inline channel',
+                         lambda v: isinstance(v, dict) or v in ("random", "maximally-mixed"))
 
 
 def _run_rules(drop: tuple[str, ...] = (), **extra: Rule) -> dict[str, Rule]:
     return {**{k: v for k, v in _RUN_RULES.items() if k not in drop}, **extra}
 
 
-RUN_QIB_SCHEMA: Schema = (("alpha", "beta", "dimT", "state"), _run_rules())
-RUN_QDIB_SCHEMA: Schema = (("beta", "dimT", "state"), _run_rules(("alpha", "gamma")))
+RUN_QIB_SCHEMA: Schema = (("alpha", "beta", "dimT", "state"), _run_rules(initial_channel=_INITIAL_CHANNEL))
+RUN_QDIB_SCHEMA: Schema = (("beta", "dimT", "state"), _run_rules(("alpha", "gamma"), initial_channel=_INITIAL_CHANNEL))
 GAMMA_SWEEP_SCHEMA: Schema = (
     ("alpha", "beta", "dimT", "state", "gamma_list"),
     _run_rules(("gamma",), gamma_list=_nonempty_list(_POSITIVE)),
@@ -140,8 +115,8 @@ def check_arrays(*arrays: tuple) -> None:
 
 
 def validate_config(obj: Any, schema: Schema) -> None:
-    """Check a config object against a subcommand's schema; raise
-    ConfigError with the JSON pointer of the first offending key."""
+    """Check a config object, but for its specs' contents, against a subcommand's
+    schema; raise ConfigError with the JSON pointer of the first offending key."""
     _check_object(obj, *schema, "")
 
 
@@ -149,14 +124,16 @@ def resolve_state(spec: Any, seed: int, dim_t: int = 1, classical: bool = True) 
     """Materialize the ``state`` config key; generators derive from ``seed``.
     Every resolved state is validated once: by its reader, or here.  A run at
     ``dim_t`` passes ``check_entries`` before a generator runs, or once read."""
-    if not isinstance(spec, dict):
-        raise InvariantError(f"state spec must be an object, got {type(spec).__name__}")
     t = (("/dimT", dim_t),)
-    if "path" in spec or "generator" not in spec:
-        state = serialization.load_state(spec["path"]) if "path" in spec else serialization.obj_to_state(spec, "/state")
+    if is_path := isinstance(spec, dict) and "path" in spec:
+        _check_object(spec, *_PATH, "/state")
+    if is_path or not isinstance(spec, dict) or "generator" not in spec:
+        state = serialization.load_state(spec["path"]) if is_path else serialization.obj_to_state(spec, "/state")
         check_entries((("/state", state.size_x),), (("/state", state.dim_y),), t, classical)
         return state
-    kind = spec["generator"]
+    _GENERATOR(kind := spec["generator"], "/state/generator")
+    required, rules = _GENERATORS[kind]
+    _check_object(spec, ("generator", *required), {"generator": _GENERATOR, **rules}, "/state")
     if kind == "random-qubit-ensemble":
         check_entries((("/state/sizeX", spec["sizeX"]),), QUBIT, t, classical)
         state = gen_random_qubit_ensemble(spec["sizeX"], seed=derive_seed(seed, "state-gen"))
@@ -164,19 +141,15 @@ def resolve_state(spec: Any, seed: int, dim_t: int = 1, classical: bool = True) 
         d = ("/state/d", spec["d"])
         check_entries((d, ("/state/k", spec.get("k", 1))), (d,), t, classical)
         state = copy_state(spec["d"], spec.get("k", 1))
-    elif kind == "suffstats-ensemble":
+    else:
         ss = suffstats_spec(spec, seed, "state-gen")
         check_entries((("/state/sizeX1", ss.size_x1), ("/state/sizeX2", ss.size_x2)), QUBIT, t, classical)
         state = gen_suffstats_ensemble(ss).state
-    else:
-        raise InvariantError(f"unknown state generator {kind!r}")
     state.validate()
     return state
 
 
-def resolve_initial_channel(
-    spec: Any, dim_t: int, size_x: int, classical: bool
-) -> CQChannel | None:
+def resolve_initial_channel(spec: Any, dim_t: int, size_x: int, classical: bool) -> CQChannel | None:
     """Materialize ``initial_channel``; None means the runner draws randomly.
     The runner checks that the channel fits the state and the config."""
     if spec is None or spec == "random":
@@ -184,6 +157,7 @@ def resolve_initial_channel(
     if spec == "maximally-mixed":
         return maximally_mixed_channel(dim_t, size_x, classical=classical)
     if isinstance(spec, dict) and "path" in spec:
+        _check_object(spec, *_PATH, "/initial_channel")
         return serialization.load_channel(spec["path"])
     return serialization.obj_to_channel(spec, "/initial_channel")
 

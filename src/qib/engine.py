@@ -96,20 +96,20 @@ class _Analysis:
     off the floored log that the divergence's trace reads, so D(sigma || sigma) = 0 up to round-off.
 
     ``project`` is the deterministic step of an alpha = 0 analysis: each
-    conditional compressed onto the minimal eigenspace P(x) of F_0(x) and
+    conditional compressed onto the minimal eigenspace P(x) of F_0(x), tied by ``linalg.tied_minima``, and
     renormalized by the overlap Tr[sigma_{T|x} P(x)], or P/rank(P) where that
     overlap is OVERLAP_TOL or less, the exact alpha -> 0 limit of the gamma =
     alpha update.  It returns the next iterate's form and those x in order: the
     runner keeps the fallback, ``qdib.qdib_update`` raises on it."""
 
     def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
-        self.px, self.channel = state.px, channel
-        p, log_p, wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
+        self.px, self.channel, self.beta = state.px, channel, beta
+        p, log_p, self.wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
         self.h_each = -np.einsum("xk,xk->x", p, log_p)
         self.h_t_given_x = float(self.px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
         self.i_tx = self.h_t - self.h_t_given_x
-        self.i_ty = self.h_t + state.rho_y_log[0] - linalg.entropy(wj.ravel())
+        self.i_ty = self.h_t + state.rho_y_log[0] - linalg.entropy(self.wj.ravel())
         self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
         self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
 
@@ -125,6 +125,12 @@ class _Analysis:
         num = float(self.px @ _tr(self.mats, self.f_family - old.f_family))
         den = self.divergence(old)
         return num / den if den > RATIO_DENOM_TOL else float("nan")
+
+    def _f0_scale(self) -> float:
+        """The size of F_0's summands, which its round-off scales with, not F_0's (they cancel to ln(dimT) I
+        at I/dimT): -log sigma_T and beta times log sigma_T, log rho_Y and log J, none above |log J| =
+        -log_floor(J's least eigenvalue), as neither marginal of J has an eigenvalue below that one."""
+        return (1 + 3 * self.beta) * -math.log(max(float(self.wj.min()), linalg.LOG_FLOOR))
 
     def residual(self, channel: CQChannel) -> float:
         """sum_x P(x) ||sigma'_x - sigma_x||_1, the trace norm (l1 on tables), to ``channel``
@@ -159,9 +165,7 @@ class _Table(_Analysis):
     def project(self) -> tuple[np.ndarray, list[int]]:
         """P(x) is the indicator of the row's tied minima of F_0: the hard
         assignment of the deterministic IB."""
-        fam = self.f_family
-        lo, hi = fam.min(axis=1)[:, None], fam.max(axis=1)[:, None]
-        proj = (fam <= lo + linalg.PROJECTOR_REL_TOL * (hi - lo)).astype(np.float64)
+        proj = linalg.tied_minima(self.f_family, self._f0_scale()).astype(np.float64)
         out = proj * self.mats
         return _renormalized(out, proj, out.sum(axis=1), proj.sum(axis=1))
 
@@ -201,7 +205,7 @@ class _Stack(_Analysis):
         return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
 
     def project(self) -> tuple[np.ndarray, list[int]]:
-        proj = linalg.min_eigenspace_projector(self.f_family)
+        proj = linalg.min_eigenspace_projector(self.f_family, self._f0_scale())
         out = proj @ self.mats @ proj
         return _renormalized(out, proj, np.trace(out, axis1=1, axis2=2).real, np.trace(proj, axis1=1, axis2=2).real)
 
@@ -256,10 +260,10 @@ class _Bloch(_Analysis):
 
     def project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         """P(x) = (I - f.sigma / |f|) / 2 on the axis of F_0's coordinates f, rank
-        one, so P sigma P / Tr[sigma P] = P; P = I where f = 0, a tie."""
+        one, so P sigma P / Tr[sigma P] = P; P = I where ``linalg.tied_minima`` ties F_0's eigenvalues."""
         f = self.f_family[:, 1:]
         r = linalg.norms(f)
-        tie = r == 0  # eigenvalues (1, 1) there, else (0, 1) with the eigenvector of 1 on -f
+        tie = linalg.tied_minima(linalg.pauli_eigvals(self.f_family, r), self._f0_scale())[:, 1]
         proj = linalg.pauli_of(np.where(tie[:, None], 1.0, [0.0, 1.0]), -f, r)
         overlap = np.einsum("xk,xk->x", self.mats, proj)
         out, gone = _renormalized(np.where(tie[:, None], self.mats, overlap[:, None] * proj), proj, overlap,

@@ -38,6 +38,7 @@ DENSITY_EIG_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
 LOG_FLOOR = 1e-12
 PROJECTOR_REL_TOL = 1e-9
+TIE_ROUNDOFF = 64 * np.finfo(np.float64).eps  # per unit of ``tied_minima``'s scale
 
 
 def diag_embed(diags: np.ndarray) -> np.ndarray:
@@ -82,17 +83,24 @@ def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def min_eigenspace_projector(h: np.ndarray) -> np.ndarray:
+def tied_minima(w: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the entries of each row of ``w`` tied with its least: within PROJECTOR_REL_TOL of its
+    spread plus TIE_ROUNDOFF times ``scale``, the size of the summands ``w`` came from (0 if exact),
+    so a row equal up to round-off, whose spread is round-off alone, is all tied."""
+    lo = w.min(axis=-1, keepdims=True)
+    return w <= lo + PROJECTOR_REL_TOL * (w.max(axis=-1, keepdims=True) - lo) + TIE_ROUNDOFF * scale
+
+
+def min_eigenspace_projector(h: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthogonal projector onto the minimal eigenspace of a Hermitian
     matrix (stacked OK).
 
-    Eigenvalues within PROJECTOR_REL_TOL * (spread) of the minimum count as tied and
-    are kept, so a multiple of the identity yields the full identity.  ``h`` is
-    read through its lower triangle; the projector is Hermitian up to round-off.
+    The eigenvalues ``tied_minima`` ties at ``scale`` are kept, so a multiple of the
+    identity up to round-off keeps the whole space.  ``h`` is read through its
+    lower triangle; the projector is Hermitian up to round-off.
     """
     w, v = eig_hermitian(h)
-    window = w[..., :1] + PROJECTOR_REL_TOL * (w[..., -1:] - w[..., :1])
-    keep = w <= window  # a prefix of the columns, since w ascends
+    keep = tied_minima(w, scale)  # a prefix of the columns, since w ascends
     k = int(keep.sum(axis=-1).max())
     return from_eig(keep[..., :k].astype(np.float64), v[..., :k])
 

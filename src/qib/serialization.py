@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .engine import IterationTrace
-from .exceptions import ConfigError, InvariantError
+from .exceptions import ConfigError, InvariantError, NumericalError
 from .model import CQChannel, CQState
 
 # Output column -> TraceRecord attribute, shared by the CSV and JSON forms.
@@ -218,7 +218,11 @@ def load_channel(path: str) -> CQChannel:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON text of ``obj``: a NaN or an infinity raises NumericalError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError("output holds a NaN or an infinity, which JSON cannot hold") from exc
 
 
 def write_text_atomic(path: str, text: str) -> None:

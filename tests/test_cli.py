@@ -387,6 +387,22 @@ def test_advantage_bad_lists_exit_1(capsys):
         "error: closed forms require 0 <= alpha <= min(1, beta), got alpha=-1.0, beta=2.0"]
 
 
+def test_json_output_with_an_infinity_exits_2(tmp_path, capsys):
+    # A finite --beta this large overflows the closed forms to -inf; JSON
+    # holds no infinity, and "gap": Infinity used to be printed with exit 0.
+    argv = ["advantage", "--d", "5", "--n", "3", "--beta", "1.7e308", "--format", "json"]
+    with np.errstate(over="ignore"):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical error: output holds a NaN or an infinity, which JSON cannot hold\n"
+        assert cli.main([*argv, "--out", str(tmp_path / "table.json")]) == 2
+        assert not (tmp_path / "table.json").exists()
+        # The CSV form writes the infinity as inf.
+        assert cli.main(argv[:-2]) == 0
+    assert ",-inf," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "flags, flag",
     [
@@ -770,6 +786,39 @@ def test_malformed_inline_source_names_the_entry(tmp_path, capsys, where, pointe
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200
     assert lines[0].startswith(f"error: config error at /{pointer}:")
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [("gamma-sweep", {"gamma_list": [0.5, 1.0]}), ("beta-sweep", {"beta_list": [0.0, 2.0]})],
+)
+@pytest.mark.parametrize("initial", [{"path": "/nonexistent.json"}, "maximally-mixed"])
+def test_sweeps_reject_an_initial_channel(tmp_path, capsys, command, keys, initial):
+    # The sweeps draw their start from the seed; they used to accept this key and ignore it.
+    config = dict(_RUN, state=_QUBITS, initial_channel=initial, **keys)
+    if command == "beta-sweep":
+        del config["beta"]
+    assert cli.main([command, "--config", _write_json(tmp_path / "run.json", config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: config error at /initial_channel: unknown key 'initial_channel'\n"
+
+
+@pytest.mark.parametrize(
+    "initial, pointer, calls",
+    [("zeros", "/initial_channel", 0), ({"path": ""}, "/initial_channel/path", 1), ({"dimT": 2}, "/initial_channel", 1)],
+)
+def test_initial_channel_errors_come_before_or_after_the_state(tmp_path, capsys, monkeypatch, initial, pointer, calls):
+    # A bad keyword fails the key's rule before the state is generated; an
+    # object's contents fail in its reader, once the state is resolved (a
+    # path object's used to fail with the key rules).
+    ran = []
+    generate = qconfig.gen_random_qubit_ensemble
+    monkeypatch.setattr(qconfig, "gen_random_qubit_ensemble", lambda *a, **k: ran.append(1) or generate(*a, **k))
+    config = _write_json(tmp_path / "run.json", dict(_RUN, state=_QUBITS, initial_channel=initial))
+    assert cli.main(["run-qib", "--config", config]) == 1
+    assert _config_error(capsys)[0] == pointer
+    assert len(ran) == calls
 
 
 def test_state_file_rejects_unknown_keys(tmp_path, capsys):

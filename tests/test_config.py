@@ -61,18 +61,44 @@ def test_schema_errors_carry_json_pointers():
     ],
 )
 def test_rules_name_the_offending_key(extra, pointer):
+    # In the order the CLI checks them: the key rules, then each spec's reader.
+    obj = _minimal_run_qib(**extra)
     with pytest.raises(ConfigError) as exc:
-        cfg.validate_config(_minimal_run_qib(**extra), cfg.RUN_QIB_SCHEMA)
+        cfg.validate_config(obj, cfg.RUN_QIB_SCHEMA)
+        state = cfg.resolve_state(obj["state"], seed=0, dim_t=2, classical=False)
+        cfg.resolve_initial_channel(obj.get("initial_channel"), 2, state.size_x, False)
     assert exc.value.pointer == pointer
 
 
 def test_inline_sources_pass_validation_and_fail_at_resolve():
-    # Inline states and channels are checked once, by serialization.
-    bad = ser.state_to_obj(random_cq_state(0, tag="cfg"))
-    bad["px"][0] = "a"
-    cfg.validate_config(_minimal_run_qib(state=bad), cfg.RUN_QIB_SCHEMA)
-    with pytest.raises(ConfigError, match="^config error at /state/px/0: expected a finite number, got 'a'$"):
-        cfg.resolve_state(bad, seed=0)
+    # Path, generator and inline specs are checked once, by their reader, with
+    # their pointers, before a file is read or a generator runs.
+    bad_state = ser.state_to_obj(random_cq_state(0, tag="cfg"))
+    bad_state["px"][0] = "a"
+    bad_channel = dict(channel_to_obj(random_channel_for(random_cq_state(0, tag="cfg"), 2, 0)), dimT=0)
+    cases = [
+        ("state", bad_state, "/state/px/0: expected a finite number, got 'a'"),
+        ("state", {"path": ""}, "/state/path: expected a nonempty string, got ''"),
+        ("state", {"path": "missing.json", "k": 1}, "/state/k: unknown key 'k'"),
+        ("state", {"generator": "copy-state", "d": 1}, "/state/d: expected an integer in [2, 1000000], got 1"),
+        ("state", {"generator": "random-qubit-ensemble"}, "/state: missing required keys ['sizeX']"),
+        ("initial_channel", bad_channel, "/initial_channel/dimT: expected an integer >= 1, got 0"),
+        ("initial_channel", {"path": "missing.json", "dimT": 2}, "/initial_channel/dimT: unknown key 'dimT'"),
+    ]
+    for key, spec, message in cases:
+        cfg.validate_config(_minimal_run_qib(**{key: spec}), cfg.RUN_QIB_SCHEMA)
+        with pytest.raises(ConfigError) as exc:
+            if key == "state":
+                cfg.resolve_state(spec, seed=0)
+            else:
+                cfg.resolve_initial_channel(spec, 2, 3, False)
+        assert str(exc.value) == f"config error at {message}"
+
+
+def test_a_spec_with_a_path_is_a_path_spec():
+    # Its generator keys are unknown keys of a path object.
+    with pytest.raises(ConfigError, match="^config error at /state/generator: unknown key 'generator'$"):
+        cfg.resolve_state({"path": "missing.json", "generator": "copy-state", "d": 2}, seed=0)
 
 
 def test_qdib_schema_has_no_step_knobs():
@@ -164,9 +190,9 @@ def test_resolve_state_generators():
 
 
 def test_resolve_state_rejects_unknown_specs():
-    with pytest.raises(InvariantError, match="unknown state generator"):
+    with pytest.raises(ConfigError, match="^config error at /state/generator: expected one of "):
         cfg.resolve_state({"generator": "mystery"}, seed=0)
-    with pytest.raises(InvariantError, match="object"):
+    with pytest.raises(ConfigError, match="^config error at /state: expected an object, got list$"):
         cfg.resolve_state([1, 2], seed=0)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qib import engine, linalg, qdib
+from qib import config as qconfig, engine, linalg, qdib
 from qib.exceptions import InvariantError, NumericalError
-from qib.model import CQChannel, CQState, ObjectiveConfig
+from qib.model import CQChannel, CQState, ObjectiveConfig, maximally_mixed_channel
 from qib.rng import derive_rng
 
 import reference
@@ -205,6 +205,29 @@ def test_run_qdib_descends(beta):
         fs = f_values(trace)
         assert np.all(np.diff(fs) <= 1e-9)
         assert trace.status != engine.STATUS_MONOTONICITY_VIOLATED
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"generator": "random-qubit-ensemble", "sizeX": 40}, {"generator": "copy-state", "d": 2},
+     {"generator": "copy-state", "d": 3}, {"generator": "suffstats-ensemble"}],
+    ids=["qubits", "copy2", "copy3", "suffstats"],
+)
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+def test_maximally_mixed_start_is_a_qdib_fixed_point(spec, classical):
+    # There F_0 = ln(dimT) I for every source: sigma_T = I/dimT, the joint is
+    # I/dimT (x) rho_Y, and the beta term cancels up to round-off that grows
+    # with beta.  Quantum dimT 2 runs the Pauli form, 3 and 4 the stack, a
+    # classical run the table; each must keep the whole space at the tie.
+    state = qconfig.resolve_state(spec, seed=7)
+    for dim_t in (2, 3, 4):
+        start = maximally_mixed_channel(dim_t, state.size_x, classical)
+        for beta in (5.0, 50.0, 200.0, 1000.0):
+            run = ObjectiveConfig(alpha=0.0, beta=beta, dim_t=dim_t, classical=classical, max_iters=3)
+            final, trace = qdib.run_qdib(state, run, initial=start)
+            assert [r.support_t for r in trace.records] == [dim_t] * len(trace), (dim_t, beta)
+            assert np.max(np.abs(final.sigma_t_given_x - start.sigma_t_given_x)) <= 1e-12, (dim_t, beta)
+            assert abs(trace.final_f - np.log(dim_t)) <= 1e-9, (dim_t, beta)
 
 
 def test_run_qdib_trace_support_column():
