@@ -13,10 +13,13 @@ usage), 2 numerical failure inside an otherwise valid computation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import math
 import sys
+from collections.abc import Callable
+from typing import Any
 
 from . import benchmarks, config as cfg, engine, qdib, serialization
 from .exceptions import ConfigError, InvariantError, NumericalError
@@ -24,18 +27,18 @@ from .experiments.classify import MAX_CELLS, NUM_LABELS, check_grid_step, classi
 from .experiments.suffstats import suffstats_pipeline
 from .experiments.sweeps import beta_sweep, gamma_sweep
 
-BETA_SWEEP_COLUMNS = ("beta", "f", "H_T", "I_TX", "I_TY", "kappa_lower_bound")
-ADVANTAGE_COLUMNS = ("d", "n", "alpha", "beta", "quantum", "classical", "gap", "achieved_quantum")
-REGION_COLUMNS = ("x1", "x2", "pred_quantum", "pred_classical", "pred_linear")
-FDIB_COLUMNS = ("iter", "f_dib_qdib", "f_dib_baseline")
-ITY_COLUMNS = ("iter", "I_TY", "I_X1Y_baseline", "I_XY")
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         serialization.write_text_atomic(out, text)
+
+
+def _emit_result(args: argparse.Namespace, to_json: Callable[[], Any], to_csv: Callable[[], str]) -> None:
+    """The one choice of format: the result as JSON under --format json, as CSV
+    otherwise; only the chosen form is rendered."""
+    _emit(serialization.dump_json(to_json()) if args.format == "json" else to_csv(), args.out)
 
 
 def _load_config(args: argparse.Namespace, schema: cfg.Schema) -> tuple[dict, int]:
@@ -68,10 +71,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     _, trace = getattr(*args.runner)(state, run_cfg, initial=initial)
     _maybe_emit_state(args, state)
-    if args.format == "json":
-        _emit(serialization.dump_json(serialization.trace_to_records(trace)), args.out)
-    else:
-        _emit(serialization.trace_to_csv(trace), args.out)
+    _emit_result(args, lambda: serialization.trace_to_records(trace), lambda: serialization.trace_to_csv(trace))
     return 0
 
 
@@ -79,17 +79,13 @@ def _cmd_gamma_sweep(args: argparse.Namespace) -> int:
     obj, run_cfg, state = _load_run(args, cfg.GAMMA_SWEEP_SCHEMA)
     results, _ = gamma_sweep(state, run_cfg, obj["gamma_list"])
     _maybe_emit_state(args, state)
-    if args.format == "json":
-        payload = {
-            "runs": [
-                {"gamma": g, **serialization.trace_to_records(t)} for g, t in results
-            ]
-        }
-        _emit(serialization.dump_json(payload), args.out)
-    else:
+
+    def to_csv() -> str:
         texts = [serialization.trace_to_csv(t, gamma=g) for g, t in results]
-        # One header line: later runs drop theirs.
-        _emit(texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:]), args.out)
+        return texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:])  # one header line
+
+    _emit_result(args, lambda: {"runs": [{"gamma": g, **serialization.trace_to_records(t)} for g, t in results]},
+                 to_csv)
     return 0
 
 
@@ -97,11 +93,7 @@ def _cmd_beta_sweep(args: argparse.Namespace) -> int:
     obj, run_cfg, state = _load_run(args, cfg.BETA_SWEEP_SCHEMA)
     rows = beta_sweep(state, run_cfg, obj["beta_list"], **cfg.params(obj, ("kappa_samples",)))
     _maybe_emit_state(args, state)
-    if args.format == "json":
-        _emit(serialization.dump_json(rows), args.out)
-    else:
-        table = [[float(row[c]) for c in BETA_SWEEP_COLUMNS] for row in rows]
-        _emit(serialization.csv_text(BETA_SWEEP_COLUMNS, table), args.out)
+    _emit_result(args, lambda: rows, lambda: serialization.csv_text(rows))
     return 0
 
 
@@ -131,16 +123,8 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
             raise InvariantError(f"{flag} must be a finite number, got {value}")
     for d, n in zip(ds, ns):  # a copy source has sizeX = dimY = d; the Fourier channel has dimT = n
         cfg.check_entries((("--d", d),), (("--d", d),), (("--n", n),), classical=False)
-    reports = [
-        benchmarks.advantage_gap(d, n, args.alpha, args.beta)
-        for d, n in zip(ds, ns)
-    ]
-    table = [[getattr(r, c) for c in ADVANTAGE_COLUMNS] for r in reports]
-    if args.format == "json":
-        payload = [dict(zip(ADVANTAGE_COLUMNS, row)) for row in table]
-        _emit(serialization.dump_json(payload), args.out)
-    else:
-        _emit(serialization.csv_text(ADVANTAGE_COLUMNS, table), args.out)
+    rows = [dataclasses.asdict(benchmarks.advantage_gap(d, n, args.alpha, args.beta)) for d, n in zip(ds, ns)]
+    _emit_result(args, lambda: rows, lambda: serialization.csv_text(rows))
     return 0
 
 
@@ -163,9 +147,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     metrics["seed"] = seed
     _emit(serialization.dump_json(metrics), args.out)
     if args.regions_out:
-        serialization.write_text_atomic(
-            args.regions_out, serialization.csv_text(REGION_COLUMNS, report.region_rows)
-        )
+        serialization.write_text_atomic(args.regions_out, serialization.csv_text(report.region_rows))
     return 0
 
 
@@ -185,12 +167,8 @@ def _cmd_suffstats(args: argparse.Namespace) -> int:
     )
     _maybe_emit_state(args, report.instance.state)
     out = args.out.rstrip("/")
-    serialization.write_text_atomic(
-        f"{out}/fdib.csv", serialization.csv_text(FDIB_COLUMNS, report.fdib_rows)
-    )
-    serialization.write_text_atomic(
-        f"{out}/ity.csv", serialization.csv_text(ITY_COLUMNS, report.ity_rows)
-    )
+    serialization.write_text_atomic(f"{out}/fdib.csv", serialization.csv_text(report.fdib_rows))
+    serialization.write_text_atomic(f"{out}/ity.csv", serialization.csv_text(report.ity_rows))
     metrics = dict(report.metrics)
     metrics["seed"] = seed
     metrics["status"] = report.trace.status

@@ -91,7 +91,7 @@ class _Analysis:
     """One channel iterate as the loop reads it.  A subclass per stored form reads it (``_read``
     sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns the conditionals' spectra
     or table rows with their floored log, the joint's spectrum and F's beta term) and owns the soft
-    step (``advance``), the residual's spread and the projector step (``project``); the base scores
+    step (``advance``), the residual's spread and the projector step (``_project``); the base scores
     it: f, F, divergence, ratio, residual.  A conditional's entropy is -sum p log_floor(p), read
     off the floored log that the divergence's trace reads, so D(sigma || sigma) = 0 up to round-off.
 
@@ -100,7 +100,8 @@ class _Analysis:
     renormalized by the overlap Tr[sigma_{T|x} P(x)], or P/rank(P) where that
     overlap is OVERLAP_TOL or less, the exact alpha -> 0 limit of the gamma =
     alpha update.  It returns the next iterate's form and those x in order: the
-    runner keeps the fallback, ``qdib.qdib_update`` raises on it."""
+    runner keeps the fallback, ``qdib.qdib_update`` raises on it.  A step whose F_0 or exponent is
+    not finite (beta near the float maximum) raises NumericalError naming the first such x."""
 
     def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
         self.px, self.channel, self.beta = state.px, channel, beta
@@ -110,12 +111,17 @@ class _Analysis:
         self.h_t = linalg.entropy(self.sigma_t_evals)
         self.i_tx = self.h_t - self.h_t_given_x
         self.i_ty = self.h_t + state.rho_y_log[0] - linalg.entropy(self.wj.ravel())
-        self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
-        self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
+        with np.errstate(over="ignore", invalid="ignore"):  # a step's finiteness check owns the failure
+            self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
+            self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
 
     def _exponent(self, gamma: float) -> np.ndarray:
-        with np.errstate(over="ignore"):  # the step's finiteness check owns the failure
+        with np.errstate(over="ignore", invalid="ignore"):  # the step's finiteness check owns the failure
             return self.log_mats - self.f_family / gamma
+
+    def project(self) -> tuple[np.ndarray | tuple[np.ndarray, ...], list[int]]:
+        _check_finite(self.f_family, "F_0")
+        return self._project()
 
     def divergence(self, other: _Analysis) -> float:
         """sum_x P(x) D(self_x || other_x) using the floored log of ``other``."""
@@ -162,7 +168,7 @@ class _Table(_Analysis):
     def _spread(self, channel: CQChannel) -> np.ndarray:  # the entries of q' - q: the l1 norm
         return channel.table() - self.mats
 
-    def project(self) -> tuple[np.ndarray, list[int]]:
+    def _project(self) -> tuple[np.ndarray, list[int]]:
         """P(x) is the indicator of the row's tied minima of F_0: the hard
         assignment of the deterministic IB."""
         proj = linalg.tied_minima(self.f_family, self._f0_scale()).astype(np.float64)
@@ -204,7 +210,7 @@ class _Stack(_Analysis):
     def _spread(self, channel: CQChannel) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
         return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
 
-    def project(self) -> tuple[np.ndarray, list[int]]:
+    def _project(self) -> tuple[np.ndarray, list[int]]:
         proj = linalg.min_eigenspace_projector(self.f_family, self._f0_scale())
         out = proj @ self.mats @ proj
         return _renormalized(out, proj, np.trace(out, axis1=1, axis2=2).real, np.trace(proj, axis1=1, axis2=2).real)
@@ -245,7 +251,7 @@ class _Bloch(_Analysis):
         exp(-sqrt2 |e|)) and p0 = exp(-sqrt2 |e|) p1, p1 on the axis of e."""
         _check_finite(expon := self._exponent(gamma))
         e = expon[:, 1:]
-        r = linalg.norms(e)
+        _check_finite(r := linalg.norms(e))  # a finite e's length may pass the float maximum
         pl = np.empty((2, 2, len(r)))  # p and its floored log, eigenvalue-major
         p0, p1 = pl[0]
         np.exp(-linalg.SQRT2 * r, out=p0)
@@ -258,11 +264,11 @@ class _Bloch(_Analysis):
     def _spread(self, channel: CQChannel) -> np.ndarray:  # sqrt2 |c' - c|: the trace norm of sigma' - sigma
         return linalg.SQRT2 * linalg.norms(channel.pauli[1][:, 1:] - self.mats[:, 1:])[:, None]
 
-    def project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    def _project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         """P(x) = (I - f.sigma / |f|) / 2 on the axis of F_0's coordinates f, rank
         one, so P sigma P / Tr[sigma P] = P; P = I where ``linalg.tied_minima`` ties F_0's eigenvalues."""
         f = self.f_family[:, 1:]
-        r = linalg.norms(f)
+        _check_finite(r := linalg.norms(f), "F_0")  # a finite f's length may pass the float maximum
         tie = linalg.tied_minima(linalg.pauli_eigvals(self.f_family, r), self._f0_scale())[:, 1]
         proj = linalg.pauli_of(np.where(tie[:, None], 1.0, [0.0, 1.0]), -f, r)
         overlap = np.einsum("xk,xk->x", self.mats, proj)
@@ -293,10 +299,11 @@ def _renormalized(out: np.ndarray, proj: np.ndarray, overlap: np.ndarray,
     return out, np.flatnonzero(gone).tolist()
 
 
-def _check_finite(expon: np.ndarray) -> None:
-    if not np.all(np.isfinite(expon)):
-        finite = np.isfinite(expon).reshape(len(expon), -1).all(axis=1)
-        raise NumericalError(f"update exponent is not finite at x={int(np.argmin(finite))}")
+def _check_finite(values: np.ndarray, what: str = "update exponent") -> None:
+    """Raise NumericalError naming the first x whose ``values`` (a row per x) are not all finite."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        raise NumericalError(f"{what} is not finite at x={int(np.argmin(finite))}")
 
 
 def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -> list[_Analysis]:

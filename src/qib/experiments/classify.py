@@ -191,7 +191,8 @@ class ClassifyReport:
     quantum_trace: engine.IterationTrace
     classical_trace: engine.IterationTrace
     test_predictions: dict[str, np.ndarray]
-    region_rows: list[tuple[float, float, int, int, int]] | None
+    # One row per grid point, keyed by its CSV columns in their order.
+    region_rows: list[dict[str, float]] | None
 
 
 def _features(
@@ -287,7 +288,7 @@ def classify_pipeline(
                       "using the maximally mixed feature", RuntimeWarning, stacklevel=2)
     acc = {name: float(np.mean(preds["test", name] == ds.y[te])) for name in arms}
     region_rows = None if grid is None else [
-        (x1, x2, int(q), int(c), int(lin))
+        {"x1": x1, "x2": x2, "pred_quantum": int(q), "pred_classical": int(c), "pred_linear": int(lin)}
         for (x1, x2), q, c, lin in zip(grid.tolist(), *(preds["grid", name] for name in arms))
     ]
     metrics = {

@@ -51,8 +51,9 @@ class SuffStatsReport:
     instance: SuffStatsInstance
     trace: engine.IterationTrace
     metrics: dict[str, float]
-    fdib_rows: list[tuple[int, float, float]]
-    ity_rows: list[tuple[int, float, float, float]]
+    # The two tables: one row per trace record, keyed by its CSV columns in their order.
+    fdib_rows: list[dict[str, float]]
+    ity_rows: list[dict[str, float]]
 
 
 def suffstats_pipeline(
@@ -88,12 +89,10 @@ def suffstats_pipeline(
     baseline = baseline_discard_x2(state, instance.permutation, n1, n2, beta)
     i_xy = model.holevo_information(state)
 
-    fdib_rows = [
-        (r.iteration, r.f_alpha, baseline["f_dib"]) for r in trace.records
-    ]
-    ity_rows = [
-        (r.iteration, r.i_ty, baseline["i_x1y"], i_xy) for r in trace.records
-    ]
+    fdib_rows = [{"iter": r.iteration, "f_dib_qdib": r.f_alpha, "f_dib_baseline": baseline["f_dib"]}
+                 for r in trace.records]
+    ity_rows = [{"iter": r.iteration, "I_TY": r.i_ty, "I_X1Y_baseline": baseline["i_x1y"], "I_XY": i_xy}
+                for r in trace.records]
     crossing = 0
     for r in trace.records:
         if r.f_alpha < baseline["f_dib"]:

@@ -165,8 +165,15 @@ def from_pauli(c: np.ndarray) -> np.ndarray:
 
 
 def norms(v: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of an (n, k) array."""
-    return np.sqrt(np.einsum("xk,xk->x", v, v))
+    """The Euclidean length of each row of an (n, k) array: a row whose squares
+    overflow is scaled by its largest entry first, and is inf only if its length
+    is; every other row keeps the bits of the plain sum of squares."""
+    r = np.sqrt(np.einsum("xk,xk->x", v, v))
+    if not r.max(initial=0.0) < np.inf:  # the scaled rows' entries are at most 1
+        m = np.abs(v[big := r == np.inf]).max(axis=1)
+        with np.errstate(over="ignore"):
+            r[big] = m * norms(v[big] / m[:, None])
+    return r
 
 
 def pauli_of(fw: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -6,14 +6,18 @@ a source wraps {"px", "dimY", "rhoY"} and a channel {"dimT", "classical",
 or value raises ConfigError with its JSON pointer, after ``<path>#`` in a
 file.  Numbers exclude booleans, NaN, the infinities and literals that
 overflow a float64 (1e400); integers also exclude integral floats (2.0).
-CSV floats use %.17g so values round-trip exactly and repeated runs are
-byte-identical; writes go through a temp file and os.replace so readers
-never observe partial output.
+A result table is a list of rows that carry their column names: JSON
+writes the rows, and ``csv_text`` takes the header from their keys.  A
+trace's CSV and JSON forms read the same per-iterate rows, the CSV under its
+declared columns.  CSV floats use %.17g so values round-trip exactly and
+repeated runs are byte-identical; writes go through a temp file and
+os.replace so readers never observe partial output.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
 import sys
@@ -27,18 +31,8 @@ from .engine import IterationTrace
 from .exceptions import ConfigError, InvariantError, NumericalError
 from .model import CQChannel, CQState
 
-# Output column -> TraceRecord attribute, shared by the CSV and JSON forms.
-_TRACE_FIELDS = (
-    ("iter", "iteration"),
-    ("f_alpha", "f_alpha"),
-    ("H_T", "h_t"),
-    ("I_TX", "i_tx"),
-    ("I_TY", "i_ty"),
-    ("step_divergence", "step_divergence"),
-    ("gamma_ratio", "gamma_ratio"),
-    ("fixed_point_residual", "fixed_point_residual"),
-)
-_SUPPORT_FIELD = ("support_T", "support_t")
+# The trace's CSV columns, in the order ``_trace_rows`` gives their values.
+_TRACE_COLUMNS = ("iter", "f_alpha", "H_T", "I_TX", "I_TY", "step_divergence", "gamma_ratio", "fixed_point_residual")
 
 
 def fmt_float(x: float) -> str:
@@ -48,15 +42,20 @@ def fmt_float(x: float) -> str:
 def _csv_cell(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
-    return fmt_float(value)
+    return "nan" if value is None else fmt_float(value)
 
 
-def csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Header line plus one line per row: ints verbatim, floats through
-    ``fmt_float``."""
+def _csv_lines(columns: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def csv_text(rows: Sequence[dict[str, Any]]) -> str:
+    """A table of rows that carry their column names, nonempty: the first
+    row's keys as the header, then one line per row, ints verbatim, None as
+    nan and any other number through ``fmt_float``."""
+    return _csv_lines(rows[0], (row.values() for row in rows))
 
 
 def matrix_to_obj(m: np.ndarray) -> dict[str, Any]:
@@ -239,38 +238,39 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _trace_rows(trace: IterationTrace) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
+    """The trace's columns, support_T last on a deterministic run's, and
+    each iterate's values in their order: an undefined gamma_ratio (nan) is
+    None, which the CSV prints as nan and JSON as null."""
+    support = any(r.support_t is not None for r in trace.records)
+    rows = [(r.iteration, r.f_alpha, r.h_t, r.i_tx, r.i_ty, r.step_divergence,
+             None if math.isnan(r.gamma_ratio) else r.gamma_ratio, r.fixed_point_residual,
+             *((r.support_t,) if support else ())) for r in trace.records]
+    return _TRACE_COLUMNS + (("support_T",) if support else ()), rows
+
+
 def trace_to_csv(trace: IterationTrace, gamma: float | None = None) -> str:
     """Render a trace: header, one row per iterate, status comment last.
 
-    QDIB traces (any record carrying support_t) get the extra support_T
-    column.  With ``gamma`` given, a leading gamma column is prepended to
-    every row for sweep concatenation.
+    With ``gamma`` given, a leading gamma column is prepended to every row
+    for sweep concatenation.
     """
-    with_support = any(r.support_t is not None for r in trace.records)
-    fields = _TRACE_FIELDS + ((_SUPPORT_FIELD,) if with_support else ())
-    columns, lead = [col for col, _ in fields], []
+    columns, rows = _trace_rows(trace)
     status = f"# status={trace.status}"
     if gamma is not None:
-        columns, lead = ["gamma"] + columns, [float(gamma)]
+        columns, rows = ("gamma", *columns), [(float(gamma), *row) for row in rows]
         status += f" gamma={fmt_float(gamma)}"
-    rows = ([*lead, *(getattr(r, attr) for _, attr in fields)] for r in trace.records)
     if trace.violations:
         status += " violations=" + "|".join(str(v) for v in trace.violations)
-    return csv_text(columns, rows) + status + "\n"
+    return _csv_lines(columns, rows) + status + "\n"
 
 
 def trace_to_records(trace: IterationTrace) -> dict[str, Any]:
-    """JSON form of a trace: status, violations, row dicts."""
-    rows = []
-    for r in trace.records:
-        row = {col: getattr(r, attr) for col, attr in _TRACE_FIELDS}
-        if np.isnan(r.gamma_ratio):
-            row["gamma_ratio"] = None
-        if r.support_t is not None:
-            row[_SUPPORT_FIELD[0]] = r.support_t
-        rows.append(row)
+    """JSON form of a trace: status, violations, and one record per iterate,
+    keyed by the CSV's columns."""
+    columns, rows = _trace_rows(trace)
     return {
         "status": trace.status,
         "violations": trace.violations,
-        "records": rows,
+        "records": [dict(zip(columns, row)) for row in rows],
     }

@@ -224,9 +224,10 @@ def test_pipeline_region_grid():
     n1 = np.arange(0.0, classify.SIZE_X1 + classify.WIDE_NOISE, 1.0).size
     n2 = np.arange(0.0, classify.SIZE_X2 + classify.WIDE_NOISE, 1.0).size
     assert rows is not None and len(rows) == n1 * n2
-    for x1, x2, pq, pc, pl in rows:
-        assert 0.0 <= x1 <= classify.SIZE_X1 + classify.WIDE_NOISE
-        assert 0.0 <= x2 <= classify.SIZE_X2 + classify.WIDE_NOISE
-        assert pq in (0, 1, 2) and pc in (0, 1, 2) and pl in (0, 1, 2)
+    for row in rows:
+        assert list(row) == ["x1", "x2", "pred_quantum", "pred_classical", "pred_linear"]
+        assert 0.0 <= row["x1"] <= classify.SIZE_X1 + classify.WIDE_NOISE
+        assert 0.0 <= row["x2"] <= classify.SIZE_X2 + classify.WIDE_NOISE
+        assert all(row[f"pred_{arm}"] in (0, 1, 2) for arm in ("quantum", "classical", "linear"))
     with pytest.raises(InvariantError, match="grid_step"):
         classify.classify_pipeline(seed=1, n_samples=100, grid_step=-1.0)

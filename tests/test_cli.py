@@ -328,9 +328,9 @@ def test_beta_sweep_csv_and_json(tmp_path, capsys):
     )
     assert cli.main(["beta-sweep", "--config", path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == ",".join(cli.BETA_SWEEP_COLUMNS)
+    assert lines[0] == "beta,f,H_T,I_TX,I_TY,kappa_lower_bound"
     assert len(lines) == 4
-    # A JSON integer in a float column still goes through fmt_float.
+    # A JSON integer prints as that integer; below 1e17 that is also its %.17g text.
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0.10000000000000001", "2", "6"]
     assert cli.main(["beta-sweep", "--config", path, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -356,7 +356,7 @@ def test_beta_sweep_on_a_rank_one_source(tmp_path, capsys):
 def test_advantage_table(capsys):
     assert cli.main(["advantage", "--d", "3,5", "--n", "2", "--beta", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == ",".join(cli.ADVANTAGE_COLUMNS)
+    assert lines[0] == "d,n,alpha,beta,quantum,classical,gap,achieved_quantum"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "3" and first[1] == "2"
@@ -390,17 +390,73 @@ def test_advantage_bad_lists_exit_1(capsys):
 def test_json_output_with_an_infinity_exits_2(tmp_path, capsys):
     # A finite --beta this large overflows the closed forms to -inf; JSON
     # holds no infinity, and "gap": Infinity used to be printed with exit 0.
+    # Pytest turns numpy's warnings into errors: the overflow itself warns of nothing.
     argv = ["advantage", "--d", "5", "--n", "3", "--beta", "1.7e308", "--format", "json"]
-    with np.errstate(over="ignore"):
-        assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "numerical error: output holds a NaN or an infinity, which JSON cannot hold\n"
-        assert cli.main([*argv, "--out", str(tmp_path / "table.json")]) == 2
-        assert not (tmp_path / "table.json").exists()
-        # The CSV form writes the infinity as inf.
-        assert cli.main(argv[:-2]) == 0
-    assert ",-inf," in capsys.readouterr().out
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "numerical error: output holds a NaN or an infinity, which JSON cannot hold\n")
+    assert cli.main([*argv, "--out", str(tmp_path / "table.json")]) == 2
+    assert not (tmp_path / "table.json").exists()
+    capsys.readouterr()
+    # The CSV form writes the infinity as inf.
+    assert cli.main(argv[:-2]) == 0
+    out, err = capsys.readouterr()
+    assert ",-inf," in out and err == ""
+
+
+@pytest.mark.parametrize(
+    "command, dim_t, classical, error",
+    [
+        ("run-qib", 2, False, "update exponent is not finite at x=0"),  # its length, not its coordinates
+        ("run-qib", 3, False, "update exponent is not finite at x=0"),
+        ("run-qdib", 2, False, "F_0 is not finite at x=0"),  # its length, not its coordinates
+        ("run-qdib", 3, False, "F_0 is not finite at x=0"),
+        ("run-qdib", 2, True, "F_0 is not finite at x=0"),
+        ("run-qdib", 3, True, "F_0 is not finite at x=0"),
+    ],
+)
+def test_an_overflowing_f_exits_2_with_one_line(tmp_path, capsys, command, dim_t, classical, error):
+    # At this beta F overflows after the first step on the copy source: every
+    # form must stop with one line naming x, and numpy must print nothing.
+    config = {"beta": 1e307, "dimT": dim_t, "classical": classical, "max_iters": 5,
+              "state": {"generator": "copy-state", "d": 4}}
+    if command == "run-qib":
+        config["alpha"] = 1.0
+    assert cli.main([command, "--config", _write_json(tmp_path / "c.json", config)]) == 2
+    assert capsys.readouterr() == ("", f"numerical error: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["run-qib", "run-qdib"])
+def test_qubit_runs_descend_where_bloch_lengths_square_to_inf(tmp_path, capsys, command):
+    # Coordinates past about 1.3e154 square to inf, but their lengths must
+    # stay exact: the run descends and numpy prints nothing.
+    config = {"beta": 1e156, "dimT": 2, "max_iters": 5, "state": {"generator": "random-qubit-ensemble", "sizeX": 4}}
+    if command == "run-qib":
+        config["alpha"] = 1.0
+    assert cli.main([command, "--config", _write_json(tmp_path / "c.json", config)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\n# status=max_iters\n")
+    f = [float(line.split(",")[1]) for line in out.splitlines()[1:-1]]
+    assert len(f) == 6 and all(b <= a for a, b in zip(f, f[1:]))
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("beta-sweep", {"alpha": 1.0, "kappa_samples": 5, "beta_list": [0.5, 2, 30.0]}), ("advantage", None)],
+)
+def test_table_csv_header_is_its_json_row_keys(tmp_path, capsys, monkeypatch, command, extra):
+    if extra is None:
+        argv = ["advantage", "--d", "3,5", "--n", "2", "--beta", "2"]
+    else:
+        config = {"dimT": 2, "max_iters": 5, "state": _QUBITS, **extra}
+        argv = [command, "--config", _write_json(tmp_path / "c.json", config)]
+    assert cli.main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    # The JSON text sorts its keys: read the rows' own order off what it renders.
+    payloads = []
+    monkeypatch.setattr(ser, "dump_json", lambda obj, dump=ser.dump_json: payloads.append(obj) or dump(obj))
+    assert cli.main([*argv, "--format", "json"]) == 0
+    (rows,) = payloads
+    assert len(rows) > 1 and all(list(row) == header for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -989,3 +1045,22 @@ def test_classify_checks_the_grid_step_without_regions_out(tmp_path, capsys, mon
     assert cli.main(["classify", "--config", path, "--grid-step", "nan"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: grid_step"), err
+
+
+@pytest.mark.parametrize("command", ["run-qdib", "gamma-sweep"])
+def test_trace_json_record_keys_are_its_csv_columns(tmp_path, capsys, monkeypatch, command):
+    config = {"beta": 5.0, "dimT": 2, "max_iters": 5, "state": _QUBITS}
+    if command == "gamma-sweep":
+        config |= {"alpha": 1.0, "gamma_list": [1.0, 0.5]}
+    argv = [command, "--config", _write_json(tmp_path / "c.json", config)]
+    assert cli.main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    payloads = []
+    monkeypatch.setattr(ser, "dump_json", lambda obj, dump=ser.dump_json: payloads.append(obj) or dump(obj))
+    assert cli.main([*argv, "--format", "json"]) == 0
+    (payload,) = payloads
+    runs = payload["runs"] if command == "gamma-sweep" else [payload]
+    columns = header[1:] if command == "gamma-sweep" else header
+    assert header[0] == ("gamma" if command == "gamma-sweep" else "iter")
+    assert all(list(record) == columns for run in runs for record in run["records"])
+    assert "support_T" in columns if command == "run-qdib" else "support_T" not in columns

@@ -1,6 +1,7 @@
 """Hermitian calculus: decompositions, density checks, random densities;
 plus the log/exp/partial-trace oracles kept in the test helpers."""
 
+import math
 import os
 import sys
 import threading
@@ -477,3 +478,24 @@ def test_entropy_equals_the_clip_form_bit_for_bit(seed):
             got, ref = linalg.entropy(spectra), _entropy_clip(spectra)
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
         assert np.signbit(linalg.entropy(w[0, 0]))  # an all-zero row has entropy -0.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_norms_match_hypot_on_rows_up_to_1e300(seed, k):
+    gen = derive_rng(seed, "norms")
+    # Rows from 1e-100 to 1e300: past about 1.3e154 their squares overflow.
+    v = gen.standard_normal((40, k)) * 10.0 ** gen.uniform(-100, 300, size=(40, 1))
+    r = linalg.norms(v)
+    hypot = np.array([math.hypot(*row) for row in v.tolist()])
+    assert np.all(np.abs(r - hypot) <= 4 * np.finfo(float).eps * hypot)
+    # A row whose squares stay finite keeps the plain sum's bits.
+    plain = np.sqrt(np.einsum("xk,xk->x", v, v))
+    small = np.isfinite(plain)
+    assert np.array_equal(r[small], plain[small])
+
+
+def test_norms_of_a_length_past_the_float_maximum_is_inf():
+    big = 0.75 * np.finfo(float).max  # sqrt(3) big overflows; big itself does not
+    r = linalg.norms(np.array([[big, big, big], [3.0, 4.0, 0.0], [big, 0.0, 0.0]]))
+    assert r.tolist() == [np.inf, 5.0, big]
+    assert linalg.norms(np.zeros((0, 3))).shape == (0,)

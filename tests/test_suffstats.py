@@ -82,7 +82,7 @@ def test_pipeline_beats_discard_baseline():
     m = rep.metrics
     assert rep.trace.status == "converged"
     assert not rep.trace.violations
-    fs = [row[1] for row in rep.fdib_rows]
+    fs = [row["f_dib_qdib"] for row in rep.fdib_rows]
     assert np.all(np.diff(fs) <= 1e-9)
     assert m["f_dib_final"] < m["f_dib_baseline"] - 0.05
     assert 0 < m["crossing_iteration"] <= 10
@@ -98,22 +98,22 @@ def test_pipeline_rows_share_the_trace_iterations():
     rep = suffstats_pipeline(_small_spec(), beta=20.0, seed=1, max_iters=60)
     assert len(rep.fdib_rows) == len(rep.trace.records)
     assert len(rep.ity_rows) == len(rep.trace.records)
+    # Each row keyed by its CSV columns, in their order.
     for row, rec in zip(rep.fdib_rows, rep.trace.records):
-        assert row[0] == rec.iteration
-        assert row[1] == rec.f_alpha
-        assert row[2] == rep.metrics["f_dib_baseline"]
+        assert list(row.items()) == [("iter", rec.iteration), ("f_dib_qdib", rec.f_alpha),
+                                     ("f_dib_baseline", rep.metrics["f_dib_baseline"])]
     for row, rec in zip(rep.ity_rows, rep.trace.records):
-        assert row[1] == rec.i_ty
-        assert row[2] == rep.metrics["i_x1y_baseline"]
-        assert row[3] == rep.metrics["i_xy"]
+        assert list(row.items()) == [("iter", rec.iteration), ("I_TY", rec.i_ty),
+                                     ("I_X1Y_baseline", rep.metrics["i_x1y_baseline"]),
+                                     ("I_XY", rep.metrics["i_xy"])]
 
 
 def test_crossing_iteration_matches_rows():
     rep = suffstats_pipeline(_small_spec(), beta=20.0, seed=2, max_iters=80)
     cross = 0
-    for it, f, base in rep.fdib_rows:
-        if f < base:
-            cross = it
+    for row in rep.fdib_rows:
+        if row["f_dib_qdib"] < row["f_dib_baseline"]:
+            cross = row["iter"]
             break
     assert rep.metrics["crossing_iteration"] == float(cross)
 
