@@ -196,6 +196,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     raise ConfigError(f"{args.file}#", "neither a state file (rhoY) nor a channel file (sigmaT)")
 
 
+def _out_path(text: str) -> str:
+    """An output path flag's value: an empty one would name the root or the
+    parent directory once a file name is joined or resolved onto it."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a file path, got an empty string")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -206,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, emit_state: bool = True):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output path (stdout when omitted)")
+        p.add_argument("--out", type=_out_path, default=None, help="output path (stdout when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if emit_state:
-            p.add_argument("--emit-state", default=None, help="also write the resolved state JSON")
+            p.add_argument("--emit-state", type=_out_path, default=None, help="also write the resolved state JSON")
 
     runs = (
         ("run-qib", "iterate the soft bottleneck to convergence", dict(
@@ -230,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="bottleneck dimensions, comma separated")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_advantage)
 
     p = sub.add_parser("classify", help="kernel classification experiment")
     add_common(p, emit_state=False)
-    p.add_argument("--regions-out", default=None, help="decision-region CSV path")
+    p.add_argument("--regions-out", type=_out_path, default=None, help="decision-region CSV path")
     p.add_argument("--grid-step", type=float, default=0.25)
     p.set_defaults(func=_cmd_classify)
 

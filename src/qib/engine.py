@@ -14,19 +14,23 @@ recovers the fixed-point iteration with the unconditional descent guarantee;
 smaller gamma accelerates but descends only while the empirical gamma-ratio
 stays below gamma.
 
-Internals are batched over x, and each iterate is analyzed once, in the form
-its channel stores, by one class per form: ``_Table`` reads a classical
-channel's (sizeX, dimT) table, where only the dimY x dimY blocks of the joint
-are decomposed; ``_Bloch`` a quantum qubit channel's (dimT = 2) orthonormal
-Pauli coordinates, real (sizeX, 4) rows; ``_Stack`` any other quantum
-channel's (sizeX, dimT, dimT) stack.  Each owns its soft step, its projector
-step and its residual; their base scores the form against the source, whose
-entropy and floored log of rho_Y the state caches.  The stack update hands
-the next iterate (p, sigma, log sigma): the spectra, and the stack and its
-floored log built on the update exponent's eigenvectors (``linalg.from_eig``),
-so the conditionals are never decomposed.  A stack
-iteration costs two stacked eigendecompositions, of the update exponent and
-of the residual, plus those of sigma_T and the (T, Y) joint.  A qubit
+Internals are batched over x, and each iterate is analyzed once, in one form,
+by one class per form: ``_Table`` reads a classical channel's (sizeX, dimT)
+table, where only the dimY x dimY blocks of the joint are decomposed;
+``_Bloch`` a quantum qubit channel's (dimT = 2) orthonormal Pauli
+coordinates, real (sizeX, 4) rows; ``_Stack`` any other quantum channel's
+(sizeX, dimT, dimT) stack.  Each owns its soft step, its projector step and
+its residual; their base scores the form against the source, whose entropy,
+floored log of rho_Y and qubit rows the state caches.  A run builds one
+channel, for the iterate it returns: the first iterate's form is read off its
+channel, and each step hands the next iterate that form's carry, the
+read-only arrays (p, log p, mats, log mats) of the spectra (a table's rows),
+their floored log, and the table, Pauli rows or stack with its floored log.
+The stack update builds the stack and its floored log on the update
+exponent's eigenvectors (``linalg.from_eig``), so the conditionals are never
+decomposed.  A stack iteration costs two stacked eigendecompositions, of the
+update exponent and of the residual, plus those of sigma_T and the (T, Y)
+joint.  A qubit
 iteration makes one LAPACK call, the joint's: sigma_T's spectrum, the
 update's softmax and axis, the residual's trace norm and the projector are
 closed forms in the coordinates, where Tr[A B] is a dot product.  sigma_T,
@@ -88,24 +92,27 @@ class IterationTrace:
 
 
 class _Analysis:
-    """One channel iterate as the loop reads it.  A subclass per stored form reads it (``_read``
-    sets ``mats``, ``log_mats``, sigma_T's spectrum and log, and returns the conditionals' spectra
-    or table rows with their floored log, the joint's spectrum and F's beta term) and owns the soft
-    step (``advance``), the residual's spread and the projector step (``_project``); the base scores
-    it: f, F, divergence, ratio, residual.  A conditional's entropy is -sum p log_floor(p), read
+    """One channel iterate as the loop reads it: its form's carry (p, log p, mats, log mats), the
+    conditionals' spectra (a table's rows) and their floored log, the form itself and its floored log,
+    each array read-only.  A subclass per form extracts the carry from a channel (``_carried``), reads
+    it (``_read`` sets sigma_T's spectrum and log, and returns the joint's spectrum and F's beta term),
+    owns the soft step (``advance``), the residual's spread and the projector step (``_project``),
+    which return the next iterate's carry, and builds the channel of a carry (``channel``); the base
+    scores it: f, F, divergence, ratio, residual.  A conditional's entropy is -sum p log_floor(p), read
     off the floored log that the divergence's trace reads, so D(sigma || sigma) = 0 up to round-off.
 
     ``project`` is the deterministic step of an alpha = 0 analysis: each
     conditional compressed onto the minimal eigenspace P(x) of F_0(x), tied by ``linalg.tied_minima``, and
     renormalized by the overlap Tr[sigma_{T|x} P(x)], or P/rank(P) where that
     overlap is OVERLAP_TOL or less, the exact alpha -> 0 limit of the gamma =
-    alpha update.  It returns the next iterate's form and those x in order: the
+    alpha update.  It returns the next iterate's carry and those x in order: the
     runner keeps the fallback, ``qdib.qdib_update`` raises on it.  A step whose F_0 or exponent is
     not finite (beta near the float maximum) raises NumericalError naming the first such x."""
 
-    def __init__(self, state: CQState, channel: CQChannel, alpha: float, beta: float):
-        self.px, self.channel, self.beta = state.px, channel, beta
-        p, log_p, self.wj, beta_term = self._read(state.rho_y_given_x, state.rho_y_log[1])
+    def __init__(self, state: CQState, carry: tuple[np.ndarray, ...], alpha: float, beta: float):
+        self.px, self.carry, self.beta = state.px, carry, beta
+        p, log_p, self.mats, self.log_mats = carry
+        self.wj, beta_term = self._read(state)
         self.h_each = -np.einsum("xk,xk->x", p, log_p)
         self.h_t_given_x = float(self.px @ self.h_each)
         self.h_t = linalg.entropy(self.sigma_t_evals)
@@ -113,13 +120,27 @@ class _Analysis:
         self.i_ty = self.h_t + state.rho_y_log[0] - linalg.entropy(self.wj.ravel())
         with np.errstate(over="ignore", invalid="ignore"):  # a step's finiteness check owns the failure
             self.f_alpha = self.h_t - alpha * self.h_t_given_x - beta * self.i_ty
-            self.f_family = -self.log_sigma_t + alpha * self.log_mats + beta * beta_term
+            # -log sigma_T + alpha log sigma + beta B formed in place, to the same bits: b - a is (-a) + b
+            self.f_family = alpha * self.log_mats
+            self.f_family -= self.log_sigma_t
+            self.f_family += beta * beta_term
+
+    @classmethod
+    def of(cls, state: CQState, channel: CQChannel, alpha: float, beta: float) -> _Analysis:
+        """The analysis of ``channel`` in this form."""
+        return cls(state, cls._carried(channel), alpha, beta)
+
+    @staticmethod
+    def channel(carry: tuple[np.ndarray, ...]) -> CQChannel:
+        """The quantum channel of a carry, through the triple (p, mats, log mats)."""
+        p, _, mats, log_mats = carry
+        return CQChannel((p, mats, log_mats))
 
     def _exponent(self, gamma: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # the step's finiteness check owns the failure
             return self.log_mats - self.f_family / gamma
 
-    def project(self) -> tuple[np.ndarray | tuple[np.ndarray, ...], list[int]]:
+    def project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         _check_finite(self.f_family, "F_0")
         return self._project()
 
@@ -138,51 +159,64 @@ class _Analysis:
         -log_floor(J's least eigenvalue), as neither marginal of J has an eigenvalue below that one."""
         return (1 + 3 * self.beta) * -math.log(max(float(self.wj.min()), linalg.LOG_FLOOR))
 
-    def residual(self, channel: CQChannel) -> float:
-        """sum_x P(x) ||sigma'_x - sigma_x||_1, the trace norm (l1 on tables), to ``channel``
-        sigma' of this form: each x's |spread| summed in the same order whatever sizeX."""
-        return float(self.px @ np.einsum("xk->x", np.abs(self._spread(channel))))
+    def residual(self, mats: np.ndarray) -> float:
+        """sum_x P(x) ||sigma'_x - sigma_x||_1, the trace norm (l1 on tables), to the next iterate's
+        ``mats`` sigma' in this form: each x's norm summed in the same order whatever sizeX."""
+        return float(self.px @ self._spread(mats))
 
 
 class _Table(_Analysis):
     """A classical channel as its (sizeX, dimT) table q[x, t], in which form
-    ``mats``, ``log_mats`` and ``f_family`` come too."""
+    ``mats``, ``log_mats`` and ``f_family`` come too; the table is its own
+    spectra, so its carry is (q, log q, q, log q)."""
 
-    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
-        px, mats, rho_rows = self.px, self.channel.table(), linalg.rows(rhos)
-        self.mats, self.log_mats = mats, linalg.log_floor(mats)
+    @staticmethod
+    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
+        return _table_carry(channel.table())
+
+    @staticmethod
+    def channel(carry: tuple[np.ndarray, ...]) -> CQChannel:
+        return CQChannel(carry[2], classical=True)
+
+    def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
+        px, mats, rhos = self.px, self.mats, state.rho_y_given_x
+        rho_rows = linalg.rows(rhos)
         self.sigma_t_evals = px @ mats
         self.log_sigma_t = linalg.log_floor(self.sigma_t_evals)
         # Diagonal in T: the joint is the block stack J_t = sum_x P(x) q[x, t] rho_x.
         joint = ((px[:, None] * mats).T @ rho_rows).view(np.complex128).reshape(mats.shape[1:] + rhos.shape[1:])
         wj, log_joint = linalg.floored_log(joint)
         # Tr rho_x (log s_t I + log rho_Y - log J_t)
-        beta_term = self.log_sigma_t + rho_rows @ linalg.rows(log_rho_y - log_joint).T
-        return mats, self.log_mats, wj, beta_term
+        return wj, self.log_sigma_t + rho_rows @ linalg.rows(state.rho_y_log[1] - log_joint).T
 
-    def advance(self, gamma: float) -> np.ndarray:
+    def advance(self, gamma: float) -> tuple[np.ndarray, ...]:
         """One multiplicative update, a row softmax: the soft-clustering update."""
         _check_finite(expon := self._exponent(gamma))
-        return _softmax(expon, expon.max(axis=1))
+        return _table_carry(_softmax(expon, expon.max(axis=1)))
 
-    def _spread(self, channel: CQChannel) -> np.ndarray:  # the entries of q' - q: the l1 norm
-        return channel.table() - self.mats
+    def _spread(self, mats: np.ndarray) -> np.ndarray:  # the entries of q' - q: the l1 norm
+        return np.einsum("xk->x", np.abs(mats - self.mats))
 
-    def _project(self) -> tuple[np.ndarray, list[int]]:
+    def _project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         """P(x) is the indicator of the row's tied minima of F_0: the hard
         assignment of the deterministic IB."""
         proj = linalg.tied_minima(self.f_family, self._f0_scale()).astype(np.float64)
         out = proj * self.mats
-        return _renormalized(out, proj, out.sum(axis=1), proj.sum(axis=1))
+        out, gone = _renormalized(out, proj, out.sum(axis=1), proj.sum(axis=1))
+        return _table_carry(out), gone
 
 
 class _Stack(_Analysis):
-    """A quantum channel as the stack, spectra and floored log it carries."""
+    """A quantum channel as its stack, the stack's spectra and floored log."""
 
-    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
-        px, dt, dy = self.px, self.channel.dim_t, rhos.shape[-1]
-        self.mats = mats = self.channel.sigma_t_given_x
-        evals, self.log_mats = self.channel.floored_log
+    @staticmethod
+    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
+        p, log = channel.floored_log
+        return _carry(p, channel.sigma_t_given_x, log)
+
+    def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
+        px, mats, rhos = self.px, self.mats, state.rho_y_given_x
+        dt, dy = mats.shape[-1], rhos.shape[-1]
         self.sigma_t_evals, self.log_sigma_t = linalg.floored_log((px @ mats.reshape(len(px), -1)).reshape(dt, dt))
         # J = sum_x P(x) sigma_x (x) rho_x on axes (t, t', y, y'), then (t, y, t', y')
         joint = ((px[:, None] * mats.reshape(len(px), -1)).T @ rhos.reshape(len(px), -1)).reshape(dt, dt, dy, dy)
@@ -190,14 +224,13 @@ class _Stack(_Analysis):
         # log(sigma_T (x) rho_Y) on axes (t, y, t', y'), assembled additively so
         # the product-state cancellation against log_joint is exact in floats.
         log_prod = (self.log_sigma_t[:, None, :, None] * np.eye(dy)[None, :, None, :]
-                    + np.eye(dt)[:, None, :, None] * log_rho_y[None, :, None, :])
+                    + np.eye(dt)[:, None, :, None] * state.rho_y_log[1][None, :, None, :])
         b4 = log_prod - self.log_joint.reshape(dt, dy, dt, dy)
         # Tr_Y[(I (x) rho_x) B]_{tt'} = sum_{y y'} rho_x[y', y] B[t y, t' y']
-        beta_term = (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
-        return evals, linalg.log_floor(evals), wj, beta_term
+        return wj, (rhos.reshape(len(px), -1) @ b4.transpose(3, 1, 0, 2).reshape(dy * dy, -1)).reshape(-1, dt, dt)
 
-    def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One multiplicative update, as (p, sigma, log sigma)."""
+    def advance(self, gamma: float) -> tuple[np.ndarray, ...]:
+        """One multiplicative update, as the carry (p, log p, sigma, log sigma)."""
         expon = self._exponent(gamma)
         try:  # the eigensolver checks the exponent; _check_finite names the x
             we, v = linalg.eig_hermitian(expon)
@@ -205,50 +238,62 @@ class _Stack(_Analysis):
             _check_finite(expon)
             raise
         p = _softmax(we, we[:, -1])
-        return p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)
+        log_p = linalg.log_floor(p)
+        return _carry(p, linalg.from_eig(p, v), linalg.from_eig(log_p, v), log_p)
 
-    def _spread(self, channel: CQChannel) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
-        return linalg.eig_hermitian(channel.sigma_t_given_x - self.mats, vectors=False)
+    def _spread(self, mats: np.ndarray) -> np.ndarray:  # the eigenvalues of sigma' - sigma: the trace norm
+        return np.einsum("xk->x", np.abs(linalg.eig_hermitian(mats - self.mats, vectors=False)))
 
-    def _project(self) -> tuple[np.ndarray, list[int]]:
+    def _project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         proj = linalg.min_eigenspace_projector(self.f_family, self._f0_scale())
         out = proj @ self.mats @ proj
-        return _renormalized(out, proj, np.trace(out, axis1=1, axis2=2).real, np.trace(proj, axis1=1, axis2=2).real)
+        out, gone = _renormalized(out, proj, np.trace(out, axis1=1, axis2=2).real,
+                                  np.trace(proj, axis1=1, axis2=2).real)
+        p, log = linalg.floored_log(out)
+        return _carry(p, out, log), gone
 
 
 class _Bloch(_Analysis):
     """A quantum channel at dimT 2 as the orthonormal Pauli coordinates
     (``linalg.to_pauli``) of its conditionals and their floored logs, the
-    triple ``channel.pauli``: ``mats``, ``log_mats``, ``log_sigma_t`` and
-    ``f_family`` are real rows of 4, in which Tr[A B] = a . b, and sigma_T,
-    the update, the residual and the projector take closed forms."""
+    carry (p, log p, c, log c) of ``channel.pauli``: ``mats``, ``log_mats``,
+    ``log_sigma_t`` and ``f_family`` are real rows of 4, in which Tr[A B] =
+    a . b, and sigma_T, the update, the residual and the projector take
+    closed forms."""
 
-    def _read(self, rhos: np.ndarray, log_rho_y: np.ndarray) -> tuple[np.ndarray, ...]:
-        px, dy = self.px, rhos.shape[-1]
-        evals, self.mats, self.log_mats = self.channel.pauli
+    @staticmethod
+    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
+        return _carry(*channel.pauli)
+
+    def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
+        px, rhos = self.px, state.rho_y_given_x
+        dy, rho_rows = rhos.shape[-1], linalg.rows(rhos)
         # sigma_T = sum_x P(x) sigma_x, eigenvalues (c0 -+ |c|) / sqrt2, in Python floats.
         c0, *c = (px @ self.mats).tolist()
         r = math.hypot(*c)
-        self.sigma_t_evals = np.array([c0 - r, c0 + r]) / linalg.SQRT2
-        l0, l1 = (math.log(max(w, linalg.LOG_FLOOR)) for w in self.sigma_t_evals.tolist())
+        w = ((c0 - r) / linalg.SQRT2, (c0 + r) / linalg.SQRT2)
+        self.sigma_t_evals = np.array(w)
+        l0, l1 = (math.log(max(s, linalg.LOG_FLOOR)) for s in w)
         slope = (l1 - l0) / r if r > 0 else 0.0
         self.log_sigma_t = np.array([l0 + l1, slope * c[0], slope * c[1], slope * c[2]]) / linalg.SQRT2
         # J = sum_mu sigma_mu / sqrt2 (x) R_mu, R_mu = sum_x P(x) c_{x mu} rho_x, on axes (t, y, t', y').
-        r_mu = ((self.mats.T * px) @ linalg.rows(rhos)).view(np.complex128)
+        r_mu = ((self.mats.T * px) @ rho_rows).view(np.complex128)
         joint = (linalg.PAULI.reshape(4, 4).T @ r_mu).reshape(2, 2, dy, dy).transpose(0, 2, 1, 3)
         wj, log_joint = linalg.floored_log(joint.reshape(2 * dy, 2 * dy))
         # F's beta term has coordinates Re sum_{y' y} rho_x[y', y] g[mu, (y', y)], g[mu] = Tr_T[B
         # sigma_mu] / sqrt2 of B = log sigma_T (x) I + I (x) log rho_Y - log J on (t, y, t', y'),
         # one product of rho_x's real rows with conj(g)'s (re, im) pairs.
+        eye_row, log_rho_y_row = state.pauli_rows
         conj_log_joint = np.conj(log_joint.reshape(2, dy, 2, dy).transpose(0, 2, 3, 1).reshape(4, -1))
-        conj_g = self.log_sigma_t[:, None] * np.eye(dy).ravel() - linalg.PAULI.reshape(4, 4) @ conj_log_joint
-        conj_g[0] += linalg.SQRT2 * np.conj(log_rho_y.T).ravel()
-        return evals, linalg.log_floor(evals), wj, (conj_g.view(np.float64) @ linalg.rows(rhos).T).T
+        conj_g = self.log_sigma_t[:, None] * eye_row - linalg.PAULI.reshape(4, 4) @ conj_log_joint
+        conj_g[0] += log_rho_y_row
+        return wj, (conj_g.view(np.float64) @ rho_rows.T).T
 
-    def advance(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One multiplicative update, as (p, c, log c): the exponent's eigenvalues
-        (e0 -+ |e|) / sqrt2 are sqrt2 |e| apart, so the softmax is p1 = 1 / (1 +
-        exp(-sqrt2 |e|)) and p0 = exp(-sqrt2 |e|) p1, p1 on the axis of e."""
+    def advance(self, gamma: float) -> tuple[np.ndarray, ...]:
+        """One multiplicative update, as the carry (p, log p, c, log c): the
+        exponent's eigenvalues (e0 -+ |e|) / sqrt2 are sqrt2 |e| apart, so the
+        softmax is p1 = 1 / (1 + exp(-sqrt2 |e|)) and p0 = exp(-sqrt2 |e|) p1,
+        p1 on the axis of e."""
         _check_finite(expon := self._exponent(gamma))
         e = expon[:, 1:]
         _check_finite(r := linalg.norms(e))  # a finite e's length may pass the float maximum
@@ -259,10 +304,10 @@ class _Bloch(_Analysis):
         p0 *= p1
         pl[1] = linalg.log_floor(pl[0])
         pl = pl.transpose(0, 2, 1)
-        return pl[0], *linalg.pauli_of(pl, e, r)
+        return _carry(pl[0], *linalg.pauli_of(pl, e, r), pl[1])
 
-    def _spread(self, channel: CQChannel) -> np.ndarray:  # sqrt2 |c' - c|: the trace norm of sigma' - sigma
-        return linalg.SQRT2 * linalg.norms(channel.pauli[1][:, 1:] - self.mats[:, 1:])[:, None]
+    def _spread(self, mats: np.ndarray) -> np.ndarray:  # sqrt2 |c' - c|: the trace norm of sigma' - sigma
+        return linalg.SQRT2 * linalg.norms(mats[:, 1:] - self.mats[:, 1:])
 
     def _project(self) -> tuple[tuple[np.ndarray, ...], list[int]]:
         """P(x) = (I - f.sigma / |f|) / 2 on the axis of F_0's coordinates f, rank
@@ -275,7 +320,23 @@ class _Bloch(_Analysis):
         out, gone = _renormalized(np.where(tie[:, None], self.mats, overlap[:, None] * proj), proj, overlap,
                                   linalg.SQRT2 * proj[:, 0])
         p, log = linalg.pauli_floored_log(out)
-        return (p, out, log), gone
+        return _carry(p, out, log), gone
+
+
+def _carry(p: np.ndarray, mats: np.ndarray, log_mats: np.ndarray,
+           log_p: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The carry (p, log p, mats, log mats), each array set read-only in place;
+    log p is ``linalg.log_floor(p)`` unless given."""
+    carry = (p, linalg.log_floor(p) if log_p is None else log_p, mats, log_mats)
+    for a in carry:
+        a.setflags(write=False)
+    return carry
+
+
+def _table_carry(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The carry (q, log q, q, log q) of a table q."""
+    log_q = linalg.log_floor(q)
+    return _carry(q, q, log_q, log_q)
 
 
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,7 +378,7 @@ def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -
         raise InvariantError(f"channels have dimT {' and '.join(map(str, dims))}")
     if not all(c.classical for c in channels):
         channels = [CQChannel(c.sigma_t_given_x) if c.classical else c for c in channels]
-    return [(_Table if c.classical else _Bloch if c.dim_t == 2 else _Stack)(state, c, alpha, beta) for c in channels]
+    return [(_Table if c.classical else _Bloch if c.dim_t == 2 else _Stack).of(state, c, alpha, beta) for c in channels]
 
 
 def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) -> np.ndarray:
@@ -333,7 +394,8 @@ def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) ->
 
 def update(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> CQChannel:
     """One accelerated update; preserves the classical restriction."""
-    return _stepped(state, channel, gamma, alpha, beta)[1]
+    cur, carry = _stepped(state, channel, gamma, alpha, beta)
+    return cur.channel(carry)
 
 
 def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: float, beta: float) -> float:
@@ -357,16 +419,17 @@ def gamma_ratio(state: CQState, channel: CQChannel, channel2: CQChannel, alpha: 
 
 def fixed_point_residual(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> float:
     """Average trace-norm displacement of one update step."""
-    cur, nxt = _stepped(state, channel, gamma, alpha, beta)
-    return cur.residual(nxt)
+    cur, carry = _stepped(state, channel, gamma, alpha, beta)
+    return cur.residual(carry[2])
 
 
-def _stepped(state: CQState, channel: CQChannel, gamma: float, alpha: float, beta: float) -> tuple[_Analysis, CQChannel]:
-    """The channel's one analysis and the updated channel."""
+def _stepped(state: CQState, channel: CQChannel, gamma: float, alpha: float,
+             beta: float) -> tuple[_Analysis, tuple[np.ndarray, ...]]:
+    """The channel's one analysis and the updated channel's carry."""
     if not (gamma > 0):
         raise InvariantError(f"gamma must be > 0, got {gamma}")
     (cur,) = _analyses(state, alpha, beta, channel)
-    return cur, CQChannel(cur.advance(gamma), channel.classical)
+    return cur, cur.advance(gamma)
 
 
 def random_channel(
@@ -386,9 +449,9 @@ def random_channel(
     e = np.empty((size_x, dim_t))
     z = np.empty((size_x, 2, dim_t, dim_t))
     exponential, normal = gen.standard_exponential, gen.standard_normal
-    for x in range(size_x):
-        exponential(out=e[x])
-        normal(out=z[x])
+    for ex, zx in zip(e, z):
+        exponential(out=ex)
+        normal(out=zx)
     total = np.add.accumulate(e, axis=1)[:, -1]
     p = e * (1.0 / total)[:, None]
     if dim_t == 2:  # p0 on the Bloch vector b of q0 = z0 / |z0|, p1 on -b
@@ -423,15 +486,15 @@ def run_qib(
 
 def _iterate(
     state: CQState, config: ObjectiveConfig, initial: CQChannel | None, init_label: str,
-    step: Callable[[_Analysis], np.ndarray | tuple[np.ndarray, ...]], deterministic: bool,
+    step: Callable[[_Analysis], tuple[np.ndarray, ...]], deterministic: bool,
 ) -> tuple[CQChannel, IterationTrace]:
     """The loop both runners share; ``step`` maps an analyzed iterate to the
-    next one's (p, sigma, log sigma), or stack, or table on a classical run.
-    A missing ``initial`` is drawn from the seed under ``init_label``; a given
-    one must fit the state's sizeX and the config's dimT and classical flag,
-    and a classical one starts a quantum run as the quantum channel of its
-    stack.  Each step's output becomes the next iterate's channel, which
-    carries it, analyzed in the form of the first.
+    next one's carry in the same form (see ``_Analysis``).  A missing
+    ``initial`` is drawn from the seed under ``init_label``; a given one must
+    fit the state's sizeX and the config's dimT and classical flag, and a
+    classical one starts a quantum run as the quantum channel of its stack.
+    Only the first iterate and the returned one are channels: the iterates
+    between travel as their carries, analyzed in the form of the first.
     ``deterministic`` rows carry support_T and a nan step-size ratio, since
     gamma has no role in the projector step."""
     if initial is None:
@@ -452,7 +515,7 @@ def _iterate(
     converged = False
     # The last pass only records the prospective step from the returned iterate.
     for n in range(1, config.max_iters + 2):
-        nxt = type(cur)(state, CQChannel(step(cur), config.classical), alpha, beta)
+        nxt = type(cur)(state, step(cur), alpha, beta)
         trace.records.append(_record(n, cur, nxt, deterministic))
         if converged or n > config.max_iters:
             break
@@ -462,7 +525,7 @@ def _iterate(
         cur = nxt
     trace.status = (STATUS_MONOTONICITY_VIOLATED if trace.violations
                     else STATUS_CONVERGED if converged else STATUS_MAX_ITERS)
-    return cur.channel, trace
+    return cur.channel(cur.carry), trace
 
 
 def _record(n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool) -> TraceRecord:
@@ -474,7 +537,7 @@ def _record(n: int, cur: _Analysis, nxt: _Analysis, deterministic: bool) -> Trac
         i_ty=cur.i_ty,
         step_divergence=cur.divergence(nxt),
         gamma_ratio=float("nan") if deterministic else nxt.ratio(cur),
-        fixed_point_residual=cur.residual(nxt.channel),
+        fixed_point_residual=cur.residual(nxt.mats),
         support_t=int(np.sum(cur.sigma_t_evals > SUPPORT_EVAL_TOL)) if deterministic else None,
     )
 

@@ -33,8 +33,8 @@ def _stack_qubits(thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         raise InvariantError(f"bias must lie in [0, 1], got {bad[0]}")
     # math's cos and sin keep generated states bit-identical to those of
     # earlier versions: numpy's may differ in the last bit.
-    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
-    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    cos = np.array(list(map(math.cos, thetas.tolist())))[:, None, None]
+    sin = np.array(list(map(math.sin, thetas.tolist())))[:, None, None]
     u = cos * np.eye(2, dtype=np.complex128) + 1j * sin * _PAULI_X
     spectra = linalg.diag_embed(np.stack([1.0 - lams, lams], axis=1))
     return u @ spectra @ np.conj(np.swapaxes(u, -1, -2))

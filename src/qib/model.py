@@ -36,9 +36,10 @@ class CQState:
 
     ``px`` has shape (sizeX,), ``rho_y_given_x`` shape (sizeX, dimY, dimY)
     stacked along x.  Construction normalizes dtypes and freezes the arrays;
-    call ``validate()`` at trust boundaries.  The marginal ``rho_y`` and
-    ``rho_y_log``, its entropy with its floored log, are derived once, when
-    first read, and every analysis of a channel against the state reads them.
+    call ``validate()`` at trust boundaries.  The marginal ``rho_y``,
+    ``rho_y_log``, its entropy with its floored log, and ``pauli_rows`` are
+    derived once, when first read, and every analysis of a channel against
+    the state reads them.
     """
 
     px: np.ndarray
@@ -75,6 +76,13 @@ class CQState:
         w, log = linalg.floored_log(self.rho_y)
         return linalg.entropy(w), _freeze(log)
 
+    @functools.cached_property
+    def pauli_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vec I_Y, sqrt2 vec conj(log rho_Y)^T): the source's rows in the beta
+        term of a qubit channel's F, which ``engine._Bloch`` assembles."""
+        log = self.rho_y_log[1]
+        return _freeze(np.eye(self.dim_y).ravel()), _freeze(linalg.SQRT2 * np.conj(log.T).ravel())
+
     def validate(self) -> None:
         # Phrased so that NaN entries fail the checks.
         if not np.all(self.px >= -1e-12):
@@ -95,9 +103,9 @@ class CQChannel:
     (sizeX, dimT, dimT) stack, whose ``floored_log`` is derived once, when
     first read.  A qubit channel (dimT 2) also has ``pauli``, the triple (p,
     c, log c) with the orthonormal Pauli coordinates c[x] =
-    ``linalg.to_pauli`` of sigma_{T|x} and of its floored log, which the qubit
-    update and ``engine.random_channel`` produce and build it from; given the
-    stack, it is derived in closed form, and given ``pauli``, the stack and
+    ``linalg.to_pauli`` of sigma_{T|x} and of its floored log, which a qubit
+    run and ``engine.random_channel`` build it from; given the stack, it is
+    derived in closed form, and given ``pauli``, the stack and
     ``floored_log`` are.  A classical one stores only its real (sizeX, dimT)
     table q[x, t], given as such or as a stack whose off-diagonal and
     imaginary entries are within 1e-12, and derives its stack when first

@@ -37,7 +37,7 @@ def qdib_update(state: CQState, channel: CQChannel, beta: float) -> CQChannel:
             f"is at most {OVERLAP_TOL:.0e} (conditional has no mass on the "
             "minimal eigenspace)"
         )
-    return CQChannel(out, channel.classical)
+    return analysis.channel(out)
 
 
 def run_qdib(

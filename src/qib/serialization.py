@@ -20,6 +20,7 @@ import json
 import math
 import os
 import reprlib
+import stat
 import sys
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
@@ -225,17 +226,33 @@ def dump_json(obj: Any) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it onto
+    ``path``, so no reader sees a partial file.  The file gets the mode that
+    ``open(path, "w")`` leaves: a replaced file's own, else 0o666 less the
+    umask (``mkstemp`` makes its file 0o600)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~_umask()
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    """The process's umask, which can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _trace_rows(trace: IterationTrace) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:

@@ -162,13 +162,14 @@ def matrix_exp(h):
 def eigenvector_step(gamma):
     """The soft update of ``engine.run_qib`` through the eigenvectors of its
     exponent, the oracle of the eigenvalue-only update: LAPACK's (w, V), the
-    spectra p = softmax(w), and the carry (p, V p V^H, V log_floor(p) V^H)."""
+    spectra p = softmax(w), and the carry (p, log_floor(p), V p V^H, V log_floor(p) V^H)."""
 
     def step(cur):
         w, v = np.linalg.eigh(cur.log_mats - cur.f_family / gamma)
         shifted = np.exp(w - w[:, -1:])
         p = shifted / shifted.sum(axis=1, keepdims=True)
-        return p, _spectral(lambda _: p, w, v), _spectral(lambda _: np.log(np.maximum(p, LOG_FLOOR)), w, v)
+        log_p = np.log(np.maximum(p, LOG_FLOOR))
+        return p, log_p, _spectral(lambda _: p, w, v), _spectral(lambda _: log_p, w, v)
 
     return step
 

@@ -604,6 +604,30 @@ def test_suffstats_requires_out_directory(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run-qib", "--config", "c.json", "--out", ""], "--out"),
+    (["run-qib", "--config", "c.json", "--emit-state", ""], "--emit-state"),
+    (["advantage", "--d", "3", "--n", "2", "--beta", "2", "--out", ""], "--out"),
+    (["classify", "--config", "c.json", "--out", ""], "--out"),
+    (["classify", "--config", "c.json", "--regions-out", ""], "--regions-out"),
+    (["suffstats", "--config", "c.json", "--out", ""], "--out"),
+    (["suffstats", "--config", "c.json", "--emit-state", ""], "--emit-state"),
+], ids=["run-qib --out", "run-qib --emit-state", "advantage --out", "classify --out", "classify --regions-out",
+        "suffstats --out", "suffstats --emit-state"])
+def test_an_empty_output_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    # An empty --out would name "/" once suffstats joins its file names onto it,
+    # and the working directory's parent once a temporary file is made beside
+    # it: the flag is refused before the config is read or anything is solved.
+    calls = []
+    monkeypatch.setattr(ser, "load_json", lambda *a: calls.append("load_json"))
+    monkeypatch.setattr(cli.benchmarks, "advantage_gap", lambda *a: calls.append("advantage_gap"))
+    monkeypatch.setattr(ser, "write_text_atomic", lambda *a: calls.append("write_text_atomic"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert calls == [] and os.listdir(tmp_path) == []
+    assert f"argument {flag}: expects a file path, got an empty string" in capsys.readouterr().err
+
+
 def test_suffstats_writes_three_files(tmp_path):
     path = _write_json(
         tmp_path / "suff.json",

@@ -142,8 +142,8 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta,
     table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
     dense = engine.f_operator(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     assert table.shape == q.shape and np.max(np.abs(linalg.diag_embed(table) - dense)) < 1e-10
-    a = engine._Table(state, CQChannel(q, classical=True), alpha, beta)
-    b = engine._Stack(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
+    a = engine._Table.of(state, CQChannel(q, classical=True), alpha, beta)
+    b = engine._Stack.of(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
     assert abs(a.divergence(a) - b.divergence(b)) < 1e-12
@@ -162,17 +162,17 @@ def test_self_divergence_vanishes(seed, classical_rho, alpha, form):
     q = _with_sub_floor_entries(seed, q)
     gen = derive_rng(seed, "self-divergence")
     if form == "table":
-        a = engine._Table(state, CQChannel(q, classical=True), alpha, 5.0)
+        a = engine._Table.of(state, CQChannel(q, classical=True), alpha, 5.0)
         assert a.divergence(a) == 0.0
         return
     if form == "stack":  # each row in a Haar basis
         u = np.stack([random_unitary(q.shape[1], gen) for _ in q])
-        a = engine._Stack(state, CQChannel((u * q[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))), alpha, 5.0)
+        a = engine._Stack.of(state, CQChannel((u * q[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))), alpha, 5.0)
     else:  # spectra (q, 1 - q), q each row's entry below LOG_FLOOR, on random Bloch axes
         tiny = np.where(q < linalg.LOG_FLOOR, q, 0.0).sum(axis=1)
         p, axes = np.column_stack([tiny, 1.0 - tiny]), gen.standard_normal((len(q), 3))
-        a = engine._Bloch(state, CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), axes,
-                                                                   linalg.norms(axes)))), alpha, 5.0)
+        a = engine._Bloch.of(state, CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), axes,
+                                                                      linalg.norms(axes)))), alpha, 5.0)
     assert abs(a.divergence(a)) <= 32 * np.finfo(float).eps * abs(np.log(linalg.LOG_FLOOR))
 
 
@@ -215,12 +215,12 @@ def test_suffstats_table_analysis_is_real_and_matches_the_dense_one(monkeypatch,
     state = ensembles.gen_suffstats_ensemble(ensembles.SuffStatsSpec(size_x1=size_x1, size_x2=size_x2)).state
     n, beta = state.size_x, 20.0
     q = derive_rng(n, "suffstats-table").dirichlet(np.ones(n), size=n)
-    one_hot, gone = engine._Table(state, CQChannel(q, classical=True), 0.0, beta).project()
+    (_, _, one_hot, _), gone = engine._Table.of(state, CQChannel(q, classical=True), 0.0, beta).project()
     assert gone == [] and np.array_equal(np.sort(one_hot, axis=1)[:, :-1], np.zeros((n, n - 1)))
     for table in (q, one_hot):
-        a = engine._Table(state, SimpleNamespace(table=lambda: table.view(_TrackedTable)), 0.0, beta)
+        a = engine._Table.of(state, SimpleNamespace(table=lambda: table.view(_TrackedTable)), 0.0, beta)
         a.project()
-        b = engine._Stack(state, CQChannel(linalg.diag_embed(table)), 0.0, beta)
+        b = engine._Stack.of(state, CQChannel(linalg.diag_embed(table)), 0.0, beta)
         assert np.max(np.abs(linalg.diag_embed(a.f_family) - b.f_family)) < 1e-10
         for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
@@ -747,7 +747,7 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
     # log-product and log_joint cancel to zeros.
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
-        got = engine._Stack(state, channel, alpha, beta)
+        got = engine._Stack.of(state, channel, alpha, beta)
         a, b = got.log_sigma_t, state.rho_y_log[1]
         terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
         # The engine's broadcast form of each term, signed zeros included
@@ -876,11 +876,11 @@ def test_qubit_run_matches_the_eigenvector_path(monkeypatch, gamma, dense_start)
 
 
 def _residual(table, px, a, b):
-    """The residual of an analysis of ``a`` with weights ``px`` to a channel
-    of form ``b``: an analysis holding only what the residual reads."""
+    """The residual of an analysis of ``a`` with weights ``px`` to the next
+    iterate's ``b``: an analysis holding only what the residual reads."""
     cur = object.__new__(engine._Table if table else engine._Stack)
     cur.px, cur.mats = px, a
-    return cur.residual(SimpleNamespace(table=lambda: b, sigma_t_given_x=b))
+    return cur.residual(b)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 16])
@@ -1059,23 +1059,23 @@ def test_qubit_analysis_matches_the_stack_analysis(kind, seed):
     state, channel, beta = _qubit_case(kind, seed)
     twin = _stack_twin(channel)
     alpha, gamma = 1.0, 0.8
-    a, b = engine._Bloch(state, channel, alpha, beta), engine._Stack(state, twin, alpha, beta)
+    a, b = engine._Bloch.of(state, channel, alpha, beta), engine._Stack.of(state, twin, alpha, beta)
     for name in ("f_alpha", "h_t", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
     assert np.abs(linalg.from_pauli(a.f_family) - b.f_family).max() <= 1e-12
-    (p, c, log), (q, sigma, log_sigma) = steps = a.advance(gamma), b.advance(gamma)
+    (p, _, c, log), (q, _, sigma, log_sigma) = steps = a.advance(gamma), b.advance(gamma)
     assert np.abs(p - np.sort(q, axis=1)).max() <= 1e-12
     assert np.abs(linalg.from_pauli(c) - sigma).max() <= 1e-12
     assert np.abs(linalg.from_pauli(log) - log_sigma).max() <= 1e-12
-    na, nb = (type(x)(state, CQChannel(step), alpha, beta) for x, step in zip((a, b), steps))
+    na, nb = (type(x)(state, step, alpha, beta) for x, step in zip((a, b), steps))
     assert abs(a.divergence(na) - b.divergence(nb)) <= 1e-12
-    assert abs(a.residual(na.channel) - b.residual(nb.channel)) <= 1e-12
+    assert abs(a.residual(na.mats) - b.residual(nb.mats)) <= 1e-12
     ra, rb = na.ratio(a), nb.ratio(b)
     assert abs(ra - rb) * nb.divergence(b) <= 1e-12 or np.isnan(ra) and np.isnan(rb)
     if kind == "maximally mixed":
         return  # F_0 is 0 up to round-off, which picks either form's projector
-    a0, b0 = engine._Bloch(state, channel, 0.0, beta), engine._Stack(state, twin, 0.0, beta)
-    ((p, c, log), gone), (stepped, stack_gone) = a0.project(), b0.project()
+    a0, b0 = engine._Bloch.of(state, channel, 0.0, beta), engine._Stack.of(state, twin, 0.0, beta)
+    ((p, _, c, log), gone), ((_, _, stepped, _), stack_gone) = a0.project(), b0.project()
     assert gone == stack_gone
     assert np.abs(linalg.from_pauli(c) - stepped).max() <= 1e-12
     if kind == "maximally mixed, dimY 1":  # a tie in every x: P = I keeps sigma / Tr sigma
@@ -1090,5 +1090,124 @@ def test_gamma_ratio_of_a_pauli_and_a_stack_channel_matches_the_stack_oracle():
     pauli, stack = engine.random_channel(2, 5, seed=37), random_channel_for(state, 2, 37)
     assert [type(x) for x in engine._analyses(state, 1.0, 5.0, pauli, stack)] == [engine._Bloch] * 2
     for pair, twins in (((pauli, stack), (_stack_twin(pauli), stack)), ((stack, pauli), (stack, _stack_twin(pauli)))):
-        a, b = (engine._Stack(state, c, 1.0, 5.0) for c in twins)
+        a, b = (engine._Stack.of(state, c, 1.0, 5.0) for c in twins)
         assert abs(engine.gamma_ratio(state, *pair, 1.0, 5.0) - a.ratio(b)) * a.divergence(b) <= 1e-12
+
+
+_FORMS = {"table": (engine._Table, 3, True), "stack": (engine._Stack, 3, False), "qubit": (engine._Bloch, 2, False)}
+
+
+def _form_case(form, seed, tag):
+    """(state, random channel of ``form``): a table and a stack at dimT 3, a qubit channel."""
+    _, dim_t, classical = _FORMS[form]
+    state = random_cq_state(seed, tag=tag)
+    return state, engine.random_channel(dim_t, state.size_x, classical=classical, seed=seed)
+
+
+def _stored_arrays(channel):
+    """Every array a channel holds or derives, tables, stacks, spectra, logs and coordinates."""
+    arrays = [channel.sigma_t_given_x, *channel.floored_log]
+    if channel.classical:
+        arrays.append(channel.table())
+    elif channel.dim_t == 2:
+        arrays.extend(channel.pauli)
+    return arrays
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("step", ["soft", "projector"])
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_carried_iterate_analyses_as_its_rebuilt_channel(form, step):
+    # The loop hands each step's carry to the next analysis, and a run returns
+    # one channel.  Rebuilt as that channel, the same iterate analyses to the
+    # same bits: f, F, the entropies, the divergence, ratio and residual of the
+    # step into it.  No carried array, and no array of a returned channel, is
+    # writable.
+    state, channel = _form_case(form, 43, "carried-form")
+    alpha, beta, gamma = (1.0, 5.0, 0.8) if step == "soft" else (0.0, 5.0, None)
+    (cur,) = engine._analyses(state, alpha, beta, channel)
+    assert type(cur) is _FORMS[form][0]
+    for _ in range(3):
+        carry = cur.advance(gamma) if step == "soft" else cur.project()[0]
+        assert not any(a.flags.writeable for a in carry)
+        nxt = type(cur)(state, carry, alpha, beta)
+        (rebuilt,) = engine._analyses(state, alpha, beta, type(cur).channel(carry))
+        assert type(rebuilt) is type(nxt)
+        for name in ("f_alpha", "f_family", "h_t", "i_tx", "i_ty"):
+            assert _bits(getattr(nxt, name)) == _bits(getattr(rebuilt, name)), name
+        assert _bits(cur.divergence(nxt)) == _bits(cur.divergence(rebuilt))
+        assert _bits(nxt.ratio(cur)) == _bits(rebuilt.ratio(cur))
+        assert _bits(cur.residual(nxt.mats)) == _bits(cur.residual(rebuilt.mats))
+        cur = nxt
+    runner = engine.run_qib if step == "soft" else qdib.run_qdib
+    cfg = ObjectiveConfig(alpha=alpha, beta=beta, gamma=gamma, dim_t=channel.dim_t, classical=channel.classical,
+                          max_iters=3)
+    returned, _ = runner(state, cfg, initial=channel)
+    assert not any(a.flags.writeable for a in _stored_arrays(returned))
+
+
+def _relabelled(channel, perm):
+    """``channel`` with its x permuted by ``perm``, in the form it stores."""
+    if channel.classical:
+        return CQChannel(channel.table()[perm], classical=True)
+    if channel.dim_t == 2:
+        return CQChannel(tuple(a[perm] for a in channel.pauli))
+    p, log = channel.floored_log
+    return CQChannel((p[perm], channel.sigma_t_given_x[perm], log[perm]))
+
+
+def _rotated(channel, u):
+    """``channel`` with each conditional turned to U sigma U^H, a quantum stack."""
+    return CQChannel(u @ channel.sigma_t_given_x @ np.conj(u.T))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(list(_FORMS)),
+    st.sampled_from([(1.0, 5.0, 0.8), (0.5, 20.0, 0.5), (1.0, 0.5, 1.0)]),
+    st.sampled_from(["relabel X", "rotate T"]),
+)
+def test_objective_is_invariant_under_relabelling_x_and_rotating_t(seed, form, params, symmetry):
+    # Permuting P(x), rho_x and sigma_x together, or turning every sigma_x to
+    # U sigma_x U^H, leaves f, H(T), I(T:X), I(T:Y), the divergence and the
+    # ratio of a step unchanged, and the rotated update is the update rotated.
+    # A rotated table is a stack channel; a rotated qubit channel stays in the
+    # Pauli form.  The pair is a channel and its carried update.  Bounds are
+    # 4 eps times the size of the terms, S = (1 + alpha + 3 beta) |log
+    # LOG_FLOOR| dimT dimY: dimT dimY eigenvalue terms of F's summands, each at
+    # most |log LOG_FLOOR| (see _Analysis._f0_scale).  The divergence's trace
+    # against log sigma' also carries sigma' to absolute accuracy eps only, so
+    # its bound adds 4 eps dimT / w, w sigma''s least eigenvalue (at least
+    # LOG_FLOOR), the conditioning of the log.  The update's bound is 4 eps
+    # dimT times the exponent's size, |log LOG_FLOOR| (1 + (1 + alpha + 3 beta) / gamma).
+    alpha, beta, gamma = params
+    state, channel = _form_case(form, seed, "symmetry")
+    (cur,) = engine._analyses(state, alpha, beta, channel)
+    nxt = type(cur)(state, cur.advance(gamma), alpha, beta)
+    stepped = type(cur).channel(nxt.carry)
+    gen = derive_rng(seed, "symmetry")
+    dim_t, eps, log_floor = channel.dim_t, np.finfo(float).eps, -np.log(linalg.LOG_FLOOR)
+    if symmetry == "relabel X":
+        perm = gen.permutation(state.size_x)
+        other = CQState(state.px[perm], state.rho_y_given_x[perm])
+        pair = _relabelled(channel, perm), _relabelled(stepped, perm)
+    else:
+        u = random_unitary(dim_t, gen)
+        other, pair = state, (_rotated(channel, u), _rotated(stepped, u))
+    a, b = engine._analyses(other, alpha, beta, *pair)
+    assert type(a) is (engine._Stack if form == "table" and symmetry == "rotate T" else type(cur))
+    bound = 4 * eps * (1 + alpha + 3 * beta) * log_floor * dim_t * state.dim_y
+    for x, y in ((cur, a), (nxt, b)):
+        for name in ("f_alpha", "h_t", "i_tx", "i_ty"):
+            assert abs(getattr(x, name) - getattr(y, name)) <= bound, name
+    least = max(float(nxt.carry[0].min()), linalg.LOG_FLOOR)
+    assert abs(cur.divergence(nxt) - a.divergence(b)) <= bound + 4 * eps * dim_t / least
+    ratio, den = nxt.ratio(cur), nxt.divergence(cur)
+    assert abs(ratio - b.ratio(a)) * den <= bound * (1 + abs(ratio))
+    if symmetry == "rotate T":
+        turned = engine.update(state, pair[0], gamma, alpha, beta).sigma_t_given_x
+        size = log_floor * (1 + (1 + alpha + 3 * beta) / gamma)
+        assert np.abs(turned - u @ stepped.sigma_t_given_x @ np.conj(u.T)).max() <= 4 * eps * dim_t * size

@@ -124,7 +124,7 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
         qdib.qdib_update(state, chan, beta)
     named = int(re.search(r"x=(\d+)", str(err.value)).group(1))
     (analysis,) = engine._analyses(state, 0.0, beta, chan)
-    out, vanished = analysis.project()
+    (_, _, out, _), vanished = analysis.project()
     assert named in vanished
     fam, out = linalg.diag_embed(engine.f_operator(state, chan, 0.0, beta)), linalg.diag_embed(out)
     for x in vanished:
@@ -133,9 +133,9 @@ def test_runner_fallback_set_holds_the_x_qdib_update_names():
 
 
 def _dense(analysis, a):
-    """A table, Pauli rows (of a triple) or stack of ``analysis``'s form as the stack."""
+    """A table, Pauli rows or stack of ``analysis``'s form as the stack."""
     if isinstance(analysis, engine._Bloch):
-        return linalg.from_pauli(a[1] if isinstance(a, tuple) else a)
+        return linalg.from_pauli(a)
     return linalg.diag_embed(a) if a.ndim == 2 else a
 
 
@@ -151,7 +151,7 @@ def test_projected_step_equals_per_x_loop(seed, classical):
     for st_, ch, beta in ((state, chan, 5.0), (flip_state, flip, flip_beta)):
         (a,) = engine._analyses(st_, 0.0, beta, ch)
         assert type(a) is (engine._Table if classical else engine._Bloch if ch.dim_t == 2 else engine._Stack)
-        out, vanished = a.project()
+        (_, _, out, _), vanished = a.project()
         ref, ref_vanished = projected_step_loop(_dense(a, a.f_family), _dense(a, a.mats))
         assert vanished == ref_vanished
         assert np.max(np.abs(_dense(a, out) - ref)) <= 1e-12
@@ -163,13 +163,13 @@ def test_table_projected_step_matches_dense_loop(seed, classical_rho, beta):
     # P/rank(P) fallback); the second family puts t = 0 just inside each
     # row's tie window.
     state, q = sparse_table_instance(seed, classical_rho)
-    a = engine._Table(state, CQChannel(q, classical=True), 0.0, beta)
+    a = engine._Table.of(state, CQChannel(q, classical=True), 0.0, beta)
     near = a.f_family.copy()
     rest = near[:, 1:]
     near[:, 0] = rest.min(axis=1) + 1e-12 * (rest.max(axis=1) - rest.min(axis=1))
     for fam in (a.f_family, near):
         a.f_family = fam
-        out, vanished = a.project()
+        (_, _, out, _), vanished = a.project()
         ref, ref_vanished = projected_step_loop(linalg.diag_embed(fam), linalg.diag_embed(q))
         assert vanished == ref_vanished
         assert np.max(np.abs(linalg.diag_embed(out) - ref)) <= 1e-12

@@ -171,6 +171,36 @@ def test_write_text_atomic(tmp_path):
     assert leftovers == []
 
 
+@pytest.fixture
+def umask():
+    """Set the process umask for one test, and restore it after."""
+    masks = []
+    yield lambda mask: masks.append(os.umask(mask))
+    if masks:
+        os.umask(masks[0])
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027, 0o077], ids=oct)
+def test_write_text_atomic_gives_a_new_file_the_umask_mode(tmp_path, umask, mask):
+    # As open(path, "w") would: 0o666 less the umask, not mkstemp's 0o600.
+    umask(mask)
+    target, plain = tmp_path / "out.csv", tmp_path / "plain.csv"
+    ser.write_text_atomic(str(target), "hello\n")
+    with open(plain, "w") as fh:
+        fh.write("hello\n")
+    assert oct(target.stat().st_mode & 0o7777) == oct(plain.stat().st_mode & 0o7777) == oct(0o666 & ~mask)
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o664, 0o640], ids=oct)
+def test_write_text_atomic_keeps_a_replaced_file_s_mode(tmp_path, umask, mode):
+    umask(0o022)
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    target.chmod(mode)
+    ser.write_text_atomic(str(target), "replaced\n")
+    assert target.read_text() == "replaced\n" and oct(target.stat().st_mode & 0o7777) == oct(mode)
+
+
 def test_write_text_atomic_removes_its_temporary_file_when_the_rename_fails(tmp_path, monkeypatch, capsys):
     def refuse(src, dst):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
