@@ -196,9 +196,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     raise ConfigError(f"{args.file}#", "neither a state file (rhoY) nor a channel file (sigmaT)")
 
 
-def _out_path(text: str) -> str:
-    """An output path flag's value: an empty one would name the root or the
-    parent directory once a file name is joined or resolved onto it."""
+def _path(text: str) -> str:
+    """A path argument's value: an empty one names no file to read, and would
+    name the root or the parent directory of one to write once a file name is
+    joined or resolved onto it."""
     if not text:
         raise argparse.ArgumentTypeError("expects a file path, got an empty string")
     return text
@@ -213,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, emit_state: bool = True):
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", type=_out_path, default=None, help="output path (stdout when omitted)")
+        p.add_argument("--config", type=_path, required=True, help="JSON config file")
+        p.add_argument("--out", type=_path, default=None, help="output path (stdout when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if emit_state:
-            p.add_argument("--emit-state", type=_out_path, default=None, help="also write the resolved state JSON")
+            p.add_argument("--emit-state", type=_path, default=None, help="also write the resolved state JSON")
 
     runs = (
         ("run-qib", "iterate the soft bottleneck to convergence", dict(
@@ -238,13 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="bottleneck dimensions, comma separated")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--out", type=_out_path, default=None)
+    p.add_argument("--out", type=_path, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_advantage)
 
     p = sub.add_parser("classify", help="kernel classification experiment")
     add_common(p, emit_state=False)
-    p.add_argument("--regions-out", type=_out_path, default=None, help="decision-region CSV path")
+    p.add_argument("--regions-out", type=_path, default=None, help="decision-region CSV path")
     p.add_argument("--grid-step", type=float, default=0.25)
     p.set_defaults(func=_cmd_classify)
 
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_suffstats)
 
     p = sub.add_parser("validate", help="check a state or channel file")
-    p.add_argument("file", help="JSON file to validate")
+    p.add_argument("file", type=_path, help="JSON file to validate")
     p.set_defaults(func=_cmd_validate)
     return parser
 

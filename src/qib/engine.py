@@ -21,11 +21,13 @@ table, where only the dimY x dimY blocks of the joint are decomposed;
 coordinates, real (sizeX, 4) rows; ``_Stack`` any other quantum channel's
 (sizeX, dimT, dimT) stack.  Each owns its soft step, its projector step and
 its residual; their base scores the form against the source, whose entropy,
-floored log of rho_Y and qubit rows the state caches.  A run builds one
-channel, for the iterate it returns: the first iterate's form is read off its
-channel, and each step hands the next iterate that form's carry, the
-read-only arrays (p, log p, mats, log mats) of the spectra (a table's rows),
-their floored log, and the table, Pauli rows or stack with its floored log.
+floored log of rho_Y and qubit rows the state caches.  Each reads its form's
+carry, the read-only arrays (p, log p, mats, log mats) of the spectra (a
+table's rows), their floored log, and the table, Pauli rows or stack with its
+floored log, which is what a ``CQChannel`` stores.  A run builds one channel,
+for the iterate it returns, from its carry: the first iterate's form and
+carry are read off its channel, and each step hands the next iterate that
+form's carry.
 The stack update builds the stack and its floored log on the update
 exponent's eigenvectors (``linalg.from_eig``), so the conditionals are never
 decomposed.  A stack iteration costs two stacked eigendecompositions, of the
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import linalg, model, rng
 from .exceptions import InvariantError, NumericalError
-from .model import CQChannel, CQState, ObjectiveConfig
+from .model import CQChannel, CQState, ObjectiveConfig, _carry, _table_carry
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -94,10 +96,10 @@ class IterationTrace:
 class _Analysis:
     """One channel iterate as the loop reads it: its form's carry (p, log p, mats, log mats), the
     conditionals' spectra (a table's rows) and their floored log, the form itself and its floored log,
-    each array read-only.  A subclass per form extracts the carry from a channel (``_carried``), reads
-    it (``_read`` sets sigma_T's spectrum and log, and returns the joint's spectrum and F's beta term),
+    each array read-only, as ``CQChannel.carry`` holds it.  A subclass per form reads the carry
+    (``_read`` sets sigma_T's spectrum and log, and returns the joint's spectrum and F's beta term),
     owns the soft step (``advance``), the residual's spread and the projector step (``_project``),
-    which return the next iterate's carry, and builds the channel of a carry (``channel``); the base
+    which return the next iterate's carry; the base builds the channel of a carry (``channel``) and
     scores it: f, F, divergence, ratio, residual.  A conditional's entropy is -sum p log_floor(p), read
     off the floored log that the divergence's trace reads, so D(sigma || sigma) = 0 up to round-off.
 
@@ -108,6 +110,8 @@ class _Analysis:
     alpha update.  It returns the next iterate's carry and those x in order: the
     runner keeps the fallback, ``qdib.qdib_update`` raises on it.  A step whose F_0 or exponent is
     not finite (beta near the float maximum) raises NumericalError naming the first such x."""
+
+    classical = False
 
     def __init__(self, state: CQState, carry: tuple[np.ndarray, ...], alpha: float, beta: float):
         self.px, self.carry, self.beta = state.px, carry, beta
@@ -125,16 +129,9 @@ class _Analysis:
             self.f_family -= self.log_sigma_t
             self.f_family += beta * beta_term
 
-    @classmethod
-    def of(cls, state: CQState, channel: CQChannel, alpha: float, beta: float) -> _Analysis:
-        """The analysis of ``channel`` in this form."""
-        return cls(state, cls._carried(channel), alpha, beta)
-
-    @staticmethod
-    def channel(carry: tuple[np.ndarray, ...]) -> CQChannel:
-        """The quantum channel of a carry, through the triple (p, mats, log mats)."""
-        p, _, mats, log_mats = carry
-        return CQChannel((p, mats, log_mats))
+    def channel(self, carry: tuple[np.ndarray, ...]) -> CQChannel:
+        """The channel of a carry in this form."""
+        return CQChannel(carry, self.classical)
 
     def _exponent(self, gamma: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # the step's finiteness check owns the failure
@@ -170,13 +167,7 @@ class _Table(_Analysis):
     ``mats``, ``log_mats`` and ``f_family`` come too; the table is its own
     spectra, so its carry is (q, log q, q, log q)."""
 
-    @staticmethod
-    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
-        return _table_carry(channel.table())
-
-    @staticmethod
-    def channel(carry: tuple[np.ndarray, ...]) -> CQChannel:
-        return CQChannel(carry[2], classical=True)
+    classical = True
 
     def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
         px, mats, rhos = self.px, self.mats, state.rho_y_given_x
@@ -208,11 +199,6 @@ class _Table(_Analysis):
 
 class _Stack(_Analysis):
     """A quantum channel as its stack, the stack's spectra and floored log."""
-
-    @staticmethod
-    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
-        p, log = channel.floored_log
-        return _carry(p, channel.sigma_t_given_x, log)
 
     def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
         px, mats, rhos = self.px, self.mats, state.rho_y_given_x
@@ -256,14 +242,10 @@ class _Stack(_Analysis):
 class _Bloch(_Analysis):
     """A quantum channel at dimT 2 as the orthonormal Pauli coordinates
     (``linalg.to_pauli``) of its conditionals and their floored logs, the
-    carry (p, log p, c, log c) of ``channel.pauli``: ``mats``, ``log_mats``,
+    carry (p, log p, c, log c): ``mats``, ``log_mats``,
     ``log_sigma_t`` and ``f_family`` are real rows of 4, in which Tr[A B] =
     a . b, and sigma_T, the update, the residual and the projector take
     closed forms."""
-
-    @staticmethod
-    def _carried(channel: CQChannel) -> tuple[np.ndarray, ...]:
-        return _carry(*channel.pauli)
 
     def _read(self, state: CQState) -> tuple[np.ndarray, np.ndarray]:
         px, rhos = self.px, state.rho_y_given_x
@@ -323,22 +305,6 @@ class _Bloch(_Analysis):
         return _carry(p, out, log), gone
 
 
-def _carry(p: np.ndarray, mats: np.ndarray, log_mats: np.ndarray,
-           log_p: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """The carry (p, log p, mats, log mats), each array set read-only in place;
-    log p is ``linalg.log_floor(p)`` unless given."""
-    carry = (p, linalg.log_floor(p) if log_p is None else log_p, mats, log_mats)
-    for a in carry:
-        a.setflags(write=False)
-    return carry
-
-
-def _table_carry(q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The carry (q, log q, q, log q) of a table q."""
-    log_q = linalg.log_floor(q)
-    return _carry(q, q, log_q, log_q)
-
-
 def _tr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr[a_x b_x] for each x, of two tables or two stacks, one Hermitian."""
     return np.einsum("xk,xk->x", linalg.rows(a), linalg.rows(b))
@@ -378,7 +344,7 @@ def _analyses(state: CQState, alpha: float, beta: float, *channels: CQChannel) -
         raise InvariantError(f"channels have dimT {' and '.join(map(str, dims))}")
     if not all(c.classical for c in channels):
         channels = [CQChannel(c.sigma_t_given_x) if c.classical else c for c in channels]
-    return [(_Table if c.classical else _Bloch if c.dim_t == 2 else _Stack).of(state, c, alpha, beta) for c in channels]
+    return [(_Table if c.classical else _Bloch if c.dim_t == 2 else _Stack)(state, c.carry, alpha, beta) for c in channels]
 
 
 def f_operator(state: CQState, channel: CQChannel, alpha: float, beta: float) -> np.ndarray:
@@ -443,7 +409,7 @@ def random_channel(
         raise InvariantError(f"dim_t and size_x must be >= 1, got {dim_t}, {size_x}")
     gen = seed if isinstance(seed, np.random.Generator) else rng.derive_rng(seed, "channel")
     if classical:
-        return CQChannel(gen.dirichlet(np.ones(dim_t), size=size_x), classical=True)
+        return CQChannel(_table_carry(gen.dirichlet(np.ones(dim_t), size=size_x)), classical=True)
     # Per x a spectrum's exponentials, then a Gaussian matrix for its basis, in stream
     # order.  A flat Dirichlet draw is exponentials times 1 / their sum in draw order.
     e = np.empty((size_x, dim_t))
@@ -454,13 +420,14 @@ def random_channel(
         normal(out=zx)
     total = np.add.accumulate(e, axis=1)[:, -1]
     p = e * (1.0 / total)[:, None]
+    log_p = linalg.log_floor(p)
     if dim_t == 2:  # p0 on the Bloch vector b of q0 = z0 / |z0|, p1 on -b
         u, v = (z[:, 0, :, 0] + 1j * z[:, 1, :, 0]).T
         uv, uu, vv = np.conj(u) * v, u.real**2 + u.imag**2, v.real**2 + v.imag**2
         minus_b = np.stack([-2 * uv.real, -2 * uv.imag, vv - uu])  # |u|^2 + |v|^2 times -b
-        return CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), minus_b.T, uu + vv)))
+        return CQChannel((p, log_p, *linalg.pauli_of(np.stack([p, log_p]), minus_b.T, uu + vv)))
     v = linalg.haar_unitary(z[:, 0] + 1j * z[:, 1])
-    return CQChannel((p, linalg.from_eig(p, v), linalg.from_eig(linalg.log_floor(p), v)))
+    return CQChannel((p, log_p, linalg.from_eig(p, v), linalg.from_eig(log_p, v)))
 
 
 def run_qib(

@@ -208,7 +208,7 @@ def _features(
     seen = cell_keys[pos] == keys
     dt = channel.dim_t
     if channel.classical:
-        feats, uniform = channel.table()[pos], np.full(dt, 1.0 / dt)
+        feats, uniform = channel.carry[2][pos], np.full(dt, 1.0 / dt)
     else:
         feats, uniform = channel.sigma_t_given_x[pos], np.eye(dt) / dt
     feats[~seen] = uniform

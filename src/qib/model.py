@@ -6,8 +6,9 @@ A source is a classical random variable X correlated with a quantum system Y
 through conditional densities rho_{Y|x}; a compression channel assigns each x
 a density sigma_{T|x} on the bottleneck system T.  Joint operators over (T, Y)
 put the T factor first in the tensor order.  The objective itself is
-evaluated by ``engine``'s analyses, one class per stored form of a channel:
-a classical channel's table, a quantum channel's stack.
+evaluated by ``engine``'s analyses, one class per form of a channel's stored
+carry: a classical channel's table, a quantum channel's Pauli rows at dimT 2
+and its stack otherwise.
 """
 
 from __future__ import annotations
@@ -97,19 +98,21 @@ class CQState:
 class CQChannel:
     """Compression channel x -> sigma_{T|x}, optionally restricted classical.
 
-    A quantum channel carries its stack and ``floored_log``, the spectra p[x]
-    of sigma_{T|x} and its floored log.  It is built from the triple (p,
-    sigma, log sigma), as the update produces it, taken as given; or from a
-    (sizeX, dimT, dimT) stack, whose ``floored_log`` is derived once, when
-    first read.  A qubit channel (dimT 2) also has ``pauli``, the triple (p,
-    c, log c) with the orthonormal Pauli coordinates c[x] =
-    ``linalg.to_pauli`` of sigma_{T|x} and of its floored log, which a qubit
-    run and ``engine.random_channel`` build it from; given the stack, it is
-    derived in closed form, and given ``pauli``, the stack and
-    ``floored_log`` are.  A classical one stores only its real (sizeX, dimT)
-    table q[x, t], given as such or as a stack whose off-diagonal and
-    imaginary entries are within 1e-12, and derives its stack when first
-    read.  Every stored form is read-only.  Updates keep the classical flag.
+    A channel stores its form's ``carry``, the read-only arrays (p, log p,
+    mats, log mats) that ``engine``'s analysis of the form reads: per x the
+    spectrum p[x] of sigma_{T|x}, its floored log, and the conditionals with
+    their floored log.  That is (q, log q, q, log q) for a classical channel's
+    real (sizeX, dimT) table q[x, t]; (p, log p, c, log c) for a quantum
+    channel at dimT 2, c[x] the orthonormal Pauli coordinates
+    (``linalg.to_pauli``) of sigma_{T|x} and of its floored log, real
+    (sizeX, 4) rows; and (p, log p, sigma, log sigma) for any other.  Given
+    a carry, as every step and ``engine.random_channel`` build it, the
+    channel keeps it as given, set read-only in place.  Given a quantum
+    (sizeX, dimT, dimT) stack, or a classical table or stack of diagonal
+    matrices (whose off-diagonal and imaginary entries must be within 1e-12),
+    it keeps the stack or the table and derives the carry once, when first
+    read, a stack's p ascending.  ``sigma_t_given_x`` is the given stack, or
+    is derived from the carry.  Updates keep the classical flag.
     """
 
     classical: bool
@@ -118,60 +121,60 @@ class CQChannel:
 
     def __init__(self, sigma_t_given_x: np.ndarray | tuple, classical: bool = False):
         if isinstance(sigma_t_given_x, tuple):
-            if classical:
-                raise InvariantError("a classical channel is given as its table or stack, not as a triple")
-            p, *mats = (np.asarray(a) for a in sigma_t_given_x)
-            if len(mats) == 2 and mats[0].ndim == 2:
-                if p.shape[1:] != (2,) or any(m.shape != (len(p), 4) or np.iscomplexobj(m) for m in mats):
-                    raise InvariantError(f"(p, c, log c) must be (sizeX, 2) and two real (sizeX, 4), "
-                                         f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
-                stored = {"pauli": tuple(_freeze(np.asarray(a, dtype=np.float64)) for a in (p, *mats))}
-            else:
-                p, mats = np.asarray(p, dtype=np.float64), [np.asarray(m, dtype=np.complex128) for m in mats]
-                if p.ndim != 2 or len(mats) != 2 or any(m.shape != p.shape + p.shape[-1:] for m in mats):
-                    raise InvariantError(f"(p, sigma, log sigma) must be (sizeX, dimT) and two (sizeX, dimT, dimT), "
-                                         f"got shapes {[np.shape(a) for a in sigma_t_given_x]}")
-                p, sigma, log = map(_freeze, (p, *mats))
-                stored = {"sigma_t_given_x": sigma, "floored_log": (p, log)}
-            shape = p.shape
+            carry = sigma_t_given_x
+            n, d = np.shape(carry[0]) if carry and np.ndim(carry[0]) == 2 else (-1, -1)
+            mats = ((n, d), np.float64) if classical else ((n, 4), np.float64) if d == 2 else ((n, d, d), np.complex128)
+            got = [(np.shape(a), getattr(a, "dtype", None)) for a in carry]
+            if got != [((n, d), np.float64)] * 2 + [mats] * 2:
+                raise InvariantError(f"a carry must be float64 (p, log p) of shape (sizeX, dimT) and (mats, log mats) "
+                                     f"of its form: a table, (sizeX, 4) Pauli rows at dimT 2 or a complex128 "
+                                     f"(sizeX, dimT, dimT) stack; got {[f'{s} {t}' for s, t in got]}")
+            p, log_p, mats, log_mats = carry
+            stored, shape = {"carry": _carry(p, mats, log_mats, log_p)}, (n, d)
         else:
             sig = np.asarray(sigma_t_given_x)
             if not (sig.ndim == 3 and sig.shape[1] == sig.shape[2] or classical and sig.ndim == 2):
                 raise InvariantError(f"sigma_t_given_x must be stacked square matrices, got shape {sig.shape}")
             value = _diagonals(sig) if classical and sig.ndim == 3 else sig
             value = _freeze(np.asarray(value, dtype=np.float64 if classical else np.complex128))
-            stored, shape = {"_q" if classical else "sigma_t_given_x": value}, value.shape
-        # The fields, and the given forms as the cached properties that derive them otherwise.
+            stored, shape = {"_table" if classical else "sigma_t_given_x": value}, value.shape
+        # The fields, and the given form as the cached property that derives it otherwise.
         vars(self).update({"classical": classical, "size_x": shape[0], "dim_t": shape[1], **stored})
 
     @functools.cached_property
+    def carry(self) -> tuple[np.ndarray, ...]:
+        if self.classical:
+            return _table_carry(self._table)
+        sigma = self.sigma_t_given_x
+        mats = linalg.to_pauli(sigma) if self.dim_t == 2 else sigma
+        p, log = (linalg.pauli_floored_log if self.dim_t == 2 else linalg.floored_log)(mats)
+        return _carry(p, mats, log)
+
+    @functools.cached_property
     def sigma_t_given_x(self) -> np.ndarray:
-        return _freeze(linalg.diag_embed(self._q) if self.classical else linalg.from_pauli(self.pauli[1]))
-
-    @functools.cached_property
-    def floored_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p, log sigma): per x the eigenvalues of sigma_{T|x} and its floored
-        log, ``linalg.floored_log`` of the stack, or the stack of ``pauli``'s."""
-        if "pauli" in vars(self):
-            p, _, log = self.pauli
-            return p, _freeze(linalg.from_pauli(log))
-        return tuple(map(_freeze, linalg.floored_log(self.sigma_t_given_x)))
-
-    @functools.cached_property
-    def pauli(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, c, log c) of a qubit channel: per x the eigenvalues of
-        sigma_{T|x}, and the Pauli coordinates of sigma_{T|x} and of its
-        floored log; derived from the stack, p ascends: (c0 -+ |c|) / sqrt2."""
-        c = linalg.to_pauli(self.sigma_t_given_x)
-        p, log = linalg.pauli_floored_log(c)
-        return _freeze(p), _freeze(c), _freeze(log)
-
-    def table(self) -> np.ndarray:
-        """The (sizeX, dimT) table q[x, t] of a classical channel, as stored."""
-        return self._q
+        mats = self.carry[2]
+        if mats.ndim == 3:
+            return mats
+        return _freeze(linalg.diag_embed(mats) if self.classical else linalg.from_pauli(mats))
 
     def validate(self) -> None:
         linalg.check_density(self.sigma_t_given_x, label="sigma_t_given_x")
+
+
+def _carry(p: np.ndarray, mats: np.ndarray, log_mats: np.ndarray,
+           log_p: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The carry (p, log p, mats, log mats), each array set read-only in place;
+    log p is ``linalg.log_floor(p)`` unless given."""
+    carry = (p, linalg.log_floor(p) if log_p is None else log_p, mats, log_mats)
+    for a in carry:
+        a.setflags(write=False)
+    return carry
+
+
+def _table_carry(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The carry (q, log q, q, log q) of a table q."""
+    log_q = linalg.log_floor(q)
+    return _carry(q, q, log_q, log_q)
 
 
 def _diagonals(stack: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ Runs ``qib.cli.main`` in process, with OpenBLAS on one thread, from inside
 OUTDIR, so no output names an absolute path.  The inputs: each benchmark
 workload's reference config and its request configs 1-5 at seed 1, read from
 ``perfbench/workloads.py``; run-qib and run-qdib on a qubit, a dimT-3 and a
-classical source; beta-sweep with integer and float betas; advantage;
+classical source, from a random start and from each kind of initial channel
+(maximally mixed, a quantum channel file at dimT 2 and 3, an inline classical
+channel in a classical run and lifted to a quantum one); beta-sweep with integer and float betas; advantage;
 classify with ``--regions-out``; suffstats; validate on a state and a channel
 file; the README's demo config; and runs at a beta near the float maximum,
 where the solvers must fail with one ``numerical error:`` line.  Every
@@ -69,6 +71,23 @@ def run(name: str, command: str, config: dict | None, *flags: str, out: str = ".
         invoke(f"{name}.{fmt}", [*argv, "--out", f"{name}.{fmt}", "--format", fmt])
 
 
+def _channel(dim_t: int, classical: bool) -> dict:
+    """The wire form of a fixed channel on QUBITS' five x: per x a diagonal of
+    weights 1, ..., dimT shifted by x, normalized, and unless classical
+    Hermitian off-diagonal entries (0.03 + 0.01j x) / dimT, small enough to
+    keep every conditional positive definite."""
+    sigma = []
+    for x in range(QUBITS["sizeX"]):
+        diag = [1.0 + (t + x) % dim_t for t in range(dim_t)]
+        m = [[complex(diag[i] / sum(diag)) if i == j else 0j for j in range(dim_t)] for i in range(dim_t)]
+        for i in range(dim_t):
+            for j in range(i + 1, dim_t):
+                m[i][j] = 0j if classical else complex(0.03, 0.01 * x) / dim_t
+                m[j][i] = m[i][j].conjugate()
+        sigma.append({"dim": dim_t, "re": [[v.real for v in r] for r in m], "im": [[v.imag for v in r] for r in m]})
+    return {"dimT": dim_t, "classical": classical, "sigmaT": sigma}
+
+
 def main(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
@@ -84,6 +103,18 @@ def main(out_dir: str) -> None:
         kind = f"dimT{dim_t}" + ("-classical" if classical else "")
         config = {**solver, "dimT": dim_t, "classical": classical}
         run(f"run-qib-{kind}", "run-qib", {**config, "alpha": 1.0}, "--emit-state", f"state-{kind}.json")
+        run(f"run-qdib-{kind}", "run-qdib", config)
+    # Initial channels: a channel built from a table or a stack derives its carry when first read.
+    Path("channel-dimT2.json").write_text(json.dumps(_channel(2, False)), encoding="utf-8")
+    Path("channel-dimT3.json").write_text(json.dumps(_channel(3, False)), encoding="utf-8")
+    starts = [("mixed", dim_t, classical, "maximally-mixed") for dim_t, classical in ((2, False), (3, False), (3, True))]
+    starts += [("file", dim_t, False, {"path": f"channel-dimT{dim_t}.json"}) for dim_t in (2, 3)]
+    starts += [("inline-classical", dim_t, classical, _channel(dim_t, True))
+               for dim_t, classical in ((3, True), (2, False), (3, False))]
+    for start, dim_t, classical, initial in starts:
+        kind = f"{start}-dimT{dim_t}" + ("-classical" if classical else "")
+        config = {**solver, "dimT": dim_t, "classical": classical, "initial_channel": initial}
+        run(f"run-qib-{kind}", "run-qib", {**config, "alpha": 1.0, "gamma": 0.8})
         run(f"run-qdib-{kind}", "run-qdib", config)
     run("readme-demo", "run-qib", json.loads((ROOT / "configs" / "small_gamma_demo.json").read_text()))
 

@@ -90,6 +90,23 @@ def sparse_table_instance(seed, classical_rho):
     return CQState(px / px.sum(), rhos), q / q.sum(axis=1)[:, None]
 
 
+def table_carry(q):
+    """The carry (q, log q, q, log q) of a table q, log q floored at LOG_FLOOR:
+    what ``engine``'s table analysis reads."""
+    log_q = np.log(np.maximum(q, LOG_FLOOR))
+    return q, log_q, q, log_q
+
+
+def stack_carry(carry):
+    """A quantum channel's carry in the stack form, (p, log p, sigma, log
+    sigma), also of a qubit channel's carry, which holds Pauli rows: the input
+    of the stack analysis, the oracle of the qubit one."""
+    p, log_p, mats, log_mats = carry
+    if mats.ndim == 2:
+        mats, log_mats = linalg.from_pauli(mats), linalg.from_pauli(log_mats)
+    return p, log_p, mats, log_mats
+
+
 def random_hermitian(dim, gen, scale=1.0):
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return scale * (a + np.conj(a.T)) / 2.0

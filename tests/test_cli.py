@@ -119,7 +119,7 @@ def test_classical_initial_channel_as_a_stack_or_its_table_gives_one_trace(tmp_p
     obj = {"beta": 8.0, "dimT": 3, "classical": True, "tol": 1e-12, "max_iters": 20, "seed": 3,
            "state": {"generator": "random-qubit-ensemble", "sizeX": 6}, **keys}
     state = qconfig.resolve_state(obj["state"], obj["seed"], 3, True)
-    q = engine.random_channel(3, 6, classical=True, seed=5).table()
+    q = engine.random_channel(3, 6, classical=True, seed=5).carry[2]
     runner = engine.run_qib if command == "run-qib" else qdib.run_qdib
     _, trace = runner(state, qconfig.objective_config(obj, obj["seed"]), model.CQChannel(q, classical=True))
     expected = {"csv": ser.trace_to_csv(trace), "json": ser.dump_json(ser.trace_to_records(trace))}
@@ -618,6 +618,23 @@ def test_an_empty_output_path_exits_1_before_any_work(tmp_path, capsys, monkeypa
     # An empty --out would name "/" once suffstats joins its file names onto it,
     # and the working directory's parent once a temporary file is made beside
     # it: the flag is refused before the config is read or anything is solved.
+    _refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run-qib", "--config", ""], "--config"),
+    (["gamma-sweep", "--config", ""], "--config"),
+    (["classify", "--config", ""], "--config"),
+    (["suffstats", "--config", ""], "--config"),
+    (["validate", ""], "file"),
+], ids=["run-qib --config", "gamma-sweep --config", "classify --config", "suffstats --config", "validate file"])
+def test_an_empty_input_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    # An empty input path names no file: the parser refuses it, naming the
+    # argument, where opening it would report a missing file named ''.
+    _refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flag)
+
+
+def _refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
     calls = []
     monkeypatch.setattr(ser, "load_json", lambda *a: calls.append("load_json"))
     monkeypatch.setattr(cli.benchmarks, "advantage_gap", lambda *a: calls.append("advantage_gap"))

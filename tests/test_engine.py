@@ -3,7 +3,6 @@
 import ast
 import inspect
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +26,9 @@ from helpers import (
     random_density,
     random_unitary,
     sparse_table_instance,
+    stack_carry,
     symmetrize,
+    table_carry,
 )
 
 
@@ -142,8 +143,8 @@ def test_table_analysis_matches_dense_diagonal(seed, classical_rho, alpha, beta,
     table = engine.f_operator(state, CQChannel(q, classical=True), alpha, beta)
     dense = engine.f_operator(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
     assert table.shape == q.shape and np.max(np.abs(linalg.diag_embed(table) - dense)) < 1e-10
-    a = engine._Table.of(state, CQChannel(q, classical=True), alpha, beta)
-    b = engine._Stack.of(state, CQChannel(linalg.diag_embed(q)), alpha, beta)
+    a = engine._Table(state, CQChannel(q, classical=True).carry, alpha, beta)
+    b = engine._Stack(state, CQChannel(linalg.diag_embed(q)).carry, alpha, beta)
     for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
     assert abs(a.divergence(a) - b.divergence(b)) < 1e-12
@@ -162,17 +163,17 @@ def test_self_divergence_vanishes(seed, classical_rho, alpha, form):
     q = _with_sub_floor_entries(seed, q)
     gen = derive_rng(seed, "self-divergence")
     if form == "table":
-        a = engine._Table.of(state, CQChannel(q, classical=True), alpha, 5.0)
+        a = engine._Table(state, CQChannel(q, classical=True).carry, alpha, 5.0)
         assert a.divergence(a) == 0.0
         return
     if form == "stack":  # each row in a Haar basis
         u = np.stack([random_unitary(q.shape[1], gen) for _ in q])
-        a = engine._Stack.of(state, CQChannel((u * q[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))), alpha, 5.0)
+        a = engine._Stack(state, CQChannel((u * q[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))).carry, alpha, 5.0)
     else:  # spectra (q, 1 - q), q each row's entry below LOG_FLOOR, on random Bloch axes
         tiny = np.where(q < linalg.LOG_FLOOR, q, 0.0).sum(axis=1)
         p, axes = np.column_stack([tiny, 1.0 - tiny]), gen.standard_normal((len(q), 3))
-        a = engine._Bloch.of(state, CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), axes,
-                                                                      linalg.norms(axes)))), alpha, 5.0)
+        pl = np.stack([p, linalg.log_floor(p)])
+        a = engine._Bloch(state, CQChannel((*pl, *linalg.pauli_of(pl, axes, linalg.norms(axes)))).carry, alpha, 5.0)
     assert abs(a.divergence(a)) <= 32 * np.finfo(float).eps * abs(np.log(linalg.LOG_FLOOR))
 
 
@@ -215,12 +216,12 @@ def test_suffstats_table_analysis_is_real_and_matches_the_dense_one(monkeypatch,
     state = ensembles.gen_suffstats_ensemble(ensembles.SuffStatsSpec(size_x1=size_x1, size_x2=size_x2)).state
     n, beta = state.size_x, 20.0
     q = derive_rng(n, "suffstats-table").dirichlet(np.ones(n), size=n)
-    (_, _, one_hot, _), gone = engine._Table.of(state, CQChannel(q, classical=True), 0.0, beta).project()
+    (_, _, one_hot, _), gone = engine._Table(state, CQChannel(q, classical=True).carry, 0.0, beta).project()
     assert gone == [] and np.array_equal(np.sort(one_hot, axis=1)[:, :-1], np.zeros((n, n - 1)))
     for table in (q, one_hot):
-        a = engine._Table.of(state, SimpleNamespace(table=lambda: table.view(_TrackedTable)), 0.0, beta)
+        a = engine._Table(state, table_carry(table.view(_TrackedTable)), 0.0, beta)
         a.project()
-        b = engine._Stack.of(state, CQChannel(linalg.diag_embed(table)), 0.0, beta)
+        b = engine._Stack(state, CQChannel(linalg.diag_embed(table)).carry, 0.0, beta)
         assert np.max(np.abs(linalg.diag_embed(a.f_family) - b.f_family)) < 1e-10
         for name in ("f_alpha", "h_t", "h_t_given_x", "i_tx", "i_ty"):
             assert abs(getattr(a, name) - getattr(b, name)) < 1e-12
@@ -315,7 +316,7 @@ def test_runs_from_a_table_and_from_its_dense_embedding_agree(seed, classical_rh
     (chan, trace), (dense_chan, dense_trace) = runs
     assert (trace.status, trace.violations) == (dense_trace.status, dense_trace.violations)
     assert repr(trace.records) == repr(dense_trace.records)
-    assert chan.table().tobytes() == dense_chan.table().tobytes()
+    assert chan.carry[2].tobytes() == dense_chan.carry[2].tobytes()
 
 
 def test_solvers_take_no_evaluation_code_from_the_oracle(monkeypatch):
@@ -606,15 +607,15 @@ def test_random_channel_equals_per_x_draws(dim_t, classical):
     batched = engine.random_channel(dim_t, 9, classical=classical, seed=gen)
     assert batched.classical == classical
     if classical:
-        assert np.array_equal(batched.table(), [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
+        assert np.array_equal(batched.carry[2], [ref.dirichlet(np.ones(dim_t)) for _ in range(9)])
     else:
         p, v = zip(*[(ref.dirichlet(np.ones(dim_t)), random_unitary(dim_t, ref)) for _ in range(9)])
         # random_channel derives the stack and floored log from (p, V) once, by the
         # matmul; a qubit channel from p and the Bloch axis of V's first column,
         # the same operators to round-off.
-        assert np.array_equal(batched.floored_log[0], p)
+        assert np.array_equal(batched.carry[0], p)
         logs = [(u * linalg.log_floor(pp)) @ np.conj(u.T) for pp, u in zip(p, v)]
-        _assert_same_bits_or_qubit_round_off(batched.floored_log[1], np.array(logs), dim_t == 2)
+        _assert_same_bits_or_qubit_round_off(stack_carry(batched.carry)[3], np.array(logs), dim_t == 2)
     # Both consumed the same stretch of the stream.
     assert gen.random() == ref.random()
     looped = random_densities(dim_t, 9, derive_rng(4, "draws"), classical)
@@ -712,7 +713,7 @@ def test_products_match_their_einsum_subscripts(size_x, dim_t, dim_y, classical,
         channel = CQChannel(gen.dirichlet(np.ones(dim_t), size=size_x), classical=True)
     else:
         channel = CQChannel(random_densities(dim_t, size_x, gen))
-    mats = channel.table() if classical else channel.sigma_t_given_x
+    mats = channel.carry[2] if classical else channel.sigma_t_given_x
     for h in (state.rho_y_given_x, channel.sigma_t_given_x, reference.rho_y(state)):
         _, log_h = linalg.floored_log(h)
         assert np.abs(log_h - _floored_log_ref(h)[1]).max() < 1e-12
@@ -747,7 +748,7 @@ def test_analysis_log_product_equals_the_kron_sum_bit_for_bit(dim_t, dim_y, clas
     # log-product and log_joint cancel to zeros.
     for channel in (random_channel_for(state, dim_t, dim_y),
                     CQChannel(np.repeat(random_densities(dim_t, 1, derive_rng(dim_y, "one")), 3, axis=0))):
-        got = engine._Stack.of(state, channel, alpha, beta)
+        got = engine._Stack(state, stack_carry(channel.carry), alpha, beta)
         a, b = got.log_sigma_t, state.rho_y_log[1]
         terms = np.kron(a, np.eye(dim_y)), np.kron(np.eye(dim_t), b)
         # The engine's broadcast form of each term, signed zeros included
@@ -791,8 +792,8 @@ def _spectra(gen, size_x, dim_t, kind):
 @example(4, 3, "rank-deficient", "spectral", 3)
 def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, seed):
     # A quantum channel carries its spectra p and floored log: given as the
-    # triple (p, sigma, log sigma) of a spectrum in a Haar basis, as
-    # random_channel builds it, decomposed once from a dense stack, or
+    # carry (p, log p, sigma, log sigma) of a spectrum in a Haar basis, Pauli
+    # rows at dimT 2, as random_channel builds it, decomposed once from a dense stack, or
     # produced by the update.  p must be the stack's spectrum, the log must
     # commute with the stack and pair log_floor(p) with it, and an analysis of
     # the channel must match the tests/reference.py oracle, which decomposes
@@ -802,13 +803,14 @@ def test_carried_eigenpairs_match_recomputed_ones(size_x, dim_t, kind, origin, s
     shape = (size_x, dim_t, dim_t)
     u = linalg.haar_unitary(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     p = _spectra(gen, size_x, dim_t, kind)
-    spectral = CQChannel((p, linalg.from_eig(p, u), linalg.from_eig(linalg.log_floor(p), u)))
+    mats = linalg.from_eig(p, u), linalg.from_eig(linalg.log_floor(p), u)
+    spectral = CQChannel((p, linalg.log_floor(p), *(map(linalg.to_pauli, mats) if dim_t == 2 else mats)))
     channel = {
         "spectral": spectral,
         "dense": CQChannel(symmetrize(spectral.sigma_t_given_x)),
         "updated": engine.update(state, spectral, 0.7, 1.0, 5.0),
     }[origin]
-    p, log = channel.floored_log
+    p, _, _, log = stack_carry(channel.carry)
     stack = channel.sigma_t_given_x
     assert np.abs(np.sort(p, axis=1) - np.linalg.eigvalsh(stack)).max() < 1e-12
     assert np.abs(np.linalg.eigvalsh(log) - np.sort(linalg.log_floor(p), axis=1)).max() < 1e-12
@@ -852,6 +854,17 @@ def test_quantum_run_decomposes_two_stacks_per_iteration(monkeypatch, dim_t, den
         assert stacked == [True] * dense_start + [True, False] * len(trace)
 
 
+class _QubitStack(engine._Stack):
+    """The stack form at dimT 2: the first iterate's Pauli carry read as
+    stacks.  No channel holds a qubit stack carry, so the run returns none."""
+
+    def __init__(self, state, carry, alpha, beta):
+        super().__init__(state, stack_carry(carry), alpha, beta)
+
+    def channel(self, carry):
+        return None
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.7], ids=["gamma=alpha", "gamma<alpha"])
 @pytest.mark.parametrize("dense_start", [False, True])
 def test_qubit_run_matches_the_eigenvector_path(monkeypatch, gamma, dense_start):
@@ -865,7 +878,7 @@ def test_qubit_run_matches_the_eigenvector_path(monkeypatch, gamma, dense_start)
         initial = CQChannel(np.stack([np.diag([1.0, 0.0]).astype(complex)] * 3 + [np.eye(2) / 2] * 3))
     cfg = ObjectiveConfig(alpha=1.0, beta=5.0, gamma=gamma, dim_t=2, tol=1e-300, max_iters=30, seed=41)
     _, got = engine.run_qib(state, cfg, initial=initial)
-    monkeypatch.setattr(engine, "_Bloch", engine._Stack)
+    monkeypatch.setattr(engine, "_Bloch", _QubitStack)
     _, want = engine._iterate(state, cfg, initial, "run-qib", eigenvector_step(gamma), deterministic=False)
     assert len(got) == len(want) and got.status == want.status
     for a, b in zip(got.records, want.records):
@@ -931,7 +944,7 @@ def test_final_objective_does_not_depend_on_the_log_floor(monkeypatch, gamma):
         channel, trace = engine.run_qib(state, cfg)
         assert trace.status == engine.STATUS_CONVERGED
         assert not any(r.gamma_ratio > gamma for r in trace.records)
-        assert (channel.floored_log[0] < 1e-14).sum() > 0
+        assert (channel.carry[0] < 1e-14).sum() > 0
         finals.append(trace.final_f)
     assert abs(finals[0] - finals[1]) < 1e-10
 
@@ -1023,19 +1036,13 @@ def test_single_shot_ops_build_the_analyses_their_phase_probes_assume(monkeypatc
     assert sum(derived) == 1
 
 
-def _stack_twin(channel):
-    """A Pauli-form qubit channel's conditionals as the stack triple, for the stack oracle."""
-    p, c, log = channel.pauli
-    return CQChannel((p, linalg.from_pauli(c), linalg.from_pauli(log)))
-
-
 def _qubit_case(kind, seed):
     """(state, dimT 2 channel in the Pauli form, beta)."""
     if kind == "floored":  # a run at beta 200 floors about 40% of the eigenvalues
         state = ensembles.gen_random_qubit_ensemble(200, seed)
         cfg = ObjectiveConfig(alpha=1.0, beta=200.0, dim_t=2, tol=1e-300, max_iters=60, seed=seed)
         channel = engine.run_qib(state, cfg)[0]
-        assert (channel.pauli[0] < linalg.LOG_FLOOR).sum() > 100
+        assert (channel.carry[0] < linalg.LOG_FLOOR).sum() > 100
         return state, channel, 200.0
     if kind == "maximally mixed, dimY 1":  # every Bloch vector is 0: sigma_T's, the joint's, F's
         return CQState(np.full(4, 0.25), np.ones((4, 1, 1))), model.maximally_mixed_channel(2, 4), 5.0
@@ -1044,9 +1051,10 @@ def _qubit_case(kind, seed):
         return state, model.maximally_mixed_channel(2, 6), 5.0
     channel = engine.random_channel(2, 6, seed=seed)
     if kind == "pure":  # p = (0, 1) on the drawn axes
-        c = channel.pauli[1]
+        c = channel.carry[2]
         p = np.tile([0.0, 1.0], (6, 1))
-        channel = CQChannel((p, *linalg.pauli_of(np.stack([p, linalg.log_floor(p)]), c[:, 1:], linalg.norms(c[:, 1:]))))
+        pl = np.stack([p, linalg.log_floor(p)])
+        channel = CQChannel((*pl, *linalg.pauli_of(pl, c[:, 1:], linalg.norms(c[:, 1:]))))
     return state, channel, 5.0
 
 
@@ -1057,9 +1065,9 @@ def test_qubit_analysis_matches_the_stack_analysis(kind, seed):
     # the objective, F as a stack, the update's (p, sigma, log sigma), and the
     # step's divergence, residual and ratio; then the projector step.
     state, channel, beta = _qubit_case(kind, seed)
-    twin = _stack_twin(channel)
+    twin = stack_carry(channel.carry)
     alpha, gamma = 1.0, 0.8
-    a, b = engine._Bloch.of(state, channel, alpha, beta), engine._Stack.of(state, twin, alpha, beta)
+    a, b = engine._Bloch(state, channel.carry, alpha, beta), engine._Stack(state, twin, alpha, beta)
     for name in ("f_alpha", "h_t", "i_tx", "i_ty"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
     assert np.abs(linalg.from_pauli(a.f_family) - b.f_family).max() <= 1e-12
@@ -1074,12 +1082,12 @@ def test_qubit_analysis_matches_the_stack_analysis(kind, seed):
     assert abs(ra - rb) * nb.divergence(b) <= 1e-12 or np.isnan(ra) and np.isnan(rb)
     if kind == "maximally mixed":
         return  # F_0 is 0 up to round-off, which picks either form's projector
-    a0, b0 = engine._Bloch.of(state, channel, 0.0, beta), engine._Stack.of(state, twin, 0.0, beta)
+    a0, b0 = engine._Bloch(state, channel.carry, 0.0, beta), engine._Stack(state, twin, 0.0, beta)
     ((p, _, c, log), gone), ((_, _, stepped, _), stack_gone) = a0.project(), b0.project()
     assert gone == stack_gone
     assert np.abs(linalg.from_pauli(c) - stepped).max() <= 1e-12
     if kind == "maximally mixed, dimY 1":  # a tie in every x: P = I keeps sigma / Tr sigma
-        assert gone == [] and np.abs(c - channel.pauli[1]).max() <= 1e-15 and np.abs(p - 0.5).max() <= 1e-15
+        assert gone == [] and np.abs(c - channel.carry[2]).max() <= 1e-15 and np.abs(p - 0.5).max() <= 1e-15
 
 
 def test_gamma_ratio_of_a_pauli_and_a_stack_channel_matches_the_stack_oracle():
@@ -1089,8 +1097,8 @@ def test_gamma_ratio_of_a_pauli_and_a_stack_channel_matches_the_stack_oracle():
     state = random_cq_state(37, size_x=5, dim_y=2)
     pauli, stack = engine.random_channel(2, 5, seed=37), random_channel_for(state, 2, 37)
     assert [type(x) for x in engine._analyses(state, 1.0, 5.0, pauli, stack)] == [engine._Bloch] * 2
-    for pair, twins in (((pauli, stack), (_stack_twin(pauli), stack)), ((stack, pauli), (stack, _stack_twin(pauli)))):
-        a, b = (engine._Stack.of(state, c, 1.0, 5.0) for c in twins)
+    for pair in ((pauli, stack), (stack, pauli)):
+        a, b = (engine._Stack(state, stack_carry(c.carry), 1.0, 5.0) for c in pair)
         assert abs(engine.gamma_ratio(state, *pair, 1.0, 5.0) - a.ratio(b)) * a.divergence(b) <= 1e-12
 
 
@@ -1105,13 +1113,8 @@ def _form_case(form, seed, tag):
 
 
 def _stored_arrays(channel):
-    """Every array a channel holds or derives, tables, stacks, spectra, logs and coordinates."""
-    arrays = [channel.sigma_t_given_x, *channel.floored_log]
-    if channel.classical:
-        arrays.append(channel.table())
-    elif channel.dim_t == 2:
-        arrays.extend(channel.pauli)
-    return arrays
+    """Every array a channel holds or derives: its stack and its carry."""
+    return [channel.sigma_t_given_x, *channel.carry]
 
 
 def _bits(x):
@@ -1134,7 +1137,7 @@ def test_carried_iterate_analyses_as_its_rebuilt_channel(form, step):
         carry = cur.advance(gamma) if step == "soft" else cur.project()[0]
         assert not any(a.flags.writeable for a in carry)
         nxt = type(cur)(state, carry, alpha, beta)
-        (rebuilt,) = engine._analyses(state, alpha, beta, type(cur).channel(carry))
+        (rebuilt,) = engine._analyses(state, alpha, beta, cur.channel(carry))
         assert type(rebuilt) is type(nxt)
         for name in ("f_alpha", "f_family", "h_t", "i_tx", "i_ty"):
             assert _bits(getattr(nxt, name)) == _bits(getattr(rebuilt, name)), name
@@ -1150,13 +1153,8 @@ def test_carried_iterate_analyses_as_its_rebuilt_channel(form, step):
 
 
 def _relabelled(channel, perm):
-    """``channel`` with its x permuted by ``perm``, in the form it stores."""
-    if channel.classical:
-        return CQChannel(channel.table()[perm], classical=True)
-    if channel.dim_t == 2:
-        return CQChannel(tuple(a[perm] for a in channel.pauli))
-    p, log = channel.floored_log
-    return CQChannel((p[perm], channel.sigma_t_given_x[perm], log[perm]))
+    """``channel`` with its x permuted by ``perm``, as its form's carry."""
+    return CQChannel(tuple(a[perm] for a in channel.carry), channel.classical)
 
 
 def _rotated(channel, u):
@@ -1168,35 +1166,42 @@ def _rotated(channel, u):
     st.integers(0, 10**6),
     st.sampled_from(list(_FORMS)),
     st.sampled_from([(1.0, 5.0, 0.8), (0.5, 20.0, 0.5), (1.0, 0.5, 1.0)]),
-    st.sampled_from(["relabel X", "rotate T"]),
+    st.sampled_from(["relabel X", "rotate T", "rotate Y"]),
 )
 def test_objective_is_invariant_under_relabelling_x_and_rotating_t(seed, form, params, symmetry):
-    # Permuting P(x), rho_x and sigma_x together, or turning every sigma_x to
-    # U sigma_x U^H, leaves f, H(T), I(T:X), I(T:Y), the divergence and the
-    # ratio of a step unchanged, and the rotated update is the update rotated.
-    # A rotated table is a stack channel; a rotated qubit channel stays in the
-    # Pauli form.  The pair is a channel and its carried update.  Bounds are
+    # Permuting P(x), rho_x and sigma_x together, turning every sigma_x to
+    # U sigma_x U^H, or turning every rho_x to W rho_x W^H, leaves f, H(T),
+    # I(T:X), I(T:Y), the divergence and the ratio of a step unchanged, the
+    # rotated update is the update rotated, and the update from the rotated
+    # source is the update: F is a partial trace over Y, which W leaves as it
+    # is.  A rotated table is a stack channel; a rotated qubit channel stays in
+    # the Pauli form.  The pair is a channel and its carried update.  Bounds are
     # 4 eps times the size of the terms, S = (1 + alpha + 3 beta) |log
     # LOG_FLOOR| dimT dimY: dimT dimY eigenvalue terms of F's summands, each at
     # most |log LOG_FLOOR| (see _Analysis._f0_scale).  The divergence's trace
     # against log sigma' also carries sigma' to absolute accuracy eps only, so
     # its bound adds 4 eps dimT / w, w sigma''s least eigenvalue (at least
     # LOG_FLOOR), the conditioning of the log.  The update's bound is 4 eps
-    # dimT times the exponent's size, |log LOG_FLOOR| (1 + (1 + alpha + 3 beta) / gamma).
+    # dimT times the exponent's size, |log LOG_FLOOR| (1 + (1 + alpha + 3 beta) / gamma), and
+    # 4 eps dimT dimY times it from the rotated source, whose round-off enters
+    # the exponent through F's dimT dimY eigenvalue terms.
     alpha, beta, gamma = params
     state, channel = _form_case(form, seed, "symmetry")
     (cur,) = engine._analyses(state, alpha, beta, channel)
     nxt = type(cur)(state, cur.advance(gamma), alpha, beta)
-    stepped = type(cur).channel(nxt.carry)
+    stepped = cur.channel(nxt.carry)
     gen = derive_rng(seed, "symmetry")
     dim_t, eps, log_floor = channel.dim_t, np.finfo(float).eps, -np.log(linalg.LOG_FLOOR)
     if symmetry == "relabel X":
         perm = gen.permutation(state.size_x)
         other = CQState(state.px[perm], state.rho_y_given_x[perm])
         pair = _relabelled(channel, perm), _relabelled(stepped, perm)
-    else:
+    elif symmetry == "rotate T":
         u = random_unitary(dim_t, gen)
         other, pair = state, (_rotated(channel, u), _rotated(stepped, u))
+    else:
+        w = random_unitary(state.dim_y, gen)
+        other, pair = CQState(state.px, w @ state.rho_y_given_x @ np.conj(w.T)), (channel, stepped)
     a, b = engine._analyses(other, alpha, beta, *pair)
     assert type(a) is (engine._Stack if form == "table" and symmetry == "rotate T" else type(cur))
     bound = 4 * eps * (1 + alpha + 3 * beta) * log_floor * dim_t * state.dim_y
@@ -1207,7 +1212,9 @@ def test_objective_is_invariant_under_relabelling_x_and_rotating_t(seed, form, p
     assert abs(cur.divergence(nxt) - a.divergence(b)) <= bound + 4 * eps * dim_t / least
     ratio, den = nxt.ratio(cur), nxt.divergence(cur)
     assert abs(ratio - b.ratio(a)) * den <= bound * (1 + abs(ratio))
+    size = 4 * eps * dim_t * log_floor * (1 + (1 + alpha + 3 * beta) / gamma)
+    turned = engine.update(other, pair[0], gamma, alpha, beta).sigma_t_given_x
     if symmetry == "rotate T":
-        turned = engine.update(state, pair[0], gamma, alpha, beta).sigma_t_given_x
-        size = log_floor * (1 + (1 + alpha + 3 * beta) / gamma)
-        assert np.abs(turned - u @ stepped.sigma_t_given_x @ np.conj(u.T)).max() <= 4 * eps * dim_t * size
+        assert np.abs(turned - u @ stepped.sigma_t_given_x @ np.conj(u.T)).max() <= size
+    elif symmetry == "rotate Y":
+        assert np.abs(turned - stepped.sigma_t_given_x).max() <= size * state.dim_y

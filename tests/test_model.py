@@ -94,84 +94,90 @@ def test_classical_channel_rejects_a_non_diagonal_stack_when_built(entry, value,
         CQChannel(stack(value), classical=True)
     CQChannel(stack(value))  # a quantum channel is checked by validate()
     # Within the tolerance only the real diagonal is kept.
-    assert np.array_equal(CQChannel(stack(within), classical=True).table(), [[0.4, 0.6]] * 3)
+    assert np.array_equal(CQChannel(stack(within), classical=True).carry[2], [[0.4, 0.6]] * 3)
 
 
 def test_classical_channel_built_from_a_stack_holds_only_its_table():
     _, q = sparse_table_instance(0, classical_rho=True)
     chan = CQChannel(linalg.diag_embed(q), classical=True)
     assert max(np.ndim(v) for v in vars(chan).values()) == 2
-    assert np.array_equal(chan.table(), q) and chan.table().flags.c_contiguous
+    assert np.array_equal(chan.carry[2], q) and chan.carry[2].flags.c_contiguous
     assert np.array_equal(chan.sigma_t_given_x, linalg.diag_embed(q))
     assert max(np.ndim(v) for v in vars(chan).values()) == 3
 
 
-def test_classical_channel_rejects_a_triple():
-    # A classical channel stores its table alone, so a spectral triple has no place in it.
-    p = np.full((2, 2), 0.5)
-    stack = linalg.diag_embed(p).astype(complex)
-    with pytest.raises(InvariantError, match=r"^a classical channel is given as its table or stack, not as a triple$"):
-        CQChannel((p, stack, stack), classical=True)
-    assert not CQChannel((p, stack, stack)).classical
+_CARRY = r"^a carry must be float64 \(p, log p\) of shape \(sizeX, dimT\) and \(mats, log mats\) of its form"
 
 
-@pytest.mark.parametrize("form, message", [
-    ((np.ones((2, 2)), np.ones((2, 3, 3))), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
-    ((np.ones(2), np.ones((2, 2))), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
-    ((np.ones((2, 2)), np.ones((2, 2, 2)), np.ones((2, 3, 3))), r"two \(sizeX, dimT, dimT\), got shapes \["),
-    ((np.ones((2, 2)),), r"^\(p, sigma, log sigma\) must be \(sizeX, dimT\)"),
-    (np.zeros((2, 2, 3)), "^sigma_t_given_x must be stacked square matrices, got shape \\(2, 2, 3\\)$"),
-    (np.zeros((2, 2, 2, 2)), "^sigma_t_given_x must be stacked square matrices"),
+@pytest.mark.parametrize("form, classical, message", [
+    ((np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3, 3), complex)), False, _CARRY),
+    ((np.ones(2), np.ones(2), np.ones((2, 2)), np.ones((2, 2))), True, _CARRY),
+    ((np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3, 3), complex), np.ones((2, 2, 2), complex)), False, _CARRY),
+    ((np.ones((2, 2)),), True, _CARRY),
+    (np.zeros((2, 2, 3)), False, "^sigma_t_given_x must be stacked square matrices, got shape \\(2, 2, 3\\)$"),
+    (np.zeros((2, 2, 2, 2)), False, "^sigma_t_given_x must be stacked square matrices"),
 ], ids=["p-V-sizes", "p-vector", "triple-sizes", "p-alone", "non-square", "4-d"])
-def test_channel_construction_validates_shapes(form, message):
+def test_channel_construction_validates_shapes(form, classical, message):
+    # A carry is four arrays in one form's shapes and dtypes: a short tuple,
+    # a vector p, a log of another size are rejected, each by the one check.
     with pytest.raises(InvariantError, match=message):
-        CQChannel(form)
+        CQChannel(form, classical)
 
 
-@pytest.mark.parametrize("form", [
-    (np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4))),
-    (np.ones((2, 2)), np.ones((2, 4)), np.ones((3, 4))),
-    (np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3))),
-    (np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 2, 2))),
-    (np.ones((2, 2)), np.ones((2, 4)), np.full((2, 4), 1j)),
-], ids=["p-sizes", "log-rows", "three-coordinates", "log-a-stack", "complex"])
-def test_pauli_channel_construction_validates_its_triple(form):
-    with pytest.raises(InvariantError, match=r"^\(p, c, log c\) must be \(sizeX, 2\) and two real \(sizeX, 4\), got shapes \["):
-        CQChannel(form)
+@pytest.mark.parametrize("form, classical", [
+    ((np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4))), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 4)), np.ones((3, 4))), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3))), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 2, 2))), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 4)), np.full((2, 4), 1j)), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2, 2), complex), np.ones((2, 2, 2), complex)), False),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 4))), True),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), [[1.0, 1.0]] * 2), True),
+], ids=["p-sizes", "log-rows", "three-coordinates", "log-a-stack", "complex", "qubit-stack", "classical-rows",
+        "classical-list"])
+def test_pauli_channel_construction_validates_its_triple(form, classical):
+    # The Pauli form's (p, c, log c) in the carry (p, log p, c, log c): a qubit
+    # channel is held only as real (sizeX, 4) rows, never as a stack, and a
+    # classical one only as its table, each array a float64 ndarray.
+    with pytest.raises(InvariantError, match=_CARRY):
+        CQChannel(form, classical)
 
 
 @pytest.mark.parametrize("kind", ["random", "pure", "maximally mixed"])
 def test_pauli_channel_derives_the_stack_and_floored_log_of_its_spectra(kind):
-    # Given (p, c, log c), the stack and floored log are the matrices of the
-    # coordinates; given the stack, (p, c, log c) is derived in closed form,
-    # p ascending.  Every form is read-only, and the triple is a quantum
-    # channel's alone.
+    # Given the carry (p, log p, c, log c), the channel holds it as given and
+    # the stack and floored log are the matrices of the coordinates; given the
+    # stack, the carry is derived in closed form, p ascending.  Every array is
+    # read-only, and the Pauli rows are a quantum channel's alone.
     gen = derive_rng(5, "pauli", kind)
     u = linalg.haar_unitary(gen.standard_normal((6, 2, 2)) + 1j * gen.standard_normal((6, 2, 2)))
     p = {"random": gen.dirichlet(np.ones(2), size=6), "pure": np.tile([1.0, 0.0], (6, 1)),
          "maximally mixed": np.full((6, 2), 0.5)}[kind]
-    sigma, log = linalg.from_eig(p, u), linalg.from_eig(linalg.log_floor(p), u)
-    chan = CQChannel((p, linalg.to_pauli(sigma), linalg.to_pauli(log)))
+    log_p = linalg.log_floor(p)
+    sigma, log = linalg.from_eig(p, u), linalg.from_eig(log_p, u)
+    carry = (p, log_p, linalg.to_pauli(sigma), linalg.to_pauli(log))
+    chan = CQChannel(carry)
     assert (chan.classical, chan.size_x, chan.dim_t) == (False, 6, 2)
+    assert all(a is b for a, b in zip(chan.carry, carry))
     assert np.abs(chan.sigma_t_given_x - sigma).max() <= 1e-15
-    assert chan.floored_log[0] is chan.pauli[0] and np.array_equal(chan.pauli[0], p)
-    assert np.abs(chan.floored_log[1] - log).max() <= 1e-13
-    assert not any(a.flags.writeable for a in (chan.sigma_t_given_x, *chan.floored_log, *chan.pauli))
+    assert np.abs(linalg.from_pauli(chan.carry[3]) - log).max() <= 1e-13
+    assert not any(a.flags.writeable for a in (chan.sigma_t_given_x, *chan.carry))
     chan.validate()
     dense = CQChannel(sigma)
-    assert np.abs(dense.pauli[0] - np.sort(p, axis=1)).max() <= 1e-15
-    assert np.abs(dense.pauli[1] - chan.pauli[1]).max() <= 1e-15
-    assert np.abs(dense.pauli[2] - chan.pauli[2]).max() <= 1e-13
-    assert not any(a.flags.writeable for a in dense.pauli)
-    with pytest.raises(InvariantError, match="^a classical channel is given as its table or stack, not as a triple$"):
-        CQChannel(chan.pauli, classical=True)
+    assert np.abs(dense.carry[0] - np.sort(p, axis=1)).max() <= 1e-15
+    assert np.array_equal(dense.carry[1], linalg.log_floor(dense.carry[0]))
+    assert np.abs(dense.carry[2] - chan.carry[2]).max() <= 1e-15
+    assert np.abs(dense.carry[3] - chan.carry[3]).max() <= 1e-13
+    assert not any(a.flags.writeable for a in dense.carry)
+    with pytest.raises(InvariantError, match=_CARRY):
+        CQChannel(chan.carry, classical=True)
 
 
 def test_pauli_channel_validate_rejects_a_negative_eigenvalue():
     p = np.array([[-0.1, 1.1], [0.5, 0.5]])
     c = linalg.to_pauli(linalg.diag_embed(p))
     with pytest.raises(InvariantError, match=r"^sigma_t_given_x\[0\]: negative eigenvalue"):
-        CQChannel((p, c, c)).validate()
+        CQChannel((p, linalg.log_floor(p), c, c)).validate()
 
 
 def _verdict(channel):
@@ -194,8 +200,8 @@ def test_table_backed_classical_channel_matches_its_dense_embedding(seed, defect
         q[-1] *= 1.1
     table = CQChannel(q, classical=True)
     dense = CQChannel(linalg.diag_embed(q), classical=True)
-    assert table.table() is table.table() and not table.table().flags.writeable
-    assert table.table().tobytes() == dense.table().tobytes()
+    assert table.carry is table.carry and not any(a.flags.writeable for a in table.carry)
+    assert table.carry[2].tobytes() == dense.carry[2].tobytes()
     assert np.array_equal(table.sigma_t_given_x, dense.sigma_t_given_x)
     verdict = _verdict(table)
     assert verdict == _verdict(dense)

@@ -163,7 +163,7 @@ def test_table_projected_step_matches_dense_loop(seed, classical_rho, beta):
     # P/rank(P) fallback); the second family puts t = 0 just inside each
     # row's tie window.
     state, q = sparse_table_instance(seed, classical_rho)
-    a = engine._Table.of(state, CQChannel(q, classical=True), 0.0, beta)
+    a = engine._Table(state, CQChannel(q, classical=True).carry, 0.0, beta)
     near = a.f_family.copy()
     rest = near[:, 1:]
     near[:, 0] = rest.min(axis=1) + 1e-12 * (rest.max(axis=1) - rest.min(axis=1))
